@@ -19,6 +19,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== cargo test =="
 cargo test -q
 
+echo "== perfbench self-tests (the benchmark must build against the engine and serve APIs) =="
+# perfbench/ is a workspace of its own, so the workspace-wide steps above
+# never compile it; an engine or serve API change that breaks the
+# benchmark's build fails here instead of at benchmark time.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== bench smoke: emitted JSON schema =="
 # A tiny bench run; then validate the schema version and required columns
 # so consumers of BENCH_kdj.json notice shape drift here, not downstream.

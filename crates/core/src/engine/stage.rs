@@ -93,6 +93,10 @@ pub(crate) enum Step {
     Done,
     /// The pause control fired; suspend the cursor.
     Paused,
+    /// Everything queued lies beyond the stage cutoff, but the caller's
+    /// `hold` reported work it could still hand over at or below that
+    /// cutoff: the stage is not exhausted, so it was not advanced.
+    Held,
 }
 
 /// Everything a paused incremental cursor owes the snapshot: its pruned
@@ -243,7 +247,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// the shared bound cannot matter globally, so sweeping past it is
     /// wasted work. Everything skipped stays recoverable through the
     /// `MarkMode::Full` bookkeeping.
-    fn clamped_edmax(&self) -> f64 {
+    pub(crate) fn clamped_edmax(&self) -> f64 {
         match self.shared {
             Some(b) => b.clamp(self.edmax),
             None => self.edmax,
@@ -278,23 +282,30 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// `None` when every pair has been produced.
     #[allow(clippy::should_implement_trait)] // deliberate cursor API; &mut borrows preclude Iterator
     pub fn next(&mut self) -> Option<ResultPair> {
-        match self.next_step() {
+        match self.next_step(|_| false) {
             Step::Pair(p) => Some(p),
-            Step::Done | Step::Paused => None,
+            Step::Done | Step::Paused | Step::Held => None,
         }
     }
 
     /// Pause-aware advance: like [`next`](Self::next), but distinguishes
     /// exhaustion from a fired pause control so the resumable backend can
     /// suspend the cursor instead of discarding it.
-    pub(crate) fn next_step(&mut self) -> Step {
+    ///
+    /// `hold(cutoff)` is consulted whenever the queues hold nothing at or
+    /// below the stage cutoff (clamped to the shared bound): `true` means
+    /// the caller still owns unclaimed work at or below `cutoff`, so the
+    /// stage is not exhausted and the step returns [`Step::Held`] instead
+    /// of advancing. A worker cursor's queues are only its claimed share
+    /// of the frontier; the stage is done only when the pool agrees.
+    pub(crate) fn next_step(&mut self, hold: impl Fn(f64) -> bool) -> Step {
         let started = std::time::Instant::now();
-        let out = self.step();
+        let out = self.step(hold);
         self.counters.cpu_seconds += started.elapsed().as_secs_f64();
         out
     }
 
-    fn step(&mut self) -> Step {
+    fn step(&mut self, hold: impl Fn(f64) -> bool) -> Step {
         loop {
             if self.pause.is_some_and(|p| p.should_pause()) {
                 return Step::Paused;
@@ -318,7 +329,11 @@ impl<'a, const D: usize> StageDriver<'a, D> {
             }
             if key > self.edmax {
                 // Everything still queued lies beyond the stage cutoff:
-                // start the next stage with a larger eDmax.
+                // start the next stage with a larger eDmax — unless
+                // unclaimed work below the cutoff remains elsewhere.
+                if hold(self.clamped_edmax()) {
+                    return Step::Held;
+                }
                 self.advance_stage();
                 continue;
             }

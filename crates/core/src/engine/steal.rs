@@ -226,6 +226,22 @@ impl<T> StealPool<T> {
         (Vec::new(), attempts)
     }
 
+    /// Whether worker `w` could still claim an item keyed at or below
+    /// `bound`: from its own deque, or — with `steal` on — from any
+    /// peer's. Deques are ascending, so their fronts decide.
+    fn has_claimable(&self, w: usize, bound: f64, steal: bool) -> bool {
+        (0..self.deques.len())
+            .filter(|&v| steal || v == w)
+            .any(|v| {
+                self.lens[v].load(Ordering::Relaxed) != 0
+                    && self.deques[v]
+                        .lock()
+                        .expect("steal-pool deque poisoned")
+                        .front()
+                        .is_some_and(|t| (self.key)(t) <= bound)
+            })
+    }
+
     /// Everything no worker claimed, in worker order.
     fn into_remaining(self) -> Vec<T> {
         self.deques
@@ -479,32 +495,54 @@ fn stage_two_worker<const D: usize>(
     drv.into_pool(drain)
 }
 
+/// Why [`pump_idj`] handed control back to its worker's claim loop.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum PumpEnd {
+    /// Nothing left in the cursor can beat the shared bound (or the
+    /// cursor is exhausted); the claim loop decides what comes next.
+    Drained,
+    /// The cursor's stage is spent locally, but the pool still holds a
+    /// claimable seed at or below its cutoff: claim before advancing.
+    Deferred,
+    /// The pause control fired; suspend the cursor.
+    Paused,
+}
+
 /// Pumps one incremental cursor while its next emission can still beat
-/// the shared bound, publishing each emission's distance. Returns `true`
-/// when the cursor's pause control fired (suspend it), `false` when it
-/// merely ran out of claimable work (the outer claim loop decides).
+/// the shared bound, publishing each emission's distance.
+///
+/// A stage advance is a global decision. The cursor's queues hold only
+/// its claimed share of the frontier — on resume, nothing but the parked
+/// compensation entries, which sit just above `eDmax` — so an empty
+/// stage locally says nothing about the stage globally. The pump
+/// therefore stops with [`PumpEnd::Deferred`] instead of raising `eDmax`
+/// while the pool (the worker's own deque, plus its peers' when
+/// `steal`ing) still holds a seed at or below the clamped cutoff, and
+/// advances only once none remains.
 fn pump_idj<const D: usize>(
     cursor: &mut StageDriver<'_, D>,
     distq: &mut DistanceQueue,
     shared: &MinBound,
     results: &mut Vec<ResultPair>,
     tightenings: &mut u64,
-) -> bool {
+    (pool, w, steal): (&StealPool<Pair<D>>, usize, bool),
+) -> PumpEnd {
+    let hold = |cutoff: f64| pool.has_claimable(w, cutoff, steal);
     loop {
         // The cursor's minimum queue key lower-bounds every future
         // emission: stop before doing the work once it passes the
         // bound.
         match cursor.peek_key() {
             Some(key) if key <= shared.get() => {}
-            _ => return false,
+            _ => return PumpEnd::Drained,
         }
-        match cursor.next_step() {
+        match cursor.next_step(hold) {
             Step::Pair(pair) => {
                 if pair.dist > shared.get() {
                     // The stream is ascending; everything later is farther
                     // still (and a tighter bound may admit new claims,
                     // which the outer loop handles).
-                    return false;
+                    return PumpEnd::Drained;
                 }
                 distq.insert(pair.dist);
                 let q = distq.qdmax();
@@ -513,8 +551,9 @@ fn pump_idj<const D: usize>(
                 }
                 results.push(pair);
             }
-            Step::Done => return false,
-            Step::Paused => return true,
+            Step::Done => return PumpEnd::Drained,
+            Step::Held => return PumpEnd::Deferred,
+            Step::Paused => return PumpEnd::Paused,
         }
     }
 }
@@ -526,14 +565,29 @@ fn pump_idj<const D: usize>(
 /// shared bound, and a cap on locally-claimed work would be wrong anyway
 /// once seeds move between workers.
 ///
+/// The cursor advances its stage only when no claimable pool seed lies at
+/// or below its clamped cutoff ([`pump_idj`]): a deferred pump claims
+/// with that cutoff as the bound, so the claim takes the seeds the stage
+/// still owes. A claim after a deferral can come back empty — a peer won
+/// the race for the seed — and then the worker simply pumps again rather
+/// than exiting, so it never exits holding work below the shared bound.
+/// That pump advances the stage exactly once: the empty claim saw no
+/// seed at or below the cutoff, the pool only shrinks, and the cutoff
+/// only falls until the next advance, so the pump's first hold check
+/// finds nothing to wait for. On one fresh thread the pool is a single
+/// root seed, claimed before the first advance, so the worker replays
+/// the sequential cursor exactly.
+///
 /// A resumed worker starts from the snapshot's cut: its stage-loop
 /// scalars are `restore`d, it is dealt a share of the snapshot's parked
 /// compensation entries (`seed_comps` — the pool only carries pairs),
 /// and its distance queue is pre-seeded (uncounted) with the snapshot's
 /// distance evidence so its published bound starts as tight as the
 /// suspended run's. The pre-claim pump drains that seeded work even when
-/// the pool has nothing left to claim. A fired `pause` suspends the
-/// cursor instead of finishing it; the drained cut comes back as the
+/// the pool has nothing left to claim — and, because the parked entries
+/// sit just beyond `eDmax`, defers to the pool's frontier rather than
+/// advancing the stage on an empty main queue. A fired `pause` suspends
+/// the cursor instead of finishing it; the drained cut comes back as the
 /// fourth return.
 #[allow(clippy::too_many_arguments)]
 fn idj_worker<const D: usize>(
@@ -565,16 +619,18 @@ fn idj_worker<const D: usize>(
     let mut tightenings = 0u64;
     let (mut stolen, mut attempts) = (0u64, 0u64);
     let mut step = 0u64;
-    let mut paused = pump_idj(
+    let claimable = (pool, w, cfg.steal);
+    let mut end = pump_idj(
         &mut cursor,
         &mut distq,
         shared,
         &mut results,
         &mut tightenings,
+        claimable,
     );
-    while !paused {
+    while end != PumpEnd::Paused {
         if pause.is_some_and(|p| p.should_pause()) {
-            paused = true;
+            end = PumpEnd::Paused;
             break;
         }
         step += 1;
@@ -584,28 +640,38 @@ fn idj_worker<const D: usize>(
             }
         }
         let forced = schedule.is_some_and(|sch| sch.force_steal(w, step));
-        let Some(claimed) = claim_round(
+        let bound = match end {
+            PumpEnd::Deferred => cursor.clamped_edmax(),
+            _ => shared.get(),
+        };
+        let claimed = claim_round(
             pool,
             w,
-            shared.get(),
+            bound,
             false,
             forced,
             cfg.steal,
             &mut stolen,
             &mut attempts,
-        ) else {
-            break;
-        };
-        cursor.push_seeds(claimed);
-        paused = pump_idj(
+        );
+        match claimed {
+            Some(claimed) => cursor.push_seeds(claimed),
+            // Lost the race for the seed the deferral was waiting on: the
+            // cursor still holds work under the bound, and the pump below
+            // now finds nothing claimable and advances its stage.
+            None if end == PumpEnd::Deferred => {}
+            None => break,
+        }
+        end = pump_idj(
             &mut cursor,
             &mut distq,
             shared,
             &mut results,
             &mut tightenings,
+            claimable,
         );
     }
-    let (mut stats, queue_io, suspend) = if paused {
+    let (mut stats, queue_io, suspend) = if end == PumpEnd::Paused {
         let (sus, st, io) = cursor.suspend();
         (st, io, Some(sus))
     } else {

@@ -609,19 +609,24 @@ pub struct QueryReport {
     pub buffer_evictions: u64,
     /// Results delivered so far.
     pub results: u64,
+    /// AM-IDJ/AM-KDJ stages the query ran (a cursor: the highest stage
+    /// any of its episodes reached). A cursor creeping well past the
+    /// direct join's stage count has lost its aggressive pruning.
+    pub stages: u32,
 }
 
 impl QueryReport {
     fn encode(&self) -> String {
         format!(
-            "{{\"id\":{},\"op\":\"{}\",\"queue_wait_ns\":{},\"buffer_hits\":{},\"buffer_misses\":{},\"buffer_evictions\":{},\"results\":{}}}",
+            "{{\"id\":{},\"op\":\"{}\",\"queue_wait_ns\":{},\"buffer_hits\":{},\"buffer_misses\":{},\"buffer_evictions\":{},\"results\":{},\"stages\":{}}}",
             json_string(&self.id),
             self.op,
             self.queue_wait_ns,
             self.buffer_hits,
             self.buffer_misses,
             self.buffer_evictions,
-            self.results
+            self.results,
+            self.stages
         )
     }
 }

@@ -294,46 +294,26 @@ impl<'t, const D: usize> Server<'t, D> {
     /// its whole lifetime, so its row is *replaced* — adding would
     /// double-count earlier pulls; a kdj request reports this query's
     /// deltas, so a reused id *sums* — replacing would drop the
-    /// earlier queries' traffic. Either way every buffer fetch lands
-    /// in exactly one row exactly once, preserving the rows-sum-to-
-    /// global-deltas invariant (`tests/serve_concurrent.rs`).
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &self,
-        id: &str,
-        op: &'static str,
-        wait_ns: u64,
-        hits: u64,
-        misses: u64,
-        evictions: u64,
-        results: u64,
-        cumulative: bool,
-    ) {
+    /// earlier queries' traffic (`stages`, not a counter, keeps the
+    /// maximum). Either way every buffer fetch lands in exactly one row
+    /// exactly once, preserving the rows-sum-to-global-deltas invariant
+    /// (`tests/serve_concurrent.rs`).
+    fn record(&self, report: QueryReport, cumulative: bool) {
         let mut log = self.reports.lock().expect("report log poisoned");
-        if let Some(row) = log.iter_mut().find(|r| r.id == id && r.op == op) {
-            if cumulative {
-                row.queue_wait_ns = wait_ns;
-                row.buffer_hits = hits;
-                row.buffer_misses = misses;
-                row.buffer_evictions = evictions;
-                row.results = results;
-            } else {
-                row.queue_wait_ns += wait_ns;
-                row.buffer_hits += hits;
-                row.buffer_misses += misses;
-                row.buffer_evictions += evictions;
-                row.results += results;
+        match log
+            .iter_mut()
+            .find(|r| r.id == report.id && r.op == report.op)
+        {
+            Some(row) if cumulative => *row = report,
+            Some(row) => {
+                row.queue_wait_ns += report.queue_wait_ns;
+                row.buffer_hits += report.buffer_hits;
+                row.buffer_misses += report.buffer_misses;
+                row.buffer_evictions += report.buffer_evictions;
+                row.results += report.results;
+                row.stages = row.stages.max(report.stages);
             }
-        } else {
-            log.push(QueryReport {
-                id: id.to_string(),
-                op,
-                queue_wait_ns: wait_ns,
-                buffer_hits: hits,
-                buffer_misses: misses,
-                buffer_evictions: evictions,
-                results,
-            });
+            None => log.push(report),
         }
         self.queries.fetch_add(1, Ordering::Relaxed);
     }
@@ -378,17 +358,9 @@ impl<'t, const D: usize> Server<'t, D> {
             buffer_misses: out.stats.buffer_misses,
             buffer_evictions: out.stats.buffer_evictions,
             results: out.results.len() as u64,
+            stages: out.stats.stages,
         };
-        self.record(
-            id,
-            "kdj",
-            wait_ns,
-            out.stats.buffer_hits,
-            out.stats.buffer_misses,
-            out.stats.buffer_evictions,
-            out.results.len() as u64,
-            false,
-        );
+        self.record(report.clone(), false);
         Ok((out, report))
     }
 
@@ -436,13 +408,20 @@ impl<'t, const D: usize> Server<'t, D> {
             }
         };
         let wait_ns = cursor.queue_wait_ns;
-        let hits = cursor.stats.buffer_hits;
-        let misses = cursor.stats.buffer_misses;
-        let evictions = cursor.stats.buffer_evictions;
         let delivered = cursor.delivered();
+        let report = QueryReport {
+            id: id.to_string(),
+            op: "idj",
+            queue_wait_ns: wait_ns,
+            buffer_hits: cursor.stats.buffer_hits,
+            buffer_misses: cursor.stats.buffer_misses,
+            buffer_evictions: cursor.stats.buffer_evictions,
+            results: delivered,
+            stages: cursor.stats.stages,
+        };
         self.cursors.checkin(id, cursor);
         let (results, done) = outcome?;
-        self.record(id, "idj", wait_ns, hits, misses, evictions, delivered, true);
+        self.record(report, true);
         Ok(Pull {
             results,
             done,

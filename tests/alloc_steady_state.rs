@@ -14,6 +14,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use amdj_core::{am_kdj, b_kdj, AmKdjOptions, JoinConfig};
 use amdj_geom::{Point, Rect};
@@ -49,6 +50,18 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// `ALLOCATIONS` is process-global, so a test measuring it must not run
+/// beside another: the harness runs tests on parallel threads, and each
+/// would count the other's join. Every test holds this guard for its
+/// whole body. A panicking test poisons the lock; the guard is still
+/// valid for the next one (there is no shared state behind it).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Small pages force deep trees (many node-pair expansions to count);
 /// the large buffer keeps every page resident so the measured runs are
 /// cache-warm and the page-fault path stays out of the numbers.
@@ -75,6 +88,7 @@ fn grid(n: usize, dx: f64, dy: f64) -> Vec<(Rect<2>, u64)> {
 /// must average well under one allocation per node-pair expansion.
 #[test]
 fn warm_bkdj_sweep_is_allocation_free_per_expansion() {
+    let _serial = serial();
     let a = grid(40, 0.0, 0.0);
     let b = grid(40, 0.27, 0.41);
     let r = RTree::bulk_load(params(), a);
@@ -115,6 +129,7 @@ fn warm_bkdj_sweep_is_allocation_free_per_expansion() {
 /// stay amortized, which the bound below checks.
 #[test]
 fn warm_amkdj_sweep_allocates_only_for_parked_expansions() {
+    let _serial = serial();
     let a = grid(35, 0.0, 0.0);
     let b = grid(35, 0.31, 0.17);
     let r = RTree::bulk_load(params(), a);

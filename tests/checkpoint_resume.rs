@@ -71,10 +71,12 @@ fn assert_identical(
 }
 
 /// What an episode loop saw on the way to completion: how often the
-/// pause fired and which stages the snapshots were cut in.
+/// pause fired, which stages the snapshots were cut in, and the
+/// main-queue insertions summed over every episode.
 struct EpisodeLog {
     suspensions: usize,
     stages: Vec<u32>,
+    mainq_insertions: u64,
 }
 
 /// Runs a resumable kdj to completion as a sequence of episodes. Every
@@ -96,6 +98,7 @@ fn kdj_episodes(
     let mut log = EpisodeLog {
         suspensions: 0,
         stages: Vec::new(),
+        mainq_insertions: 0,
     };
     for episode in 0.. {
         assert!(episode < 100_000, "episode loop failed to converge");
@@ -114,8 +117,12 @@ fn kdj_episodes(
         )
         .expect("episode snapshot must validate");
         match out {
-            Checkpointed::Done(out) => return (out, log),
-            Checkpointed::Suspended(snap, _) => {
+            Checkpointed::Done(out) => {
+                log.mainq_insertions += out.stats.mainq_insertions;
+                return (out, log);
+            }
+            Checkpointed::Suspended(snap, stats) => {
+                log.mainq_insertions += stats.mainq_insertions;
                 log.suspensions += 1;
                 log.stages.push(snap.stage());
                 let decoded =
@@ -143,6 +150,7 @@ fn idj_episodes(
     let mut log = EpisodeLog {
         suspensions: 0,
         stages: Vec::new(),
+        mainq_insertions: 0,
     };
     for episode in 0.. {
         assert!(episode < 100_000, "episode loop failed to converge");
@@ -161,8 +169,12 @@ fn idj_episodes(
         )
         .expect("episode snapshot must validate");
         match out {
-            Checkpointed::Done(out) => return (out, log),
-            Checkpointed::Suspended(snap, _) => {
+            Checkpointed::Done(out) => {
+                log.mainq_insertions += out.stats.mainq_insertions;
+                return (out, log);
+            }
+            Checkpointed::Suspended(snap, stats) => {
+                log.mainq_insertions += stats.mainq_insertions;
                 log.suspensions += 1;
                 log.stages.push(snap.stage());
                 let decoded =
@@ -425,4 +437,75 @@ fn disk_roundtrip_and_resume_validation() {
         Checkpointed::Suspended(..) => unreachable!("no pause control on the resume"),
     };
     assert_eq!(canonical(out.results), reference);
+}
+
+/// A resumed incremental join must not start a stage early. On resume a
+/// worker's cursor holds only the parked compensation entries (keyed
+/// just above `eDmax`) while the saved frontier waits in the claim pool;
+/// advancing the stage on that locally empty queue raised `eDmax` once
+/// per episode, so a many-episode join crept through stage after stage,
+/// lost its aggressive pruning and expanded most of the pair space (on
+/// this data: stage 8 and ~1400× the main-queue insertions at one
+/// thread). Every episode here is four expansions long; the resumed
+/// join must stay within one stage of the uninterrupted one and within a
+/// small factor of the join's queue work — resumed frontier seeds are
+/// re-inserted (and re-counted) once per episode, nothing more. The
+/// factor is taken against the one-thread uninterrupted run, which is
+/// deterministic: with more threads the uninterrupted run's own
+/// insertions vary up to about 2.3× with the schedule and the resumed
+/// run's up to about 2.5×, so a ratio of two such counts is too noisy
+/// to bound tightly.
+#[test]
+fn resumed_idj_episodes_do_not_advance_stages_early() {
+    let universe = amdj_datagen::unit_universe();
+    let a = amdj_datagen::uniform_points(1000, universe, 7);
+    let b = amdj_datagen::clustered_points(1000, 16, 0.02, universe, 8);
+    let r = RTree::bulk_load(RTreeParams::paper_defaults(), a);
+    let s = RTree::bulk_load(RTreeParams::paper_defaults(), b);
+    let (take, budget) = (100, 4);
+    let opts = AmIdjOptions::default();
+    let bits = |v: Vec<ResultPair>| -> Vec<(u64, u64, u64)> {
+        canonical(v)
+            .iter()
+            .map(|p| (p.dist.to_bits(), p.r, p.s))
+            .collect()
+    };
+    let uninterrupted = |cfg: &JoinConfig, threads: usize| match idj_resumable(
+        &r, &s, take, cfg, &opts, threads, None, None, None,
+    )
+    .expect("no snapshot to validate")
+    {
+        Checkpointed::Done(out) => out,
+        Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
+    };
+    let sequential = uninterrupted(&JoinConfig::default(), 1).stats;
+    for threads in [1, 2, 4] {
+        for steal in [true, false] {
+            let cfg = JoinConfig {
+                steal,
+                ..JoinConfig::default()
+            };
+            let reference = uninterrupted(&cfg, threads);
+            let (out, log) = idj_episodes(&r, &s, take, &cfg, &opts, budget, &[threads], None);
+            let run = format!("{threads} threads, steal {steal}");
+            assert!(log.suspensions > 2, "{run}: pause barely fired");
+            assert_eq!(
+                bits(out.results),
+                bits(reference.results),
+                "{run}: resumed stream differs"
+            );
+            assert!(
+                out.stats.stages <= reference.stats.stages + 1,
+                "{run}: resumed join reached stage {} (uninterrupted: {})",
+                out.stats.stages,
+                reference.stats.stages
+            );
+            assert!(
+                log.mainq_insertions <= 6 * sequential.mainq_insertions,
+                "{run}: resumed join made {} main-queue insertions (uninterrupted, one thread: {})",
+                log.mainq_insertions,
+                sequential.mainq_insertions
+            );
+        }
+    }
 }

@@ -8,7 +8,7 @@
 
 use std::sync::OnceLock;
 
-use amdj_core::serve::codec::{QuerySpec, Request, RequestError, Response};
+use amdj_core::serve::codec::{QueryReport, QuerySpec, Request, RequestError, Response};
 use amdj_core::serve::{ServeOptions, Server};
 use amdj_core::JoinConfig;
 use amdj_datagen::{uniform_points, unit_universe};
@@ -179,6 +179,53 @@ proptest! {
         }
         // The session stays usable after arbitrary garbage.
         let (resp, _) = server.handle_line(br#"{"op":"stats"}"#);
-        prop_assert!(matches!(resp, Response::Stats { .. }), "stats still answers");
+        let line = resp.encode();
+        let Response::Stats { reports, .. } = resp else {
+            return Err(TestCaseError::fail("stats still answers"));
+        };
+        assert_stats_line_carries_reports(&line, &reports)?;
     }
+}
+
+/// Every per-query row of a `stats` line ends with its report's
+/// `results` and `stages`, and there is one `stages` field per row.
+fn assert_stats_line_carries_reports(
+    line: &str,
+    reports: &[QueryReport],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        line.matches("\"stages\":").count(),
+        reports.len(),
+        "{}",
+        line
+    );
+    for rep in reports {
+        let tail = format!("\"results\":{},\"stages\":{}}}", rep.results, rep.stages);
+        prop_assert!(line.contains(&tail), "{} not in {}", tail, line);
+    }
+    Ok(())
+}
+
+/// The `stats` op surfaces each query's stage count: a kdj's from its
+/// join, a cursor's as the highest stage any of its episodes reached.
+#[test]
+fn stats_line_reports_per_query_stages() {
+    let (r, s) = trees();
+    let server = Server::new(r, s, ServeOptions::default());
+    for line in [
+        r#"{"op":"kdj","id":"k","k":20}"#,
+        r#"{"op":"idj_open","id":"c","take":30}"#,
+        r#"{"op":"idj_pull","id":"c","n":30}"#,
+    ] {
+        let (resp, _) = server.handle_line(line.as_bytes());
+        assert!(!matches!(resp, Response::Error { .. }), "{line}");
+    }
+    let resp = server.stats();
+    let line = resp.encode();
+    let Response::Stats { reports, .. } = resp else {
+        panic!("stats() returns Stats");
+    };
+    assert_eq!(reports.len(), 2, "{line}");
+    assert!(reports.iter().all(|rep| rep.stages >= 1), "{line}");
+    assert_stats_line_carries_reports(&line, &reports).unwrap();
 }

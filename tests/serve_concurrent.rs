@@ -65,8 +65,8 @@ fn cells(n_queries: usize, k: usize) -> Vec<(String, Kind)> {
 }
 
 /// The serial one-shot equivalent of one query, through the ordinary
-/// library entry points.
-fn serial(r: &RTree<2>, s: &RTree<2>, cfg: &JoinConfig, kind: &Kind) -> Vec<ResultPair> {
+/// library entry points: its result stream and its stage count.
+fn serial(r: &RTree<2>, s: &RTree<2>, cfg: &JoinConfig, kind: &Kind) -> (Vec<ResultPair>, u32) {
     match kind {
         Kind::Kdj { k, spec } => {
             let mut c = cfg.clone();
@@ -79,12 +79,13 @@ fn serial(r: &RTree<2>, s: &RTree<2>, cfg: &JoinConfig, kind: &Kind) -> Vec<Resu
                 c.partitions = (spec.partitions > 1).then_some(spec.partitions as usize);
             }
             let t = (spec.threads as usize).max(1);
-            match (spec.aggressive, t > 1) {
-                (true, false) => am_kdj(r, s, *k, &c, &AmKdjOptions::default()).results,
-                (true, true) => par_am_kdj(r, s, *k, &c, &AmKdjOptions::default(), t).results,
-                (false, false) => b_kdj(r, s, *k, &c).results,
-                (false, true) => par_b_kdj(r, s, *k, &c, t).results,
-            }
+            let out = match (spec.aggressive, t > 1) {
+                (true, false) => am_kdj(r, s, *k, &c, &AmKdjOptions::default()),
+                (true, true) => par_am_kdj(r, s, *k, &c, &AmKdjOptions::default(), t),
+                (false, false) => b_kdj(r, s, *k, &c),
+                (false, true) => par_b_kdj(r, s, *k, &c, t),
+            };
+            (out.results, out.stats.stages)
         }
         Kind::Idj { take, .. } => {
             let mut cursor = AmIdj::new(r, s, cfg, AmIdjOptions::default());
@@ -95,7 +96,7 @@ fn serial(r: &RTree<2>, s: &RTree<2>, cfg: &JoinConfig, kind: &Kind) -> Vec<Resu
                     None => break,
                 }
             }
-            out
+            (out, cursor.stats().stages)
         }
     }
 }
@@ -122,10 +123,10 @@ fn run_mixed(n_queries: usize) {
     let cells = cells(n_queries, 60);
     // Serial expectations first: their buffer traffic must not land in
     // the window the global-counter delta is measured over.
-    let expected: Vec<Vec<ResultPair>> = cells
+    let (expected, expected_stages): (Vec<Vec<ResultPair>>, Vec<u32>) = cells
         .iter()
         .map(|(_, kind)| serial(&r, &s, &cfg, kind))
-        .collect();
+        .unzip();
     let hits_before = r.buffer_hits() + s.buffer_hits();
     let misses_before = r.buffer_misses() + s.buffer_misses();
     let evictions_before = r.buffer_evictions() + s.buffer_evictions();
@@ -192,13 +193,32 @@ fn run_mixed(n_queries: usize) {
         sum_evictions, global_evictions,
         "per-query evictions sum to the global delta"
     );
-    // Every report delivered what its query's serial equivalent did.
-    for ((id, _), want) in cells.iter().zip(&expected) {
+    // Every report delivered what its query's serial equivalent did, in
+    // as many stages: a one-thread kdj runs the serial join itself, a
+    // two-thread one may or may not owe a stage two, and a cursor —
+    // however its episodes were cut — stays within one stage of the
+    // direct `AmIdj`.
+    for (((id, kind), want), &stages) in cells.iter().zip(&expected).zip(&expected_stages) {
         let rep = reports
             .iter()
             .find(|rep| rep.id == *id)
             .expect("report exists");
         assert_eq!(rep.results, want.len() as u64, "{id}: reported results");
+        match kind {
+            Kind::Kdj { spec, .. } if spec.threads <= 1 => {
+                assert_eq!(rep.stages, stages, "{id}: reported stages")
+            }
+            Kind::Kdj { .. } => assert!(
+                (1..=2).contains(&rep.stages),
+                "{id}: reported stages {}",
+                rep.stages
+            ),
+            Kind::Idj { .. } => assert!(
+                (1..=stages + 1).contains(&rep.stages),
+                "{id}: cursor reported stage {} (direct: {stages})",
+                rep.stages
+            ),
+        }
     }
 }
 
@@ -337,6 +357,11 @@ fn reused_kdj_id_accumulates_attribution() {
     assert_eq!(row.buffer_hits, rep1.buffer_hits + rep2.buffer_hits);
     assert_eq!(row.buffer_misses, rep1.buffer_misses + rep2.buffer_misses);
     assert_eq!(row.results, rep1.results + rep2.results);
+    assert_eq!(
+        row.stages,
+        rep1.stages.max(rep2.stages),
+        "stages is a maximum, not a counter"
+    );
     assert_eq!(
         row.queue_wait_ns,
         rep1.queue_wait_ns + rep2.queue_wait_ns,
