@@ -32,18 +32,17 @@ BENCH_SMOKE_JSON="$(mktemp -t bench_smoke.XXXXXX.json)"
 trap 'rm -f "$BENCH_SMOKE_JSON"' EXIT
 cargo run --release -q -p amdj-bench --bin amdj -- \
     bench --n 300 --k 20 --json "$BENCH_SMOKE_JSON" 2>/dev/null
-grep -q '"schema_version": 9' "$BENCH_SMOKE_JSON" \
-    || { echo "bench smoke: schema_version != 9"; exit 1; }
-for col in op algo dataset query_id transport connections threads steal partition \
-           prefilter k partitions \
+grep -q '"schema_version": 10' "$BENCH_SMOKE_JSON" \
+    || { echo "bench smoke: schema_version != 10"; exit 1; }
+for col in op algo query_id transport connections threads steal partition \
+           prefilter k \
            wall_time_s node_accesses \
            pairs_computed quantized_rejects exact_dist_skipped results \
            pairs_stolen steal_attempts barrier_idle_ns \
            buffer_hits buffer_misses buffer_evictions buffer_hit_rate \
            queue_wait_ns admission_rejections \
            buffer_hits_by_worker buffer_misses_by_worker \
-           checkpoints_written partition_pairs_total partition_pairs_pruned \
-           partition_pairs_replayed partition_pairs_never_needed; do
+           checkpoints_written; do
     grep -q "\"$col\":" "$BENCH_SMOKE_JSON" \
         || { echo "bench smoke: missing column '$col'"; exit 1; }
 done
@@ -55,19 +54,6 @@ grep -q '"prefilter": false' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: missing prefilter-off ablation row"; exit 1; }
 grep -Eq '"quantized_rejects": [1-9]' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: prefilter never rejected a candidate"; exit 1; }
-# The partitioned clustered row must actually prune partition pairs, and
-# the partitioned plan must return the same result count as its
-# monolithic ablation twin (the plan is bit-identical; the CLI smoke
-# below diffs the full result stream).
-grep '"dataset": "clustered"' "$BENCH_SMOKE_JSON" | grep '"partitions": 8' \
-    | grep -Eq '"partition_pairs_pruned": [1-9]' \
-    || { echo "bench smoke: partitioned clustered row never pruned a pair"; exit 1; }
-mono_results=$(grep '"dataset": "clustered"' "$BENCH_SMOKE_JSON" \
-    | grep '"partitions": 0,' | grep -o '"results": [0-9]*')
-part_results=$(grep '"dataset": "clustered"' "$BENCH_SMOKE_JSON" \
-    | grep '"partitions": 8,' | grep -o '"results": [0-9]*')
-[ -n "$mono_results" ] && [ "$mono_results" = "$part_results" ] \
-    || { echo "bench smoke: partitioned results ($part_results) != monolithic ($mono_results)"; exit 1; }
 # The serve section runs 144 mixed queries over 16 concurrent TCP
 # connections (bit-identity against serial is asserted inside the bench
 # itself) and emits one op="serve" row per query, tagged with the
@@ -82,7 +68,7 @@ grep -Eq '"op": "serve".*"transport": "tcp"' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: serve rows not tagged with the tcp transport"; exit 1; }
 grep -Eq '"op": "serve".*"queue_wait_ns": [1-9]' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: no serve row reports a nonzero queue wait"; exit 1; }
-echo "bench smoke: schema_version 9 with all required columns, partition pruning fired"
+echo "bench smoke: schema_version 10 with all required columns"
 
 echo "== checkpoint smoke: interrupt, resume, compare =="
 # An interrupted join must exit 75 with a checkpoint on disk, and the
@@ -119,22 +105,6 @@ $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --k 100 --algo am \
 diff <(grep -v '^#' "$CKPT_DIR/q_on.txt") <(grep -v '^#' "$CKPT_DIR/q_off.txt") \
     || { echo "kernel ablation smoke: prefilter changed join results"; exit 1; }
 echo "kernel ablation smoke: prefilter on/off bit-identical"
-
-echo "== partitioned plan smoke: STR tiling + pruning vs monolithic =="
-# The same aggressive join as the checkpoint smoke's reference, run as an
-# 8-partition plan: STR tiling, bounds-only partition-pair pruning, and
-# compensation replay must not move a single byte of output.
-$AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --k 100 --algo am \
-    --partitions 8 > "$CKPT_DIR/part.txt" 2>/dev/null
-diff <(grep -v '^#' "$CKPT_DIR/ref.txt") <(grep -v '^#' "$CKPT_DIR/part.txt") \
-    || { echo "partitioned plan smoke: partitioned results differ"; exit 1; }
-# The plan is deliberately not resumable; the flag combination must be
-# rejected up front rather than silently dropping one of the two.
-if $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --k 100 --algo am \
-    --partitions 8 --checkpoint-path "$CKPT_DIR/nope.snap" >/dev/null 2>&1; then
-    echo "partitioned plan smoke: --partitions + checkpointing not rejected"; exit 1
-fi
-echo "partitioned plan smoke: partitioned results bit-identical to monolithic"
 
 echo "== serve smoke: concurrent protocol queries over one shared index =="
 # Drive `amdj serve` over the protocol: three concurrent kdj queries,
@@ -304,10 +274,10 @@ echo "socket smoke: tcp queries bit-identical, SIGINT exited 75, cursor resumed 
 # cases. Both suites include 8-thread cells, so this is where racy
 # work-stealing regressions that survive the quick tier get shaken out.
 if [ "${STRESS:-0}" = "1" ]; then
-    echo "== stress tier: engine_matrix + steal_schedules + checkpoint_resume + partitioned_matrix + serve_concurrent, 4x cases =="
+    echo "== stress tier: engine_matrix + steal_schedules + checkpoint_resume + serve_concurrent + tie_heavy, 4x cases =="
     AMDJ_PROPTEST_CASES=48 cargo test -q --release \
         --package amdj-tests --test engine_matrix --test steal_schedules \
-        --test checkpoint_resume --test partitioned_matrix --test serve_concurrent
+        --test checkpoint_resume --test serve_concurrent --test tie_heavy
 fi
 
 echo "ci.sh: all checks passed"

@@ -6,7 +6,7 @@
 //! amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv
 //! amdj build    --input data.csv --out index.amdj
 //! amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]
-//!               [--partitions P] [--checkpoint-path P] [--checkpoint-every N] [--resume P]
+//!               [--checkpoint-path P] [--checkpoint-every N] [--resume P]
 //! amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]
 //!               [--checkpoint-path P] [--checkpoint-every N] [--resume P]
 //! amdj within   --r a.amdj --s b.amdj --dist D
@@ -14,7 +14,7 @@
 //! amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]
 //! amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]
 //!               [--episode-expansions N] [--max-request-bytes N] [--state-dir DIR]
-//!               [--max-threads N] [--max-partitions N]
+//!               [--max-threads N]
 //!               [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]
 //! ```
 //!
@@ -41,9 +41,9 @@
 //! structured error line and are closed) and `--idle-timeout-ms`
 //! disconnecting clients that go silent. Executing queries are
 //! admission-controlled against `--mem-budget` in units of the engine's
-//! own queue memory budget, and per-query `threads`/`partitions` are
-//! bounded by `--max-threads`/`--max-partitions` (out-of-range values
-//! are structured error responses). On SIGINT the server stops accepting
+//! own queue memory budget, and per-query `threads` is bounded by
+//! `--max-threads` (out-of-range values are structured error
+//! responses). On SIGINT the server stops accepting
 //! requests, drains the in-flight ones across all connections,
 //! checkpoints every open IDJ cursor into `--state-dir`, and exits 75; a
 //! restart with the same `--state-dir` resumes those cursors at their
@@ -66,17 +66,13 @@ use amdj_core::{
     AmKdjOptions, Checkpointed, EngineSnapshot, HsIdj, JoinConfig, JoinOutput, Partition, PauseCtl,
     ResultPair, SnapshotError,
 };
-use amdj_datagen::{
-    clustered_points,
-    tiger::{self, Geography},
-    uniform_points, unit_universe, Dataset,
-};
+use amdj_datagen::{clustered_points, tiger::Geography, uniform_points, unit_universe, Dataset};
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv\n  amdj build    --input data.csv --out index.amdj\n  amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]\n                [--partitions P] [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj within   --r a.amdj --s b.amdj --dist D\n  amdj knn      --r a.amdj --s b.amdj --k K\n  amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]\n  amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]\n                [--episode-expansions N] [--max-request-bytes N] [--state-dir DIR]\n                [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]\n  (any join command also accepts --no-prefilter to disable the quantized MBR prefilter)"
+        "usage:\n  amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv\n  amdj build    --input data.csv --out index.amdj\n  amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj within   --r a.amdj --s b.amdj --dist D\n  amdj knn      --r a.amdj --s b.amdj --k K\n  amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]\n  amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]\n                [--episode-expansions N] [--max-request-bytes N] [--state-dir DIR]\n                [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]\n  (any join command also accepts --no-prefilter to disable the quantized MBR prefilter)"
     );
     ExitCode::from(2)
 }
@@ -361,29 +357,7 @@ fn run() -> Result<ExitCode, String> {
             if threads != 0 && algo != "par" && algo != "par-am" {
                 return Err("--threads only applies to --algo par or par-am".to_string());
             }
-            // `--partitions P` (P ≥ 2) runs the join as a partitioned
-            // plan: STR tiling, bounds-only partition-pair pruning, one
-            // engine invocation per surviving pair. Engine algorithms
-            // only — `hs` has its own driver — and not combinable with
-            // checkpointing (the plan is not resumable).
-            let partitions: usize = flags
-                .get("partitions")
-                .map_or(Ok(0), |v| v.parse())
-                .map_err(|e| format!("--partitions: {e}"))?;
-            if partitions > 1 {
-                if algo == "hs" {
-                    return Err("--partitions does not apply to --algo hs".to_string());
-                }
-                cfg.partitions = Some(partitions);
-            }
             if let Some(ckpt) = parse_ckpt(&flags)? {
-                if cfg.partitions.is_some() {
-                    return Err(
-                        "--partitions cannot be combined with checkpoint flags: the \
-                         partitioned plan is not resumable"
-                            .to_string(),
-                    );
-                }
                 let aggressive = match algo {
                     "am" | "par-am" => true,
                     "b" | "par" => false,
@@ -572,9 +546,6 @@ fn run() -> Result<ExitCode, String> {
             if let Some(v) = flags.get("max-threads") {
                 sopts.max_threads = v.parse().map_err(|e| format!("--max-threads: {e}"))?;
             }
-            if let Some(v) = flags.get("max-partitions") {
-                sopts.max_partitions = v.parse().map_err(|e| format!("--max-partitions: {e}"))?;
-            }
             let state_dir = flags.get("state-dir").map(std::path::PathBuf::from);
             let listen = match flags.get("listen") {
                 None => None,
@@ -615,11 +586,9 @@ fn run() -> Result<ExitCode, String> {
             let rows = run_bench_matrix(n, k, seed, &cfg);
             for row in &rows {
                 eprintln!(
-                    "# {:<4} {:<7} ds={} parts={} threads={} steal={} part={} q={} k={} wall={:.4}s nodes={} dists={} qrej={} results={} stolen={} idle={}ns buf={}h/{}m/{}e ppruned={}",
+                    "# {:<4} {:<7} threads={} steal={} part={} q={} k={} wall={:.4}s nodes={} dists={} qrej={} results={} stolen={} idle={}ns buf={}h/{}m/{}e",
                     row.op,
                     row.algo,
-                    row.dataset,
-                    row.partitions,
                     row.threads,
                     row.steal,
                     row.partition,
@@ -634,8 +603,7 @@ fn run() -> Result<ExitCode, String> {
                     row.barrier_idle_ns,
                     row.buffer_hits,
                     row.buffer_misses,
-                    row.buffer_evictions,
-                    row.partition_pairs_pruned
+                    row.buffer_evictions
                 );
             }
             if let Some(path) = json_out {
@@ -787,10 +755,6 @@ fn serve_tcp(
 struct BenchRow {
     op: &'static str,
     algo: &'static str,
-    /// Which workload the row ran on: the default `uniform-clustered`
-    /// pairing, or one of the partition-ablation distributions
-    /// (`clustered`, `arizona`).
-    dataset: &'static str,
     threads: usize,
     steal: bool,
     /// `"locality"` or `"rr"` — the seed/work partitioner of the
@@ -821,16 +785,6 @@ struct BenchRow {
     /// Snapshots written during the run (non-zero only for the
     /// checkpoint-overhead rows).
     checkpoints: u64,
-    /// Per-side STR tile target of the partitioned plan (0 = monolithic).
-    partitions: usize,
-    /// The partitioned plan's ledger: pairs enumerated, pruned by the
-    /// bounds-only pre-filter, replayed when the proven bound demanded
-    /// it, and conclusively discarded. All zero on monolithic rows;
-    /// `pruned == replayed + never_needed` always.
-    partition_pairs_total: u64,
-    partition_pairs_pruned: u64,
-    partition_pairs_replayed: u64,
-    partition_pairs_never_needed: u64,
     /// Per-worker buffer hits, trimmed to the row's thread count — the
     /// cache-residency split the locality partitioner exists to improve.
     hits_by_worker: Vec<u64>,
@@ -897,11 +851,6 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
     let mut rows = Vec::new();
     // Set by the checkpoint-overhead runs, harvested (and reset) per row.
     let ckpt_written = std::cell::Cell::new(0u64);
-    // Row provenance for the partition-ablation section: every `record`
-    // call stamps the current dataset label and partition count. The
-    // defaults cover the whole classic matrix above it.
-    let cur_dataset = std::cell::Cell::new("uniform-clustered");
-    let cur_partitions = std::cell::Cell::new(0usize);
     let mut record = |op,
                       algo,
                       threads: usize,
@@ -916,7 +865,6 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
         rows.push(BenchRow {
             op,
             algo,
-            dataset: cur_dataset.get(),
             threads,
             steal,
             partition,
@@ -936,11 +884,6 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
             buffer_evictions: out.stats.buffer_evictions,
             buffer_hit_rate: hit_rate(out.stats.buffer_hits, out.stats.buffer_misses),
             checkpoints: ckpt_written.take(),
-            partitions: cur_partitions.get(),
-            partition_pairs_total: out.stats.partition_pairs_total,
-            partition_pairs_pruned: out.stats.partition_pairs_pruned,
-            partition_pairs_replayed: out.stats.partition_pairs_replayed,
-            partition_pairs_never_needed: out.stats.partition_pairs_never_needed,
             hits_by_worker: out.stats.buffer_hits_by_worker[..trim].to_vec(),
             misses_by_worker: out.stats.buffer_misses_by_worker[..trim].to_vec(),
             queue_wait_ns: 0,
@@ -1118,43 +1061,6 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
             );
         }
     }
-    // Partitioned-vs-monolithic ablation, on distributions where the
-    // bounds-only partition-pair pre-filter actually fires: two
-    // independent clustered sets, and the TIGER-like Arizona streets ×
-    // hydrography workload (scaled so streets ≈ n). Each dataset gets
-    // the aggressive kdj monolithically and again as an 8-partition
-    // plan — diffing the row pair prices STR tiling plus pruning, and
-    // because the plan is bit-identical their `results` must agree.
-    let (az_streets, az_hydro) = tiger::arizona_workload(n as f64 / 633_461.0, seed + 2);
-    let part_workloads: [(&'static str, Dataset, Dataset); 2] = [
-        (
-            "clustered",
-            clustered_points(n, 16, 0.02, unit_universe(), seed + 3),
-            clustered_points(n, 16, 0.02, unit_universe(), seed + 4),
-        ),
-        ("arizona", az_streets, az_hydro),
-    ];
-    for (label, ra, sb) in part_workloads {
-        let rp = RTree::bulk_load(RTreeParams::paper_defaults(), ra);
-        let sp = RTree::bulk_load(RTreeParams::paper_defaults(), sb);
-        cur_dataset.set(label);
-        for parts in [0usize, 8] {
-            cur_partitions.set(parts);
-            let c = JoinConfig {
-                partitions: (parts > 1).then_some(parts),
-                ..cfg.clone()
-            };
-            record(
-                "kdj",
-                "am",
-                1,
-                false,
-                "locality",
-                c.quantized_prefilter,
-                &mut || am_kdj(&rp, &sp, k, &c, &AmKdjOptions::default()),
-            );
-        }
-    }
     // The serve section: 144 concurrent mixed queries — one-shot KDJ
     // at several knob settings plus pull-driven IDJ cursors — driven
     // over a real TCP listener in front of one `serve::Server`, 16
@@ -1208,11 +1114,6 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
                 let mut c = cfg.clone();
                 if let Some(steal) = spec.steal {
                     c.steal = steal;
-                }
-                // Mirror the server's `config_for`: 0 keeps the base
-                // config's partitioning, nonzero overrides it.
-                if spec.partitions > 0 {
-                    c.partitions = (spec.partitions > 1).then_some(spec.partitions as usize);
                 }
                 let t = (spec.threads as usize).max(1);
                 match (spec.aggressive, t > 1) {
@@ -1348,7 +1249,6 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
         rows.push(BenchRow {
             op: "serve",
             algo,
-            dataset: "uniform-clustered",
             threads,
             steal: cfg.steal,
             partition: "locality",
@@ -1368,11 +1268,6 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
             buffer_evictions: rep.buffer_evictions,
             buffer_hit_rate: hit_rate(rep.buffer_hits, rep.buffer_misses),
             checkpoints: 0,
-            partitions: 0,
-            partition_pairs_total: 0,
-            partition_pairs_pruned: 0,
-            partition_pairs_replayed: 0,
-            partition_pairs_never_needed: 0,
             hits_by_worker: Vec::new(),
             misses_by_worker: Vec::new(),
             queue_wait_ns: rep.queue_wait_ns,
@@ -1394,9 +1289,6 @@ fn kdj_request_line(id: &str, k: usize, spec: &QuerySpec) -> String {
     }
     if spec.threads != 1 {
         line.push_str(&format!(",\"threads\":{}", spec.threads));
-    }
-    if spec.partitions != 0 {
-        line.push_str(&format!(",\"partitions\":{}", spec.partitions));
     }
     if let Some(steal) = spec.steal {
         line.push_str(&format!(",\"steal\":{steal}"));
@@ -1452,7 +1344,7 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
     // checkpoint-overhead row and the checkpoints_written column; 6 added
     // the prefilter column, the quantized_rejects / exact_dist_skipped
     // counters, and the kdj "am" prefilter-off ablation row; 7 added the
-    // dataset and partitions columns, the partition_pairs_* ledger
+    // dataset and partitions columns, the partition-pair ledger
     // counters, and the partitioned-vs-monolithic ablation rows on the
     // clustered and arizona workloads; 8 added the serve section (32
     // concurrent mixed queries through the in-process join server, one
@@ -1461,18 +1353,20 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
     // admission_rejections columns; 9 moved the serve section onto the
     // TCP transport (144 queries over 16 concurrent connections,
     // bit-identity re-parsed off the wire) and added the transport /
-    // connections / buffer_evictions / buffer_hit_rate columns.
-    out.push_str("  \"schema_version\": 9,\n");
+    // connections / buffer_evictions / buffer_hit_rate columns; 10
+    // removed the partitioned-plan ablation rows with the plan itself,
+    // the partitions / partition-pair ledger columns, and the dataset
+    // column, which every remaining row had as "uniform-clustered".
+    out.push_str("  \"schema_version\": 10,\n");
     out.push_str(&format!(
         "  \"workload\": {{ \"n\": {n}, \"k\": {k}, \"seed\": {seed}, \"r\": \"uniform\", \"s\": \"clustered\" }},\n"
     ));
     out.push_str("  \"runs\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{ \"op\": \"{}\", \"algo\": \"{}\", \"dataset\": \"{}\", \"query_id\": \"{}\", \"transport\": \"{}\", \"connections\": {}, \"threads\": {}, \"steal\": {}, \"partition\": \"{}\", \"prefilter\": {}, \"k\": {}, \"partitions\": {}, \"wall_time_s\": {:.6}, \"node_accesses\": {}, \"pairs_computed\": {}, \"quantized_rejects\": {}, \"exact_dist_skipped\": {}, \"results\": {}, \"pairs_stolen\": {}, \"steal_attempts\": {}, \"barrier_idle_ns\": {}, \"buffer_hits\": {}, \"buffer_misses\": {}, \"buffer_evictions\": {}, \"buffer_hit_rate\": {:.6}, \"queue_wait_ns\": {}, \"admission_rejections\": {}, \"checkpoints_written\": {}, \"partition_pairs_total\": {}, \"partition_pairs_pruned\": {}, \"partition_pairs_replayed\": {}, \"partition_pairs_never_needed\": {}, \"buffer_hits_by_worker\": {}, \"buffer_misses_by_worker\": {} }}{}\n",
+            "    {{ \"op\": \"{}\", \"algo\": \"{}\", \"query_id\": \"{}\", \"transport\": \"{}\", \"connections\": {}, \"threads\": {}, \"steal\": {}, \"partition\": \"{}\", \"prefilter\": {}, \"k\": {}, \"wall_time_s\": {:.6}, \"node_accesses\": {}, \"pairs_computed\": {}, \"quantized_rejects\": {}, \"exact_dist_skipped\": {}, \"results\": {}, \"pairs_stolen\": {}, \"steal_attempts\": {}, \"barrier_idle_ns\": {}, \"buffer_hits\": {}, \"buffer_misses\": {}, \"buffer_evictions\": {}, \"buffer_hit_rate\": {:.6}, \"queue_wait_ns\": {}, \"admission_rejections\": {}, \"checkpoints_written\": {}, \"buffer_hits_by_worker\": {}, \"buffer_misses_by_worker\": {} }}{}\n",
             row.op,
             row.algo,
-            row.dataset,
             row.query_id,
             row.transport,
             row.connections,
@@ -1481,7 +1375,6 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
             row.partition,
             row.prefilter,
             row.k,
-            row.partitions,
             row.wall_time_s,
             row.node_accesses,
             row.pairs_computed,
@@ -1498,10 +1391,6 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
             row.queue_wait_ns,
             row.admission_rejections,
             row.checkpoints,
-            row.partition_pairs_total,
-            row.partition_pairs_pruned,
-            row.partition_pairs_replayed,
-            row.partition_pairs_never_needed,
             json_u64_array(&row.hits_by_worker),
             json_u64_array(&row.misses_by_worker),
             if i + 1 == rows.len() { "" } else { "," }

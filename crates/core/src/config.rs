@@ -45,16 +45,6 @@ pub struct JoinConfig {
     /// Results are bit-identical under every choice; the switch trades
     /// buffer locality against nothing but bench ablation clarity.
     pub partition: Partition,
-    /// Execute the join as a *plan* of independent per-partition-pair
-    /// engine invocations: STR-tile both datasets into roughly this many
-    /// partitions each, prune partition pairs whose MBR mindist exceeds
-    /// the global `eDmax` estimate (bounds only — no point data), and run
-    /// the engine per surviving pair under one shared CAS-min bound.
-    /// Pruned pairs are replayed if the final proven qDmax shows the
-    /// estimate was too tight, so results stay bit-identical to the
-    /// monolithic plan. `None` (the default) and values ≤ 1 mean today's
-    /// single-pair plan. KDJ only; IDJ always runs monolithic.
-    pub partitions: Option<usize>,
 }
 
 impl Default for JoinConfig {
@@ -69,7 +59,6 @@ impl Default for JoinConfig {
             quantized_prefilter: true,
             steal: true,
             partition: Partition::Locality,
-            partitions: None,
         }
     }
 }
@@ -87,7 +76,6 @@ impl JoinConfig {
             quantized_prefilter: true,
             steal: true,
             partition: Partition::Locality,
-            partitions: None,
         }
     }
 

@@ -41,15 +41,6 @@
 //! *larger* bound: reads can be `Relaxed` and correctness never depends
 //! on timing.
 //!
-//! The bound can also be supplied from *outside* the run
-//! ([`ExecBackend::run_kdj_bounded`]): the partitioned execution plan
-//! ([`plan`](super::plan)) threads one `MinBound` through every
-//! per-partition-pair engine invocation, so a pair that finishes early
-//! tightens the cutoff of every pair still running. The soundness
-//! argument is unchanged — published values are still k-th-of-k real
-//! distinct-pair distances, now drawn from a partition of the same
-//! object-pair space.
-//!
 //! Under the aggressive policy, each worker parks its skipped-pair
 //! bookkeeping in a *per-worker* compensation queue (no contention). When
 //! every worker has finished its aggressive stage, the leftovers — parked
@@ -64,6 +55,7 @@
 //!
 //! [`JoinConfig::steal`]: crate::JoinConfig::steal
 //! [`JoinStats::barrier_idle_ns`]: crate::JoinStats::barrier_idle_ns
+//! [`MinBound`]: super::bound::MinBound
 
 use amdj_rtree::RTree;
 
@@ -72,7 +64,6 @@ use crate::{
     AmIdjOptions, Estimator, ItemRef, JoinConfig, JoinOutput, JoinStats, Pair, ResultPair,
 };
 
-use super::bound::MinBound;
 use super::driver::ExpansionDriver;
 use super::policy::PruningPolicy;
 use super::stage::StageDriver;
@@ -92,23 +83,6 @@ pub trait ExecBackend {
         k: usize,
         cfg: &JoinConfig,
         policy: &P,
-    ) -> JoinOutput {
-        self.run_kdj_bounded(r, s, k, cfg, policy, None)
-    }
-
-    /// [`run_kdj`](Self::run_kdj), with the run's cutoffs clamped to (and
-    /// its proven `qDmax` published into) an externally owned shared
-    /// [`MinBound`]. This is the seam the partitioned execution plan
-    /// (`engine::plan`) links per-partition-pair invocations through;
-    /// monolithic joins pass `None` and own a private bound.
-    fn run_kdj_bounded<const D: usize, P: PruningPolicy>(
-        &self,
-        r: &RTree<D>,
-        s: &RTree<D>,
-        k: usize,
-        cfg: &JoinConfig,
-        policy: &P,
-        shared: Option<&MinBound>,
     ) -> JoinOutput;
 
     /// Runs the incremental distance join, materializing its first `take`
@@ -128,20 +102,18 @@ pub trait ExecBackend {
 pub struct Sequential;
 
 impl ExecBackend for Sequential {
-    fn run_kdj_bounded<const D: usize, P: PruningPolicy>(
+    fn run_kdj<const D: usize, P: PruningPolicy>(
         &self,
         r: &RTree<D>,
         s: &RTree<D>,
         k: usize,
         cfg: &JoinConfig,
         policy: &P,
-        shared: Option<&MinBound>,
     ) -> JoinOutput {
         let baseline = Baseline::capture(r, s);
         let est = Estimator::from_trees(r, s);
         let edmax0 = policy.initial_edmax(est.as_ref(), k);
-        let mut drv =
-            ExpansionDriver::new(r, s, cfg, k, est.as_ref(), P::AGGRESSIVE, edmax0, shared);
+        let mut drv = ExpansionDriver::new(r, s, cfg, k, est.as_ref(), P::AGGRESSIVE, edmax0, None);
         if k > 0 {
             drv.seed_roots();
         }
@@ -175,8 +147,9 @@ impl ExecBackend for Sequential {
     }
 }
 
-/// Frontier-partitioned workers sharing the CAS-min [`MinBound`], with
-/// pooled compensation queues between the stages. `threads == 0` uses
+/// Frontier-partitioned workers sharing the CAS-min
+/// [`MinBound`](super::bound::MinBound), with pooled compensation queues
+/// between the stages. `threads == 0` uses
 /// [`std::thread::available_parallelism`]. Workers steal from each other
 /// unless [`JoinConfig::steal`](crate::JoinConfig::steal) turns the
 /// dynamic scheduling off (the claim-round machinery then runs without
@@ -201,17 +174,16 @@ impl Parallel {
 }
 
 impl ExecBackend for Parallel {
-    fn run_kdj_bounded<const D: usize, P: PruningPolicy>(
+    fn run_kdj<const D: usize, P: PruningPolicy>(
         &self,
         r: &RTree<D>,
         s: &RTree<D>,
         k: usize,
         cfg: &JoinConfig,
         policy: &P,
-        shared: Option<&MinBound>,
     ) -> JoinOutput {
         let threads = resolve_threads(self.threads);
-        steal::run_kdj::<D, P>(r, s, k, cfg, policy, threads, self.schedule, shared)
+        steal::run_kdj::<D, P>(r, s, k, cfg, policy, threads, self.schedule)
     }
 
     fn run_idj<const D: usize>(

@@ -156,12 +156,9 @@ pub fn kdj_resumable<const D: usize>(
             schedule,
             resume,
             pause,
-            None,
         )
     } else {
-        steal::run_kdj_ckpt::<D, Exact>(
-            r, s, k, cfg, &Exact, threads, schedule, resume, pause, None,
-        )
+        steal::run_kdj_ckpt::<D, Exact>(r, s, k, cfg, &Exact, threads, schedule, resume, pause)
     })
 }
 

@@ -24,13 +24,6 @@
 //! batched SoA leaf distance kernel (`batch`) accelerates every
 //! leaf-heavy sweep whose axis cutoff is frozen, for every algorithm,
 //! from one file.
-//!
-//! Above both axes sits the *plan* layer (`plan`): with
-//! [`JoinConfig::partitions`](crate::JoinConfig::partitions) set, a
-//! k-distance join executes as a set of independent per-partition-pair
-//! engine invocations behind a bounds-only pre-filter, linked by one
-//! shared [`MinBound`] — the seam future multi-shard execution builds
-//! on (DESIGN.md §11).
 
 mod backend;
 pub(crate) mod batch;
@@ -38,7 +31,6 @@ mod bound;
 mod checkpoint;
 mod driver;
 mod partition;
-mod plan;
 mod policy;
 mod snapshot;
 mod stage;
@@ -62,13 +54,6 @@ use amdj_rtree::RTree;
 /// (policy × backend) combination. `(Exact, Sequential)` is
 /// [`crate::b_kdj`], `(Aggressive, Sequential)` is [`crate::am_kdj`],
 /// and the [`Parallel`] backend gives their `par_*` counterparts.
-///
-/// With [`JoinConfig::partitions`](crate::JoinConfig::partitions) ≥ 2
-/// the join executes as a partitioned plan (`plan` module): both
-/// datasets are STR-tiled, partition pairs are pruned by the bounds-only
-/// pre-filter, and each surviving pair runs as an independent engine
-/// invocation — same policy, same backend — under one shared bound.
-/// Results are bit-identical to the monolithic plan.
 pub fn kdj<const D: usize, P: PruningPolicy, B: ExecBackend>(
     r: &RTree<D>,
     s: &RTree<D>,
@@ -77,9 +62,6 @@ pub fn kdj<const D: usize, P: PruningPolicy, B: ExecBackend>(
     policy: &P,
     backend: &B,
 ) -> JoinOutput {
-    if let Some(parts) = cfg.partitions.filter(|&p| p > 1) {
-        return plan::run_partitioned_kdj(r, s, k, cfg, policy, backend, parts);
-    }
     backend.run_kdj(r, s, k, cfg, policy)
 }
 

@@ -692,7 +692,6 @@ fn idj_worker<const D: usize>(
 /// join with the checkpoint machinery idle.
 ///
 /// [`Parallel::run_kdj`]: super::backend::Parallel
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_kdj<const D: usize, P: PruningPolicy>(
     r: &RTree<D>,
     s: &RTree<D>,
@@ -701,11 +700,8 @@ pub(crate) fn run_kdj<const D: usize, P: PruningPolicy>(
     policy: &P,
     threads: usize,
     schedule: Option<TestSchedule>,
-    ext_bound: Option<&MinBound>,
 ) -> JoinOutput {
-    match run_kdj_ckpt::<D, P>(
-        r, s, k, cfg, policy, threads, schedule, None, None, ext_bound,
-    ) {
+    match run_kdj_ckpt::<D, P>(r, s, k, cfg, policy, threads, schedule, None, None) {
         Checkpointed::Done(out) => out,
         Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
     }
@@ -722,10 +718,6 @@ pub(crate) fn run_kdj<const D: usize, P: PruningPolicy>(
 /// The snapshot's pruning is justified purely by `shared_bound` — a
 /// published `qDmax`, the k-th smallest of k real distinct-pair
 /// distances — so a cut taken at any thread count resumes at any other.
-///
-/// `ext_bound`, when set, replaces the run's private shared bound with a
-/// caller-owned one (the partitioned plan's cross-pair bound); a
-/// snapshot's saved `shared_bound` is folded into it on resume.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
     r: &RTree<D>,
@@ -737,7 +729,6 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
     schedule: Option<TestSchedule>,
     resume: Option<EngineSnapshot<D>>,
     pause: Option<&PauseCtl>,
-    ext_bound: Option<&MinBound>,
 ) -> Checkpointed<D> {
     let baseline = Baseline::capture(r, s);
     let mut stats = JoinStats {
@@ -769,16 +760,7 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                 true,
             ),
         };
-    let local = MinBound::new(bound0);
-    let shared: &MinBound = match ext_bound {
-        Some(ext) => {
-            if bound0.is_finite() {
-                ext.tighten(bound0);
-            }
-            ext
-        }
-        None => &local,
-    };
+    let shared = &MinBound::new(bound0);
     let mut queue_io = 0.0;
     if k > 0 {
         let est = est.as_ref();

@@ -24,9 +24,10 @@
 //!
 //! Join-bearing ops (`kdj`, `idj_open`, `idj_resume`) accept the
 //! optional per-query knobs `aggressive` (default `true`), `threads`
-//! (default 1), `partitions` (default 0 = monolithic; `kdj` only) and
-//! `steal`. Cursor snapshots travel as lowercase hex of the
-//! [`EngineSnapshot`](crate::EngineSnapshot) wire format.
+//! (default 1) and `steal`; unknown keys, such as the `partitions` older
+//! clients may still send, are ignored. Cursor snapshots travel as
+//! lowercase hex of the [`EngineSnapshot`](crate::EngineSnapshot) wire
+//! format.
 //!
 //! # Responses
 //!
@@ -48,8 +49,6 @@ pub struct QuerySpec {
     pub aggressive: bool,
     /// Worker threads for this query. Default 1.
     pub threads: u64,
-    /// Partitioned-plan fan-out (`0` = monolithic). KDJ only.
-    pub partitions: u64,
     /// Work stealing override (`None` = server default).
     pub steal: Option<bool>,
 }
@@ -59,7 +58,6 @@ impl Default for QuerySpec {
         QuerySpec {
             aggressive: true,
             threads: 1,
-            partitions: 0,
             steal: None,
         }
     }
@@ -448,7 +446,6 @@ impl Fields {
                 .bool_opt("aggressive", "boolean field `aggressive`")?
                 .unwrap_or(true),
             threads: self.uint_or("threads", "unsigned field `threads`", 1)?,
-            partitions: self.uint_or("partitions", "unsigned field `partitions`", 0)?,
             steal: self.bool_opt("steal", "boolean field `steal`")?,
         })
     }
@@ -526,8 +523,8 @@ impl Request {
     pub fn encode(&self) -> String {
         fn spec_fields(out: &mut String, spec: &QuerySpec) {
             out.push_str(&format!(
-                ",\"aggressive\":{},\"threads\":{},\"partitions\":{}",
-                spec.aggressive, spec.threads, spec.partitions
+                ",\"aggressive\":{},\"threads\":{}",
+                spec.aggressive, spec.threads
             ));
             if let Some(steal) = spec.steal {
                 out.push_str(&format!(",\"steal\":{steal}"));
@@ -850,7 +847,6 @@ mod tests {
                 spec: QuerySpec {
                     aggressive: false,
                     threads: 4,
-                    partitions: 8,
                     steal: Some(true),
                 },
             },

@@ -67,12 +67,8 @@ pub struct ServeOptions {
     /// error. Default: 4× the machine's available parallelism, at
     /// least 16.
     pub max_threads: u64,
-    /// Per-query `partitions` cap (the plan enumerates up to
-    /// `partitions²` partition pairs). Requests beyond it are rejected
-    /// with a structured error.
-    pub max_partitions: u64,
     /// The engine configuration queries start from (per-query knobs
-    /// override `steal`/`partitions`).
+    /// override `steal`).
     pub base_config: JoinConfig,
     /// Incremental-join stage schedule options.
     pub idj_opts: AmIdjOptions,
@@ -88,7 +84,6 @@ impl Default for ServeOptions {
             episode_expansions: 512,
             max_request_bytes: 1 << 20,
             max_threads: (4 * cores).max(16),
-            max_partitions: 256,
             base_config,
             idj_opts: AmIdjOptions::default(),
         }
@@ -118,7 +113,7 @@ pub enum ServeError {
     BadRequest(RequestError),
     /// A per-query knob exceeded the server's configured cap.
     SpecOutOfRange {
-        /// The knob (`"threads"` or `"partitions"`).
+        /// The knob (`"threads"`).
         knob: &'static str,
         /// The requested value.
         got: u64,
@@ -237,9 +232,8 @@ impl<'t, const D: usize> Server<'t, D> {
     }
 
     /// Bounds the per-query knobs that come straight off the wire:
-    /// `threads` spawns that many OS threads and `partitions` fans a
-    /// plan out quadratically, so arbitrary u64s must be refused as
-    /// structured errors before any dispatch.
+    /// `threads` spawns that many OS threads, so arbitrary u64s must be
+    /// refused as structured errors before any dispatch.
     fn check_spec(&self, spec: &QuerySpec) -> Result<(), ServeError> {
         if spec.threads > self.opts.max_threads {
             return Err(ServeError::SpecOutOfRange {
@@ -248,29 +242,17 @@ impl<'t, const D: usize> Server<'t, D> {
                 max: self.opts.max_threads,
             });
         }
-        if spec.partitions > self.opts.max_partitions {
-            return Err(ServeError::SpecOutOfRange {
-                knob: "partitions",
-                got: spec.partitions,
-                max: self.opts.max_partitions,
-            });
-        }
         Ok(())
     }
 
     /// The per-query engine configuration: the base config with the
-    /// request's overrides applied. Like `steal`, `partitions` is only
-    /// touched when the request actually carries it (the codec default
-    /// 0 means "unspecified"): `partitions ≥ 2` repartitions, an
-    /// explicit `partitions: 1` forces a monolithic run, and an omitted
-    /// knob keeps whatever the server's base config says.
+    /// request's overrides applied. `steal` is only touched when the
+    /// request actually carries it; an omitted knob keeps whatever the
+    /// server's base config says.
     fn config_for(&self, spec: &QuerySpec) -> JoinConfig {
         let mut cfg = self.opts.base_config.clone();
         if let Some(steal) = spec.steal {
             cfg.steal = steal;
-        }
-        if spec.partitions > 0 {
-            cfg.partitions = (spec.partitions > 1).then_some(spec.partitions as usize);
         }
         cfg
     }

@@ -98,24 +98,6 @@ pub struct JoinStats {
     /// Per-worker buffer misses, laid out like
     /// [`Self::buffer_hits_by_worker`].
     pub buffer_misses_by_worker: [u64; MAX_TRACKED_WORKERS],
-    /// Partition pairs the plan layer enumerated (partitioned execution
-    /// only: `JoinConfig::partitions` ≥ 2). Zero for monolithic joins.
-    pub partition_pairs_total: u64,
-    /// Partition pairs the bounds-only pre-filter discarded because their
-    /// MBR mindist exceeded the global `eDmax` estimate. Each pruned pair
-    /// is remembered as a partition-level compensation entry; the ledger
-    /// `partition_pairs_pruned == partition_pairs_replayed +
-    /// partition_pairs_never_needed` always balances.
-    pub partition_pairs_pruned: u64,
-    /// Pruned partition pairs the plan had to replay after all: the final
-    /// proven qDmax turned out larger than their MBR mindist, so the
-    /// bounds-only test alone could not exclude them (the estimate was
-    /// too tight).
-    pub partition_pairs_replayed: u64,
-    /// Pruned partition pairs whose MBR mindist exceeded even the final
-    /// proven qDmax — the bounds-only discard was conclusively sound and
-    /// those partitions' point data was never touched.
-    pub partition_pairs_never_needed: u64,
     /// Pages read by queue/sort spill traffic.
     pub queue_page_reads: u64,
     /// Pages written by queue/sort spill traffic.
@@ -187,10 +169,6 @@ impl JoinStats {
         self.steal_attempts += w.steal_attempts;
         self.stage1_expansions += w.stage1_expansions;
         self.stage2_expansions += w.stage2_expansions;
-        self.partition_pairs_total += w.partition_pairs_total;
-        self.partition_pairs_pruned += w.partition_pairs_pruned;
-        self.partition_pairs_replayed += w.partition_pairs_replayed;
-        self.partition_pairs_never_needed += w.partition_pairs_never_needed;
         self.queue_page_reads += w.queue_page_reads;
         self.queue_page_writes += w.queue_page_writes;
         self.buffer_hits += w.buffer_hits;

@@ -1,11 +1,8 @@
 //! Empty-input regression: every join entry point — sequential,
-//! parallel, partitioned, incremental — must return a clean empty result
-//! when either input tree is empty (or `k`/`take` is zero), never panic.
-//! Degenerate-but-nonempty inputs ride along: all-identical points give
-//! STR maximally skewed tiles, which must still cover every object and
-//! join exactly.
+//! parallel, incremental — must return a clean empty result when either
+//! input tree is empty (or `k`/`take` is zero), never panic.
 
-use amdj_core::engine::{self, Aggressive, Exact, Parallel, Sequential};
+use amdj_core::engine::{self, Sequential};
 use amdj_core::{
     am_kdj, b_kdj, hs_kdj, knn_join, par_am_idj, par_am_kdj, par_b_kdj, AmIdjOptions, AmKdjOptions,
     JoinConfig, ResultPair,
@@ -37,10 +34,6 @@ fn assert_empty(label: &str, results: &[ResultPair]) {
 #[test]
 fn kdj_entry_points_handle_empty_inputs() {
     let cfg = JoinConfig::unbounded();
-    let part_cfg = JoinConfig {
-        partitions: Some(4),
-        ..JoinConfig::unbounded()
-    };
     for (label, r, s) in [
         ("empty×full", empty(), some_points()),
         ("full×empty", some_points(), empty()),
@@ -57,17 +50,6 @@ fn kdj_entry_points_handle_empty_inputs() {
             label,
             &par_am_kdj(&r, &s, 3, &cfg, &AmKdjOptions::default(), 2).results,
         );
-        // The partitioned plan: empty inputs yield no tiles, no pairs.
-        for threads in [None, Some(2)] {
-            let out = match threads {
-                None => engine::kdj(&r, &s, 3, &part_cfg, &Exact, &Sequential),
-                Some(t) => engine::kdj(&r, &s, 3, &part_cfg, &Exact, &Parallel::new(t)),
-            };
-            assert_empty(label, &out.results);
-            assert_eq!(out.stats.partition_pairs_total, 0, "{label}: no pairs");
-        }
-        let out = engine::kdj(&r, &s, 3, &part_cfg, &Aggressive::default(), &Sequential);
-        assert_empty(label, &out.results);
         assert!(knn_join(&r, &s, 3).groups.iter().all(|g| g.1.is_empty()));
     }
 }
@@ -92,10 +74,6 @@ fn idj_entry_points_handle_empty_inputs() {
 #[test]
 fn zero_k_and_zero_take_return_cleanly() {
     let cfg = JoinConfig::unbounded();
-    let part_cfg = JoinConfig {
-        partitions: Some(4),
-        ..JoinConfig::unbounded()
-    };
     let (r, s) = (some_points(), some_points());
     assert_empty("k=0 b", &b_kdj(&r, &s, 0, &cfg).results);
     assert_empty(
@@ -103,33 +81,7 @@ fn zero_k_and_zero_take_return_cleanly() {
         &am_kdj(&r, &s, 0, &cfg, &AmKdjOptions::default()).results,
     );
     assert_empty(
-        "k=0 partitioned",
-        &engine::kdj(&r, &s, 0, &part_cfg, &Exact, &Sequential).results,
-    );
-    assert_empty(
         "take=0 idj",
         &engine::idj(&r, &s, 0, &cfg, &AmIdjOptions::default(), &Sequential).results,
     );
-}
-
-/// All-identical points make STR tiling maximally skewed (every center
-/// ties); index-range chunking must still cover every object exactly
-/// once and the partitioned join must match the monolithic one.
-#[test]
-fn skewed_tiles_cover_all_objects() {
-    let r = tree(&[(1.0, 1.0); 9]);
-    let s = tree(&[(1.0, 1.0), (1.5, 1.0), (1.0, 1.5)]);
-    let k = 7;
-    let cfg = JoinConfig::unbounded();
-    let mono = b_kdj(&r, &s, k, &cfg);
-    let part_cfg = JoinConfig {
-        partitions: Some(8),
-        ..JoinConfig::unbounded()
-    };
-    let part = engine::kdj(&r, &s, k, &part_cfg, &Exact, &Sequential);
-    assert_eq!(mono.results.len(), part.results.len());
-    for (a, b) in mono.results.iter().zip(part.results.iter()) {
-        assert_eq!(a.dist.to_bits(), b.dist.to_bits());
-        assert_eq!((a.r, a.s), (b.r, b.s));
-    }
 }

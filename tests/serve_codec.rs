@@ -31,21 +31,13 @@ fn arb_id() -> impl Strategy<Value = String> {
 }
 
 fn arb_spec() -> impl Strategy<Value = QuerySpec> {
-    (
-        any::<bool>(),
-        0u64..5,
-        0u64..5,
-        any::<bool>(),
-        any::<bool>(),
+    (any::<bool>(), 0u64..5, any::<bool>(), any::<bool>()).prop_map(
+        |(aggressive, threads, has_steal, steal)| QuerySpec {
+            aggressive,
+            threads,
+            steal: has_steal.then_some(steal),
+        },
     )
-        .prop_map(
-            |(aggressive, threads, partitions, has_steal, steal)| QuerySpec {
-                aggressive,
-                threads,
-                partitions,
-                steal: has_steal.then_some(steal),
-            },
-        )
 }
 
 fn arb_request() -> impl Strategy<Value = Request> {
@@ -208,18 +200,33 @@ fn assert_stats_line_carries_reports(
 
 /// The `stats` op surfaces each query's stage count: a kdj's from its
 /// join, a cursor's as the highest stage any of its episodes reached.
+/// A kdj from an older client that still sends `partitions` decodes,
+/// runs the same join, and lands in the same report row.
 #[test]
 fn stats_line_reports_per_query_stages() {
     let (r, s) = trees();
     let server = Server::new(r, s, ServeOptions::default());
+    let mut kdj_results = Vec::new();
     for line in [
         r#"{"op":"kdj","id":"k","k":20}"#,
+        r#"{"op":"kdj","id":"k","k":20,"partitions":8}"#,
         r#"{"op":"idj_open","id":"c","take":30}"#,
         r#"{"op":"idj_pull","id":"c","n":30}"#,
     ] {
         let (resp, _) = server.handle_line(line.as_bytes());
         assert!(!matches!(resp, Response::Error { .. }), "{line}");
+        if let Response::Results {
+            op: "kdj", results, ..
+        } = resp
+        {
+            kdj_results.push(results);
+        }
     }
+    assert_eq!(kdj_results.len(), 2);
+    assert_eq!(
+        kdj_results[0], kdj_results[1],
+        "a stray `partitions` key changes nothing"
+    );
     let resp = server.stats();
     let line = resp.encode();
     let Response::Stats { reports, .. } = resp else {

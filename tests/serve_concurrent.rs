@@ -73,11 +73,6 @@ fn serial(r: &RTree<2>, s: &RTree<2>, cfg: &JoinConfig, kind: &Kind) -> (Vec<Res
             if let Some(steal) = spec.steal {
                 c.steal = steal;
             }
-            // Mirror the server's `config_for`: 0 keeps the base
-            // config's partitioning, nonzero overrides it.
-            if spec.partitions > 0 {
-                c.partitions = (spec.partitions > 1).then_some(spec.partitions as usize);
-            }
             let t = (spec.threads as usize).max(1);
             let out = match (spec.aggressive, t > 1) {
                 (true, false) => am_kdj(r, s, *k, &c, &AmKdjOptions::default()),
@@ -237,18 +232,17 @@ fn thirty_two_concurrent_queries_bit_identical_and_attributed() {
     run_mixed(32);
 }
 
-/// Per-query `threads`/`partitions` come straight off the wire as
-/// arbitrary u64s; the engine spawns exactly `threads` OS threads, so
-/// out-of-range values must be structured rejections at every
-/// join-bearing entry point — never a million `thread::spawn`s.
+/// Per-query `threads` come straight off the wire as arbitrary u64s;
+/// the engine spawns exactly `threads` OS threads, so out-of-range
+/// values must be structured rejections at every join-bearing entry
+/// point — never a million `thread::spawn`s.
 #[test]
-fn wire_thread_and_partition_caps_are_enforced() {
+fn wire_thread_caps_are_enforced() {
     let a = uniform_points(200, unit_universe(), 31);
     let b = clustered_points(200, 8, 0.02, unit_universe(), 32);
     let (r, s) = build_trees(&a, &b);
     let server = Server::new(&r, &s, ServeOptions::default());
     let max_threads = server.options().max_threads;
-    let max_partitions = server.options().max_partitions;
 
     let over_threads = QuerySpec {
         threads: max_threads + 1,
@@ -292,22 +286,6 @@ fn wire_thread_and_partition_caps_are_enforced() {
         "idj_resume rejects the spec before touching the snapshot, got {err}"
     );
 
-    let over_parts = QuerySpec {
-        partitions: max_partitions + 1,
-        ..QuerySpec::default()
-    };
-    let err = server.kdj("p", 5, &over_parts).expect_err("over cap");
-    assert!(
-        matches!(
-            err,
-            ServeError::SpecOutOfRange {
-                knob: "partitions",
-                ..
-            }
-        ),
-        "kdj rejects over-cap partitions, got {err}"
-    );
-
     // Through the wire seam the rejection is a structured error line,
     // not a panic that would abort the serve thread scope.
     let line = format!(
@@ -329,7 +307,6 @@ fn wire_thread_and_partition_caps_are_enforced() {
             5,
             &QuerySpec {
                 threads: 2,
-                partitions: 2,
                 ..QuerySpec::default()
             },
         )
@@ -442,68 +419,4 @@ fn contended_wire_pull_reports_nonzero_queue_wait() {
         }
     }
     panic!("ten contended pulls never reported a nonzero queue_wait_ns on the wire");
-}
-
-/// Regression: `config_for` used to overwrite the server's configured
-/// `base_config.partitions` with the wire default (0) whenever a
-/// request omitted the knob, silently demoting a partition-configured
-/// server to monolithic plans. A spec-silent query must inherit the
-/// base config's partitioning; explicit wire values must still
-/// override in both directions.
-#[test]
-fn wire_default_partitions_preserve_partitioned_base_config() {
-    let a = uniform_points(400, unit_universe(), 61);
-    let b = clustered_points(400, 8, 0.02, unit_universe(), 62);
-    let (r, s) = build_trees(&a, &b);
-    let cfg = JoinConfig {
-        partitions: Some(2),
-        ..JoinConfig::default()
-    };
-    let server = Server::new(
-        &r,
-        &s,
-        ServeOptions {
-            base_config: cfg.clone(),
-            ..ServeOptions::default()
-        },
-    );
-    // A request that says nothing about partitions (the codec default)
-    // must run the base config's partitioned plan.
-    let (out, _) = server
-        .kdj("silent", 30, &QuerySpec::default())
-        .expect("spec-silent query runs");
-    assert!(
-        out.stats.partition_pairs_total > 0,
-        "the server-configured partitioned plan survived wire defaults"
-    );
-    // An explicit `partitions: 1` is a real opt-out into monolithic…
-    let (out, _) = server
-        .kdj(
-            "mono",
-            30,
-            &QuerySpec {
-                partitions: 1,
-                ..QuerySpec::default()
-            },
-        )
-        .expect("explicit monolithic query runs");
-    assert_eq!(
-        out.stats.partition_pairs_total, 0,
-        "explicit partitions=1 overrides the partitioned base config"
-    );
-    // …and an explicit fan-out overrides the base config's own.
-    let (out, _) = server
-        .kdj(
-            "wide",
-            30,
-            &QuerySpec {
-                partitions: 3,
-                ..QuerySpec::default()
-            },
-        )
-        .expect("explicit partitioned query runs");
-    assert!(
-        out.stats.partition_pairs_total > 0,
-        "explicit partitions=3 repartitions"
-    );
 }
