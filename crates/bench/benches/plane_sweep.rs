@@ -1,8 +1,6 @@
 //! Ablation bench for §3's optimizations: B-KDJ with sweeping-axis and
 //! direction selection on vs off (the timing view of Figure 11), plus the
-//! leaf-kernel ladder — per-pair scalar sweep, explicit lane kernel, lane
-//! kernel with the quantized integer prefilter — on leaf-heavy workloads,
-//! with the prefilter's measured rejection rate printed alongside.
+//! leaf sweep's throughput on two leaf-heavy workloads.
 
 use amdj_bench::{build_trees, Workload};
 use amdj_core::{am_kdj, b_kdj, within_join, AmKdjOptions, JoinConfig};
@@ -41,68 +39,37 @@ fn bench_sweep_optimizations(c: &mut Criterion) {
     g.finish();
 }
 
-/// The kernel ladder — scalar per-pair `min_dist` calls, the explicit
-/// unroll-by-8 lane kernel, and the lane kernel behind the quantized
-/// integer prefilter — on the two leaf-heaviest shapes we have: a
-/// `within` join at the k-th oracle distance (every qualifying leaf pair
-/// is swept with a frozen cutoff) and AM-KDJ stage one under a
-/// deliberate under-estimate (frozen `eDmax` axis cutoff plus a
-/// compensation stage). All rungs are bit-identical — the
-/// `engine_matrix` suite pins that — so this group measures pure kernel
-/// throughput; the prefilter's rejection rate per shape is printed so
-/// the win is attributable, not assumed.
+/// The leaf sweep on the two leaf-heaviest shapes we have: a `within`
+/// join at the k-th oracle distance (every qualifying leaf pair is swept
+/// with a frozen cutoff) and AM-KDJ stage one under a deliberate
+/// under-estimate (frozen `eDmax` axis cutoff plus a compensation stage).
+/// Both spend nearly all their time in the scalar plane sweep's
+/// frozen-window scan, so this group is that layer's throughput bench.
 fn bench_leaf_kernel(c: &mut Criterion) {
     let w = workload();
     let (r, s) = build_trees(&w, 512 * 1024);
     amdj_bench::reset(&r, &s);
-    let oracle = b_kdj(&r, &s, 1_000, &JoinConfig::unbounded());
+    let cfg = JoinConfig::unbounded();
+    let oracle = b_kdj(&r, &s, 1_000, &cfg);
     let dmax = oracle.results.last().map_or(0.01, |p| p.dist);
     let opts = AmKdjOptions {
         edmax_override: Some(dmax * 0.5),
     };
     let mut g = c.benchmark_group("plane_sweep/leaf_kernel");
     g.sample_size(10);
-    let rungs = [
-        ("scalar", false, false),
-        ("lanes", true, false),
-        ("lanes+quantized", true, true),
-    ];
-    for (name, batched, prefilter) in rungs {
-        let cfg = JoinConfig {
-            batched_leaf_sweep: batched,
-            quantized_prefilter: prefilter,
-            ..JoinConfig::unbounded()
-        };
-        g.bench_function(format!("within/{name}"), |b| {
-            b.iter(|| {
-                amdj_bench::reset(&r, &s);
-                within_join(&r, &s, dmax, &cfg).results.len()
-            });
+    g.bench_function("within", |b| {
+        b.iter(|| {
+            amdj_bench::reset(&r, &s);
+            within_join(&r, &s, dmax, &cfg).results.len()
         });
-        g.bench_function(format!("amkdj_underest/{name}"), |b| {
-            b.iter(|| {
-                amdj_bench::reset(&r, &s);
-                am_kdj(&r, &s, 1_000, &cfg, &opts).results.len()
-            });
+    });
+    g.bench_function("amkdj_underest", |b| {
+        b.iter(|| {
+            amdj_bench::reset(&r, &s);
+            am_kdj(&r, &s, 1_000, &cfg, &opts).results.len()
         });
-    }
+    });
     g.finish();
-    // Rejection rates under the full kernel, per shape: skipped exact
-    // distances over the scalar path's distance count.
-    let cfg = JoinConfig::unbounded();
-    amdj_bench::reset(&r, &s);
-    let w_stats = within_join(&r, &s, dmax, &cfg).stats;
-    amdj_bench::reset(&r, &s);
-    let am_stats = am_kdj(&r, &s, 1_000, &cfg, &opts).stats;
-    for (shape, st) in [("within", w_stats), ("amkdj_underest", am_stats)] {
-        let total = st.real_dist + st.exact_dist_skipped;
-        eprintln!(
-            "leaf_kernel/{shape}: prefilter rejected {} of {} candidates ({:.1}%)",
-            st.quantized_rejects,
-            total,
-            100.0 * st.quantized_rejects as f64 / total.max(1) as f64,
-        );
-    }
 }
 
 criterion_group!(benches, bench_sweep_optimizations, bench_leaf_kernel);

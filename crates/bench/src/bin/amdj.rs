@@ -72,7 +72,7 @@ use amdj_rtree::{RTree, RTreeParams};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv\n  amdj build    --input data.csv --out index.amdj\n  amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj within   --r a.amdj --s b.amdj --dist D\n  amdj knn      --r a.amdj --s b.amdj --k K\n  amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]\n  amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]\n                [--episode-expansions N] [--max-request-bytes N] [--state-dir DIR]\n                [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]\n  (any join command also accepts --no-prefilter to disable the quantized MBR prefilter)"
+        "usage:\n  amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv\n  amdj build    --input data.csv --out index.amdj\n  amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj within   --r a.amdj --s b.amdj --dist D\n  amdj knn      --r a.amdj --s b.amdj --k K\n  amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]\n  amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]\n                [--episode-expansions N] [--max-request-bytes N] [--state-dir DIR]\n                [--max-threads N]\n                [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]"
     );
     ExitCode::from(2)
 }
@@ -305,13 +305,7 @@ fn run() -> Result<ExitCode, String> {
             .cloned()
             .ok_or_else(|| format!("missing --{k}"))
     };
-    let mut cfg = JoinConfig::default();
-    // `--no-prefilter` disables the quantized integer MBR prefilter in
-    // every join this invocation runs — the CI kernel-ablation smoke
-    // diffs a join against itself with the screen on and off.
-    if flags.contains_key("no-prefilter") {
-        cfg.quantized_prefilter = false;
-    }
+    let cfg = JoinConfig::default();
 
     match cmd.as_str() {
         "generate" => {
@@ -424,6 +418,10 @@ fn run() -> Result<ExitCode, String> {
                 .get("batch")
                 .map_or(Ok(take), |b| b.parse())
                 .map_err(|e| format!("--batch: {e}"))?;
+            // A zero batch would never advance the streaming loop below.
+            if batch == 0 && flags.contains_key("batch") {
+                return Err("--batch must be at least 1".to_string());
+            }
             let algo = flags.get("algo").map_or("am", String::as_str);
             let threads: usize = flags
                 .get("threads")
@@ -586,18 +584,16 @@ fn run() -> Result<ExitCode, String> {
             let rows = run_bench_matrix(n, k, seed, &cfg);
             for row in &rows {
                 eprintln!(
-                    "# {:<4} {:<7} threads={} steal={} part={} q={} k={} wall={:.4}s nodes={} dists={} qrej={} results={} stolen={} idle={}ns buf={}h/{}m/{}e",
+                    "# {:<4} {:<7} threads={} steal={} part={} k={} wall={:.4}s nodes={} dists={} results={} stolen={} idle={}ns buf={}h/{}m/{}e",
                     row.op,
                     row.algo,
                     row.threads,
                     row.steal,
                     row.partition,
-                    row.prefilter,
                     row.k,
                     row.wall_time_s,
                     row.node_accesses,
                     row.pairs_computed,
-                    row.quantized_rejects,
                     row.results,
                     row.pairs_stolen,
                     row.barrier_idle_ns,
@@ -761,15 +757,10 @@ struct BenchRow {
     /// parallel rows (sequential rows report the default, which they
     /// never consult).
     partition: &'static str,
-    /// Whether the quantized integer MBR prefilter was armed for this
-    /// row (it is on by default; the "am" ablation row turns it off).
-    prefilter: bool,
     k: usize,
     wall_time_s: f64,
     node_accesses: u64,
     pairs_computed: u64,
-    quantized_rejects: u64,
-    exact_dist_skipped: u64,
     results: usize,
     pairs_stolen: u64,
     steal_attempts: u64,
@@ -851,122 +842,67 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
     let mut rows = Vec::new();
     // Set by the checkpoint-overhead runs, harvested (and reset) per row.
     let ckpt_written = std::cell::Cell::new(0u64);
-    let mut record = |op,
-                      algo,
-                      threads: usize,
-                      steal,
-                      partition,
-                      prefilter: bool,
-                      run: &mut dyn FnMut() -> JoinOutput| {
-        let start = std::time::Instant::now();
-        let out = run();
-        let wall = start.elapsed().as_secs_f64();
-        let trim = threads.min(out.stats.buffer_hits_by_worker.len());
-        rows.push(BenchRow {
-            op,
-            algo,
-            threads,
-            steal,
-            partition,
-            prefilter,
-            k,
-            wall_time_s: wall,
-            node_accesses: out.stats.node_requests,
-            pairs_computed: out.stats.real_dist,
-            quantized_rejects: out.stats.quantized_rejects,
-            exact_dist_skipped: out.stats.exact_dist_skipped,
-            results: out.results.len(),
-            pairs_stolen: out.stats.pairs_stolen,
-            steal_attempts: out.stats.steal_attempts,
-            barrier_idle_ns: out.stats.barrier_idle_ns,
-            buffer_hits: out.stats.buffer_hits,
-            buffer_misses: out.stats.buffer_misses,
-            buffer_evictions: out.stats.buffer_evictions,
-            buffer_hit_rate: hit_rate(out.stats.buffer_hits, out.stats.buffer_misses),
-            checkpoints: ckpt_written.take(),
-            hits_by_worker: out.stats.buffer_hits_by_worker[..trim].to_vec(),
-            misses_by_worker: out.stats.buffer_misses_by_worker[..trim].to_vec(),
-            queue_wait_ns: 0,
-            admission_rejections: 0,
-            query_id: String::new(),
-            transport: "",
-            connections: 0,
-        });
-    };
-    record(
-        "kdj",
-        "hs",
-        1,
-        false,
-        "locality",
-        cfg.quantized_prefilter,
-        &mut || hs_kdj(&r, &s, k, cfg),
-    );
-    record(
-        "kdj",
-        "b",
-        1,
-        false,
-        "locality",
-        cfg.quantized_prefilter,
-        &mut || b_kdj(&r, &s, k, cfg),
-    );
-    record(
-        "kdj",
-        "am",
-        1,
-        false,
-        "locality",
-        cfg.quantized_prefilter,
-        &mut || am_kdj(&r, &s, k, cfg, &AmKdjOptions::default()),
-    );
-    // The prefilter ablation: the same aggressive kdj as "am" with the
-    // quantized screen forced off. Diffing the two rows' wall time and
-    // the on-row's quantized_rejects prices the prefilter on this
-    // workload.
-    let cfg_noq = JoinConfig {
-        quantized_prefilter: false,
-        ..cfg.clone()
-    };
-    record("kdj", "am", 1, false, "locality", false, &mut || {
-        am_kdj(&r, &s, k, &cfg_noq, &AmKdjOptions::default())
+    let mut record =
+        |op, algo, threads: usize, steal, partition, run: &mut dyn FnMut() -> JoinOutput| {
+            let start = std::time::Instant::now();
+            let out = run();
+            let wall = start.elapsed().as_secs_f64();
+            let trim = threads.min(out.stats.buffer_hits_by_worker.len());
+            rows.push(BenchRow {
+                op,
+                algo,
+                threads,
+                steal,
+                partition,
+                k,
+                wall_time_s: wall,
+                node_accesses: out.stats.node_requests,
+                pairs_computed: out.stats.real_dist,
+                results: out.results.len(),
+                pairs_stolen: out.stats.pairs_stolen,
+                steal_attempts: out.stats.steal_attempts,
+                barrier_idle_ns: out.stats.barrier_idle_ns,
+                buffer_hits: out.stats.buffer_hits,
+                buffer_misses: out.stats.buffer_misses,
+                buffer_evictions: out.stats.buffer_evictions,
+                buffer_hit_rate: hit_rate(out.stats.buffer_hits, out.stats.buffer_misses),
+                checkpoints: ckpt_written.take(),
+                hits_by_worker: out.stats.buffer_hits_by_worker[..trim].to_vec(),
+                misses_by_worker: out.stats.buffer_misses_by_worker[..trim].to_vec(),
+                queue_wait_ns: 0,
+                admission_rejections: 0,
+                query_id: String::new(),
+                transport: "",
+                connections: 0,
+            });
+        };
+    record("kdj", "hs", 1, false, "locality", &mut || {
+        hs_kdj(&r, &s, k, cfg)
+    });
+    record("kdj", "b", 1, false, "locality", &mut || {
+        b_kdj(&r, &s, k, cfg)
+    });
+    record("kdj", "am", 1, false, "locality", &mut || {
+        am_kdj(&r, &s, k, cfg, &AmKdjOptions::default())
     });
     // SJ-SORT gets the paper's favorable oracle: the true k-th distance
     // (taken from an uncounted B-KDJ run before the measured one starts).
     let oracle_dmax = b_kdj(&r, &s, k, cfg).results.last().map_or(0.0, |p| p.dist);
-    record(
-        "kdj",
-        "sjsort",
-        1,
-        false,
-        "locality",
-        cfg.quantized_prefilter,
-        &mut || sj_sort(&r, &s, k, oracle_dmax, cfg),
-    );
+    record("kdj", "sjsort", 1, false, "locality", &mut || {
+        sj_sort(&r, &s, k, oracle_dmax, cfg)
+    });
     for t in thread_counts {
         for (steal, part, c) in sched_cells(t) {
-            record(
-                "kdj",
-                "par",
-                t,
-                steal,
-                part,
-                c.quantized_prefilter,
-                &mut || par_b_kdj(&r, &s, k, &c, t),
-            );
+            record("kdj", "par", t, steal, part, &mut || {
+                par_b_kdj(&r, &s, k, &c, t)
+            });
         }
     }
     for t in thread_counts {
         for (steal, part, c) in sched_cells(t) {
-            record(
-                "kdj",
-                "par-am",
-                t,
-                steal,
-                part,
-                c.quantized_prefilter,
-                &mut || par_am_kdj(&r, &s, k, &c, &AmKdjOptions::default(), t),
-            );
+            record("kdj", "par-am", t, steal, part, &mut || {
+                par_am_kdj(&r, &s, k, &c, &AmKdjOptions::default(), t)
+            });
         }
     }
     // The checkpoint-overhead row: the same aggressive kdj as the "am"
@@ -975,90 +911,60 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
     // Comparing its wall time against "am" prices checkpointing.
     let ckpt_path =
         std::env::temp_dir().join(format!("amdj-bench-ckpt-{}.snap", std::process::id()));
-    record(
-        "kdj",
-        "am-ckpt",
-        1,
-        false,
-        "locality",
-        cfg.quantized_prefilter,
-        &mut || {
-            let mut resume = None;
-            let mut written = 0u64;
-            loop {
-                let ctl = PauseCtl::every(5_000);
-                match kdj_resumable(&r, &s, k, cfg, true, 1, None, resume.take(), Some(&ctl))
-                    .expect("fresh or self-produced snapshot is always valid")
-                {
-                    Checkpointed::Done(out) => {
-                        ckpt_written.set(written);
-                        return out;
-                    }
-                    Checkpointed::Suspended(snap, _) => {
-                        write_checkpoint(&ckpt_path, snap.as_ref()).expect("checkpoint write");
-                        written += 1;
-                        resume = Some(*snap);
-                    }
+    record("kdj", "am-ckpt", 1, false, "locality", &mut || {
+        let mut resume = None;
+        let mut written = 0u64;
+        loop {
+            let ctl = PauseCtl::every(5_000);
+            match kdj_resumable(&r, &s, k, cfg, true, 1, None, resume.take(), Some(&ctl))
+                .expect("fresh or self-produced snapshot is always valid")
+            {
+                Checkpointed::Done(out) => {
+                    ckpt_written.set(written);
+                    return out;
+                }
+                Checkpointed::Suspended(snap, _) => {
+                    write_checkpoint(&ckpt_path, snap.as_ref()).expect("checkpoint write");
+                    written += 1;
+                    resume = Some(*snap);
                 }
             }
-        },
-    );
+        }
+    });
     let _ = std::fs::remove_file(&ckpt_path);
-    record(
-        "idj",
-        "hs",
-        1,
-        false,
-        "locality",
-        cfg.quantized_prefilter,
-        &mut || {
-            let mut cursor = HsIdj::new(&r, &s, cfg);
-            let mut results = Vec::with_capacity(k);
-            while results.len() < k {
-                match cursor.next() {
-                    Some(p) => results.push(p),
-                    None => break,
-                }
+    record("idj", "hs", 1, false, "locality", &mut || {
+        let mut cursor = HsIdj::new(&r, &s, cfg);
+        let mut results = Vec::with_capacity(k);
+        while results.len() < k {
+            match cursor.next() {
+                Some(p) => results.push(p),
+                None => break,
             }
-            JoinOutput {
-                results,
-                stats: cursor.stats(),
+        }
+        JoinOutput {
+            results,
+            stats: cursor.stats(),
+        }
+    });
+    record("idj", "am", 1, false, "locality", &mut || {
+        let mut cursor = AmIdj::new(&r, &s, cfg, AmIdjOptions::default());
+        let mut results = Vec::with_capacity(k);
+        while results.len() < k {
+            match cursor.next() {
+                Some(p) => results.push(p),
+                None => break,
             }
-        },
-    );
-    record(
-        "idj",
-        "am",
-        1,
-        false,
-        "locality",
-        cfg.quantized_prefilter,
-        &mut || {
-            let mut cursor = AmIdj::new(&r, &s, cfg, AmIdjOptions::default());
-            let mut results = Vec::with_capacity(k);
-            while results.len() < k {
-                match cursor.next() {
-                    Some(p) => results.push(p),
-                    None => break,
-                }
-            }
-            JoinOutput {
-                results,
-                stats: cursor.stats(),
-            }
-        },
-    );
+        }
+        JoinOutput {
+            results,
+            stats: cursor.stats(),
+        }
+    });
     for t in thread_counts {
         for (steal, part, c) in sched_cells(t) {
-            record(
-                "idj",
-                "par-am",
-                t,
-                steal,
-                part,
-                c.quantized_prefilter,
-                &mut || par_am_idj(&r, &s, k, &c, &AmIdjOptions::default(), t),
-            );
+            record("idj", "par-am", t, steal, part, &mut || {
+                par_am_idj(&r, &s, k, &c, &AmIdjOptions::default(), t)
+            });
         }
     }
     // The serve section: 144 concurrent mixed queries — one-shot KDJ
@@ -1252,13 +1158,10 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
             threads,
             steal: cfg.steal,
             partition: "locality",
-            prefilter: cfg.quantized_prefilter,
             k: kq,
             wall_time_s: *wall,
             node_accesses: 0,
             pairs_computed: 0,
-            quantized_rejects: 0,
-            exact_dist_skipped: 0,
             results: want.len(),
             pairs_stolen: 0,
             steal_attempts: 0,
@@ -1342,8 +1245,8 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
     // the buffer hit/miss totals with their per-worker breakdowns, and
     // the 8-thread locality vs round-robin rows; 5 added the am-ckpt
     // checkpoint-overhead row and the checkpoints_written column; 6 added
-    // the prefilter column, the quantized_rejects / exact_dist_skipped
-    // counters, and the kdj "am" prefilter-off ablation row; 7 added the
+    // the prefilter column, the prefilter's two reject/skip counters,
+    // and the kdj "am" prefilter-off ablation row; 7 added the
     // dataset and partitions columns, the partition-pair ledger
     // counters, and the partitioned-vs-monolithic ablation rows on the
     // clustered and arizona workloads; 8 added the serve section (32
@@ -1356,15 +1259,17 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
     // connections / buffer_evictions / buffer_hit_rate columns; 10
     // removed the partitioned-plan ablation rows with the plan itself,
     // the partitions / partition-pair ledger columns, and the dataset
-    // column, which every remaining row had as "uniform-clustered".
-    out.push_str("  \"schema_version\": 10,\n");
+    // column, which every remaining row had as "uniform-clustered"; 11
+    // removed the quantized prefilter, and with it the prefilter-off
+    // ablation row and the three columns 6 added.
+    out.push_str("  \"schema_version\": 11,\n");
     out.push_str(&format!(
         "  \"workload\": {{ \"n\": {n}, \"k\": {k}, \"seed\": {seed}, \"r\": \"uniform\", \"s\": \"clustered\" }},\n"
     ));
     out.push_str("  \"runs\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{ \"op\": \"{}\", \"algo\": \"{}\", \"query_id\": \"{}\", \"transport\": \"{}\", \"connections\": {}, \"threads\": {}, \"steal\": {}, \"partition\": \"{}\", \"prefilter\": {}, \"k\": {}, \"wall_time_s\": {:.6}, \"node_accesses\": {}, \"pairs_computed\": {}, \"quantized_rejects\": {}, \"exact_dist_skipped\": {}, \"results\": {}, \"pairs_stolen\": {}, \"steal_attempts\": {}, \"barrier_idle_ns\": {}, \"buffer_hits\": {}, \"buffer_misses\": {}, \"buffer_evictions\": {}, \"buffer_hit_rate\": {:.6}, \"queue_wait_ns\": {}, \"admission_rejections\": {}, \"checkpoints_written\": {}, \"buffer_hits_by_worker\": {}, \"buffer_misses_by_worker\": {} }}{}\n",
+            "    {{ \"op\": \"{}\", \"algo\": \"{}\", \"query_id\": \"{}\", \"transport\": \"{}\", \"connections\": {}, \"threads\": {}, \"steal\": {}, \"partition\": \"{}\", \"k\": {}, \"wall_time_s\": {:.6}, \"node_accesses\": {}, \"pairs_computed\": {}, \"results\": {}, \"pairs_stolen\": {}, \"steal_attempts\": {}, \"barrier_idle_ns\": {}, \"buffer_hits\": {}, \"buffer_misses\": {}, \"buffer_evictions\": {}, \"buffer_hit_rate\": {:.6}, \"queue_wait_ns\": {}, \"admission_rejections\": {}, \"checkpoints_written\": {}, \"buffer_hits_by_worker\": {}, \"buffer_misses_by_worker\": {} }}{}\n",
             row.op,
             row.algo,
             row.query_id,
@@ -1373,13 +1278,10 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
             row.threads,
             row.steal,
             row.partition,
-            row.prefilter,
             row.k,
             row.wall_time_s,
             row.node_accesses,
             row.pairs_computed,
-            row.quantized_rejects,
-            row.exact_dist_skipped,
             row.results,
             row.pairs_stolen,
             row.steal_attempts,

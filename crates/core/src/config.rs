@@ -20,19 +20,6 @@ pub struct JoinConfig {
     /// When `false` the queue always splits at the median key (the
     /// ablation of the paper's boundary-selection contribution).
     pub eq3_queue_boundaries: bool,
-    /// Compute leaf–leaf candidate distances in one pass over SoA scratch
-    /// buffers whenever the sweep's axis cutoff is frozen, instead of
-    /// per-pair `min_dist` calls. Bit-identical to the scalar path; the
-    /// switch exists so benches can ablate the batched kernel.
-    pub batched_leaf_sweep: bool,
-    /// Screen batched leaf–leaf candidates through a 16-bit grid-quantized
-    /// integer lower bound on `min_dist` before the exact `f64` pass, and
-    /// skip the distance + sqrt for candidates the bound already rejects
-    /// against the live real cutoff. The quantization rounds outward and
-    /// the rejection threshold carries half a cell of slack, so rejection
-    /// is conservative and results stay bit-identical (DESIGN.md §10);
-    /// the switch exists so benches can ablate the prefilter.
-    pub quantized_prefilter: bool,
     /// Let parallel workers steal frontier pairs (and stage-two work
     /// items) from loaded peers instead of idling at the stage barrier
     /// once their own partition drains. Results are bit-identical either
@@ -55,8 +42,6 @@ impl Default for JoinConfig {
             optimize_axis: true,
             optimize_direction: true,
             eq3_queue_boundaries: true,
-            batched_leaf_sweep: true,
-            quantized_prefilter: true,
             steal: true,
             partition: Partition::Locality,
         }
@@ -72,8 +57,6 @@ impl JoinConfig {
             optimize_axis: true,
             optimize_direction: true,
             eq3_queue_boundaries: true,
-            batched_leaf_sweep: true,
-            quantized_prefilter: true,
             steal: true,
             partition: Partition::Locality,
         }

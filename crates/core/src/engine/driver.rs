@@ -38,7 +38,7 @@ use super::sweep::{CompEntry, CompQueue, MarkMode, SweepScratch, SweepSink};
 
 /// The engine's one sweep sink. `axis` selects the cutoff shape:
 /// `Some(eDmax)` freezes the axis cutoff for the whole sweep (aggressive
-/// stage one, which also unlocks the batched leaf kernel), `None` keeps
+/// stage one, which also unlocks the lane window search), `None` keeps
 /// it live at the clamped `qDmax` (exact sweeps and compensation). The
 /// real cutoff is always the live `qDmax`, clamped by the shared bound
 /// when one exists; emitted results publish the new `qDmax` back into the

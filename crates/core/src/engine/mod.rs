@@ -19,14 +19,8 @@
 //! incremental join (whose per-stage loop is [`StageDriver`]) on any
 //! backend. The public algorithm entry points (`b_kdj`, `am_kdj`,
 //! `AmIdj`, `par_*`) are thin adapters over these two calls.
-//!
-//! The engine is also where cross-cutting optimizations land once: the
-//! batched SoA leaf distance kernel (`batch`) accelerates every
-//! leaf-heavy sweep whose axis cutoff is frozen, for every algorithm,
-//! from one file.
 
 mod backend;
-pub(crate) mod batch;
 mod bound;
 mod checkpoint;
 mod driver;

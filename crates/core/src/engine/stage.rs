@@ -23,7 +23,7 @@ use super::sweep::{CompEntry, CompQueue, MarkMode, SweepScratch, SweepSink};
 
 /// Sink for incremental sweeps: the stage's `eDmax` is the only cutoff
 /// (§4.2), for both the axis and the real distance. Both are frozen for
-/// the whole sweep, so leaf–leaf expansions take the batched kernel.
+/// the whole sweep, so every scan takes the lane window search.
 struct IdjSink<'x, const D: usize> {
     mainq: &'x mut MainQueue<D>,
     edmax: f64,

@@ -180,9 +180,9 @@ pub(crate) trait SweepSink<const D: usize> {
     /// `Some(w)` when the **axis** cutoff is frozen at `w` for the whole
     /// sweep (it does not depend on state that `emit` mutates). A frozen
     /// axis cutoff means the set of examined partners is fixed up front,
-    /// which lets leaf–leaf sweeps use the batched SoA distance kernel
-    /// without changing which distances are computed. The *real* cutoff
-    /// may still be live; it is re-read per candidate in scan order.
+    /// which lets [`scan`] find each anchor's window with the lane search
+    /// before computing any distance. The *real* cutoff may still be
+    /// live; it is re-read per candidate in scan order.
     fn fixed_axis_cutoff(&self) -> Option<f64> {
         None
     }
@@ -268,13 +268,6 @@ pub(crate) struct SweepScratch<const D: usize> {
     axis: usize,
     marks: SweepMarks,
     comp: CompScratch,
-    /// Taken from [`JoinConfig::batched_leaf_sweep`] at expansion time;
-    /// gates the SoA leaf kernel so benches can ablate it.
-    batch_enabled: bool,
-    /// Taken from [`JoinConfig::quantized_prefilter`] at expansion time;
-    /// arms the kernel's integer screen (see `engine::batch`).
-    prefilter_enabled: bool,
-    batch: super::batch::BatchScratch,
 }
 
 impl<const D: usize> SweepScratch<D> {
@@ -289,9 +282,6 @@ impl<const D: usize> SweepScratch<D> {
             axis: 0,
             marks: SweepMarks::default(),
             comp: CompScratch::default(),
-            batch_enabled: true,
-            prefilter_enabled: true,
-            batch: super::batch::BatchScratch::default(),
         }
     }
 
@@ -307,8 +297,6 @@ impl<const D: usize> SweepScratch<D> {
     ) {
         let setup = choose_setup(&pair.a_mbr, &pair.b_mbr, cutoff, cfg);
         self.axis = setup.axis;
-        self.batch_enabled = cfg.batched_leaf_sweep;
-        self.prefilter_enabled = cfg.quantized_prefilter;
         match pair.a {
             ItemRef::Node { page, .. } => {
                 let node = r.fetch(PageId(page));
@@ -349,16 +337,8 @@ impl<const D: usize> SweepScratch<D> {
 
     /// Prepares two level-matched nodes directly (SJ-SORT's sync
     /// traversal, which never carries `Pair`s).
-    pub(crate) fn expand_nodes(
-        &mut self,
-        nr: &Node<D>,
-        ns: &Node<D>,
-        setup: SweepSetup,
-        cfg: &JoinConfig,
-    ) {
+    pub(crate) fn expand_nodes(&mut self, nr: &Node<D>, ns: &Node<D>, setup: SweepSetup) {
         self.axis = setup.axis;
-        self.batch_enabled = cfg.batched_leaf_sweep;
-        self.prefilter_enabled = cfg.quantized_prefilter;
         fill_from_node(&mut self.left, nr, setup);
         self.left_objects = nr.is_leaf();
         self.left_child_level = nr.level.saturating_sub(1);
@@ -398,26 +378,6 @@ impl<const D: usize> SweepScratch<D> {
                 Some(&mut self.marks)
             }
         };
-        // Leaf–leaf sweeps under a frozen axis cutoff take the batched SoA
-        // kernel; everything else takes the scalar per-pair path. Both are
-        // bit-identical (see `engine::batch`), so the flag is purely an
-        // ablation/performance switch.
-        if self.batch_enabled && left.objects && right.objects {
-            if let Some(w) = sink.fixed_axis_cutoff() {
-                super::batch::batched_plane_sweep_into(
-                    left,
-                    right,
-                    self.axis,
-                    w,
-                    sink,
-                    stats,
-                    marks,
-                    &mut self.batch,
-                    self.prefilter_enabled,
-                );
-                return;
-            }
-        }
         plane_sweep_into(left, right, self.axis, sink, stats, marks);
     }
 
@@ -549,13 +509,11 @@ fn plane_sweep_into<const D: usize>(
 /// returns the absolute index where the scan stopped (first unexamined).
 ///
 /// With a frozen axis cutoff the window is fixed before any distance
-/// math, so the monotone axis-gap search runs as the same unroll-by-8
-/// lane pass the leaf kernel uses (over the AoS entries rather than SoA
-/// scratch) and the distance loop then walks the window without
-/// re-testing the axis — this is how interior-node sweeps under
-/// aggressive/frozen cutoffs get the lane treatment. Bit-identical to
-/// the live path: same gap expression, same break condition, same
-/// counting (the breaking partner counts as examined).
+/// math, so the monotone axis-gap search runs as an unroll-by-[`LANES`]
+/// pass ([`axis_window_stop`]) and the distance loop then walks the
+/// window without re-testing the axis. Bit-identical to the live path:
+/// same gap expression, same break condition, same counting (the
+/// breaking partner counts as examined).
 #[allow(clippy::too_many_arguments)]
 fn scan<const D: usize>(
     anchor: &SweepEntry<D>,
@@ -618,11 +576,16 @@ fn scan<const D: usize>(
     partners.len()
 }
 
-/// The unroll-by-[`LANES`](super::batch::LANES) axis window search over
-/// AoS entries: partners are sorted along `axis`, so the first one whose
-/// gap (same expression as [`Rect::axis_dist`]) exceeds `window` ends the
-/// scan. Lanes test eight partners per iteration into a bitmask; the
-/// first set bit locates the break exactly.
+/// Fixed unroll width of the axis window search. Eight independent gap
+/// tests per iteration give the CPU enough parallel chains to pipeline;
+/// the tail of `n % LANES` partners runs one at a time.
+const LANES: usize = 8;
+
+/// The unroll-by-[`LANES`] axis window search: partners are sorted along
+/// `axis`, so the first one whose gap (same expression as
+/// [`Rect::axis_dist`]) exceeds `window` ends the scan. Lanes test eight
+/// partners per iteration into a bitmask; the first set bit locates the
+/// break exactly.
 fn axis_window_stop<const D: usize>(
     anchor: &SweepEntry<D>,
     partners: &[SweepEntry<D>],
@@ -630,7 +593,6 @@ fn axis_window_stop<const D: usize>(
     axis: usize,
     window: f64,
 ) -> usize {
-    use super::batch::LANES;
     let (a_lo, a_hi) = (anchor.mbr.lo()[axis], anchor.mbr.hi()[axis]);
     let n = partners.len();
     let mut j = from;
@@ -657,12 +619,11 @@ fn axis_window_stop<const D: usize>(
     n
 }
 
-/// The per-candidate emit/reject decision shared by the scalar scan and
-/// the batched kernel's dense and sparse paths: compare against the
-/// *live* real cutoff, emit at or below it, record a reject (when
-/// tracking) above it.
+/// The per-candidate emit/reject decision of [`scan`]'s frozen-window and
+/// live paths: compare against the *live* real cutoff, emit at or below
+/// it, record a reject (when tracking) above it.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn offer<const D: usize>(
+fn offer<const D: usize>(
     real: f64,
     j: usize,
     anchor: &SweepEntry<D>,
@@ -1219,7 +1180,7 @@ mod tests {
         let b = leaf(&[(0.4, 0.0), (1.4, 0.0)], 100);
         let mut scratch: SweepScratch<2> = SweepScratch::new();
         let mut stats = JoinStats::default();
-        scratch.expand_nodes(&a, &b, setup_fwd(), &JoinConfig::unbounded());
+        scratch.expand_nodes(&a, &b, setup_fwd());
         let mut sink = Collect {
             axis: 0.5,
             real: f64::INFINITY,
@@ -1233,7 +1194,7 @@ mod tests {
         assert!(scratch.left.is_empty() && scratch.right.is_empty());
 
         // Scratch is immediately reusable for an unrelated expansion.
-        scratch.expand_nodes(&b, &a, setup_fwd(), &JoinConfig::unbounded());
+        scratch.expand_nodes(&b, &a, setup_fwd());
         let mut sink2 = Collect {
             axis: f64::INFINITY,
             real: f64::INFINITY,
@@ -1255,5 +1216,55 @@ mod tests {
             .exhausted(entry.left.entries.len(), entry.right.entries.len()));
         assert_eq!(sink.pairs.len() + sink3.pairs.len(), 6);
         assert_eq!(stats.comp_replays, 1);
+    }
+
+    /// The lane window search must agree with a plain linear scan for
+    /// every partner count around the lane width (full lanes, tails, and
+    /// both), a break at every index or none at all, and every start.
+    #[test]
+    fn axis_window_stop_matches_linear_scan() {
+        let window = 1.0;
+        for axis in 0..2 {
+            let at = |v: f64| {
+                let mut p = [0.0; 2];
+                p[axis] = v;
+                Rect::from_point(Point::new(p))
+            };
+            let anchor = SweepEntry {
+                mbr: at(0.0),
+                child: 0,
+                key: 0.0,
+            };
+            for n in 0..=17usize {
+                for brk in 0..=n {
+                    // Partners before `brk` sit inside the window, the
+                    // rest beyond it; keys stay sorted along `axis`.
+                    let partners: Vec<SweepEntry<2>> = (0..n)
+                        .map(|i| {
+                            let v = if i < brk {
+                                i as f64 * 0.05
+                            } else {
+                                window + 1.0 + i as f64
+                            };
+                            SweepEntry {
+                                mbr: at(v),
+                                child: i as u64 + 1,
+                                key: v,
+                            }
+                        })
+                        .collect();
+                    for from in 0..=n {
+                        let want = (from..n)
+                            .find(|&j| anchor.mbr.axis_dist(&partners[j].mbr, axis) > window)
+                            .unwrap_or(n);
+                        assert_eq!(
+                            axis_window_stop(&anchor, &partners, from, axis, window),
+                            want,
+                            "axis={axis} n={n} break={brk} from={from}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -120,7 +120,7 @@ pub(crate) fn visit<const D: usize>(
     // reuse during recursion: its sweep output is fully drained into
     // `recurse` before any recursive call runs.
     let setup = choose_setup(&nr.mbr(), &ns.mbr(), dmax, cfg);
-    scratch.expand_nodes(&nr, &ns, setup, cfg);
+    scratch.expand_nodes(&nr, &ns, setup);
     stats.stage1_expansions += 1;
     let mut recurse = Vec::new();
     let mut sink = SjSink {

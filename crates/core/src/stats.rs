@@ -24,19 +24,11 @@ pub struct JoinStats {
     pub real_dist: u64,
     /// Axis-distance computations made by the plane sweep (Figure 11).
     pub axis_dist: u64,
-    /// Candidates the quantized integer prefilter rejected: their integer
-    /// lower bound already exceeded the live real cutoff, so the exact
-    /// distance was provably above it too. Zero when
-    /// `JoinConfig::quantized_prefilter` is off or the sweep records
-    /// rejected distances (AM-IDJ's full marks need them).
+    /// Always 0. Kept so existing readers of the field still compile:
+    /// it counted candidates a quantized integer prefilter rejected
+    /// before the exact distance, and that prefilter has been removed
+    /// (the scalar sweep was faster without it; DESIGN.md §10).
     pub quantized_rejects: u64,
-    /// Exact `f64` distance + sqrt computations the prefilter made
-    /// unnecessary. On every workload this equals [`Self::quantized_rejects`]
-    /// (one skipped computation per rejected candidate) and the invariant
-    /// `real_dist(prefilter on) + exact_dist_skipped == real_dist(off)`
-    /// holds; kept as its own counter so `real_dist` keeps meaning
-    /// "distances actually computed" in every figure.
-    pub exact_dist_skipped: u64,
     /// Main-queue insertions (Figures 10b/12b/14b). For SJ-SORT this
     /// counts sorter insertions, its analogous unit of queue work.
     pub mainq_insertions: u64,
@@ -158,8 +150,6 @@ impl JoinStats {
     pub fn absorb_worker(&mut self, w: &JoinStats) {
         self.real_dist += w.real_dist;
         self.axis_dist += w.axis_dist;
-        self.quantized_rejects += w.quantized_rejects;
-        self.exact_dist_skipped += w.exact_dist_skipped;
         self.mainq_insertions += w.mainq_insertions;
         self.distq_insertions += w.distq_insertions;
         self.compq_insertions += w.compq_insertions;

@@ -8,11 +8,9 @@
 //! are exercised with adversarial `eDmax` values (zero, badly under- and
 //! over-estimated) and the backends across thread counts, and every cell
 //! of the matrix is compared against both brute force and the sequential
-//! exact reference — under the scheduling product *and* the leaf-kernel
-//! product (scalar sweep / lane kernel / lane kernel + quantized
-//! prefilter). A second property pins the kernel × prefilter product
-//! across policies and the incremental driver, and a third holds the
-//! matrix together under a tight spill-queue memory budget.
+//! exact reference under the scheduling product. A second property runs
+//! the incremental driver across backends, and a third holds the matrix
+//! together under a tight spill-queue memory budget.
 
 use amdj_core::engine::{self, Aggressive, Exact, Parallel, Sequential};
 use amdj_core::{bruteforce, AmIdjOptions, JoinConfig, Partition, ResultPair};
@@ -114,13 +112,6 @@ fn policy_cells(scale: f64) -> Vec<(String, Option<Option<f64>>)> {
 
 const BACKENDS: [Option<usize>; 5] = [None, Some(1), Some(2), Some(3), Some(8)];
 
-/// The leaf-kernel product: (label, `batched_leaf_sweep`,
-/// `quantized_prefilter`). The default cell — lane kernel with the
-/// prefilter armed — is what every other loop here runs, so the sweep
-/// adds the two ablated combinations; `(false, true)` is omitted because
-/// the prefilter lives inside the batched kernel and is inert without it.
-const KERNEL_CELLS: [(&str, bool, bool); 2] = [("scalar", false, false), ("lanes", true, false)];
-
 /// Scheduling knobs to sweep per backend: sequential cells ignore them
 /// (one combination suffices); parallel cells run the full
 /// steal × partition product, because both switches reroute work between
@@ -163,24 +154,10 @@ proptest! {
         let scale = want.last().map_or(1.0, |p| p.dist);
         for (name, policy) in policy_cells(scale) {
             for threads in BACKENDS {
-                // The scheduling product under the default kernel…
                 for &(steal, partition) in sched_cells(threads) {
                     let cfg = JoinConfig { steal, partition, ..JoinConfig::unbounded() };
                     let label =
                         format!("{name} × {threads:?} steal={steal} part={partition:?}");
-                    let got = run_cell(&r, &s, k, &cfg, policy, threads);
-                    assert_identical(&label, &reference, &got)?;
-                }
-                // …and the kernel × prefilter product under the default
-                // schedule (the third combination, lanes + prefilter, is
-                // the default the loop above just ran).
-                for (kname, batched, prefilter) in KERNEL_CELLS {
-                    let cfg = JoinConfig {
-                        batched_leaf_sweep: batched,
-                        quantized_prefilter: prefilter,
-                        ..JoinConfig::unbounded()
-                    };
-                    let label = format!("{name} × {threads:?} kernel={kname}");
                     let got = run_cell(&r, &s, k, &cfg, policy, threads);
                     assert_identical(&label, &reference, &got)?;
                 }
@@ -216,81 +193,6 @@ proptest! {
                 let label = format!("idj × {threads} steal={steal} part={partition:?}");
                 assert_identical(&label, &reference, &got)?;
             }
-        }
-    }
-
-    /// The lane kernel and its quantized prefilter are implementation
-    /// details: every combination of `batched_leaf_sweep` ×
-    /// `quantized_prefilter` must match the scalar sweep bit for bit,
-    /// under either policy (the aggressive under-estimate freezes the
-    /// axis cutoff, which is what arms the batched path) and for the
-    /// incremental driver. The counter semantics are pinned too:
-    /// distances computed plus distances skipped must equal the scalar
-    /// path's distance count, with one skip per quantized reject.
-    #[test]
-    fn batched_kernel_bit_identical(
-        a in arb_dataset(80),
-        b in arb_dataset(80),
-        k in 1usize..110,
-    ) {
-        let (r, s) = trees(&a, &b);
-        let scalar = JoinConfig {
-            batched_leaf_sweep: false,
-            quantized_prefilter: false,
-            ..JoinConfig::unbounded()
-        };
-        let combos = [("lanes+q", true, true), ("lanes", true, false), ("scalar+q", false, true)];
-        let scale = bruteforce::dmax_for_k(&a, &b, k).unwrap_or(1.0);
-        for policy in [None, Some(None), Some(Some(scale * 0.4))] {
-            let baseline = match (policy, ()) {
-                (None, ()) => engine::kdj(&r, &s, k, &scalar, &Exact, &Sequential),
-                (Some(e), ()) => {
-                    engine::kdj(&r, &s, k, &scalar, &Aggressive { edmax_override: e }, &Sequential)
-                }
-            };
-            let without = canonical(baseline.results.clone());
-            prop_assert_eq!(baseline.stats.quantized_rejects, 0u64);
-            for (kname, batched, prefilter) in combos {
-                let cfg = JoinConfig {
-                    batched_leaf_sweep: batched,
-                    quantized_prefilter: prefilter,
-                    ..JoinConfig::unbounded()
-                };
-                let out = match (policy, ()) {
-                    (None, ()) => engine::kdj(&r, &s, k, &cfg, &Exact, &Sequential),
-                    (Some(e), ()) => engine::kdj(
-                        &r, &s, k, &cfg, &Aggressive { edmax_override: e }, &Sequential,
-                    ),
-                };
-                let with = canonical(out.results.clone());
-                assert_identical(&format!("{kname} {policy:?}"), &without, &with)?;
-                // The prefilter only ever *skips* distance computations.
-                prop_assert_eq!(
-                    out.stats.real_dist + out.stats.exact_dist_skipped,
-                    baseline.stats.real_dist,
-                    "{}: computed + skipped must equal the scalar count",
-                    kname
-                );
-                prop_assert_eq!(out.stats.quantized_rejects, out.stats.exact_dist_skipped);
-                if !(batched && prefilter) {
-                    prop_assert_eq!(out.stats.quantized_rejects, 0u64);
-                }
-            }
-        }
-        let opts = AmIdjOptions::default();
-        let without = canonical(engine::idj(&r, &s, k, &scalar, &opts, &Sequential).results);
-        for (kname, batched, prefilter) in combos {
-            let cfg = JoinConfig {
-                batched_leaf_sweep: batched,
-                quantized_prefilter: prefilter,
-                ..JoinConfig::unbounded()
-            };
-            let out = engine::idj(&r, &s, k, &cfg, &opts, &Sequential);
-            let with = canonical(out.results.clone());
-            assert_identical(&format!("{kname} idj"), &without, &with)?;
-            // AM-IDJ sweeps record rejected distances (full marks), so
-            // the prefilter must sit the incremental join out entirely.
-            prop_assert_eq!(out.stats.quantized_rejects, 0u64, "{}: idj prefilter", kname);
         }
     }
 

@@ -3,7 +3,8 @@
 //! built both by STR bulk loading and by R* insertion.
 
 use amdj_core::{
-    am_kdj, b_kdj, bruteforce, hs_kdj, sj_sort, AmIdj, AmIdjOptions, AmKdjOptions, JoinConfig,
+    am_kdj, b_kdj, bruteforce, hs_kdj, sj_sort, within_join, AmIdj, AmIdjOptions, AmKdjOptions,
+    JoinConfig,
 };
 use amdj_datagen::tiger::Geography;
 use amdj_datagen::{clustered_points, uniform_points, unit_universe, Dataset};
@@ -128,4 +129,36 @@ fn duplicate_heavy_data() {
     }
     let b = a.clone();
     all_kdj_algorithms_agree(&a, &b, 300, &JoinConfig::unbounded());
+}
+
+#[test]
+fn collinear_zero_width_axis() {
+    // Points on one horizontal line: every bounding box and sweep window
+    // has a zero-width y axis, and all distances are pure x gaps.
+    let line = |n: u64, step: f64, offset: f64| -> Dataset {
+        (0..n)
+            .map(|i| {
+                let p = amdj_geom::Point::new([i as f64 * step + offset, 3.0]);
+                (amdj_geom::Rect::from_point(p), i)
+            })
+            .collect()
+    };
+    let a = line(60, 1.7, 0.0);
+    let b = line(60, 2.3, 0.4);
+    for k in [15, 200] {
+        all_kdj_algorithms_agree(&a, &b, k, &JoinConfig::unbounded());
+    }
+    let (r, s) = build_trees(&a, &b);
+    let pair_set = |pairs: &[amdj_core::ResultPair]| {
+        let mut v: Vec<(u64, u64, u64)> =
+            pairs.iter().map(|p| (p.r, p.s, p.dist.to_bits())).collect();
+        v.sort_unstable();
+        v
+    };
+    let got = within_join(&r, &s, 4.0, &JoinConfig::unbounded());
+    assert_eq!(
+        pair_set(&got.results),
+        pair_set(&bruteforce::pairs_within(&a, &b, 4.0)),
+        "within_join"
+    );
 }

@@ -105,18 +105,8 @@ fn policy_cells(scale: f64) -> Vec<(String, Option<Option<f64>>)> {
 
 const THREADS: [usize; 3] = [2, 3, 8];
 
-/// Partition × leaf-kernel cells swept under perturbation: (partition,
-/// `batched_leaf_sweep`, `quantized_prefilter`). A fractional sweep —
-/// both partitions run the default lane+prefilter kernel, and each
-/// ablated kernel (lanes without the prefilter, full scalar) runs under
-/// one partition — covers every kernel and every partition against the
-/// schedule fuzzer without squaring the cell count.
-const SCHED_KERNEL_CELLS: [(Partition, bool, bool); 4] = [
-    (Partition::Locality, true, true),
-    (Partition::RoundRobin, true, true),
-    (Partition::Locality, true, false),
-    (Partition::RoundRobin, false, false),
-];
+/// Both partitioners run against the schedule fuzzer.
+const PARTITIONS: [Partition; 2] = [Partition::Locality, Partition::RoundRobin];
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -140,11 +130,9 @@ proptest! {
         let scale = reference.last().map_or(1.0, |p| p.dist);
         for (name, policy) in policy_cells(scale) {
             for threads in THREADS {
-                for (partition, batched, prefilter) in SCHED_KERNEL_CELLS {
+                for partition in PARTITIONS {
                     let cfg = JoinConfig {
                         partition,
-                        batched_leaf_sweep: batched,
-                        quantized_prefilter: prefilter,
                         ..JoinConfig::unbounded()
                     };
                     let backend = stealing(threads, seed);
@@ -154,10 +142,7 @@ proptest! {
                             &r, &s, k, &cfg, &Aggressive { edmax_override: e }, &backend,
                         ),
                     };
-                    let label = format!(
-                        "{name} × {threads}t part={partition:?} \
-                         batch={batched} q={prefilter} seed={seed}"
-                    );
+                    let label = format!("{name} × {threads}t part={partition:?} seed={seed}");
                     assert_identical(&label, &reference, &canonical(out.results))?;
                 }
             }
@@ -180,18 +165,13 @@ proptest! {
             engine::idj(&r, &s, take, &JoinConfig::unbounded(), &opts, &Sequential).results,
         );
         for threads in THREADS {
-            for (partition, batched, prefilter) in SCHED_KERNEL_CELLS {
+            for partition in PARTITIONS {
                 let cfg = JoinConfig {
                     partition,
-                    batched_leaf_sweep: batched,
-                    quantized_prefilter: prefilter,
                     ..JoinConfig::unbounded()
                 };
                 let out = engine::idj(&r, &s, take, &cfg, &opts, &stealing(threads, seed));
-                let label = format!(
-                    "idj × {threads}t part={partition:?} \
-                     batch={batched} q={prefilter} seed={seed}"
-                );
+                let label = format!("idj × {threads}t part={partition:?} seed={seed}");
                 assert_identical(&label, &reference, &canonical(out.results))?;
             }
         }
