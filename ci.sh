@@ -32,9 +32,9 @@ BENCH_SMOKE_JSON="$(mktemp -t bench_smoke.XXXXXX.json)"
 trap 'rm -f "$BENCH_SMOKE_JSON"' EXIT
 cargo run --release -q -p amdj-bench --bin amdj -- \
     bench --n 300 --k 20 --json "$BENCH_SMOKE_JSON" 2>/dev/null
-grep -q '"schema_version": 11' "$BENCH_SMOKE_JSON" \
-    || { echo "bench smoke: schema_version != 11"; exit 1; }
-for col in op algo query_id transport connections threads steal partition \
+grep -q '"schema_version": 12' "$BENCH_SMOKE_JSON" \
+    || { echo "bench smoke: schema_version != 12"; exit 1; }
+for col in op algo query_id transport connections threads \
            k wall_time_s node_accesses \
            pairs_computed results \
            pairs_stolen steal_attempts barrier_idle_ns \
@@ -45,8 +45,6 @@ for col in op algo query_id transport connections threads steal partition \
     grep -q "\"$col\":" "$BENCH_SMOKE_JSON" \
         || { echo "bench smoke: missing column '$col'"; exit 1; }
 done
-grep -q '"partition": "rr"' "$BENCH_SMOKE_JSON" \
-    || { echo "bench smoke: missing round-robin ablation rows"; exit 1; }
 grep -q '"algo": "am-ckpt"' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: missing am-ckpt checkpoint-overhead row"; exit 1; }
 # The serve section runs 144 mixed queries over 16 concurrent TCP
@@ -63,7 +61,7 @@ grep -Eq '"op": "serve".*"transport": "tcp"' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: serve rows not tagged with the tcp transport"; exit 1; }
 grep -Eq '"op": "serve".*"queue_wait_ns": [1-9]' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: no serve row reports a nonzero queue wait"; exit 1; }
-echo "bench smoke: schema_version 11 with all required columns"
+echo "bench smoke: schema_version 12 with all required columns"
 
 echo "== checkpoint smoke: interrupt, resume, compare =="
 # An interrupted join must exit 75 with a checkpoint on disk, and the
@@ -100,6 +98,31 @@ timeout 5 target/release/amdj idj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" 
 grep -q -- '--batch must be at least 1' "$CKPT_DIR/batch0.err" \
     || { echo "idj --batch 0 smoke: rejected for the wrong reason"; exit 1; }
 echo "idj --batch 0 smoke: rejected with exit 2"
+
+echo "== bad input smoke: invalid rows and distances rejected, not panicked on =="
+# Input from outside the program (a CSV row, a --dist value) must fail as
+# a usage error (exit 2) with a message naming the problem; a panic on an
+# engine assertion would exit 101 instead.
+printf '1,1,0,0,2\n' > "$CKPT_DIR/inverted.csv"
+printf 'nan,0,1,1,3\n' > "$CKPT_DIR/nan.csv"
+expect_usage_error() {  # expect_usage_error MESSAGE COMMAND...
+    local msg="$1"
+    shift
+    rc=0
+    timeout 5 "$@" >/dev/null 2> "$CKPT_DIR/bad.err" || rc=$?
+    [ "$rc" = "2" ] || { echo "bad input smoke: '$*' exit $rc != 2"; exit 1; }
+    grep -q -- "$msg" "$CKPT_DIR/bad.err" \
+        || { echo "bad input smoke: '$*' rejected for the wrong reason"; cat "$CKPT_DIR/bad.err"; exit 1; }
+}
+for csv in inverted nan; do
+    expect_usage_error "$csv.csv:1: invalid rectangle" \
+        target/release/amdj build --input "$CKPT_DIR/$csv.csv" --out "$CKPT_DIR/$csv.amdj"
+done
+for dist in -1 NaN inf; do
+    expect_usage_error '--dist must be finite and non-negative' \
+        target/release/amdj within --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --dist "$dist"
+done
+echo "bad input smoke: inverted and NaN rows, negative and non-finite --dist all exit 2"
 
 echo "== serve smoke: concurrent protocol queries over one shared index =="
 # Drive `amdj serve` over the protocol: three concurrent kdj queries,

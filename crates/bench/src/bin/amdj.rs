@@ -63,7 +63,7 @@ use amdj_core::serve::{
 use amdj_core::{
     am_kdj, b_kdj, hs_kdj, idj_resumable, kdj_resumable, knn_join, par_am_idj, par_am_kdj,
     par_b_kdj, read_checkpoint, sj_sort, within_join, write_checkpoint, AmIdj, AmIdjOptions,
-    AmKdjOptions, Checkpointed, EngineSnapshot, HsIdj, JoinConfig, JoinOutput, Partition, PauseCtl,
+    AmKdjOptions, Checkpointed, EngineSnapshot, HsIdj, JoinConfig, JoinOutput, PauseCtl,
     ResultPair, SnapshotError,
 };
 use amdj_datagen::{clustered_points, tiger::Geography, uniform_points, unit_universe, Dataset};
@@ -266,6 +266,15 @@ fn load_csv(path: &str) -> Result<Dataset, String> {
             .trim()
             .parse()
             .map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
+        // `Rect::new` asserts these; a bad file is a usage error, not a panic.
+        let ok = [lx, ly, hx, hy].iter().all(|v| v.is_finite()) && lx <= hx && ly <= hy;
+        if !ok {
+            return Err(format!(
+                "{path}:{}: invalid rectangle {lx},{ly},{hx},{hy}: \
+                 coordinates must be finite with lo <= hi",
+                lineno + 1
+            ));
+        }
         out.push((Rect::new([lx, ly], [hx, hy]), id));
     }
     Ok(out)
@@ -501,6 +510,11 @@ fn run() -> Result<ExitCode, String> {
             let r = open_tree(&get("r")?)?;
             let s = open_tree(&get("s")?)?;
             let dist: f64 = get("dist")?.parse().map_err(|e| format!("--dist: {e}"))?;
+            if !(dist.is_finite() && dist >= 0.0) {
+                return Err(format!(
+                    "--dist must be finite and non-negative, got {dist}"
+                ));
+            }
             let out = within_join(&r, &s, dist, &cfg);
             for p in &out.results {
                 println!("{},{},{}", p.r, p.s, p.dist);
@@ -584,12 +598,10 @@ fn run() -> Result<ExitCode, String> {
             let rows = run_bench_matrix(n, k, seed, &cfg);
             for row in &rows {
                 eprintln!(
-                    "# {:<4} {:<7} threads={} steal={} part={} k={} wall={:.4}s nodes={} dists={} results={} stolen={} idle={}ns buf={}h/{}m/{}e",
+                    "# {:<4} {:<7} threads={} k={} wall={:.4}s nodes={} dists={} results={} stolen={} idle={}ns buf={}h/{}m/{}e",
                     row.op,
                     row.algo,
                     row.threads,
-                    row.steal,
-                    row.partition,
                     row.k,
                     row.wall_time_s,
                     row.node_accesses,
@@ -752,11 +764,6 @@ struct BenchRow {
     op: &'static str,
     algo: &'static str,
     threads: usize,
-    steal: bool,
-    /// `"locality"` or `"rr"` — the seed/work partitioner of the
-    /// parallel rows (sequential rows report the default, which they
-    /// never consult).
-    partition: &'static str,
     k: usize,
     wall_time_s: f64,
     node_accesses: u64,
@@ -776,8 +783,7 @@ struct BenchRow {
     /// Snapshots written during the run (non-zero only for the
     /// checkpoint-overhead rows).
     checkpoints: u64,
-    /// Per-worker buffer hits, trimmed to the row's thread count — the
-    /// cache-residency split the locality partitioner exists to improve.
+    /// Per-worker buffer hits, trimmed to the row's thread count.
     hits_by_worker: Vec<u64>,
     misses_by_worker: Vec<u64>,
     /// Admission queue wait of a serve-mode query (0 off serve rows).
@@ -814,96 +820,58 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
     let r = RTree::bulk_load(RTreeParams::paper_defaults(), a);
     let s = RTree::bulk_load(RTreeParams::paper_defaults(), b);
     let thread_counts = [1usize, 2, 4, 8];
-    // The parallel rows run twice per thread count — work-stealing (the
-    // default) against the static split, so the JSON carries the
-    // barrier-idle comparison the scheduler exists to win — and, at the
-    // widest thread count, once more per partitioner (locality vs
-    // round-robin), so it also carries the per-worker buffer-hit
-    // comparison the locality partitioner exists to win.
-    let sched_cells = |t: usize| -> Vec<(bool, &'static str, JoinConfig)> {
-        let mut cells = Vec::new();
-        for steal in [true, false] {
-            for part in [Partition::Locality, Partition::RoundRobin] {
-                if part == Partition::RoundRobin && t != 8 {
-                    continue;
-                }
-                let mut c = cfg.clone();
-                c.steal = steal;
-                c.partition = part;
-                let name = match part {
-                    Partition::Locality => "locality",
-                    Partition::RoundRobin => "rr",
-                };
-                cells.push((steal, name, c));
-            }
-        }
-        cells
-    };
     let mut rows = Vec::new();
     // Set by the checkpoint-overhead runs, harvested (and reset) per row.
     let ckpt_written = std::cell::Cell::new(0u64);
-    let mut record =
-        |op, algo, threads: usize, steal, partition, run: &mut dyn FnMut() -> JoinOutput| {
-            let start = std::time::Instant::now();
-            let out = run();
-            let wall = start.elapsed().as_secs_f64();
-            let trim = threads.min(out.stats.buffer_hits_by_worker.len());
-            rows.push(BenchRow {
-                op,
-                algo,
-                threads,
-                steal,
-                partition,
-                k,
-                wall_time_s: wall,
-                node_accesses: out.stats.node_requests,
-                pairs_computed: out.stats.real_dist,
-                results: out.results.len(),
-                pairs_stolen: out.stats.pairs_stolen,
-                steal_attempts: out.stats.steal_attempts,
-                barrier_idle_ns: out.stats.barrier_idle_ns,
-                buffer_hits: out.stats.buffer_hits,
-                buffer_misses: out.stats.buffer_misses,
-                buffer_evictions: out.stats.buffer_evictions,
-                buffer_hit_rate: hit_rate(out.stats.buffer_hits, out.stats.buffer_misses),
-                checkpoints: ckpt_written.take(),
-                hits_by_worker: out.stats.buffer_hits_by_worker[..trim].to_vec(),
-                misses_by_worker: out.stats.buffer_misses_by_worker[..trim].to_vec(),
-                queue_wait_ns: 0,
-                admission_rejections: 0,
-                query_id: String::new(),
-                transport: "",
-                connections: 0,
-            });
-        };
-    record("kdj", "hs", 1, false, "locality", &mut || {
-        hs_kdj(&r, &s, k, cfg)
-    });
-    record("kdj", "b", 1, false, "locality", &mut || {
-        b_kdj(&r, &s, k, cfg)
-    });
-    record("kdj", "am", 1, false, "locality", &mut || {
+    let mut record = |op, algo, threads: usize, run: &mut dyn FnMut() -> JoinOutput| {
+        let start = std::time::Instant::now();
+        let out = run();
+        let wall = start.elapsed().as_secs_f64();
+        let trim = threads.min(out.stats.buffer_hits_by_worker.len());
+        rows.push(BenchRow {
+            op,
+            algo,
+            threads,
+            k,
+            wall_time_s: wall,
+            node_accesses: out.stats.node_requests,
+            pairs_computed: out.stats.real_dist,
+            results: out.results.len(),
+            pairs_stolen: out.stats.pairs_stolen,
+            steal_attempts: out.stats.steal_attempts,
+            barrier_idle_ns: out.stats.barrier_idle_ns,
+            buffer_hits: out.stats.buffer_hits,
+            buffer_misses: out.stats.buffer_misses,
+            buffer_evictions: out.stats.buffer_evictions,
+            buffer_hit_rate: hit_rate(out.stats.buffer_hits, out.stats.buffer_misses),
+            checkpoints: ckpt_written.take(),
+            hits_by_worker: out.stats.buffer_hits_by_worker[..trim].to_vec(),
+            misses_by_worker: out.stats.buffer_misses_by_worker[..trim].to_vec(),
+            queue_wait_ns: 0,
+            admission_rejections: 0,
+            query_id: String::new(),
+            transport: "",
+            connections: 0,
+        });
+    };
+    record("kdj", "hs", 1, &mut || hs_kdj(&r, &s, k, cfg));
+    record("kdj", "b", 1, &mut || b_kdj(&r, &s, k, cfg));
+    record("kdj", "am", 1, &mut || {
         am_kdj(&r, &s, k, cfg, &AmKdjOptions::default())
     });
     // SJ-SORT gets the paper's favorable oracle: the true k-th distance
     // (taken from an uncounted B-KDJ run before the measured one starts).
     let oracle_dmax = b_kdj(&r, &s, k, cfg).results.last().map_or(0.0, |p| p.dist);
-    record("kdj", "sjsort", 1, false, "locality", &mut || {
+    record("kdj", "sjsort", 1, &mut || {
         sj_sort(&r, &s, k, oracle_dmax, cfg)
     });
     for t in thread_counts {
-        for (steal, part, c) in sched_cells(t) {
-            record("kdj", "par", t, steal, part, &mut || {
-                par_b_kdj(&r, &s, k, &c, t)
-            });
-        }
+        record("kdj", "par", t, &mut || par_b_kdj(&r, &s, k, cfg, t));
     }
     for t in thread_counts {
-        for (steal, part, c) in sched_cells(t) {
-            record("kdj", "par-am", t, steal, part, &mut || {
-                par_am_kdj(&r, &s, k, &c, &AmKdjOptions::default(), t)
-            });
-        }
+        record("kdj", "par-am", t, &mut || {
+            par_am_kdj(&r, &s, k, cfg, &AmKdjOptions::default(), t)
+        });
     }
     // The checkpoint-overhead row: the same aggressive kdj as the "am"
     // row above, but run through the resumable episode loop, pausing
@@ -911,7 +879,7 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
     // Comparing its wall time against "am" prices checkpointing.
     let ckpt_path =
         std::env::temp_dir().join(format!("amdj-bench-ckpt-{}.snap", std::process::id()));
-    record("kdj", "am-ckpt", 1, false, "locality", &mut || {
+    record("kdj", "am-ckpt", 1, &mut || {
         let mut resume = None;
         let mut written = 0u64;
         loop {
@@ -932,7 +900,7 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
         }
     });
     let _ = std::fs::remove_file(&ckpt_path);
-    record("idj", "hs", 1, false, "locality", &mut || {
+    record("idj", "hs", 1, &mut || {
         let mut cursor = HsIdj::new(&r, &s, cfg);
         let mut results = Vec::with_capacity(k);
         while results.len() < k {
@@ -946,7 +914,7 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
             stats: cursor.stats(),
         }
     });
-    record("idj", "am", 1, false, "locality", &mut || {
+    record("idj", "am", 1, &mut || {
         let mut cursor = AmIdj::new(&r, &s, cfg, AmIdjOptions::default());
         let mut results = Vec::with_capacity(k);
         while results.len() < k {
@@ -961,11 +929,9 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
         }
     });
     for t in thread_counts {
-        for (steal, part, c) in sched_cells(t) {
-            record("idj", "par-am", t, steal, part, &mut || {
-                par_am_idj(&r, &s, k, &c, &AmIdjOptions::default(), t)
-            });
-        }
+        record("idj", "par-am", t, &mut || {
+            par_am_idj(&r, &s, k, cfg, &AmIdjOptions::default(), t)
+        });
     }
     // The serve section: 144 concurrent mixed queries — one-shot KDJ
     // at several knob settings plus pull-driven IDJ cursors — driven
@@ -995,7 +961,6 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
                 spec: QuerySpec {
                     aggressive: false,
                     threads: 2,
-                    ..QuerySpec::default()
                 },
             },
             2 => ServeKind::Idj {
@@ -1017,16 +982,14 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
         .iter()
         .map(|(_, kind)| match kind {
             ServeKind::Kdj { k, spec } => {
-                let mut c = cfg.clone();
-                if let Some(steal) = spec.steal {
-                    c.steal = steal;
-                }
                 let t = (spec.threads as usize).max(1);
                 match (spec.aggressive, t > 1) {
-                    (true, false) => am_kdj(&r, &s, *k, &c, &AmKdjOptions::default()).results,
-                    (true, true) => par_am_kdj(&r, &s, *k, &c, &AmKdjOptions::default(), t).results,
-                    (false, false) => b_kdj(&r, &s, *k, &c).results,
-                    (false, true) => par_b_kdj(&r, &s, *k, &c, t).results,
+                    (true, false) => am_kdj(&r, &s, *k, cfg, &AmKdjOptions::default()).results,
+                    (true, true) => {
+                        par_am_kdj(&r, &s, *k, cfg, &AmKdjOptions::default(), t).results
+                    }
+                    (false, false) => b_kdj(&r, &s, *k, cfg).results,
+                    (false, true) => par_b_kdj(&r, &s, *k, cfg, t).results,
                 }
             }
             ServeKind::Idj { take, .. } => {
@@ -1156,8 +1119,6 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
             op: "serve",
             algo,
             threads,
-            steal: cfg.steal,
-            partition: "locality",
             k: kq,
             wall_time_s: *wall,
             node_accesses: 0,
@@ -1192,9 +1153,6 @@ fn kdj_request_line(id: &str, k: usize, spec: &QuerySpec) -> String {
     }
     if spec.threads != 1 {
         line.push_str(&format!(",\"threads\":{}", spec.threads));
-    }
-    if let Some(steal) = spec.steal {
-        line.push_str(&format!(",\"steal\":{steal}"));
     }
     line.push('}');
     line
@@ -1261,23 +1219,23 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
     // the partitions / partition-pair ledger columns, and the dataset
     // column, which every remaining row had as "uniform-clustered"; 11
     // removed the quantized prefilter, and with it the prefilter-off
-    // ablation row and the three columns 6 added.
-    out.push_str("  \"schema_version\": 11,\n");
+    // ablation row and the three columns 6 added; 12 removed the steal
+    // and partition columns with the scheduling switches, and with them
+    // the steal-off rows and the 8-thread round-robin rows.
+    out.push_str("  \"schema_version\": 12,\n");
     out.push_str(&format!(
         "  \"workload\": {{ \"n\": {n}, \"k\": {k}, \"seed\": {seed}, \"r\": \"uniform\", \"s\": \"clustered\" }},\n"
     ));
     out.push_str("  \"runs\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{ \"op\": \"{}\", \"algo\": \"{}\", \"query_id\": \"{}\", \"transport\": \"{}\", \"connections\": {}, \"threads\": {}, \"steal\": {}, \"partition\": \"{}\", \"k\": {}, \"wall_time_s\": {:.6}, \"node_accesses\": {}, \"pairs_computed\": {}, \"results\": {}, \"pairs_stolen\": {}, \"steal_attempts\": {}, \"barrier_idle_ns\": {}, \"buffer_hits\": {}, \"buffer_misses\": {}, \"buffer_evictions\": {}, \"buffer_hit_rate\": {:.6}, \"queue_wait_ns\": {}, \"admission_rejections\": {}, \"checkpoints_written\": {}, \"buffer_hits_by_worker\": {}, \"buffer_misses_by_worker\": {} }}{}\n",
+            "    {{ \"op\": \"{}\", \"algo\": \"{}\", \"query_id\": \"{}\", \"transport\": \"{}\", \"connections\": {}, \"threads\": {}, \"k\": {}, \"wall_time_s\": {:.6}, \"node_accesses\": {}, \"pairs_computed\": {}, \"results\": {}, \"pairs_stolen\": {}, \"steal_attempts\": {}, \"barrier_idle_ns\": {}, \"buffer_hits\": {}, \"buffer_misses\": {}, \"buffer_evictions\": {}, \"buffer_hit_rate\": {:.6}, \"queue_wait_ns\": {}, \"admission_rejections\": {}, \"checkpoints_written\": {}, \"buffer_hits_by_worker\": {}, \"buffer_misses_by_worker\": {} }}{}\n",
             row.op,
             row.algo,
             row.query_id,
             row.transport,
             row.connections,
             row.threads,
-            row.steal,
-            row.partition,
             row.k,
             row.wall_time_s,
             row.node_accesses,

@@ -20,18 +20,6 @@ pub struct JoinConfig {
     /// When `false` the queue always splits at the median key (the
     /// ablation of the paper's boundary-selection contribution).
     pub eq3_queue_boundaries: bool,
-    /// Let parallel workers steal frontier pairs (and stage-two work
-    /// items) from loaded peers instead of idling at the stage barrier
-    /// once their own partition drains. Results are bit-identical either
-    /// way; the switch exists so benches can compare against the static
-    /// round-robin partitioning and so `JoinStats::pairs_stolen` can be
-    /// pinned to zero in tests.
-    pub steal: bool,
-    /// How parallel backends carve a batch of work (frontier seeds,
-    /// stage-two leftovers, compensation entries) into per-worker shares.
-    /// Results are bit-identical under every choice; the switch trades
-    /// buffer locality against nothing but bench ablation clarity.
-    pub partition: Partition,
 }
 
 impl Default for JoinConfig {
@@ -42,8 +30,6 @@ impl Default for JoinConfig {
             optimize_axis: true,
             optimize_direction: true,
             eq3_queue_boundaries: true,
-            steal: true,
-            partition: Partition::Locality,
         }
     }
 }
@@ -57,8 +43,6 @@ impl JoinConfig {
             optimize_axis: true,
             optimize_direction: true,
             eq3_queue_boundaries: true,
-            steal: true,
-            partition: Partition::Locality,
         }
     }
 
@@ -69,23 +53,6 @@ impl JoinConfig {
             ..JoinConfig::default()
         }
     }
-}
-
-/// How parallel backends split a batch of work items across workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Partition {
-    /// Deal items round-robin in priority order. Every worker sees a
-    /// representative slice of the whole batch — and, with it, the whole
-    /// data space, so concurrent workers churn each other's buffer pages.
-    /// Kept for ablation.
-    RoundRobin,
-    /// Order items by a Z-order (Morton) key of each pair's combined-MBR
-    /// centroid and hand each worker one contiguous run, balanced by
-    /// estimated expansion cost. Spatially close work lands on the same
-    /// worker, so the node pages it touches stay hot in the shared
-    /// buffer; the default.
-    #[default]
-    Locality,
 }
 
 /// How a new `eDmax` estimate is derived from partial results (§4.3.2).

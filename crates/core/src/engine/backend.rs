@@ -4,17 +4,14 @@
 //! [`Sequential`] runs one [`ExpansionDriver`] (or one
 //! [`StageDriver`](super::stage::StageDriver)) to completion.
 //! [`Parallel`] runs the claim-round scheduler of the
-//! [`steal`](super::steal) module: the frontier lives in per-worker
-//! ascending deques that workers claim prefixes of, and — when
-//! [`JoinConfig::steal`] is on, the default — drained workers steal the
-//! tail half of a loaded peer's claimable prefix instead of idling at the
-//! stage barrier. With stealing off the same scheduler runs without peer
-//! probes: each worker consumes only its own statically partitioned
-//! deque, `JoinStats::pairs_stolen`/`steal_attempts` stay zero, and
-//! [`JoinStats::barrier_idle_ns`] measures the idle time the static
-//! split imposes. Either way the path is the checkpointable one — a
-//! fired [`PauseCtl`](super::checkpoint::PauseCtl) drains every worker
-//! into one canonical frontier snapshot (DESIGN.md §9).
+//! [`steal`](super::steal) module: the frontier is dealt round-robin into
+//! per-worker ascending deques that workers claim prefixes of, and
+//! drained workers steal the tail half of a loaded peer's claimable
+//! prefix instead of idling at the stage barrier
+//! ([`JoinStats::barrier_idle_ns`] measures what idle time remains). The
+//! path is the checkpointable one — a fired
+//! [`PauseCtl`](super::checkpoint::PauseCtl) drains every worker into one
+//! canonical frontier snapshot (DESIGN.md §9).
 //!
 //! # Exactness of the parallel backend
 //!
@@ -45,15 +42,13 @@
 //! bookkeeping in a *per-worker* compensation queue (no contention). When
 //! every worker has finished its aggressive stage, the leftovers — parked
 //! compensation entries and unprocessed main-queue pairs — are pooled,
-//! pruned against the now-tight shared bound, redistributed by the
-//! configured [`partition`](super::partition) mode,
+//! pruned against the now-tight shared bound, redistributed round-robin,
 //! and replayed by a second parallel stage whose cutoffs are exact
 //! (`min(qDmax, shared)`), preserving the no-false-dismissals guarantee.
 //! The stage-two workers' distance queues are pre-seeded (uncounted) with
 //! the pooled k smallest stage-one distances, so their `qDmax` starts
 //! tight instead of at infinity.
 //!
-//! [`JoinConfig::steal`]: crate::JoinConfig::steal
 //! [`JoinStats::barrier_idle_ns`]: crate::JoinStats::barrier_idle_ns
 //! [`MinBound`]: super::bound::MinBound
 
@@ -151,9 +146,7 @@ impl ExecBackend for Sequential {
 /// [`MinBound`](super::bound::MinBound), with pooled compensation queues
 /// between the stages. `threads == 0` uses
 /// [`std::thread::available_parallelism`]. Workers steal from each other
-/// unless [`JoinConfig::steal`](crate::JoinConfig::steal) turns the
-/// dynamic scheduling off (the claim-round machinery then runs without
-/// peer probes — see the module docs).
+/// (see the module docs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Parallel {
     /// Worker count; `0` resolves to the machine's available parallelism.

@@ -24,7 +24,6 @@ mod backend;
 mod bound;
 mod checkpoint;
 mod driver;
-mod partition;
 mod policy;
 mod snapshot;
 mod stage;

@@ -1,22 +1,18 @@
-//! The claim-round execution path of the [`Parallel`] backend — with
-//! peer stealing on ([`JoinConfig::steal`], the default) or off.
+//! The claim-round execution path of the [`Parallel`] backend: work
+//! stealing over a round-robin split.
 //!
 //! A statically partitioned frontier lets a drained worker idle at the
 //! stage barrier — on skewed frontiers (a clustered partition next to a
 //! uniform one) that idle time dominates wall clock. Here the frontier
-//! lives in a [`StealPool`]: one deque per worker, each sorted ascending
-//! by key. A worker repeatedly *claims* a prefix of its own deque and
-//! runs its driver over it; once its deque holds nothing below its claim
-//! bound it scans the peers (most-loaded first) and steals the *tail*
-//! half of a victim's claimable prefix — the victim keeps the near pairs
-//! it is about to process, the thief takes the far ones. With
-//! [`JoinConfig::steal`] off the peer scan is disabled: each worker
-//! consumes exactly its own statically partitioned deque (incrementally,
-//! through the same claim rounds) and idles once it drains, which is the
-//! static-partitioning ablation `JoinStats::pairs_stolen == 0` pins.
-//! Both modes share every other line — including the
-//! drain-to-canonical-frontier suspend path, so `steal=false` joins are
-//! checkpointable too.
+//! lives in a [`StealPool`]: one deque per worker, dealt round-robin from
+//! the key-sorted batch ([`round_robin`]) so each stays ascending by key.
+//! A worker repeatedly *claims* a prefix of its own deque and runs its
+//! driver over it; once its deque holds nothing below its claim bound it
+//! scans the peers (most-loaded first) and steals the *tail* half of a
+//! victim's claimable prefix — the victim keeps the near pairs it is
+//! about to process, the thief takes the far ones. The same path is the
+//! checkpointable one: a fired pause drains every worker into one
+//! canonical frontier snapshot.
 //!
 //! # Why dynamic claiming stays exact
 //!
@@ -40,19 +36,15 @@
 //!   and the incremental join that bound clamps to a published `qDmax` —
 //!   the k-th smallest of k real pair distances, hence an upper bound on
 //!   the global `Dmax(k)` — so the seeds are provably outside the answer.
-//!   With stealing off the same holds per deque: a seed left in worker
-//!   `w`'s deque can only ever be processed by `w`, and `w` rejected it
-//!   against its own `qDmax`-clamped exit bound, which upper-bounds the
-//!   global `Dmax(k)` all by itself. For aggressive stage one the bound
-//!   is the (ratcheted) `eDmax`, which proves nothing; unclaimed seeds
-//!   are routed to stage two as [`Work::Unclaimed`] items instead of
-//!   being dropped.
+//!   For aggressive stage one the bound is the (ratcheted) `eDmax`,
+//!   which proves nothing; unclaimed seeds are routed to stage two as
+//!   [`Work::Unclaimed`] items instead of being dropped.
 //!
 //! # Counter discipline
 //!
 //! Pool seeds are counted as main-queue insertions when a worker claims
 //! them (its driver's `seed_counted` / `push_seeds`) — each seed is
-//! claimed exactly once, so totals match the static path. Stage-two items
+//! claimed exactly once, so each is counted exactly once. Stage-two items
 //! know their history: [`Work::Fresh`] and [`Work::Comp`] were counted by
 //! the stage-one worker that first enqueued them and re-enter uncounted;
 //! [`Work::Unclaimed`] seeds never entered any queue and are counted on
@@ -72,7 +64,6 @@
 //! ratchet — while every decision stays reproducible.
 //!
 //! [`Parallel`]: super::backend::Parallel
-//! [`JoinConfig::steal`]: crate::JoinConfig::steal
 //! [`ExpansionDriver::run_stage_one_stealing`]: ExpansionDriver::run_stage_one_stealing
 //! [`run_stage_two_stealing`]: ExpansionDriver::run_stage_two_stealing
 
@@ -80,7 +71,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use amdj_geom::Rect;
 use amdj_rtree::RTree;
 
 use crate::stats::{Baseline, WorkerBufferSpan};
@@ -92,7 +82,6 @@ use super::backend::{barrier_idle, seed_frontier, sort_canonical};
 use super::bound::MinBound;
 use super::checkpoint::{Checkpointed, PauseCtl};
 use super::driver::{ExpansionDriver, StageOnePool};
-use super::partition::{partition, PartitionItem};
 use super::policy::PruningPolicy;
 use super::snapshot::{EngineSnapshot, SnapshotKind};
 use super::stage::{IdjSuspend, StageDriver, Step};
@@ -226,20 +215,18 @@ impl<T> StealPool<T> {
         (Vec::new(), attempts)
     }
 
-    /// Whether worker `w` could still claim an item keyed at or below
-    /// `bound`: from its own deque, or — with `steal` on — from any
-    /// peer's. Deques are ascending, so their fronts decide.
-    fn has_claimable(&self, w: usize, bound: f64, steal: bool) -> bool {
-        (0..self.deques.len())
-            .filter(|&v| steal || v == w)
-            .any(|v| {
-                self.lens[v].load(Ordering::Relaxed) != 0
-                    && self.deques[v]
-                        .lock()
-                        .expect("steal-pool deque poisoned")
-                        .front()
-                        .is_some_and(|t| (self.key)(t) <= bound)
-            })
+    /// Whether any worker could still claim an item keyed at or below
+    /// `bound`, from its own deque or by stealing. Deques are ascending,
+    /// so their fronts decide.
+    fn has_claimable(&self, bound: f64) -> bool {
+        (0..self.deques.len()).any(|v| {
+            self.lens[v].load(Ordering::Relaxed) != 0
+                && self.deques[v]
+                    .lock()
+                    .expect("steal-pool deque poisoned")
+                    .front()
+                    .is_some_and(|t| (self.key)(t) <= bound)
+        })
     }
 
     /// Everything no worker claimed, in worker order.
@@ -251,33 +238,37 @@ impl<T> StealPool<T> {
     }
 }
 
+/// Splits `items` (sorted ascending by key) into exactly `buckets`
+/// per-worker shares by dealing them round-robin: bucket `i % buckets`
+/// gets item `i`, so every share stays ascending. One bucket hands the
+/// batch over unchanged, which is what lets a one-thread run replay the
+/// sequential join counter for counter; it returns early so a resumed
+/// one-thread episode does not copy its whole frontier.
+fn round_robin<T>(items: Vec<T>, buckets: usize) -> Vec<Vec<T>> {
+    if buckets <= 1 {
+        return vec![items];
+    }
+    let mut out: Vec<Vec<T>> = (0..buckets).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        out[i % buckets].push(item);
+    }
+    out
+}
+
 /// One claim round: the worker's own deque first, then a full steal scan
 /// (`forced` inverts the order — and falls back to own work, so a forced
 /// decision can never fabricate an early exit). `None` means both the own
 /// claim and a scan of every peer found nothing at or below `bound`:
 /// since the pool only shrinks, the worker may exit.
-///
-/// With `steal` off the round never probes a peer (and ignores `forced`,
-/// which only makes sense with stealing): the worker claims its own
-/// statically partitioned deque incrementally and exits once *it* holds
-/// nothing at or below `bound` — sound, because no other worker can
-/// process that deque either, and the bound itself justifies dropping
-/// what remains (module docs).
-#[allow(clippy::too_many_arguments)]
 fn claim_round<T>(
     pool: &StealPool<T>,
     w: usize,
     bound: f64,
     all_own: bool,
     forced: bool,
-    steal: bool,
     stolen: &mut u64,
     attempts: &mut u64,
 ) -> Option<Vec<T>> {
-    if !steal {
-        let own = pool.claim_own(w, bound, all_own);
-        return if own.is_empty() { None } else { Some(own) };
-    }
     if !forced {
         let own = pool.claim_own(w, bound, all_own);
         if !own.is_empty() {
@@ -299,9 +290,9 @@ fn claim_round<T>(
     None
 }
 
-/// The stealing path oversplits the frontier more than the static one
-/// (`8×` threads): dynamic balancing thrives on fine granularity, and a
-/// claim moves a whole prefix at once so per-seed overhead stays small.
+/// The frontier is oversplit to `8×` threads: dynamic balancing thrives
+/// on fine granularity, and a claim moves a whole prefix at once so
+/// per-seed overhead stays small.
 /// One thread keeps the single root seed so the lone worker replays the
 /// sequential join exactly.
 fn frontier_target(threads: usize) -> usize {
@@ -362,7 +353,6 @@ fn stage_one_worker<const D: usize, P: PruningPolicy>(
             bound,
             false,
             forced,
-            cfg.steal,
             &mut drv.stats.pairs_stolen,
             &mut drv.stats.steal_attempts,
         ) else {
@@ -397,30 +387,12 @@ fn work_key<const D: usize>(w: &Work<D>) -> f64 {
     }
 }
 
-impl<const D: usize> PartitionItem<D> for Work<D> {
-    fn order_key(&self) -> f64 {
-        work_key(self)
-    }
-    fn region(&self) -> Rect<D> {
-        match self {
-            Work::Fresh(p) | Work::Unclaimed(p) => p.region(),
-            Work::Comp(e) => e.region(),
-        }
-    }
-    fn cost(&self) -> u64 {
-        match self {
-            Work::Fresh(p) | Work::Unclaimed(p) => PartitionItem::cost(p),
-            Work::Comp(e) => PartitionItem::cost(e),
-        }
-    }
-}
-
 /// One stage-two worker: exact cutoffs, distance queue pre-seeded
 /// (uncounted) with the pooled stage-one distances. The *first* claim
-/// takes the worker's entire own deque — mirroring the static path's
-/// whole-partition seeding, which is what keeps one-thread runs
-/// counter-identical — later claims (after steals) use the exact
-/// `qDmax`-clamped bound.
+/// takes the worker's entire own deque — the sequential join seeds its
+/// stage two with everything at once, and doing the same is what keeps
+/// one-thread runs counter-identical — later claims (after steals) use
+/// the exact `qDmax`-clamped bound.
 ///
 /// Returns through [`StageOnePool`]: a normally finished worker comes
 /// back with empty `leftovers`/`comps` (exactly `finish`'s accounting),
@@ -470,7 +442,6 @@ fn stage_two_worker<const D: usize>(
             bound,
             first,
             forced,
-            cfg.steal,
             &mut drv.stats.pairs_stolen,
             &mut drv.stats.steal_attempts,
         ) else {
@@ -516,18 +487,18 @@ enum PumpEnd {
 /// compensation entries, which sit just above `eDmax` — so an empty
 /// stage locally says nothing about the stage globally. The pump
 /// therefore stops with [`PumpEnd::Deferred`] instead of raising `eDmax`
-/// while the pool (the worker's own deque, plus its peers' when
-/// `steal`ing) still holds a seed at or below the clamped cutoff, and
-/// advances only once none remains.
+/// while the pool (the worker's own deque or any peer's it could steal
+/// from) still holds a seed at or below the clamped cutoff, and advances
+/// only once none remains.
 fn pump_idj<const D: usize>(
     cursor: &mut StageDriver<'_, D>,
     distq: &mut DistanceQueue,
     shared: &MinBound,
     results: &mut Vec<ResultPair>,
     tightenings: &mut u64,
-    (pool, w, steal): (&StealPool<Pair<D>>, usize, bool),
+    pool: &StealPool<Pair<D>>,
 ) -> PumpEnd {
-    let hold = |cutoff: f64| pool.has_claimable(w, cutoff, steal);
+    let hold = |cutoff: f64| pool.has_claimable(cutoff);
     loop {
         // The cursor's minimum queue key lower-bounds every future
         // emission: stop before doing the work once it passes the
@@ -619,14 +590,13 @@ fn idj_worker<const D: usize>(
     let mut tightenings = 0u64;
     let (mut stolen, mut attempts) = (0u64, 0u64);
     let mut step = 0u64;
-    let claimable = (pool, w, cfg.steal);
     let mut end = pump_idj(
         &mut cursor,
         &mut distq,
         shared,
         &mut results,
         &mut tightenings,
-        claimable,
+        pool,
     );
     while end != PumpEnd::Paused {
         if pause.is_some_and(|p| p.should_pause()) {
@@ -644,16 +614,7 @@ fn idj_worker<const D: usize>(
             PumpEnd::Deferred => cursor.clamped_edmax(),
             _ => shared.get(),
         };
-        let claimed = claim_round(
-            pool,
-            w,
-            bound,
-            false,
-            forced,
-            cfg.steal,
-            &mut stolen,
-            &mut attempts,
-        );
+        let claimed = claim_round(pool, w, bound, false, forced, &mut stolen, &mut attempts);
         match claimed {
             Some(claimed) => cursor.push_seeds(claimed),
             // Lost the race for the seed the deferral was waiting on: the
@@ -668,7 +629,7 @@ fn idj_worker<const D: usize>(
             shared,
             &mut results,
             &mut tightenings,
-            claimable,
+            pool,
         );
     }
     let (mut stats, queue_io, suspend) = if end == PumpEnd::Paused {
@@ -685,8 +646,8 @@ fn idj_worker<const D: usize>(
     (results, stats, queue_io, suspend)
 }
 
-/// The stealing k-distance join: [`Parallel::run_kdj`] with the static
-/// partitioning replaced by [`StealPool`] claim rounds. `threads` is
+/// The stealing k-distance join: [`Parallel::run_kdj`] as
+/// [`StealPool`] claim rounds. `threads` is
 /// already resolved. A thin shell over [`run_kdj_ckpt`] with no pause
 /// control and no snapshot — the uninterrupted join *is* the resumable
 /// join with the checkpoint machinery idle.
@@ -709,7 +670,7 @@ pub(crate) fn run_kdj<const D: usize, P: PruningPolicy>(
 
 /// The checkpointable k-distance join. Without `resume` it starts from
 /// the root frontier; with it, from the snapshot's cut (stage 1 resumes
-/// re-partition the saved frontier, stage 2 resumes rebuild the
+/// re-split the saved frontier, stage 2 resumes rebuild the
 /// [`Work`] pool from the saved frontier and compensation entries).
 /// Without `pause` it always returns [`Checkpointed::Done`]; with one,
 /// a fired pause drains every worker and the shared pool into one
@@ -776,7 +737,7 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                 None => seed_frontier(r, s, cfg, frontier_target(threads), &mut stats),
             };
             frontier.sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist));
-            let seeds = partition(frontier, threads, cfg.partition);
+            let seeds = round_robin(frontier, threads);
             let pool = StealPool::new(seeds, |p: &Pair<D>| p.dist);
 
             // ---- Stage one: claim rounds over the frontier pool ----
@@ -827,7 +788,7 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
             comps.extend(aside_comps);
             dists.extend(aside_dists);
             // Pooled k-th smallest stage-one distance: the tightest proven
-            // bound stage one produced (see the static path). Every entry
+            // bound stage one produced. Every entry
             // is the distance of a *distinct* emitted pair (workers never
             // re-insert resumed pairs), so the k-th is a true upper bound
             // on the global Dmax(k).
@@ -924,9 +885,9 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
             stats.stages = 2;
             // Stable: parked compensation entries share equal keys en
             // masse (all at `eDmax.next_up()`), and one-thread parity
-            // with the static path needs their original order kept.
+            // with the sequential join needs their original order kept.
             work.sort_by(|a, b| work_key(a).total_cmp(&work_key(b)));
-            let wpool = StealPool::new(partition(work, threads, cfg.partition), work_key);
+            let wpool = StealPool::new(round_robin(work, threads), work_key);
             let dists = &dists[..];
             let t0 = std::time::Instant::now();
             let outputs = {
@@ -1013,8 +974,8 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
     Checkpointed::Done(JoinOutput { results, stats })
 }
 
-/// The stealing incremental join: [`Parallel::run_idj`] with claim rounds
-/// in place of the static seed partitioning. A thin shell over
+/// The stealing incremental join: [`Parallel::run_idj`] as claim rounds
+/// over the seed pool. A thin shell over
 /// [`run_idj_ckpt`] with the checkpoint machinery idle.
 ///
 /// [`Parallel::run_idj`]: super::backend::Parallel
@@ -1092,9 +1053,9 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
             None => seed_frontier(r, s, cfg, frontier_target(threads), &mut stats),
         };
         frontier.sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist));
-        let seeds = partition(frontier, threads, cfg.partition);
+        let seeds = round_robin(frontier, threads);
         let pool = StealPool::new(seeds, |p: &Pair<D>| p.dist);
-        let comp_shares = partition(snap_comps, threads, cfg.partition);
+        let comp_shares = round_robin(snap_comps, threads);
         let seed_dists = &seed_dists[..];
         let shared = &shared;
         let t0 = std::time::Instant::now();
@@ -1183,4 +1144,34 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
     stats.results = results.len() as u64;
     baseline.finish(r, s, &mut stats, queue_io);
     Checkpointed::Done(JoinOutput { results, stats })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::round_robin;
+
+    #[test]
+    fn round_robin_one_bucket_is_a_passthrough() {
+        let items: Vec<u32> = (0..7).map(|i| i * 3).collect();
+        // One bucket hands the batch over unchanged (one-thread parity).
+        assert_eq!(round_robin(items.clone(), 1), vec![items]);
+    }
+
+    #[test]
+    fn round_robin_shares_are_exact_ascending_and_lossless() {
+        let items: Vec<u32> = (0..23).map(|i| i * 3).collect();
+        for buckets in [2usize, 3, 8, 40] {
+            let shares = round_robin(items.clone(), buckets);
+            assert_eq!(shares.len(), buckets);
+            for share in &shares {
+                assert!(
+                    share.windows(2).all(|w| w[0] <= w[1]),
+                    "share must stay ascending by key"
+                );
+            }
+            let mut all: Vec<u32> = shares.into_iter().flatten().collect();
+            all.sort_unstable();
+            assert_eq!(all, items, "every item lands in exactly one share");
+        }
+    }
 }

@@ -86,7 +86,7 @@ pub use amidj::AmIdj;
 pub use amkdj::am_kdj;
 pub use bkdj::b_kdj;
 pub use concurrent::{par_am_idj, par_am_kdj, par_b_kdj};
-pub use config::{AmIdjOptions, AmKdjOptions, Correction, EdmaxPolicy, JoinConfig, Partition};
+pub use config::{AmIdjOptions, AmKdjOptions, Correction, EdmaxPolicy, JoinConfig};
 pub use distq::DistanceQueue;
 pub use engine::{
     idj_resumable, kdj_resumable, read_checkpoint, write_checkpoint, Checkpointed, EngineSnapshot,

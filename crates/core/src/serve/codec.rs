@@ -23,8 +23,8 @@
 //! ```
 //!
 //! Join-bearing ops (`kdj`, `idj_open`, `idj_resume`) accept the
-//! optional per-query knobs `aggressive` (default `true`), `threads`
-//! (default 1) and `steal`; unknown keys, such as the `partitions` older
+//! optional per-query knobs `aggressive` (default `true`) and `threads`
+//! (default 1); unknown keys, such as the `partitions` and `steal` older
 //! clients may still send, are ignored. Cursor snapshots travel as
 //! lowercase hex of the [`EngineSnapshot`](crate::EngineSnapshot) wire
 //! format.
@@ -49,8 +49,6 @@ pub struct QuerySpec {
     pub aggressive: bool,
     /// Worker threads for this query. Default 1.
     pub threads: u64,
-    /// Work stealing override (`None` = server default).
-    pub steal: Option<bool>,
 }
 
 impl Default for QuerySpec {
@@ -58,7 +56,6 @@ impl Default for QuerySpec {
         QuerySpec {
             aggressive: true,
             threads: 1,
-            steal: None,
         }
     }
 }
@@ -446,7 +443,6 @@ impl Fields {
                 .bool_opt("aggressive", "boolean field `aggressive`")?
                 .unwrap_or(true),
             threads: self.uint_or("threads", "unsigned field `threads`", 1)?,
-            steal: self.bool_opt("steal", "boolean field `steal`")?,
         })
     }
 }
@@ -526,9 +522,6 @@ impl Request {
                 ",\"aggressive\":{},\"threads\":{}",
                 spec.aggressive, spec.threads
             ));
-            if let Some(steal) = spec.steal {
-                out.push_str(&format!(",\"steal\":{steal}"));
-            }
         }
         let mut out = String::new();
         match self {
@@ -847,7 +840,6 @@ mod tests {
                 spec: QuerySpec {
                     aggressive: false,
                     threads: 4,
-                    steal: Some(true),
                 },
             },
             Request::IdjOpen {

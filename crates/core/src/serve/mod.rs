@@ -67,8 +67,7 @@ pub struct ServeOptions {
     /// error. Default: 4× the machine's available parallelism, at
     /// least 16.
     pub max_threads: u64,
-    /// The engine configuration queries start from (per-query knobs
-    /// override `steal`).
+    /// The engine configuration every query runs under.
     pub base_config: JoinConfig,
     /// Incremental-join stage schedule options.
     pub idj_opts: AmIdjOptions,
@@ -245,18 +244,6 @@ impl<'t, const D: usize> Server<'t, D> {
         Ok(())
     }
 
-    /// The per-query engine configuration: the base config with the
-    /// request's overrides applied. `steal` is only touched when the
-    /// request actually carries it; an omitted knob keeps whatever the
-    /// server's base config says.
-    fn config_for(&self, spec: &QuerySpec) -> JoinConfig {
-        let mut cfg = self.opts.base_config.clone();
-        if let Some(steal) = spec.steal {
-            cfg.steal = steal;
-        }
-        cfg
-    }
-
     /// Admission cost of one query under `cfg` — the engine's own
     /// queue memory budget, the unit the paper bounds a join by.
     fn cost_of(&self, cfg: &JoinConfig) -> u64 {
@@ -309,8 +296,8 @@ impl<'t, const D: usize> Server<'t, D> {
         spec: &QuerySpec,
     ) -> Result<(JoinOutput, QueryReport), ServeError> {
         self.check_spec(spec)?;
-        let cfg = self.config_for(spec);
-        let guard = self.admit(self.cost_of(&cfg))?;
+        let cfg = &self.opts.base_config;
+        let guard = self.admit(self.cost_of(cfg))?;
         let threads = (spec.threads as usize).max(1);
         let out = if spec.aggressive {
             if threads > 1 {
@@ -318,17 +305,17 @@ impl<'t, const D: usize> Server<'t, D> {
                     self.r,
                     self.s,
                     k,
-                    &cfg,
+                    cfg,
                     &Aggressive::default(),
                     &Parallel::new(threads),
                 )
             } else {
-                engine::kdj(self.r, self.s, k, &cfg, &Aggressive::default(), &Sequential)
+                engine::kdj(self.r, self.s, k, cfg, &Aggressive::default(), &Sequential)
             }
         } else if threads > 1 {
-            engine::kdj(self.r, self.s, k, &cfg, &Exact, &Parallel::new(threads))
+            engine::kdj(self.r, self.s, k, cfg, &Exact, &Parallel::new(threads))
         } else {
-            engine::kdj(self.r, self.s, k, &cfg, &Exact, &Sequential)
+            engine::kdj(self.r, self.s, k, cfg, &Exact, &Sequential)
         };
         let wait_ns = guard.queue_wait_ns;
         drop(guard);
@@ -372,15 +359,15 @@ impl<'t, const D: usize> Server<'t, D> {
     /// episodes under admission control until the window is stable.
     pub fn idj_pull(&self, id: &str, n: usize) -> Result<Pull, ServeError> {
         let mut cursor = self.cursors.checkout(id)?;
-        let cfg = self.config_for(cursor.spec());
-        let outcome = match self.admit(self.cost_of(&cfg)) {
+        let cfg = &self.opts.base_config;
+        let outcome = match self.admit(self.cost_of(cfg)) {
             Err(e) => Err(e),
             Ok(guard) => {
                 cursor.queue_wait_ns += guard.queue_wait_ns;
                 let res = cursor.pull(
                     self.r,
                     self.s,
-                    &cfg,
+                    cfg,
                     &self.opts.idj_opts,
                     self.opts.episode_expansions,
                     n,
@@ -416,8 +403,8 @@ impl<'t, const D: usize> Server<'t, D> {
     /// position. The cursor stays open.
     pub fn idj_checkpoint(&self, id: &str) -> Result<(Vec<u8>, u64), ServeError> {
         let mut cursor = self.cursors.checkout(id)?;
-        let cfg = self.config_for(cursor.spec());
-        let outcome = cursor.checkpoint(self.r, self.s, &cfg, &self.opts.idj_opts);
+        let cfg = &self.opts.base_config;
+        let outcome = cursor.checkpoint(self.r, self.s, cfg, &self.opts.idj_opts);
         self.cursors.checkin(id, cursor);
         outcome
     }
@@ -457,9 +444,9 @@ impl<'t, const D: usize> Server<'t, D> {
             let mut manifest = String::new();
             let mut ids = Vec::new();
             for (id, cursor) in cursors.iter_mut() {
-                let cfg = self.config_for(cursor.spec());
+                let cfg = &self.opts.base_config;
                 let (bytes, delivered) = cursor
-                    .checkpoint(self.r, self.s, &cfg, &self.opts.idj_opts)
+                    .checkpoint(self.r, self.s, cfg, &self.opts.idj_opts)
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
                 write_atomic(&dir.join(snap_file_name(id)), &bytes)?;
                 manifest.push_str(&format!(

@@ -165,11 +165,6 @@ impl<const D: usize> Cursor<D> {
         self.take
     }
 
-    /// The engine knobs the cursor runs with.
-    pub fn spec(&self) -> &QuerySpec {
-        &self.spec
-    }
-
     /// Runs one resumable episode of at most `episode_expansions`
     /// expansions (`0` = run to completion), advancing the state.
     fn run_episode(

@@ -45,8 +45,7 @@ pub struct JoinStats {
     pub bound_tightenings: u64,
     /// Work items (frontier pairs, stage-two pairs, compensation entries)
     /// a parallel worker took from a peer's deque instead of idling
-    /// (work-stealing backend only; zero when `JoinConfig::steal` is off
-    /// or a single worker runs).
+    /// (parallel joins only; zero when a single worker runs).
     pub pairs_stolen: u64,
     /// Steal probes: how often a drained worker locked a peer's deque
     /// looking for work, successful or not.
@@ -82,9 +81,9 @@ pub struct JoinStats {
     /// from cross-run parity comparisons.
     pub buffer_evictions: u64,
     /// Per-worker buffer hits: slot `w` belongs to parallel worker `w`
-    /// (workers past [`MAX_TRACKED_WORKERS`] fold into the last slot).
-    /// The cache-residency figure locality partitioning exists to
-    /// improve. Sequential joins leave the array zero — their fetches
+    /// (workers past [`MAX_TRACKED_WORKERS`] fold into the last slot):
+    /// how each worker's share of the frontier fared in the shared node
+    /// buffer. Sequential joins leave the array zero — their fetches
     /// appear only in [`Self::buffer_hits`].
     pub buffer_hits_by_worker: [u64; MAX_TRACKED_WORKERS],
     /// Per-worker buffer misses, laid out like

@@ -235,20 +235,12 @@ proptest! {
         for aggressive in [false, true] {
             let reference = canonical(uninterrupted_kdj(&r, &s, k, aggressive).results);
             for cycle in CYCLES {
-                // steal=false is the static-partition backend: it rides
-                // the same drain-to-canonical-frontier suspend path, so
-                // it must be just as resumable (forced steals in the
-                // schedule are ignored when stealing is off).
-                for steal in [true, false] {
-                    let cfg = JoinConfig { steal, ..JoinConfig::unbounded() };
-                    let (out, _log) =
-                        kdj_episodes(&r, &s, k, &cfg, aggressive, budget, cycle, schedule);
-                    let label = format!(
-                        "kdj agg={aggressive} steal={steal} budget={budget} \
-                         cycle={cycle:?} seed={seed}"
-                    );
-                    assert_identical(&label, &reference, &canonical(out.results))?;
-                }
+                let cfg = JoinConfig::unbounded();
+                let (out, _log) =
+                    kdj_episodes(&r, &s, k, &cfg, aggressive, budget, cycle, schedule);
+                let label =
+                    format!("kdj agg={aggressive} budget={budget} cycle={cycle:?} seed={seed}");
+                assert_identical(&label, &reference, &canonical(out.results))?;
             }
         }
     }
@@ -283,13 +275,9 @@ proptest! {
             force_steal_one_in: 3,
         });
         for cycle in CYCLES {
-            for steal in [true, false] {
-                let cfg = JoinConfig { steal, ..JoinConfig::unbounded() };
-                let (out, _log) =
-                    idj_episodes(&r, &s, take, &cfg, &opts, budget, cycle, schedule);
-                let label = format!("idj steal={steal} budget={budget} cycle={cycle:?} seed={seed}");
-                assert_identical(&label, &reference, &canonical(out.results))?;
-            }
+            let (out, _log) = idj_episodes(&r, &s, take, &cfg, &opts, budget, cycle, schedule);
+            let label = format!("idj budget={budget} cycle={cycle:?} seed={seed}");
+            assert_identical(&label, &reference, &canonical(out.results))?;
         }
     }
 }
@@ -344,26 +332,6 @@ fn interrupts_land_in_both_stages() {
         "no snapshot was cut in stage two: {:?}",
         log.stages
     );
-}
-
-/// The static-partition backend (steal=false) rides the same
-/// drain-to-canonical-frontier suspend path as the stealing one: an
-/// interrupted static run resumes bit-identically across thread counts,
-/// and no episode ever steals a pair.
-#[test]
-fn static_backend_checkpoint_resume_bit_identical() {
-    let (r, s) = trees(&grid(12, 0.4), &grid(12, 1.3));
-    let k = 120;
-    let reference = canonical(uninterrupted_kdj(&r, &s, k, true).results);
-    let cfg = JoinConfig {
-        steal: false,
-        ..JoinConfig::unbounded()
-    };
-    let (out, log) = kdj_episodes(&r, &s, k, &cfg, true, 7, &[2, 4, 1], None);
-    assert_eq!(canonical(out.results), reference);
-    assert!(log.suspensions > 0, "pause budget never fired");
-    assert_eq!(out.stats.pairs_stolen, 0, "steal=false must never steal");
-    assert_eq!(out.stats.steal_attempts, 0, "steal=false must never probe");
 }
 
 /// A snapshot survives the disk: write-then-rename out, validated read
@@ -478,34 +446,29 @@ fn resumed_idj_episodes_do_not_advance_stages_early() {
         Checkpointed::Done(out) => out,
         Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
     };
-    let sequential = uninterrupted(&JoinConfig::default(), 1).stats;
+    let cfg = JoinConfig::default();
+    let sequential = uninterrupted(&cfg, 1).stats;
     for threads in [1, 2, 4] {
-        for steal in [true, false] {
-            let cfg = JoinConfig {
-                steal,
-                ..JoinConfig::default()
-            };
-            let reference = uninterrupted(&cfg, threads);
-            let (out, log) = idj_episodes(&r, &s, take, &cfg, &opts, budget, &[threads], None);
-            let run = format!("{threads} threads, steal {steal}");
-            assert!(log.suspensions > 2, "{run}: pause barely fired");
-            assert_eq!(
-                bits(out.results),
-                bits(reference.results),
-                "{run}: resumed stream differs"
-            );
-            assert!(
-                out.stats.stages <= reference.stats.stages + 1,
-                "{run}: resumed join reached stage {} (uninterrupted: {})",
-                out.stats.stages,
-                reference.stats.stages
-            );
-            assert!(
-                log.mainq_insertions <= 6 * sequential.mainq_insertions,
-                "{run}: resumed join made {} main-queue insertions (uninterrupted, one thread: {})",
-                log.mainq_insertions,
-                sequential.mainq_insertions
-            );
-        }
+        let reference = uninterrupted(&cfg, threads);
+        let (out, log) = idj_episodes(&r, &s, take, &cfg, &opts, budget, &[threads], None);
+        let run = format!("{threads} threads");
+        assert!(log.suspensions > 2, "{run}: pause barely fired");
+        assert_eq!(
+            bits(out.results),
+            bits(reference.results),
+            "{run}: resumed stream differs"
+        );
+        assert!(
+            out.stats.stages <= reference.stats.stages + 1,
+            "{run}: resumed join reached stage {} (uninterrupted: {})",
+            out.stats.stages,
+            reference.stats.stages
+        );
+        assert!(
+            log.mainq_insertions <= 6 * sequential.mainq_insertions,
+            "{run}: resumed join made {} main-queue insertions (uninterrupted, one thread: {})",
+            log.mainq_insertions,
+            sequential.mainq_insertions
+        );
     }
 }

@@ -1,19 +1,17 @@
 //! The engine matrix: every pruning policy × execution backend × thread
-//! count × scheduling knob (work stealing on/off, locality vs round-robin
-//! partitioning) must produce the same pair set for the same query — bit
-//! for bit
+//! count must produce the same pair set for the same query — bit for bit
 //! once the only legitimate divergence (tie order at equal distance) is
 //! removed by canonical `(dist, r, s)` ordering. One property test covers
 //! what per-algorithm parity tests used to check pairwise: the policies
 //! are exercised with adversarial `eDmax` values (zero, badly under- and
 //! over-estimated) and the backends across thread counts, and every cell
 //! of the matrix is compared against both brute force and the sequential
-//! exact reference under the scheduling product. A second property runs
+//! exact reference. A second property runs
 //! the incremental driver across backends, and a third holds the matrix
 //! together under a tight spill-queue memory budget.
 
 use amdj_core::engine::{self, Aggressive, Exact, Parallel, Sequential};
-use amdj_core::{bruteforce, AmIdjOptions, JoinConfig, Partition, ResultPair};
+use amdj_core::{bruteforce, AmIdjOptions, JoinConfig, ResultPair};
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
 use amdj_storage::CostModel;
@@ -112,23 +110,6 @@ fn policy_cells(scale: f64) -> Vec<(String, Option<Option<f64>>)> {
 
 const BACKENDS: [Option<usize>; 5] = [None, Some(1), Some(2), Some(3), Some(8)];
 
-/// Scheduling knobs to sweep per backend: sequential cells ignore them
-/// (one combination suffices); parallel cells run the full
-/// steal × partition product, because both switches reroute work between
-/// workers and must never move a bit.
-fn sched_cells(threads: Option<usize>) -> &'static [(bool, Partition)] {
-    if threads.is_some() {
-        &[
-            (true, Partition::Locality),
-            (true, Partition::RoundRobin),
-            (false, Partition::Locality),
-            (false, Partition::RoundRobin),
-        ]
-    } else {
-        &[(true, Partition::Locality)]
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: amdj_tests::proptest_cases(12),
@@ -154,13 +135,9 @@ proptest! {
         let scale = want.last().map_or(1.0, |p| p.dist);
         for (name, policy) in policy_cells(scale) {
             for threads in BACKENDS {
-                for &(steal, partition) in sched_cells(threads) {
-                    let cfg = JoinConfig { steal, partition, ..JoinConfig::unbounded() };
-                    let label =
-                        format!("{name} × {threads:?} steal={steal} part={partition:?}");
-                    let got = run_cell(&r, &s, k, &cfg, policy, threads);
-                    assert_identical(&label, &reference, &got)?;
-                }
+                let label = format!("{name} × {threads:?}");
+                let got = run_cell(&r, &s, k, &cfg, policy, threads);
+                assert_identical(&label, &reference, &got)?;
             }
         }
     }
@@ -185,14 +162,11 @@ proptest! {
             prop_assert!((g.dist - w.dist).abs() < 1e-9, "{} != {}", g.dist, w.dist);
         }
         for threads in [1usize, 2, 4] {
-            for &(steal, partition) in sched_cells(Some(threads)) {
-                let cfg = JoinConfig { steal, partition, ..JoinConfig::unbounded() };
-                let got = canonical(
-                    engine::idj(&r, &s, take, &cfg, &opts, &Parallel::new(threads)).results,
-                );
-                let label = format!("idj × {threads} steal={steal} part={partition:?}");
-                assert_identical(&label, &reference, &got)?;
-            }
+            let got = canonical(
+                engine::idj(&r, &s, take, &cfg, &opts, &Parallel::new(threads)).results,
+            );
+            let label = format!("idj × {threads}");
+            assert_identical(&label, &reference, &got)?;
         }
     }
 

@@ -31,13 +31,10 @@ fn arb_id() -> impl Strategy<Value = String> {
 }
 
 fn arb_spec() -> impl Strategy<Value = QuerySpec> {
-    (any::<bool>(), 0u64..5, any::<bool>(), any::<bool>()).prop_map(
-        |(aggressive, threads, has_steal, steal)| QuerySpec {
-            aggressive,
-            threads,
-            steal: has_steal.then_some(steal),
-        },
-    )
+    (any::<bool>(), 0u64..5).prop_map(|(aggressive, threads)| QuerySpec {
+        aggressive,
+        threads,
+    })
 }
 
 fn arb_request() -> impl Strategy<Value = Request> {
@@ -200,8 +197,8 @@ fn assert_stats_line_carries_reports(
 
 /// The `stats` op surfaces each query's stage count: a kdj's from its
 /// join, a cursor's as the highest stage any of its episodes reached.
-/// A kdj from an older client that still sends `partitions` decodes,
-/// runs the same join, and lands in the same report row.
+/// A kdj from an older client that still sends `partitions` or `steal`
+/// decodes, runs the same join, and lands in the same report row.
 #[test]
 fn stats_line_reports_per_query_stages() {
     let (r, s) = trees();
@@ -210,6 +207,7 @@ fn stats_line_reports_per_query_stages() {
     for line in [
         r#"{"op":"kdj","id":"k","k":20}"#,
         r#"{"op":"kdj","id":"k","k":20,"partitions":8}"#,
+        r#"{"op":"kdj","id":"k","k":20,"steal":false}"#,
         r#"{"op":"idj_open","id":"c","take":30}"#,
         r#"{"op":"idj_pull","id":"c","n":30}"#,
     ] {
@@ -222,10 +220,14 @@ fn stats_line_reports_per_query_stages() {
             kdj_results.push(results);
         }
     }
-    assert_eq!(kdj_results.len(), 2);
+    assert_eq!(kdj_results.len(), 3);
     assert_eq!(
         kdj_results[0], kdj_results[1],
         "a stray `partitions` key changes nothing"
+    );
+    assert_eq!(
+        kdj_results[0], kdj_results[2],
+        "a stray `steal` key changes nothing"
     );
     let resp = server.stats();
     let line = resp.encode();

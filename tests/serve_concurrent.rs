@@ -44,7 +44,6 @@ fn cells(n_queries: usize, k: usize) -> Vec<(String, Kind)> {
                     spec: QuerySpec {
                         aggressive: false,
                         threads: 2,
-                        ..QuerySpec::default()
                     },
                 },
                 2 => Kind::Idj {
@@ -69,16 +68,12 @@ fn cells(n_queries: usize, k: usize) -> Vec<(String, Kind)> {
 fn serial(r: &RTree<2>, s: &RTree<2>, cfg: &JoinConfig, kind: &Kind) -> (Vec<ResultPair>, u32) {
     match kind {
         Kind::Kdj { k, spec } => {
-            let mut c = cfg.clone();
-            if let Some(steal) = spec.steal {
-                c.steal = steal;
-            }
             let t = (spec.threads as usize).max(1);
             let out = match (spec.aggressive, t > 1) {
-                (true, false) => am_kdj(r, s, *k, &c, &AmKdjOptions::default()),
-                (true, true) => par_am_kdj(r, s, *k, &c, &AmKdjOptions::default(), t),
-                (false, false) => b_kdj(r, s, *k, &c),
-                (false, true) => par_b_kdj(r, s, *k, &c, t),
+                (true, false) => am_kdj(r, s, *k, cfg, &AmKdjOptions::default()),
+                (true, true) => par_am_kdj(r, s, *k, cfg, &AmKdjOptions::default(), t),
+                (false, false) => b_kdj(r, s, *k, cfg),
+                (false, true) => par_b_kdj(r, s, *k, cfg, t),
             };
             (out.results, out.stats.stages)
         }

@@ -14,12 +14,10 @@
 //! cursor owns a merge-side distance queue the sequential cursor does not
 //! have).
 //!
-//! The one-thread parity tests run against the *work-stealing* path
-//! ([`JoinConfig::steal`] defaults on), so they also pin its claim
-//! protocol: a lone worker claims the single root seed and replays the
-//! sequential join counter for counter, stealing nothing. The dedicated
-//! steal-accounting tests below pin the other direction — with stealing
-//! disabled the steal counters must stay zero at any thread count.
+//! The one-thread parity tests run against the work-stealing path, so
+//! they also pin its claim protocol: a lone worker claims the single root
+//! seed and replays the sequential join counter for counter, stealing
+//! nothing.
 
 use amdj_core::{
     am_kdj, b_kdj, par_am_idj, par_am_kdj, par_b_kdj, AmIdj, AmIdjOptions, AmKdjOptions,
@@ -124,53 +122,6 @@ fn aggressive_policy_one_thread_equals_sequential() {
         assert_parity(&format!("am_kdj {name}"), &seq.stats, &par.stats, true);
         assert_eq!(par.stats.pairs_stolen, 0, "{name}: pairs_stolen");
     }
-}
-
-#[test]
-fn stealing_disabled_steals_nothing() {
-    let a = scatter(12, 1.618, 2.414, 0.1);
-    let b = scatter(12, 1.732, 2.236, 0.73);
-    let (r, s) = trees(&a, &b);
-    let mut cfg = JoinConfig::unbounded();
-    cfg.steal = false;
-    for threads in [1, 4] {
-        let exact = par_b_kdj(&r, &s, 90, &cfg, threads);
-        assert_eq!(exact.stats.pairs_stolen, 0, "b_kdj × {threads}t");
-        assert_eq!(exact.stats.steal_attempts, 0, "b_kdj × {threads}t");
-        let agg = par_am_kdj(&r, &s, 90, &cfg, &AmKdjOptions::default(), threads);
-        assert_eq!(agg.stats.pairs_stolen, 0, "am_kdj × {threads}t");
-        assert_eq!(agg.stats.steal_attempts, 0, "am_kdj × {threads}t");
-        let idj = par_am_idj(&r, &s, 90, &cfg, &AmIdjOptions::default(), threads);
-        assert_eq!(idj.stats.pairs_stolen, 0, "am_idj × {threads}t");
-        assert_eq!(idj.stats.steal_attempts, 0, "am_idj × {threads}t");
-    }
-}
-
-#[test]
-fn stealing_disabled_one_thread_also_equals_sequential() {
-    // The static round-robin path must keep its own one-thread parity now
-    // that it is no longer the default: both parallel modes replay the
-    // sequential join when given the whole frontier.
-    let a = scatter(12, 1.618, 2.414, 0.1);
-    let b = scatter(12, 1.732, 2.236, 0.73);
-    let (r, s) = trees(&a, &b);
-    let mut cfg = JoinConfig::unbounded();
-    cfg.steal = false;
-    let k = 80;
-    let seq = b_kdj(&r, &s, k, &JoinConfig::unbounded());
-    let par = par_b_kdj(&r, &s, k, &cfg, 1);
-    assert_eq!(seq.results, par.results, "rr b_kdj: results");
-    assert_parity("rr b_kdj", &seq.stats, &par.stats, true);
-    let seq = am_kdj(
-        &r,
-        &s,
-        k,
-        &JoinConfig::unbounded(),
-        &AmKdjOptions::default(),
-    );
-    let par = par_am_kdj(&r, &s, k, &cfg, &AmKdjOptions::default(), 1);
-    assert_eq!(seq.results, par.results, "rr am_kdj: results");
-    assert_parity("rr am_kdj", &seq.stats, &par.stats, true);
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //! measure-zero).
 
 use amdj_core::engine::{self, Aggressive, Exact, Parallel, Sequential};
-use amdj_core::{AmIdjOptions, JoinConfig, Partition, ResultPair, TestSchedule};
+use amdj_core::{AmIdjOptions, JoinConfig, ResultPair, TestSchedule};
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
 use proptest::prelude::*;
@@ -105,9 +105,6 @@ fn policy_cells(scale: f64) -> Vec<(String, Option<Option<f64>>)> {
 
 const THREADS: [usize; 3] = [2, 3, 8];
 
-/// Both partitioners run against the schedule fuzzer.
-const PARTITIONS: [Partition; 2] = [Partition::Locality, Partition::RoundRobin];
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: amdj_tests::proptest_cases(8),
@@ -128,23 +125,18 @@ proptest! {
             engine::kdj(&r, &s, k, &JoinConfig::unbounded(), &Exact, &Sequential).results,
         );
         let scale = reference.last().map_or(1.0, |p| p.dist);
+        let cfg = JoinConfig::unbounded();
         for (name, policy) in policy_cells(scale) {
             for threads in THREADS {
-                for partition in PARTITIONS {
-                    let cfg = JoinConfig {
-                        partition,
-                        ..JoinConfig::unbounded()
-                    };
-                    let backend = stealing(threads, seed);
-                    let out = match policy {
-                        None => engine::kdj(&r, &s, k, &cfg, &Exact, &backend),
-                        Some(e) => engine::kdj(
-                            &r, &s, k, &cfg, &Aggressive { edmax_override: e }, &backend,
-                        ),
-                    };
-                    let label = format!("{name} × {threads}t part={partition:?} seed={seed}");
-                    assert_identical(&label, &reference, &canonical(out.results))?;
-                }
+                let backend = stealing(threads, seed);
+                let out = match policy {
+                    None => engine::kdj(&r, &s, k, &cfg, &Exact, &backend),
+                    Some(e) => engine::kdj(
+                        &r, &s, k, &cfg, &Aggressive { edmax_override: e }, &backend,
+                    ),
+                };
+                let label = format!("{name} × {threads}t seed={seed}");
+                assert_identical(&label, &reference, &canonical(out.results))?;
             }
         }
     }
@@ -161,19 +153,12 @@ proptest! {
     ) {
         let (r, s) = trees(&a, &b);
         let opts = AmIdjOptions { initial_k, growth: 2.0, ..AmIdjOptions::default() };
-        let reference = canonical(
-            engine::idj(&r, &s, take, &JoinConfig::unbounded(), &opts, &Sequential).results,
-        );
+        let cfg = JoinConfig::unbounded();
+        let reference = canonical(engine::idj(&r, &s, take, &cfg, &opts, &Sequential).results);
         for threads in THREADS {
-            for partition in PARTITIONS {
-                let cfg = JoinConfig {
-                    partition,
-                    ..JoinConfig::unbounded()
-                };
-                let out = engine::idj(&r, &s, take, &cfg, &opts, &stealing(threads, seed));
-                let label = format!("idj × {threads}t part={partition:?} seed={seed}");
-                assert_identical(&label, &reference, &canonical(out.results))?;
-            }
+            let out = engine::idj(&r, &s, take, &cfg, &opts, &stealing(threads, seed));
+            let label = format!("idj × {threads}t seed={seed}");
+            assert_identical(&label, &reference, &canonical(out.results))?;
         }
     }
 }
