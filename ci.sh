@@ -32,8 +32,8 @@ BENCH_SMOKE_JSON="$(mktemp -t bench_smoke.XXXXXX.json)"
 trap 'rm -f "$BENCH_SMOKE_JSON"' EXIT
 cargo run --release -q -p amdj-bench --bin amdj -- \
     bench --n 300 --k 20 --json "$BENCH_SMOKE_JSON" 2>/dev/null
-grep -q '"schema_version": 12' "$BENCH_SMOKE_JSON" \
-    || { echo "bench smoke: schema_version != 12"; exit 1; }
+grep -q '"schema_version": 13' "$BENCH_SMOKE_JSON" \
+    || { echo "bench smoke: schema_version != 13"; exit 1; }
 for col in op algo query_id transport connections threads \
            k wall_time_s node_accesses \
            pairs_computed results \
@@ -61,7 +61,7 @@ grep -Eq '"op": "serve".*"transport": "tcp"' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: serve rows not tagged with the tcp transport"; exit 1; }
 grep -Eq '"op": "serve".*"queue_wait_ns": [1-9]' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: no serve row reports a nonzero queue wait"; exit 1; }
-echo "bench smoke: schema_version 12 with all required columns"
+echo "bench smoke: schema_version 13 with all required columns"
 
 echo "== checkpoint smoke: interrupt, resume, compare =="
 # An interrupted join must exit 75 with a checkpoint on disk, and the
@@ -86,6 +86,33 @@ $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --k 100 --algo par-am \
 diff <(grep -v '^#' "$CKPT_DIR/ref.txt") <(grep -v '^#' "$CKPT_DIR/res.txt") \
     || { echo "checkpoint smoke: resumed results differ"; exit 1; }
 echo "checkpoint smoke: interrupt exited 75, resume bit-identical"
+
+echo "== tie smoke: every one-thread kdj path gives one answer =="
+# A self-join: each object pairs with itself at distance 0, so k=100
+# sits inside a tie group and the chosen pairs depend on traversal
+# order. One worker is the sequential join, so the plain, par and
+# checkpointed one-thread runs must print the same pairs. The
+# checkpoint interval is too large to ever fire.
+tie_kdj() {  # tie_kdj OUT ARGS...
+    local out="$1"
+    shift
+    timeout 60 target/release/amdj kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/a.amdj" \
+        --k 100 "$@" > "$CKPT_DIR/$out" 2>/dev/null \
+        || { echo "tie smoke: 'kdj $*' failed"; exit 1; }
+}
+tie_kdj tie_am.txt --algo am
+tie_kdj tie_par_am.txt --algo par-am --threads 1
+tie_kdj tie_am_ckpt.txt --algo am --checkpoint-path "$CKPT_DIR/tie.snap" \
+    --checkpoint-every 1000000000
+tie_kdj tie_b.txt --algo b
+tie_kdj tie_par.txt --algo par --threads 1
+for other in tie_par_am tie_am_ckpt; do
+    cmp -s "$CKPT_DIR/tie_am.txt" "$CKPT_DIR/$other.txt" \
+        || { echo "tie smoke: $other differs from --algo am"; exit 1; }
+done
+cmp -s "$CKPT_DIR/tie_b.txt" "$CKPT_DIR/tie_par.txt" \
+    || { echo "tie smoke: --algo par --threads 1 differs from --algo b"; exit 1; }
+echo "tie smoke: am, par-am, checkpointed am agree; b and par agree"
 
 echo "== idj --batch 0 smoke: rejected, not looped on =="
 # A zero batch can never advance the streaming loop; the CLI must refuse

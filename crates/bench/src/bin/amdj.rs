@@ -360,54 +360,39 @@ fn run() -> Result<ExitCode, String> {
             if threads != 0 && algo != "par" && algo != "par-am" {
                 return Err("--threads only applies to --algo par or par-am".to_string());
             }
-            if let Some(ckpt) = parse_ckpt(&flags)? {
-                let aggressive = match algo {
-                    "am" | "par-am" => true,
-                    "b" | "par" => false,
-                    other => {
-                        return Err(format!("--algo {other} does not support checkpointing"));
-                    }
-                };
-                let threads = match algo {
-                    "par" | "par-am" => resolve_threads(threads),
-                    _ => 1,
-                };
-                let resume = load_resume(&ckpt.resume)?;
-                let Some(out) = run_episodes(&ckpt, resume, &|resume, ctl| {
-                    kdj_resumable(
-                        &r,
-                        &s,
-                        k,
-                        &cfg,
-                        aggressive,
-                        threads,
-                        None,
-                        resume,
-                        Some(ctl),
-                    )
-                })?
-                else {
-                    eprintln!("# interrupted; rerun with --resume to finish");
-                    return Ok(ExitCode::from(EXIT_INTERRUPTED));
-                };
-                for p in &out.results {
-                    println!("{},{},{}", p.r, p.s, p.dist);
+            let ckpt = parse_ckpt(&flags)?;
+            let out = if algo == "hs" {
+                if ckpt.is_some() {
+                    return Err("--algo hs does not support checkpointing".to_string());
                 }
-                eprintln!(
-                    "# {} results, {} distance computations, {:.3}s modeled response",
-                    out.results.len(),
-                    out.stats.real_dist,
-                    out.stats.response_time()
-                );
-                return Ok(ExitCode::SUCCESS);
-            }
-            let out = match algo {
-                "am" => am_kdj(&r, &s, k, &cfg, &AmKdjOptions::default()),
-                "b" => b_kdj(&r, &s, k, &cfg),
-                "hs" => hs_kdj(&r, &s, k, &cfg),
-                "par" => par_b_kdj(&r, &s, k, &cfg, threads),
-                "par-am" => par_am_kdj(&r, &s, k, &cfg, &AmKdjOptions::default(), threads),
-                other => return Err(format!("unknown algo '{other}'")),
+                hs_kdj(&r, &s, k, &cfg)
+            } else {
+                let (aggressive, threads) = match algo {
+                    "am" => (true, 1),
+                    "b" => (false, 1),
+                    "par-am" => (true, resolve_threads(threads)),
+                    "par" => (false, resolve_threads(threads)),
+                    other => return Err(format!("unknown algo '{other}'")),
+                };
+                let run = |resume, pause: Option<&PauseCtl>| {
+                    kdj_resumable(&r, &s, k, &cfg, aggressive, threads, None, resume, pause)
+                };
+                match ckpt {
+                    None => match run(None, None).map_err(|e| e.to_string())? {
+                        Checkpointed::Done(out) => out,
+                        Checkpointed::Suspended(..) => unreachable!("no pause control"),
+                    },
+                    Some(ckpt) => {
+                        let resume = load_resume(&ckpt.resume)?;
+                        let Some(out) =
+                            run_episodes(&ckpt, resume, &|resume, ctl| run(resume, Some(ctl)))?
+                        else {
+                            eprintln!("# interrupted; rerun with --resume to finish");
+                            return Ok(ExitCode::from(EXIT_INTERRUPTED));
+                        };
+                        out
+                    }
+                }
             };
             for p in &out.results {
                 println!("{},{},{}", p.r, p.s, p.dist);
@@ -865,10 +850,11 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
     record("kdj", "sjsort", 1, &mut || {
         sj_sort(&r, &s, k, oracle_dmax, cfg)
     });
-    for t in thread_counts {
+    // One-thread par rows would run exactly the b and am rows' code.
+    for &t in &thread_counts[1..] {
         record("kdj", "par", t, &mut || par_b_kdj(&r, &s, k, cfg, t));
     }
-    for t in thread_counts {
+    for &t in &thread_counts[1..] {
         record("kdj", "par-am", t, &mut || {
             par_am_kdj(&r, &s, k, cfg, &AmKdjOptions::default(), t)
         });
@@ -1221,8 +1207,10 @@ fn bench_rows_json(n: usize, k: usize, seed: u64, rows: &[BenchRow]) -> String {
     // removed the quantized prefilter, and with it the prefilter-off
     // ablation row and the three columns 6 added; 12 removed the steal
     // and partition columns with the scheduling switches, and with them
-    // the steal-off rows and the 8-thread round-robin rows.
-    out.push_str("  \"schema_version\": 12,\n");
+    // the steal-off rows and the 8-thread round-robin rows; 13 removed
+    // the one-thread kdj par and par-am rows, which run exactly the b and
+    // am rows' code now that one worker is the sequential join.
+    out.push_str("  \"schema_version\": 13,\n");
     out.push_str(&format!(
         "  \"workload\": {{ \"n\": {n}, \"k\": {k}, \"seed\": {seed}, \"r\": \"uniform\", \"s\": \"clustered\" }},\n"
     ));

@@ -13,9 +13,9 @@
 //! emission — the reading consistent with §4.1's condition (3) and §5.6.
 //!
 //! Adapter over the unified engine: AM-KDJ is the [`Aggressive`] pruning
-//! policy on the [`Sequential`] backend.
+//! policy run by one worker.
 
-use crate::engine::{self, Aggressive, Sequential};
+use crate::engine::{self, Aggressive, Parallel};
 use crate::{AmKdjOptions, JoinConfig, JoinOutput};
 use amdj_rtree::RTree;
 
@@ -49,7 +49,7 @@ pub fn am_kdj<const D: usize>(
     let policy = Aggressive {
         edmax_override: opts.edmax_override,
     };
-    engine::kdj(r, s, k, cfg, &policy, &Sequential)
+    engine::kdj(r, s, k, cfg, &policy, &Parallel::new(1))
 }
 
 #[cfg(test)]

@@ -2,17 +2,17 @@
 //! expansion and the optimized plane sweep.
 //!
 //! Adapter over the unified engine: B-KDJ is the [`Exact`] pruning policy
-//! on the [`Sequential`] backend — the only cutoff is the proven `qDmax`,
-//! so stage one finishes the join outright.
+//! run by one worker — the only cutoff is the proven `qDmax`, so stage
+//! one finishes the join outright.
 
-use crate::engine::{self, Exact, Sequential};
+use crate::engine::{self, Exact, Parallel};
 use crate::{JoinConfig, JoinOutput};
 use amdj_rtree::RTree;
 
 /// The B-KDJ k-distance join (Algorithm 1): returns the `k` nearest pairs
 /// in ascending distance order.
 pub fn b_kdj<const D: usize>(r: &RTree<D>, s: &RTree<D>, k: usize, cfg: &JoinConfig) -> JoinOutput {
-    engine::kdj(r, s, k, cfg, &Exact, &Sequential)
+    engine::kdj(r, s, k, cfg, &Exact, &Parallel::new(1))
 }
 
 #[cfg(test)]

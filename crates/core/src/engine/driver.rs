@@ -7,25 +7,21 @@
 //! with the ratchet, park, and early-termination steps disabled, and a
 //! branch on a bool the CPU predicts perfectly is cheaper to maintain
 //! than two monomorphized loops. The [`PruningPolicy`] trait supplies the
-//! flag and the initial cutoff; the [`ExecBackend`] decides how many
-//! drivers run and how their stages hand work to each other.
+//! flag and the initial cutoff; the claim-round runner of the
+//! [`steal`](super::steal) module decides how many drivers run and how
+//! their stages hand work to each other.
 //!
-//! # Why stage two's early break never fires sequentially
+//! # When a driver stops
 //!
-//! [`run_stage_two`](ExpansionDriver::run_stage_two) breaks when the next
-//! merged key exceeds the clamped `qDmax`. In a sequential join this is
-//! provably dead code: while fewer than `k` results are out and the
-//! distance queue holds `k` entries, each retained distance belongs to a
-//! distinct emitted object pair that was either already popped (a result)
-//! or still sits in the main queue with distance ≤ `qDmax` — so at least
-//! `k − results` result pairs are pending and the main queue's minimum is
-//! ≤ `qDmax`. The break exists for *parallel* stage-two workers, whose
-//! distance queue is pre-seeded from the pooled stage-one queues: their
-//! clamped `qDmax` upper-bounds the global k-th answer distance, so any
-//! larger key cannot contribute to the merged answer.
+//! A driver of a fleet cannot stop at its `k`-th result: a seed it
+//! claims later may hold closer pairs, so it keeps consuming while the
+//! queue minimum beats the shared bound. A *lone* driver (one worker) has
+//! already claimed everything it will ever see before its first pop, so
+//! its first `k` emissions are the answer — it gets a result
+//! [`quota`](ExpansionDriver::set_quota) and stops there, doing exactly
+//! the paper's sequential work.
 //!
 //! [`PruningPolicy`]: super::policy::PruningPolicy
-//! [`ExecBackend`]: super::backend::ExecBackend
 
 use amdj_rtree::RTree;
 
@@ -40,24 +36,19 @@ use super::sweep::{CompEntry, CompQueue, MarkMode, SweepScratch, SweepSink};
 /// `Some(eDmax)` freezes the axis cutoff for the whole sweep (aggressive
 /// stage one, which also unlocks the lane window search), `None` keeps
 /// it live at the clamped `qDmax` (exact sweeps and compensation). The
-/// real cutoff is always the live `qDmax`, clamped by the shared bound
-/// when one exists; emitted results publish the new `qDmax` back into the
-/// shared bound.
+/// real cutoff is always the live `qDmax`, clamped by the shared bound;
+/// emitted results publish the new `qDmax` back into the shared bound.
 pub(crate) struct EngineSink<'x, const D: usize> {
     pub(crate) mainq: &'x mut MainQueue<D>,
     pub(crate) distq: &'x mut DistanceQueue,
     pub(crate) axis: Option<f64>,
-    pub(crate) shared: Option<&'x MinBound>,
+    pub(crate) shared: &'x MinBound,
     pub(crate) tightenings: &'x mut u64,
 }
 
 impl<const D: usize> EngineSink<'_, D> {
     fn qdmax(&self) -> f64 {
-        let q = self.distq.qdmax();
-        match self.shared {
-            Some(bound) => bound.clamp(q),
-            None => q,
-        }
+        self.shared.clamp(self.distq.qdmax())
     }
 }
 
@@ -77,36 +68,32 @@ impl<const D: usize> SweepSink<D> for EngineSink<'_, D> {
         self.mainq.push(pair);
         if is_result {
             self.distq.insert(dist);
-            if let Some(bound) = self.shared {
-                let q = self.distq.qdmax();
-                if q.is_finite() && bound.tighten(q) {
-                    *self.tightenings += 1;
-                }
+            let q = self.distq.qdmax();
+            if q.is_finite() && self.shared.tighten(q) {
+                *self.tightenings += 1;
             }
         }
     }
 }
 
-/// Pushes the pair of root nodes, the starting point of every traversal.
-/// No-op when either tree is empty.
-pub(crate) fn push_roots<const D: usize>(r: &RTree<D>, s: &RTree<D>, mainq: &mut MainQueue<D>) {
-    if let (Some(rb), Some(sb), Some(rp), Some(sp)) =
-        (r.bounds(), s.bounds(), r.root_page(), s.root_page())
-    {
-        mainq.push(Pair {
-            dist: rb.min_dist(&sb),
-            a: ItemRef::Node {
-                page: rp.0,
-                level: r.height() - 1,
-            },
-            b: ItemRef::Node {
-                page: sp.0,
-                level: s.height() - 1,
-            },
-            a_mbr: rb,
-            b_mbr: sb,
-        });
-    }
+/// The pair of root nodes, the starting point of every traversal; `None`
+/// when either tree is empty.
+pub(crate) fn root_pair<const D: usize>(r: &RTree<D>, s: &RTree<D>) -> Option<Pair<D>> {
+    let (rb, sb) = (r.bounds()?, s.bounds()?);
+    let (rp, sp) = (r.root_page()?, s.root_page()?);
+    Some(Pair {
+        dist: rb.min_dist(&sb),
+        a: ItemRef::Node {
+            page: rp.0,
+            level: r.height() - 1,
+        },
+        b: ItemRef::Node {
+            page: sp.0,
+            level: s.height() - 1,
+        },
+        a_mbr: rb,
+        b_mbr: sb,
+    })
 }
 
 pub(crate) fn to_result<const D: usize>(pair: &Pair<D>) -> ResultPair {
@@ -120,7 +107,7 @@ pub(crate) fn to_result<const D: usize>(pair: &Pair<D>) -> ResultPair {
     }
 }
 
-/// What a stage-one driver hands back to a parallel backend: its results,
+/// What a driver hands back to the claim-round runner: its results,
 /// the prunable remainder of its frontier, its parked compensation
 /// entries, and the distances its queue retained (pooled into the global
 /// bound and into stage-two workers' queues). Suspended drivers (a fired
@@ -141,9 +128,8 @@ pub(crate) struct StageOnePool<const D: usize> {
 }
 
 /// One expansion loop over one frontier: queues, sweep scratch, cutoffs,
-/// and the two paper stages. Sequential backends run one driver to
-/// completion; parallel backends run one per worker against a shared
-/// [`MinBound`].
+/// and the two paper stages. The claim-round runner runs one per worker
+/// against a shared [`MinBound`].
 pub(crate) struct ExpansionDriver<'x, const D: usize> {
     r: &'x RTree<D>,
     s: &'x RTree<D>,
@@ -151,7 +137,10 @@ pub(crate) struct ExpansionDriver<'x, const D: usize> {
     k: usize,
     aggressive: bool,
     edmax: f64,
-    shared: Option<&'x MinBound>,
+    shared: &'x MinBound,
+    /// The results a lone driver owes before it stops (module docs);
+    /// `None` in a fleet.
+    quota: Option<usize>,
     mainq: MainQueue<D>,
     distq: DistanceQueue,
     compq: CompQueue<D>,
@@ -175,7 +164,7 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
         est: Option<&Estimator<D>>,
         aggressive: bool,
         edmax: f64,
-        shared: Option<&'x MinBound>,
+        shared: &'x MinBound,
     ) -> Self {
         ExpansionDriver {
             r,
@@ -185,6 +174,7 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
             aggressive,
             edmax,
             shared,
+            quota: None,
             mainq: MainQueue::new(cfg, est),
             distq: DistanceQueue::new(k),
             compq: CompQueue::new(),
@@ -205,6 +195,19 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
         self.pause = pause;
     }
 
+    /// Makes this a lone driver that stops once it holds `quota` results:
+    /// nothing can reach a lone worker after its claims, so its first
+    /// emissions are the answer (module docs).
+    pub(crate) fn set_quota(&mut self, quota: usize) {
+        self.quota = Some(quota);
+    }
+
+    /// Whether a lone driver holds every result it owes. Its leftovers and
+    /// parked entries then owe the answer nothing.
+    pub(crate) fn quota_met(&self) -> bool {
+        self.quota.is_some_and(|q| self.results.len() >= q)
+    }
+
     /// Whether the last stage loop stopped on a fired pause.
     pub(crate) fn suspended(&self) -> bool {
         self.suspended
@@ -218,11 +221,6 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
         if let Some(p) = self.pause {
             p.note_expansion();
         }
-    }
-
-    /// Seeds the driver with the root pair (sequential start).
-    pub(crate) fn seed_roots(&mut self) {
-        push_roots(self.r, self.s, &mut self.mainq);
     }
 
     /// Seeds the driver with a frontier partition. Counted as fresh queue
@@ -254,8 +252,8 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
     /// Seeds a stage-two driver with pooled stage-one work. *Not*
     /// counted: every pair, compensation entry, and retained distance was
     /// already counted by the worker that first enqueued it — re-counting
-    /// here would make parallel insertion totals diverge from the
-    /// sequential join's.
+    /// here would make a one-thread run's insertion totals diverge from
+    /// the paper's single-driver join.
     pub(crate) fn seed_replayed(
         &mut self,
         pairs: Vec<Pair<D>>,
@@ -273,14 +271,9 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
         }
     }
 
-    /// The live pruning bound: `qDmax`, clamped by the shared bound when
-    /// running under a parallel backend.
+    /// The live pruning bound: `qDmax`, clamped by the shared bound.
     fn cutoff(&self) -> f64 {
-        let q = self.distq.qdmax();
-        match self.shared {
-            Some(bound) => bound.clamp(q),
-            None => q,
-        }
+        self.shared.clamp(self.distq.qdmax())
     }
 
     /// The largest frontier key this driver's stage one would still
@@ -309,32 +302,22 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
     /// `eDmax` down once `qDmax` catches up, terminate when the dequeued
     /// distance exceeds `eDmax` (erratum fixed, see `amkdj`), sweep with
     /// suffix marks, and park any expansion that skipped work.
+    ///
+    /// A lone driver stops at its quota. A fleet driver keeps consuming
+    /// past `k` results while queued keys can still beat the cutoff: a
+    /// later steal may hold closer pairs, so its first `k` emissions are
+    /// not necessarily its share's top `k`. Surplus results are harmless —
+    /// the runner's canonical merge sorts and truncates.
     pub(crate) fn run_stage_one(&mut self) {
-        self.stage_one_loop(false);
-    }
-
-    /// Stage one under the work-stealing backend. Identical to
-    /// [`run_stage_one`](Self::run_stage_one) except that reaching `k`
-    /// results does not stop the loop while queued keys can still beat the
-    /// cutoff: with dynamically claimed seeds a worker's first `k`
-    /// emissions are not necessarily its partition's top `k` (a later
-    /// steal may hold closer pairs), so the ascending-prefix argument that
-    /// justifies stopping at `k` no longer applies. Surplus results are
-    /// harmless — the backend's canonical merge sorts and truncates.
-    pub(crate) fn run_stage_one_stealing(&mut self) {
-        self.stage_one_loop(true);
-    }
-
-    fn stage_one_loop(&mut self, past_k: bool) {
         loop {
             if self.pause_fired() {
                 self.suspended = true;
                 break;
             }
-            if self.results.len() >= self.k {
-                if !past_k {
-                    break;
-                }
+            if self.quota_met() {
+                break;
+            }
+            if self.quota.is_none() && self.results.len() >= self.k {
                 match self.mainq.peek_min() {
                     Some(key) if key <= self.cutoff() => {}
                     _ => break,
@@ -395,36 +378,19 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
         }
     }
 
-    /// Whether a sequential aggressive join owes a compensation stage.
-    pub(crate) fn needs_stage_two(&self) -> bool {
-        self.results.len() < self.k && (self.compq.len() > 0 || !self.mainq.is_empty())
-    }
-
     /// Stage two (Algorithm 3): merge the main and compensation queues by
     /// key; fresh pairs expand exactly (B-KDJ behaviour), parked entries
     /// replay exactly the child pairs stage one skipped. `qDmax` is exact
-    /// here, so nothing needs parking again.
+    /// here, so nothing needs parking again. A lone driver stops at its
+    /// quota; a fleet driver stops once the next key exceeds the clamped
+    /// `qDmax`, which upper-bounds the global k-th answer distance.
     pub(crate) fn run_stage_two(&mut self) {
-        self.stage_two_loop(false);
-    }
-
-    /// Stage two under the work-stealing backend: the `k`-results stop is
-    /// lifted for the same reason as in
-    /// [`run_stage_one_stealing`](Self::run_stage_one_stealing); the
-    /// `key > cutoff` break alone terminates the loop, and it is sound
-    /// because the clamped `qDmax` upper-bounds the global k-th answer
-    /// distance (module docs).
-    pub(crate) fn run_stage_two_stealing(&mut self) {
-        self.stage_two_loop(true);
-    }
-
-    fn stage_two_loop(&mut self, past_k: bool) {
         loop {
             if self.pause_fired() {
                 self.suspended = true;
                 break;
             }
-            if !past_k && self.results.len() >= self.k {
+            if self.quota_met() {
                 break;
             }
             let main_key = self.mainq.peek_min();
@@ -435,8 +401,6 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
                 (None, Some(c)) => (false, c),
                 (Some(m), Some(c)) => (m <= c, m.min(c)),
             };
-            // Dead sequentially, load-bearing for parallel stage-two
-            // workers — see the module docs.
             if key > self.cutoff() {
                 break;
             }
@@ -475,16 +439,25 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
         }
     }
 
-    /// Finalizes per-driver accounting and returns the results.
-    pub(crate) fn finish(mut self) -> (Vec<ResultPair>, JoinStats, f64) {
-        self.stats.bound_tightenings = self.tightenings;
-        self.stats.distq_insertions = self.distq.insertions();
-        let queue_io = self.mainq.account(&mut self.stats);
-        (self.results, self.stats, queue_io)
+    /// Hands stage one's results and retained distances to the runner
+    /// while the driver keeps its queues and counters for stage two; its
+    /// stats come back with stage two's [`into_pool`](Self::into_pool).
+    pub(crate) fn take_stage_one(&mut self) -> StageOnePool<D> {
+        StageOnePool {
+            results: std::mem::take(&mut self.results),
+            leftovers: Vec::new(),
+            comps: Vec::new(),
+            dists: self.distq.retained(),
+            stats: JoinStats::default(),
+            queue_io: 0.0,
+            edmax: self.edmax,
+            suspended: false,
+        }
     }
 
-    /// Finalizes a stage-one worker for pooling. With `drain_leftovers`
-    /// (aggressive policy, or any suspended driver), the remaining
+    /// Finalizes a worker for pooling. With `drain_leftovers`
+    /// (aggressive policy short of a lone quota, or any suspended
+    /// driver), the remaining
     /// frontier below the shared bound and the surviving compensation
     /// entries come along; anything at a key strictly above the bound is
     /// provably outside the answer (the shared bound only ever holds
@@ -495,7 +468,7 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
         let mut leftovers = Vec::new();
         let mut comps = Vec::new();
         if drain_leftovers {
-            let bound = self.shared.map_or(f64::INFINITY, |b| b.get());
+            let bound = self.shared.get();
             while let Some(pair) = self.mainq.pop() {
                 if pair.dist > bound {
                     break;

@@ -1,5 +1,5 @@
 //! The unified join engine: one expansion driver, pluggable pruning
-//! policies and execution backends.
+//! policies, and one claim-round runner at any worker count.
 //!
 //! Every distance-join variant in the paper is the same machine —
 //! bidirectional node expansion from a main queue, the Eq. 2
@@ -10,15 +10,17 @@
 //!   [`Exact`] prunes on the proven `qDmax` alone (B-KDJ); [`Aggressive`]
 //!   prunes on an estimated `eDmax` with per-anchor skip marks and a
 //!   compensation stage (AM-KDJ), never falsely dismissing a pair.
-//! * **[`ExecBackend`]** — how many drivers run. [`Sequential`] is one
-//!   driver; [`Parallel`] partitions the pair-space frontier across
-//!   workers sharing one CAS-min [`MinBound`] and pools the per-worker
-//!   compensation queues between stages.
+//! * **[`Parallel`]** — how many drivers run. Workers split the
+//!   pair-space frontier, share one CAS-min [`MinBound`], steal from each
+//!   other, and pool their compensation queues between stages. One
+//!   worker is the paper's sequential join: it claims the root pair,
+//!   stops at its `k`-th result, and does exactly the paper's work.
 //!
-//! [`kdj`] runs any (policy × backend) combination; [`idj`] runs the
-//! incremental join (whose per-stage loop is [`StageDriver`]) on any
-//! backend. The public algorithm entry points (`b_kdj`, `am_kdj`,
-//! `AmIdj`, `par_*`) are thin adapters over these two calls.
+//! [`kdj`] runs either policy at any worker count; [`idj`] runs the
+//! incremental join (whose per-stage loop is [`StageDriver`]) the same
+//! way. The public algorithm entry points (`b_kdj`, `am_kdj`, `par_*`)
+//! are thin adapters over these two calls; [`crate::AmIdj`] is the
+//! standalone streaming cursor.
 
 mod backend;
 mod bound;
@@ -30,7 +32,7 @@ mod stage;
 mod steal;
 pub(crate) mod sweep;
 
-pub use backend::{ExecBackend, Parallel, Sequential};
+pub use backend::Parallel;
 pub use bound::MinBound;
 pub use checkpoint::{
     idj_resumable, kdj_resumable, read_checkpoint, write_checkpoint, Checkpointed, PauseCtl,
@@ -43,32 +45,39 @@ pub use steal::TestSchedule;
 use crate::{AmIdjOptions, JoinConfig, JoinOutput};
 use amdj_rtree::RTree;
 
-/// Runs a k-distance join: the `k` nearest pairs under any
-/// (policy × backend) combination. `(Exact, Sequential)` is
-/// [`crate::b_kdj`], `(Aggressive, Sequential)` is [`crate::am_kdj`],
-/// and the [`Parallel`] backend gives their `par_*` counterparts.
-pub fn kdj<const D: usize, P: PruningPolicy, B: ExecBackend>(
+/// Runs a k-distance join: the `k` nearest pairs in canonical
+/// `(dist, r, s)` order. `(Exact, Parallel::new(1))` is [`crate::b_kdj`],
+/// `(Aggressive, Parallel::new(1))` is [`crate::am_kdj`], and more
+/// workers give their `par_*` counterparts.
+pub fn kdj<const D: usize, P: PruningPolicy>(
     r: &RTree<D>,
     s: &RTree<D>,
     k: usize,
     cfg: &JoinConfig,
     policy: &P,
-    backend: &B,
+    par: &Parallel,
 ) -> JoinOutput {
-    backend.run_kdj(r, s, k, cfg, policy)
+    let threads = backend::resolve_threads(par.threads);
+    match steal::run_kdj_ckpt::<D, P>(r, s, k, cfg, policy, threads, par.schedule, None, None) {
+        Checkpointed::Done(out) => out,
+        Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
+    }
 }
 
 /// Runs the incremental distance join, materializing its first `take`
-/// pairs. On [`Sequential`] this drives one [`StageDriver`] cursor
-/// (see [`crate::AmIdj`] for the streaming API); on [`Parallel`] it is
-/// [`crate::par_am_idj`].
-pub fn idj<const D: usize, B: ExecBackend>(
+/// pairs; [`crate::par_am_idj`]. [`crate::AmIdj`] streams the same join
+/// from one cursor.
+pub fn idj<const D: usize>(
     r: &RTree<D>,
     s: &RTree<D>,
     take: usize,
     cfg: &JoinConfig,
     opts: &AmIdjOptions,
-    backend: &B,
+    par: &Parallel,
 ) -> JoinOutput {
-    backend.run_idj(r, s, take, cfg, opts)
+    let threads = backend::resolve_threads(par.threads);
+    match steal::run_idj_ckpt(r, s, take, cfg, opts, threads, par.schedule, None, None) {
+        Checkpointed::Done(out) => out,
+        Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
+    }
 }

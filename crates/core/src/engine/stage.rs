@@ -18,7 +18,7 @@ use crate::{
 
 use super::bound::MinBound;
 use super::checkpoint::PauseCtl;
-use super::driver::{push_roots, to_result};
+use super::driver::{root_pair, to_result};
 use super::sweep::{CompEntry, CompQueue, MarkMode, SweepScratch, SweepSink};
 
 /// Sink for incremental sweeps: the stage's `eDmax` is the only cutoff
@@ -151,13 +151,8 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         let buf0 = amdj_rtree::thread_buffer_stats();
         let est = Estimator::from_trees(r, s);
         let mut mainq = MainQueue::new(cfg, est.as_ref());
-        match seeds {
-            Some(seeds) => {
-                for pair in seeds {
-                    mainq.push(pair);
-                }
-            }
-            None => push_roots(r, s, &mut mainq),
+        for pair in seeds.unwrap_or_else(|| root_pair(r, s).into_iter().collect()) {
+            mainq.push(pair);
         }
         let max_possible = match (r.bounds(), s.bounds()) {
             (Some(rb), Some(sb)) => rb.max_dist(&sb),

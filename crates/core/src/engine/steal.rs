@@ -1,5 +1,8 @@
-//! The claim-round execution path of the [`Parallel`] backend: work
-//! stealing over a round-robin split.
+//! The engine's one k-distance and incremental join runner: claim rounds
+//! with work stealing over a round-robin split, at any worker count.
+//! Every public join — `b_kdj`, `am_kdj`, the `par_*` joins, the
+//! resumable joins and the server's queries — runs here; one worker *is*
+//! the paper's sequential join.
 //!
 //! A statically partitioned frontier lets a drained worker idle at the
 //! stage barrier — on skewed frontiers (a clustered partition next to a
@@ -20,14 +23,16 @@
 //! stealing only ever re-partitions the frontier — every seed is still
 //! processed by exactly one worker. Two things do change:
 //!
-//! * **Past-`k` processing.** With a static partition a worker's first
-//!   `k` emissions are its partition's top `k` (ascending pops), so it
-//!   may stop at `k`. A stolen seed can arrive *after* the `k`-th
-//!   emission and still hold closer pairs, so the stealing drivers
-//!   ([`ExpansionDriver::run_stage_one_stealing`] /
-//!   [`run_stage_two_stealing`]) keep consuming while the queue minimum
-//!   beats the cutoff. Surplus results are sorted away by the canonical
-//!   merge.
+//! * **Past-`k` processing.** A stolen seed can arrive *after* a
+//!   worker's `k`-th emission and still hold closer pairs, so a fleet
+//!   worker keeps consuming while its queue minimum beats the cutoff;
+//!   surplus results are sorted away by the canonical merge. A lone
+//!   worker claims its whole deque up front, so nothing can reach it
+//!   after its `k`-th emission: it stops there, and once it holds `k`
+//!   results it owes stage two nothing — every leftover, parked entry
+//!   and unclaimed seed lies at or beyond its `k`-th result. Short of
+//!   `k`, a fresh lone worker carries its driver into stage two instead
+//!   of draining its queues into a new one.
 //! * **Dropped seeds must be justified per worker.** A worker exits only
 //!   after its own claim *and* a full steal scan over every peer found
 //!   nothing at or below its bound; the pool only ever shrinks, so the
@@ -49,9 +54,9 @@
 //! the stage-one worker that first enqueued them and re-enter uncounted;
 //! [`Work::Unclaimed`] seeds never entered any queue and are counted on
 //! entry, exactly as stage one would have. On one thread the frontier is
-//! a single seed, the claim protocol degenerates to "take it", and the
-//! whole path replays the sequential join bit for bit and counter for
-//! counter.
+//! a single root seed and the claim protocol degenerates to "take it",
+//! so the runner does the paper's sequential work counter for counter —
+//! ties at the `k`-th distance included (`tests/stats_parity.rs`).
 //!
 //! # Schedule perturbation
 //!
@@ -62,10 +67,6 @@
 //! deque. Tests sweep the seed to drive pathological interleavings —
 //! thieves racing the victim's first claim, stalls straddling the bound
 //! ratchet — while every decision stays reproducible.
-//!
-//! [`Parallel`]: super::backend::Parallel
-//! [`ExpansionDriver::run_stage_one_stealing`]: ExpansionDriver::run_stage_one_stealing
-//! [`run_stage_two_stealing`]: ExpansionDriver::run_stage_two_stealing
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -78,7 +79,7 @@ use crate::{
     AmIdjOptions, DistanceQueue, Estimator, JoinConfig, JoinOutput, JoinStats, Pair, ResultPair,
 };
 
-use super::backend::{barrier_idle, seed_frontier, sort_canonical};
+use super::backend::{seed_frontier, sort_canonical};
 use super::bound::MinBound;
 use super::checkpoint::{Checkpointed, PauseCtl};
 use super::driver::{ExpansionDriver, StageOnePool};
@@ -241,9 +242,9 @@ impl<T> StealPool<T> {
 /// Splits `items` (sorted ascending by key) into exactly `buckets`
 /// per-worker shares by dealing them round-robin: bucket `i % buckets`
 /// gets item `i`, so every share stays ascending. One bucket hands the
-/// batch over unchanged, which is what lets a one-thread run replay the
-/// sequential join counter for counter; it returns early so a resumed
-/// one-thread episode does not copy its whole frontier.
+/// batch over unchanged, so a lone worker sees the sequential join's
+/// order; it returns early so a resumed one-thread episode does not copy
+/// its whole frontier.
 fn round_robin<T>(items: Vec<T>, buckets: usize) -> Vec<Vec<T>> {
     if buckets <= 1 {
         return vec![items];
@@ -290,11 +291,66 @@ fn claim_round<T>(
     None
 }
 
+/// Sum over workers of `last_finish − own_finish`: the idle time a stage
+/// barrier imposed on the workers that finished early.
+fn barrier_idle(finish_ns: &[u64]) -> u64 {
+    let max = finish_ns.iter().copied().max().unwrap_or(0);
+    finish_ns.iter().map(|&ns| max - ns).sum()
+}
+
+/// Runs one worker per input — worker `w` gets `inputs[w]` — and returns
+/// their outputs in worker order with the stage barrier's idle time
+/// ([`barrier_idle`]). Each worker's buffer traffic lands in its
+/// [`WorkerBufferSpan`] slot of the stats `stats_of` points at. With
+/// `lone_on_caller`, a lone worker runs on the calling thread: a
+/// one-thread join then allocates and fetches exactly where its caller
+/// would, with no thread to spawn (a spawned thread allocates from a
+/// fresh allocator arena, which cost paper-scale AM-KDJ about a fifth of
+/// its wall time).
+fn run_workers<I: Send, T: Send>(
+    inputs: Vec<I>,
+    work: impl Fn(usize, I) -> T + Sync,
+    stats_of: fn(&mut T) -> &mut JoinStats,
+    lone_on_caller: bool,
+) -> (Vec<T>, u64) {
+    let t0 = std::time::Instant::now();
+    let run = |w: usize, input: I, on_caller: bool| {
+        let span = WorkerBufferSpan::begin(w);
+        let mut out = work(w, input);
+        span.record(stats_of(&mut out), on_caller);
+        (out, t0.elapsed().as_nanos() as u64)
+    };
+    let done: Vec<(T, u64)> = if lone_on_caller && inputs.len() == 1 {
+        inputs
+            .into_iter()
+            .map(|input| run(0, input, true))
+            .collect()
+    } else {
+        std::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = inputs
+                .into_iter()
+                .enumerate()
+                .map(|(w, input)| scope.spawn(move || run(w, input, false)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
+    let finishes: Vec<u64> = done.iter().map(|(_, ns)| *ns).collect();
+    (
+        done.into_iter().map(|(out, _)| out).collect(),
+        barrier_idle(&finishes),
+    )
+}
+
 /// The frontier is oversplit to `8×` threads: dynamic balancing thrives
 /// on fine granularity, and a claim moves a whole prefix at once so
 /// per-seed overhead stays small.
-/// One thread keeps the single root seed so the lone worker replays the
-/// sequential join exactly.
+/// One thread keeps the single root seed, so the lone worker runs the
+/// paper's sequential join.
 fn frontier_target(threads: usize) -> usize {
     if threads == 1 {
         1
@@ -309,6 +365,12 @@ fn frontier_target(threads: usize) -> usize {
 /// (seeds beyond it could not be emitted in stage one anyway; leaving
 /// them unclaimed routes them straight to stage two).
 ///
+/// A `lone` worker claims its whole claimable deque in one round and
+/// stops at `k` results (module docs); it drains nothing for stage two
+/// once it holds them. Short of `k` under the aggressive policy, a fresh
+/// lone worker hands back its driver instead of draining it: stage two
+/// goes on over the same queues, as in the paper's single-driver join.
+///
 /// `resumed` marks a run seeded from a snapshot frontier: claims then
 /// enter through [`ExpansionDriver::seed_resumed`] — uncounted (each
 /// pair was counted when first enqueued, before the suspension) and
@@ -318,22 +380,26 @@ fn frontier_target(threads: usize) -> usize {
 /// suspends the driver, and [`ExpansionDriver::into_pool`] then drains
 /// its whole sub-bound frontier for the snapshot regardless of policy.
 #[allow(clippy::too_many_arguments)]
-fn stage_one_worker<const D: usize, P: PruningPolicy>(
-    r: &RTree<D>,
-    s: &RTree<D>,
+fn stage_one_worker<'x, const D: usize, P: PruningPolicy>(
+    r: &'x RTree<D>,
+    s: &'x RTree<D>,
     k: usize,
-    cfg: &JoinConfig,
+    cfg: &'x JoinConfig,
     est: Option<&Estimator<D>>,
     pool: &StealPool<Pair<D>>,
     w: usize,
     edmax0: f64,
-    shared: &MinBound,
+    shared: &'x MinBound,
     schedule: Option<TestSchedule>,
-    pause: Option<&PauseCtl>,
+    pause: Option<&'x PauseCtl>,
     resumed: bool,
-) -> StageOnePool<D> {
-    let mut drv = ExpansionDriver::new(r, s, cfg, k, est, P::AGGRESSIVE, edmax0, Some(shared));
+    lone: bool,
+) -> (StageOnePool<D>, Option<ExpansionDriver<'x, D>>) {
+    let mut drv = ExpansionDriver::new(r, s, cfg, k, est, P::AGGRESSIVE, edmax0, shared);
     drv.set_pause(pause);
+    if lone {
+        drv.set_quota(k);
+    }
     let mut step = 0u64;
     loop {
         if drv.suspended() {
@@ -351,7 +417,7 @@ fn stage_one_worker<const D: usize, P: PruningPolicy>(
             pool,
             w,
             bound,
-            false,
+            lone,
             forced,
             &mut drv.stats.pairs_stolen,
             &mut drv.stats.steal_attempts,
@@ -363,10 +429,13 @@ fn stage_one_worker<const D: usize, P: PruningPolicy>(
         } else {
             drv.seed_counted(claimed);
         }
-        drv.run_stage_one_stealing();
+        drv.run_stage_one();
     }
-    let drain = P::AGGRESSIVE || drv.suspended();
-    drv.into_pool(drain)
+    if lone && P::AGGRESSIVE && !resumed && !drv.quota_met() && !drv.suspended() {
+        return (drv.take_stage_one(), Some(drv));
+    }
+    let drain = (P::AGGRESSIVE && !drv.quota_met()) || drv.suspended();
+    (drv.into_pool(drain), None)
 }
 
 /// A stage-two work item, keyed for the pool's ascending deques. The
@@ -389,35 +458,48 @@ fn work_key<const D: usize>(w: &Work<D>) -> f64 {
 
 /// One stage-two worker: exact cutoffs, distance queue pre-seeded
 /// (uncounted) with the pooled stage-one distances. The *first* claim
-/// takes the worker's entire own deque — the sequential join seeds its
-/// stage two with everything at once, and doing the same is what keeps
-/// one-thread runs counter-identical — later claims (after steals) use
-/// the exact `qDmax`-clamped bound.
+/// takes the worker's entire own deque — the paper's stage two starts
+/// from everything stage one left at once, and doing the same is what
+/// keeps one-thread runs counter-identical — later claims (after steals)
+/// use the exact `qDmax`-clamped bound. A lone worker's `quota` is the
+/// results stage one still owes; it stops there. A `carried` stage-one
+/// driver goes on over its own queues, whose distance queue already
+/// holds the seed slice's distances.
 ///
 /// Returns through [`StageOnePool`]: a normally finished worker comes
-/// back with empty `leftovers`/`comps` (exactly `finish`'s accounting),
-/// a suspended one (fired `pause`) drains its sub-bound remainder for
-/// the snapshot. Its `dists` are the seed slice plus its own new
+/// back with empty `leftovers`/`comps`, a suspended one (fired `pause`)
+/// drains its sub-bound remainder for the snapshot. Its `dists` are the seed slice plus its own new
 /// insertions — the runner discards them (every worker was seeded the
 /// same slice, so pooling them would double-count; the snapshot keeps
 /// the seed slice itself, unchanged).
 #[allow(clippy::too_many_arguments)]
-fn stage_two_worker<const D: usize>(
-    r: &RTree<D>,
-    s: &RTree<D>,
+fn stage_two_worker<'x, const D: usize>(
+    r: &'x RTree<D>,
+    s: &'x RTree<D>,
     k: usize,
-    cfg: &JoinConfig,
+    cfg: &'x JoinConfig,
     est: Option<&Estimator<D>>,
     pool: &StealPool<Work<D>>,
     w: usize,
     dists: &[f64],
-    shared: &MinBound,
+    shared: &'x MinBound,
     schedule: Option<TestSchedule>,
-    pause: Option<&PauseCtl>,
+    pause: Option<&'x PauseCtl>,
+    quota: Option<usize>,
+    carried: Option<ExpansionDriver<'x, D>>,
 ) -> StageOnePool<D> {
-    let mut drv = ExpansionDriver::new(r, s, cfg, k, est, false, f64::INFINITY, Some(shared));
-    drv.set_pause(pause);
-    drv.seed_replayed(Vec::new(), Vec::new(), dists);
+    // A carried driver owes its own queues a stage two even when the pool
+    // holds nothing for it.
+    let carrying = carried.is_some();
+    let mut drv = carried.unwrap_or_else(|| {
+        let mut drv = ExpansionDriver::new(r, s, cfg, k, est, false, f64::INFINITY, shared);
+        drv.set_pause(pause);
+        drv.seed_replayed(Vec::new(), Vec::new(), dists);
+        drv
+    });
+    if let Some(q) = quota {
+        drv.set_quota(q);
+    }
     let mut first = true;
     let mut step = 0u64;
     loop {
@@ -436,7 +518,7 @@ fn stage_two_worker<const D: usize>(
         } else {
             drv.stage_two_claim_bound()
         };
-        let Some(claimed) = claim_round(
+        let claimed = claim_round(
             pool,
             w,
             bound,
@@ -444,14 +526,15 @@ fn stage_two_worker<const D: usize>(
             forced,
             &mut drv.stats.pairs_stolen,
             &mut drv.stats.steal_attempts,
-        ) else {
+        );
+        if claimed.is_none() && !(first && carrying) {
             break;
-        };
+        }
         first = false;
         let mut fresh = Vec::new();
         let mut unclaimed = Vec::new();
         let mut comps = Vec::new();
-        for item in claimed {
+        for item in claimed.into_iter().flatten() {
             match item {
                 Work::Fresh(p) => fresh.push(p),
                 Work::Unclaimed(p) => unclaimed.push(p),
@@ -460,7 +543,7 @@ fn stage_two_worker<const D: usize>(
         }
         drv.seed_replayed(fresh, comps, &[]);
         drv.seed_counted(unclaimed);
-        drv.run_stage_two_stealing();
+        drv.run_stage_two();
     }
     let drain = drv.suspended();
     drv.into_pool(drain)
@@ -646,28 +729,6 @@ fn idj_worker<const D: usize>(
     (results, stats, queue_io, suspend)
 }
 
-/// The stealing k-distance join: [`Parallel::run_kdj`] as
-/// [`StealPool`] claim rounds. `threads` is
-/// already resolved. A thin shell over [`run_kdj_ckpt`] with no pause
-/// control and no snapshot — the uninterrupted join *is* the resumable
-/// join with the checkpoint machinery idle.
-///
-/// [`Parallel::run_kdj`]: super::backend::Parallel
-pub(crate) fn run_kdj<const D: usize, P: PruningPolicy>(
-    r: &RTree<D>,
-    s: &RTree<D>,
-    k: usize,
-    cfg: &JoinConfig,
-    policy: &P,
-    threads: usize,
-    schedule: Option<TestSchedule>,
-) -> JoinOutput {
-    match run_kdj_ckpt::<D, P>(r, s, k, cfg, policy, threads, schedule, None, None) {
-        Checkpointed::Done(out) => out,
-        Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
-    }
-}
-
 /// The checkpointable k-distance join. Without `resume` it starts from
 /// the root frontier; with it, from the snapshot's cut (stage 1 resumes
 /// re-split the saved frontier, stage 2 resumes rebuild the
@@ -722,6 +783,7 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
             ),
         };
     let shared = &MinBound::new(bound0);
+    let lone = threads == 1;
     let mut queue_io = 0.0;
     if k > 0 {
         let est = est.as_ref();
@@ -730,6 +792,10 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
         let mut work: Vec<Work<D>> = Vec::new();
         let mut dists: Vec<f64> = Vec::new();
         let mut edmax_now = edmax0;
+        // Results stage one emitted in this episode.
+        let mut fresh = 0;
+        // A lone stage-one driver that goes on into stage two.
+        let mut carried = None;
 
         if stage0 <= 1 {
             let mut frontier = match snap_frontier {
@@ -741,36 +807,24 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
             let pool = StealPool::new(seeds, |p: &Pair<D>| p.dist);
 
             // ---- Stage one: claim rounds over the frontier pool ----
-            let t0 = std::time::Instant::now();
-            let outcomes = {
-                let pool = &pool;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|w| {
-                            scope.spawn(move || {
-                                let span = WorkerBufferSpan::begin(w);
-                                let mut out = stage_one_worker::<D, P>(
-                                    r, s, k, cfg, est, pool, w, edmax0, shared, schedule, pause,
-                                    resumed,
-                                );
-                                span.record(&mut out.stats);
-                                (out, t0.elapsed().as_nanos() as u64)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
-                        .collect::<Vec<_>>()
-                })
-            };
-            let finishes: Vec<u64> = outcomes.iter().map(|(_, ns)| *ns).collect();
-            stats.barrier_idle_ns += barrier_idle(&finishes);
+            let (outcomes, idle) = run_workers(
+                vec![(); threads],
+                |w, ()| {
+                    stage_one_worker::<D, P>(
+                        r, s, k, cfg, est, &pool, w, edmax0, shared, schedule, pause, resumed, lone,
+                    )
+                },
+                |out| &mut out.0.stats,
+                true,
+            );
+            stats.barrier_idle_ns += idle;
             let mut leftovers = Vec::new();
             let mut comps = Vec::new();
             let mut suspended = false;
             let mut edmax_min = f64::INFINITY;
-            for (outcome, _) in outcomes {
+            for (outcome, drv) in outcomes {
+                carried = carried.or(drv);
+                fresh += outcome.results.len();
                 results.extend(outcome.results);
                 leftovers.extend(outcome.leftovers);
                 comps.extend(outcome.comps);
@@ -833,7 +887,9 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                 return Checkpointed::Suspended(snap, stats);
             }
 
-            if P::AGGRESSIVE {
+            // A lone worker holding `k` results has the answer (module
+            // docs): it drained nothing, and stage two is owed nothing.
+            if P::AGGRESSIVE && !(lone && fresh >= k) {
                 if dists.len() == k {
                     let kth = dists[k - 1];
                     if kth.is_finite() && shared.tighten(kth) {
@@ -881,7 +937,7 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
         }
 
         // ---- Stage two: claim rounds over the work-item pool ----
-        if !work.is_empty() {
+        if !work.is_empty() || carried.is_some() {
             stats.stages = 2;
             // Stable: parked compensation entries share equal keys en
             // masse (all at `eDmax.next_up()`), and one-thread parity
@@ -889,34 +945,22 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
             work.sort_by(|a, b| work_key(a).total_cmp(&work_key(b)));
             let wpool = StealPool::new(round_robin(work, threads), work_key);
             let dists = &dists[..];
-            let t0 = std::time::Instant::now();
-            let outputs = {
-                let wpool = &wpool;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|w| {
-                            scope.spawn(move || {
-                                let span = WorkerBufferSpan::begin(w);
-                                let mut out = stage_two_worker(
-                                    r, s, k, cfg, est, wpool, w, dists, shared, schedule, pause,
-                                );
-                                span.record(&mut out.stats);
-                                (out, t0.elapsed().as_nanos() as u64)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker panicked"))
-                        .collect::<Vec<_>>()
-                })
-            };
-            let finishes: Vec<u64> = outputs.iter().map(|(_, ns)| *ns).collect();
-            stats.barrier_idle_ns += barrier_idle(&finishes);
+            let quota = lone.then(|| k - fresh);
+            let (outputs, idle) = run_workers(
+                (0..threads).map(|_| carried.take()).collect(),
+                |w, drv| {
+                    stage_two_worker(
+                        r, s, k, cfg, est, &wpool, w, dists, shared, schedule, pause, quota, drv,
+                    )
+                },
+                |out| &mut out.stats,
+                true,
+            );
+            stats.barrier_idle_ns += idle;
             let mut leftovers = Vec::new();
             let mut comps = Vec::new();
             let mut suspended = false;
-            for (outcome, _) in outputs {
+            for outcome in outputs {
                 results.extend(outcome.results);
                 leftovers.extend(outcome.leftovers);
                 comps.extend(outcome.comps);
@@ -972,26 +1016,6 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
     stats.results = results.len() as u64;
     baseline.finish(r, s, &mut stats, queue_io);
     Checkpointed::Done(JoinOutput { results, stats })
-}
-
-/// The stealing incremental join: [`Parallel::run_idj`] as claim rounds
-/// over the seed pool. A thin shell over
-/// [`run_idj_ckpt`] with the checkpoint machinery idle.
-///
-/// [`Parallel::run_idj`]: super::backend::Parallel
-pub(crate) fn run_idj<const D: usize>(
-    r: &RTree<D>,
-    s: &RTree<D>,
-    take: usize,
-    cfg: &JoinConfig,
-    opts: &AmIdjOptions,
-    threads: usize,
-    schedule: Option<TestSchedule>,
-) -> JoinOutput {
-    match run_idj_ckpt(r, s, take, cfg, opts, threads, schedule, None, None) {
-        Checkpointed::Done(out) => out,
-        Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
-    }
 }
 
 /// The checkpointable incremental join. On resume, every worker's cursor
@@ -1057,40 +1081,38 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
         let pool = StealPool::new(seeds, |p: &Pair<D>| p.dist);
         let comp_shares = round_robin(snap_comps, threads);
         let seed_dists = &seed_dists[..];
-        let shared = &shared;
-        let t0 = std::time::Instant::now();
-        let outputs = {
-            let pool = &pool;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .zip(comp_shares)
-                    .map(|(w, comps_w)| {
-                        let opts = opts.clone();
-                        scope.spawn(move || {
-                            let span = WorkerBufferSpan::begin(w);
-                            let mut out = idj_worker(
-                                r, s, take, cfg, opts, pool, w, shared, schedule, pause, restore,
-                                comps_w, seed_dists,
-                            );
-                            span.record(&mut out.1);
-                            (out, t0.elapsed().as_nanos() as u64)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect::<Vec<_>>()
-            })
-        };
-        let finishes: Vec<u64> = outputs.iter().map(|(_, ns)| *ns).collect();
-        stats.barrier_idle_ns += barrier_idle(&finishes);
+        let (outputs, idle) = run_workers(
+            comp_shares,
+            |w, comps_w| {
+                idj_worker(
+                    r,
+                    s,
+                    take,
+                    cfg,
+                    opts.clone(),
+                    &pool,
+                    w,
+                    &shared,
+                    schedule,
+                    pause,
+                    restore,
+                    comps_w,
+                    seed_dists,
+                )
+            },
+            |out| &mut out.1,
+            // Incremental episodes keep their own thread even alone: serve
+            // cursors run them under admission, and `serve_concurrent`
+            // pins how they interleave with other queries.
+            false,
+        );
+        stats.barrier_idle_ns += idle;
         let mut sus_frontier: Vec<Pair<D>> = Vec::new();
         let mut sus_comps: Vec<CompEntry<D>> = Vec::new();
         let mut suspended = false;
         let (mut edmax_min, mut stage_max, mut k_target_max, mut last_max) =
             (f64::INFINITY, 1u32, opts.initial_k, 0.0f64);
-        for ((mut part, wstats, wio, suspend), _) in outputs {
+        for (mut part, wstats, wio, suspend) in outputs {
             results.append(&mut part);
             stats.stages = stats.stages.max(wstats.stages);
             stats.absorb_worker(&wstats);

@@ -842,10 +842,6 @@ impl<const D: usize> CompQueue<D> {
         self.heap.peek().map(|c| c.entry.key)
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Drains every parked entry, cheapest key first.
     pub(crate) fn drain_sorted(&mut self) -> Vec<CompEntry<D>> {
         let mut out = Vec::with_capacity(self.heap.len());
@@ -1151,7 +1147,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().key, 2.0);
         assert_eq!(q.pop().unwrap().key, 3.0);
         assert_eq!(stats.compq_insertions, 3);
-        assert_eq!(q.len(), 0);
+        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -6,20 +6,20 @@
 //!
 //! The paper's join algorithms are thin configurations of one unified
 //! [`engine`]: a pruning *policy* ([`engine::Exact`] or
-//! [`engine::Aggressive`]) crossed with an execution *backend*
-//! ([`engine::Sequential`] or [`engine::Parallel`]):
+//! [`engine::Aggressive`]) run by [`engine::Parallel`] with a worker
+//! count — one worker is the paper's sequential join:
 //!
 //! | Algorithm | Entry point | Engine configuration | Paper section |
 //! |---|---|---|---|
 //! | HS-KDJ (uni-directional baseline) | [`hs_kdj`] | — (own loop) | §2.2 |
 //! | HS-IDJ (incremental baseline) | [`HsIdj`] | — (own loop) | §2.2 |
-//! | B-KDJ (bidirectional + optimized plane sweep) | [`b_kdj`] | Exact × Sequential | §3 |
-//! | AM-KDJ (aggressive pruning + compensation) | [`am_kdj`] | Aggressive × Sequential | §4.1 |
+//! | B-KDJ (bidirectional + optimized plane sweep) | [`b_kdj`] | Exact × 1 worker | §3 |
+//! | AM-KDJ (aggressive pruning + compensation) | [`am_kdj`] | Aggressive × 1 worker | §4.1 |
 //! | AM-IDJ (adaptive multi-stage incremental) | [`AmIdj`] | [`engine::StageDriver`] | §4.2 |
 //! | SJ-SORT (spatial join + external sort baseline) | [`sj_sort`] | — (own loop) | §5 |
-//! | Parallel B-KDJ | [`par_b_kdj`] | Exact × Parallel | — |
-//! | Parallel AM-KDJ | [`par_am_kdj`] | Aggressive × Parallel | — |
-//! | Parallel AM-IDJ | [`par_am_idj`] | StageDriver × Parallel | — |
+//! | Parallel B-KDJ | [`par_b_kdj`] | Exact × T workers | — |
+//! | Parallel AM-KDJ | [`par_am_kdj`] | Aggressive × T workers | — |
+//! | Parallel AM-IDJ | [`par_am_idj`] | StageDriver × T workers | — |
 //!
 //! Every join takes its trees by `&RTree` — the page buffer synchronizes
 //! internally — so joins can also run concurrently over shared indexes;

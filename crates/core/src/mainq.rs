@@ -60,15 +60,6 @@ impl<const D: usize> MainQueue<D> {
         self.q.peek_min()
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    #[allow(dead_code)] // symmetry with is_empty; used by experiments via stats
-    pub(crate) fn len(&self) -> u64 {
-        self.q.len()
-    }
-
     pub(crate) fn disk_stats(&self) -> DiskStats {
         self.q.disk_stats()
     }
@@ -110,7 +101,7 @@ mod tests {
         assert_eq!(head.dist, 1.0);
         q.unpop(head);
         assert_eq!(q.insertions(), 2);
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.q.len(), 2);
         // The underlying spill queue's own counters must agree: a parked
         // head is not a new insertion there either.
         assert_eq!(q.q.stats().insertions, 2);

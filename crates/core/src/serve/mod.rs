@@ -41,7 +41,7 @@ use std::sync::Mutex;
 
 use amdj_rtree::RTree;
 
-use crate::engine::{self, Aggressive, Exact, Parallel, Sequential};
+use crate::engine::{self, Aggressive, Exact, Parallel};
 use crate::{AmIdjOptions, JoinConfig, JoinOutput, SnapshotError};
 
 use admission::Admission;
@@ -298,24 +298,11 @@ impl<'t, const D: usize> Server<'t, D> {
         self.check_spec(spec)?;
         let cfg = &self.opts.base_config;
         let guard = self.admit(self.cost_of(cfg))?;
-        let threads = (spec.threads as usize).max(1);
+        let par = Parallel::new((spec.threads as usize).max(1));
         let out = if spec.aggressive {
-            if threads > 1 {
-                engine::kdj(
-                    self.r,
-                    self.s,
-                    k,
-                    cfg,
-                    &Aggressive::default(),
-                    &Parallel::new(threads),
-                )
-            } else {
-                engine::kdj(self.r, self.s, k, cfg, &Aggressive::default(), &Sequential)
-            }
-        } else if threads > 1 {
-            engine::kdj(self.r, self.s, k, cfg, &Exact, &Parallel::new(threads))
+            engine::kdj(self.r, self.s, k, cfg, &Aggressive::default(), &par)
         } else {
-            engine::kdj(self.r, self.s, k, cfg, &Exact, &Sequential)
+            engine::kdj(self.r, self.s, k, cfg, &Exact, &par)
         };
         let wait_ns = guard.queue_wait_ns;
         drop(guard);

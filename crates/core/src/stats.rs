@@ -39,9 +39,11 @@ pub struct JoinStats {
     /// Compensation sweeps replayed (AM algorithms only): how often a
     /// parked expansion's skipped pairs were re-examined.
     pub comp_replays: u64,
-    /// Successful tightenings of the shared pruning bound (parallel
-    /// adaptive joins only): how often one worker's progress shrank every
-    /// other worker's cutoffs.
+    /// Successful tightenings of the shared pruning bound: how often a
+    /// worker's progress shrank every worker's cutoffs. One-thread
+    /// k-distance joins count them too (their lone worker publishes into
+    /// the same bound); only the standalone [`crate::AmIdj`] cursor and
+    /// the own-loop baselines leave it zero.
     pub bound_tightenings: u64,
     /// Work items (frontier pairs, stage-two pairs, compensation entries)
     /// a parallel worker took from a peer's deque instead of idling
@@ -83,8 +85,9 @@ pub struct JoinStats {
     /// Per-worker buffer hits: slot `w` belongs to parallel worker `w`
     /// (workers past [`MAX_TRACKED_WORKERS`] fold into the last slot):
     /// how each worker's share of the frontier fared in the shared node
-    /// buffer. Sequential joins leave the array zero — their fetches
-    /// appear only in [`Self::buffer_hits`].
+    /// buffer. One-thread k-distance joins fill slot 0; the standalone
+    /// [`crate::AmIdj`] cursor and the own-loop baselines leave the array
+    /// zero — their fetches appear only in [`Self::buffer_hits`].
     pub buffer_hits_by_worker: [u64; MAX_TRACKED_WORKERS],
     /// Per-worker buffer misses, laid out like
     /// [`Self::buffer_hits_by_worker`].
@@ -183,8 +186,10 @@ impl JoinStats {
 /// Attributes the calling thread's buffer hits and misses over one
 /// worker's run to that worker's [`JoinStats`] slot: capture at worker
 /// start, [`record`](WorkerBufferSpan::record) at worker end. Works
-/// because each parallel worker owns its spawned thread for its whole
-/// run, so the thread-local delta is exactly the worker's traffic.
+/// because each worker owns its thread for its whole run (a lone
+/// k-distance worker runs on the coordinating thread between frontier
+/// seeding and the merge), so the thread-local delta is exactly the
+/// worker's traffic.
 pub(crate) struct WorkerBufferSpan {
     worker: usize,
     hits0: u64,
@@ -203,13 +208,18 @@ impl WorkerBufferSpan {
         }
     }
 
-    pub(crate) fn record(self, stats: &mut JoinStats) {
+    /// Fills the worker's slot; `on_caller` marks a worker that ran on
+    /// the coordinating thread, whose [`Baseline`] already counts its
+    /// traffic in the totals.
+    pub(crate) fn record(self, stats: &mut JoinStats, on_caller: bool) {
         let (h, m, e) = thread_buffer_stats();
         let (dh, dm) = (h - self.hits0, m - self.misses0);
         let slot = self.worker.min(MAX_TRACKED_WORKERS - 1);
-        stats.buffer_hits += dh;
-        stats.buffer_misses += dm;
-        stats.buffer_evictions += e - self.evictions0;
+        if !on_caller {
+            stats.buffer_hits += dh;
+            stats.buffer_misses += dm;
+            stats.buffer_evictions += e - self.evictions0;
+        }
         stats.buffer_hits_by_worker[slot] += dh;
         stats.buffer_misses_by_worker[slot] += dm;
     }
@@ -270,9 +280,9 @@ impl Baseline {
         let tree_io =
             (r.disk_stats().io_seconds - self.r_io) + (s.disk_stats().io_seconds - self.s_io);
         stats.io_seconds += tree_io + queue_io_seconds;
-        // The coordinating thread's own buffer traffic (sequential joins:
-        // all of it; parallel joins: frontier seeding) — workers report
-        // their per-thread deltas separately via `WorkerBufferSpan`.
+        // The coordinating thread's own buffer traffic: frontier seeding,
+        // plus all of a lone k-distance worker's, which ran on it;
+        // spawned workers report their deltas via `WorkerBufferSpan`.
         let (h, m, e) = thread_buffer_stats();
         stats.buffer_hits += h - self.buf_hits;
         stats.buffer_misses += m - self.buf_misses;

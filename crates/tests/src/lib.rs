@@ -3,6 +3,7 @@
 
 #![deny(unsafe_code)]
 
+use amdj_core::{AmIdj, AmIdjOptions, JoinConfig, ResultPair};
 use amdj_datagen::Dataset;
 use amdj_rtree::{RTree, RTreeParams};
 
@@ -32,13 +33,22 @@ pub fn build_paper_trees(a: &Dataset, b: &Dataset) -> (RTree<2>, RTree<2>) {
     )
 }
 
+/// The first `take` pairs of one standalone [`AmIdj`] cursor: the
+/// incremental join's reference stream.
+pub fn cursor_take(
+    r: &RTree<2>,
+    s: &RTree<2>,
+    take: usize,
+    cfg: &JoinConfig,
+    opts: &AmIdjOptions,
+) -> Vec<ResultPair> {
+    let mut cursor = AmIdj::new(r, s, cfg, opts.clone());
+    std::iter::from_fn(|| cursor.next()).take(take).collect()
+}
+
 /// Asserts two result streams carry the same distance sequence (object id
 /// ties may legitimately differ between algorithms).
-pub fn assert_same_distances(
-    got: &[amdj_core::ResultPair],
-    want: &[amdj_core::ResultPair],
-    label: &str,
-) {
+pub fn assert_same_distances(got: &[ResultPair], want: &[ResultPair], label: &str) {
     assert_eq!(got.len(), want.len(), "{label}: result count");
     for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
         assert!(

@@ -1,14 +1,14 @@
-//! Empty-input regression: every join entry point — sequential,
+//! Empty-input regression: every join entry point — one-thread,
 //! parallel, incremental — must return a clean empty result when either
 //! input tree is empty (or `k`/`take` is zero), never panic.
 
-use amdj_core::engine::{self, Sequential};
 use amdj_core::{
     am_kdj, b_kdj, hs_kdj, knn_join, par_am_idj, par_am_kdj, par_b_kdj, AmIdjOptions, AmKdjOptions,
     JoinConfig, ResultPair,
 };
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
+use amdj_tests::cursor_take;
 
 fn tree(pts: &[(f64, f64)]) -> RTree<2> {
     let items: Vec<(Rect<2>, u64)> = pts
@@ -63,10 +63,7 @@ fn idj_entry_points_handle_empty_inputs() {
         ("full×empty", some_points(), empty()),
         ("empty×empty", empty(), empty()),
     ] {
-        assert_empty(
-            label,
-            &engine::idj(&r, &s, 4, &cfg, &opts, &Sequential).results,
-        );
+        assert_empty(label, &cursor_take(&r, &s, 4, &cfg, &opts));
         assert_empty(label, &par_am_idj(&r, &s, 4, &cfg, &opts, 2).results);
     }
 }
@@ -82,6 +79,6 @@ fn zero_k_and_zero_take_return_cleanly() {
     );
     assert_empty(
         "take=0 idj",
-        &engine::idj(&r, &s, 0, &cfg, &AmIdjOptions::default(), &Sequential).results,
+        &cursor_take(&r, &s, 0, &cfg, &AmIdjOptions::default()),
     );
 }

@@ -1,20 +1,21 @@
-//! The engine matrix: every pruning policy × execution backend × thread
-//! count must produce the same pair set for the same query — bit for bit
+//! The engine matrix: every pruning policy × thread count must produce
+//! the same pair set for the same query — bit for bit
 //! once the only legitimate divergence (tie order at equal distance) is
 //! removed by canonical `(dist, r, s)` ordering. One property test covers
 //! what per-algorithm parity tests used to check pairwise: the policies
 //! are exercised with adversarial `eDmax` values (zero, badly under- and
-//! over-estimated) and the backends across thread counts, and every cell
-//! of the matrix is compared against both brute force and the sequential
-//! exact reference. A second property runs
-//! the incremental driver across backends, and a third holds the matrix
-//! together under a tight spill-queue memory budget.
+//! over-estimated) across thread counts, and every cell of the matrix is
+//! compared against both brute force and the one-thread exact reference.
+//! A second property runs the incremental join across thread counts
+//! against the standalone cursor, and a third holds the matrix together
+//! under a tight spill-queue memory budget.
 
-use amdj_core::engine::{self, Aggressive, Exact, Parallel, Sequential};
+use amdj_core::engine::{self, Aggressive, Exact, Parallel};
 use amdj_core::{bruteforce, AmIdjOptions, JoinConfig, ResultPair};
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
 use amdj_storage::CostModel;
+use amdj_tests::cursor_take;
 use proptest::prelude::*;
 
 fn arb_dataset(max_n: usize) -> impl Strategy<Value = Vec<(Rect<2>, u64)>> {
@@ -77,22 +78,12 @@ fn run_cell(
     k: usize,
     cfg: &JoinConfig,
     policy: Option<Option<f64>>,
-    threads: Option<usize>,
+    threads: usize,
 ) -> Vec<ResultPair> {
-    let out = match (policy, threads) {
-        (None, None) => engine::kdj(r, s, k, cfg, &Exact, &Sequential),
-        (None, Some(t)) => engine::kdj(r, s, k, cfg, &Exact, &Parallel::new(t)),
-        (Some(e), None) => {
-            engine::kdj(r, s, k, cfg, &Aggressive { edmax_override: e }, &Sequential)
-        }
-        (Some(e), Some(t)) => engine::kdj(
-            r,
-            s,
-            k,
-            cfg,
-            &Aggressive { edmax_override: e },
-            &Parallel::new(t),
-        ),
+    let par = Parallel::new(threads);
+    let out = match policy {
+        None => engine::kdj(r, s, k, cfg, &Exact, &par),
+        Some(e) => engine::kdj(r, s, k, cfg, &Aggressive { edmax_override: e }, &par),
     };
     canonical(out.results)
 }
@@ -108,7 +99,7 @@ fn policy_cells(scale: f64) -> Vec<(String, Option<Option<f64>>)> {
     cells
 }
 
-const BACKENDS: [Option<usize>; 5] = [None, Some(1), Some(2), Some(3), Some(8)];
+const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -116,8 +107,8 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Every (policy × backend × thread count) cell equals brute force and
-    /// the sequential exact reference.
+    /// Every (policy × thread count) cell equals brute force and the
+    /// one-thread exact reference.
     #[test]
     fn kdj_matrix_bit_identical(
         a in arb_dataset(80),
@@ -127,23 +118,23 @@ proptest! {
         let want = bruteforce::k_closest_pairs(&a, &b, k);
         let (r, s) = trees(&a, &b);
         let cfg = JoinConfig::unbounded();
-        let reference = run_cell(&r, &s, k, &cfg, None, None);
+        let reference = run_cell(&r, &s, k, &cfg, None, 1);
         prop_assert_eq!(reference.len(), want.len());
         for (g, w) in reference.iter().zip(want.iter()) {
             prop_assert!((g.dist - w.dist).abs() < 1e-9, "{} != {}", g.dist, w.dist);
         }
         let scale = want.last().map_or(1.0, |p| p.dist);
         for (name, policy) in policy_cells(scale) {
-            for threads in BACKENDS {
-                let label = format!("{name} × {threads:?}");
+            for threads in THREADS {
+                let label = format!("{name} × {threads}");
                 let got = run_cell(&r, &s, k, &cfg, policy, threads);
                 assert_identical(&label, &reference, &got)?;
             }
         }
     }
 
-    /// The incremental driver across backends: the parallel cursor merge
-    /// equals the sequential stage loop for every thread count, including
+    /// The incremental join across thread counts: the claim-round merge
+    /// equals the standalone cursor for every thread count, including
     /// under an under-estimating stage schedule.
     #[test]
     fn idj_matrix_bit_identical(
@@ -156,7 +147,7 @@ proptest! {
         let (r, s) = trees(&a, &b);
         let cfg = JoinConfig::unbounded();
         let opts = AmIdjOptions { initial_k, growth: 2.0, ..AmIdjOptions::default() };
-        let reference = canonical(engine::idj(&r, &s, take, &cfg, &opts, &Sequential).results);
+        let reference = canonical(cursor_take(&r, &s, take, &cfg, &opts));
         prop_assert_eq!(reference.len(), want.len());
         for (g, w) in reference.iter().zip(want.iter()) {
             prop_assert!((g.dist - w.dist).abs() < 1e-9, "{} != {}", g.dist, w.dist);
@@ -186,15 +177,15 @@ proptest! {
             queue_cost: CostModel { page_size: 1024, ..CostModel::paper_1999_disk() },
             ..JoinConfig::default()
         };
-        let reference = run_cell(&r, &s, k, &JoinConfig::unbounded(), None, None);
+        let reference = run_cell(&r, &s, k, &JoinConfig::unbounded(), None, 1);
         let scale = bruteforce::dmax_for_k(&a, &b, k).unwrap_or(1.0);
         for (name, policy) in [
             ("exact", None),
             ("agg[est]", Some(None)),
             ("agg[0.3×]", Some(Some(scale * 0.3))),
         ] {
-            for threads in [None, Some(1), Some(4)] {
-                let label = format!("tight {name} × {threads:?}");
+            for threads in [1, 4] {
+                let label = format!("tight {name} × {threads}");
                 let got = run_cell(&r, &s, k, &tight, policy, threads);
                 assert_identical(&label, &reference, &got)?;
             }

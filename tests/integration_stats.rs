@@ -3,9 +3,11 @@
 
 use amdj_core::{am_kdj, b_kdj, hs_kdj, sj_sort, AmKdjOptions, JoinConfig};
 use amdj_datagen::tiger::Geography;
+use amdj_datagen::Dataset;
+use amdj_geom::{Point, Rect};
 use amdj_tests::{assert_same_distances, build_paper_trees, build_trees};
 
-fn workload() -> (amdj_datagen::Dataset, amdj_datagen::Dataset) {
+fn workload() -> (Dataset, Dataset) {
     let geo = Geography::arizona_like(55);
     (geo.streets(3000), geo.hydro(1000))
 }
@@ -27,30 +29,61 @@ fn bkdj_beats_hs_on_distance_computations() {
         bk.stats.real_dist,
         hs.stats.real_dist
     );
+    // A point grid at toy fanout: the advantage shrinks, but B-KDJ still
+    // computes fewer distances for the same answer.
+    let grid = |dx: f64, dy: f64| -> Dataset {
+        (0..18 * 18)
+            .map(|i| {
+                let p = Point::new([(i % 18) as f64 + dx, (i / 18) as f64 + dy]);
+                (Rect::from_point(p), i as u64)
+            })
+            .collect()
+    };
+    let (r, s) = build_trees(&grid(0.0, 0.0), &grid(0.21, 0.37));
+    let k = 10;
+    let hs = hs_kdj(&r, &s, k, &JoinConfig::unbounded());
+    let bk = b_kdj(&r, &s, k, &JoinConfig::unbounded());
+    assert_same_distances(&bk.results, &hs.results, "toy fanout: answers agree");
+    assert!(
+        bk.stats.real_dist < hs.stats.real_dist,
+        "toy fanout: B-KDJ {} vs HS-KDJ {}",
+        bk.stats.real_dist,
+        hs.stats.real_dist
+    );
 }
 
 #[test]
 fn amkdj_no_worse_than_bkdj() {
     // §5.6: AM-KDJ with the default estimate never needs more queue
-    // insertions than B-KDJ (the estimate tends to overestimate).
+    // insertions than B-KDJ (the estimate tends to overestimate); with an
+    // eDmax overestimated on purpose, it needs no more distance
+    // computations either.
     let (a, b) = workload();
     let (r, s) = build_trees(&a, &b);
     for k in [10, 300] {
         let bk = b_kdj(&r, &s, k, &JoinConfig::unbounded());
-        let am = am_kdj(
-            &r,
-            &s,
-            k,
-            &JoinConfig::unbounded(),
-            &AmKdjOptions::default(),
-        );
-        assert_same_distances(&am.results, &bk.results, "answers agree");
-        assert!(
-            am.stats.mainq_insertions <= bk.stats.mainq_insertions,
-            "k={k}: AM {} vs B {}",
-            am.stats.mainq_insertions,
-            bk.stats.mainq_insertions
-        );
+        let dmax = bk.results.last().unwrap().dist;
+        let over = AmKdjOptions {
+            edmax_override: Some(dmax * 1.5),
+        };
+        for (name, opts) in [("estimated", AmKdjOptions::default()), ("1.5×Dmax", over)] {
+            let am = am_kdj(&r, &s, k, &JoinConfig::unbounded(), &opts);
+            assert_same_distances(&am.results, &bk.results, "answers agree");
+            assert!(
+                am.stats.mainq_insertions <= bk.stats.mainq_insertions,
+                "k={k} {name}: AM {} vs B {} insertions",
+                am.stats.mainq_insertions,
+                bk.stats.mainq_insertions
+            );
+            if opts.edmax_override.is_some() {
+                assert!(
+                    am.stats.real_dist <= bk.stats.real_dist,
+                    "k={k} {name}: AM {} vs B {} distances",
+                    am.stats.real_dist,
+                    bk.stats.real_dist
+                );
+            }
+        }
     }
 }
 
@@ -91,6 +124,7 @@ fn underestimated_edmax_bounded_by_twice_bkdj() {
         },
     );
     assert_same_distances(&am.results, &bk.results, "answers agree");
+    assert_eq!(am.stats.stages, 2, "an underestimate runs compensation");
     assert!(
         am.stats.real_dist <= 2 * bk.stats.real_dist + 1000,
         "AM {} vs 2×B {}",

@@ -1,24 +1,28 @@
-//! Worker-stats accounting: on one thread, the parallel backend must do
-//! exactly the work the sequential backend does — same distance
-//! computations, same queue insertions, same expansions, same node
-//! accesses — because a single worker receives the whole frontier (one
-//! root pair) and every unit of work happens in exactly one place. Any
-//! drift means a parallel path double-counts (e.g. re-counting a pooled
-//! stage-two seed that was already counted when it first entered a queue)
-//! or silently skips work.
+//! Worker-stats accounting: every one-thread entry point must do exactly
+//! the paper's sequential work — same distance computations, same queue
+//! insertions and spill pages, same expansions, same node accesses —
+//! because a single worker receives the whole frontier (one root pair)
+//! and every unit of work happens in exactly one place. Any drift means
+//! a path double-counts (e.g. re-counting a pooled stage-two seed that
+//! was already counted when it first entered a queue) or silently does
+//! extra work.
 //!
-//! Excluded from the parity set: `bound_tightenings` (the sequential
-//! backend has no shared bound to publish into), wall-clock and modeled
-//! I/O times, `node_disk_reads` (buffer state carries across the runs),
-//! and — for the incremental join only — `distq_insertions` (the parallel
-//! cursor owns a merge-side distance queue the sequential cursor does not
-//! have).
+//! Excluded from the parity set: wall-clock and modeled I/O times,
+//! `node_disk_reads` (buffer state carries across the runs), and — for
+//! the incremental join only — `distq_insertions` and
+//! `bound_tightenings` (the claim-round cursor owns a merge-side distance
+//! queue and a shared bound the standalone cursor does not have).
 //!
-//! The one-thread parity tests run against the work-stealing path, so
-//! they also pin its claim protocol: a lone worker claims the single root
-//! seed and replays the sequential join counter for counter, stealing
-//! nothing.
+//! The tests pin the claim protocol too: a lone worker claims the single
+//! root seed, steals nothing, and stops at its `k`-th result even when
+//! the k-th distance is tied — the k-distance tests' self-join inputs put
+//! `k` inside the distance-0 group, under a spilling queue budget. The
+//! incremental test has no tied input: the claim-round cursor's lone
+//! worker still walks the tie group past `take`, so it picks other tied
+//! pairs than the standalone cursor (an open ROADMAP item).
 
+use amdj_core::serve::codec::Response;
+use amdj_core::serve::{ServeOptions, Server};
 use amdj_core::{
     am_kdj, b_kdj, par_am_idj, par_am_kdj, par_b_kdj, AmIdj, AmIdjOptions, AmKdjOptions,
     JoinConfig, JoinStats,
@@ -46,7 +50,41 @@ fn trees(a: &[(Rect<2>, u64)], b: &[(Rect<2>, u64)]) -> (RTree<2>, RTree<2>) {
     )
 }
 
-fn assert_parity(label: &str, seq: &JoinStats, par: &JoinStats, with_distq: bool) {
+/// A spilling queue budget: the tie inputs' main queues page out.
+fn spilling() -> JoinConfig {
+    let mut cfg = JoinConfig::with_queue_memory(4 * 1024);
+    cfg.queue_cost.page_size = 1024;
+    cfg
+}
+
+/// Asserts both runs spilled and read back the same queue pages.
+fn assert_spill_parity(label: &str, seq: &JoinStats, par: &JoinStats) {
+    assert!(seq.queue_page_writes > 0, "{label}: the queue must spill");
+    assert_eq!(
+        seq.queue_page_reads, par.queue_page_reads,
+        "{label}: queue_page_reads"
+    );
+    assert_eq!(
+        seq.queue_page_writes, par.queue_page_writes,
+        "{label}: queue_page_writes"
+    );
+}
+
+/// The serve layer's `{"op":"kdj","threads":1}` answer on `r × s`.
+fn serve_kdj(r: &RTree<2>, s: &RTree<2>, k: usize, cfg: &JoinConfig) -> Vec<amdj_core::ResultPair> {
+    let opts = ServeOptions {
+        base_config: cfg.clone(),
+        ..ServeOptions::default()
+    };
+    let server = Server::new(r, s, opts);
+    let line = format!(r#"{{"op":"kdj","id":"t","k":{k},"threads":1}}"#);
+    match server.handle_line(line.as_bytes()).0 {
+        Response::Results { results, .. } => results,
+        other => panic!("kdj over serve failed: {other:?}"),
+    }
+}
+
+fn assert_parity(label: &str, seq: &JoinStats, par: &JoinStats, kdj: bool) {
     assert_eq!(seq.results, par.results, "{label}: results");
     assert_eq!(seq.stages, par.stages, "{label}: stages");
     assert_eq!(seq.real_dist, par.real_dist, "{label}: real_dist");
@@ -55,10 +93,14 @@ fn assert_parity(label: &str, seq: &JoinStats, par: &JoinStats, with_distq: bool
         seq.mainq_insertions, par.mainq_insertions,
         "{label}: mainq_insertions"
     );
-    if with_distq {
+    if kdj {
         assert_eq!(
             seq.distq_insertions, par.distq_insertions,
             "{label}: distq_insertions"
+        );
+        assert_eq!(
+            seq.bound_tightenings, par.bound_tightenings,
+            "{label}: bound_tightenings"
         );
     }
     assert_eq!(
@@ -93,6 +135,17 @@ fn exact_policy_one_thread_equals_sequential() {
         // One worker, one root seed: there is no one to steal from.
         assert_eq!(par.stats.pairs_stolen, 0, "k={k}: pairs_stolen");
     }
+    // A self-join: k sits inside the distance-0 tie group.
+    let (r, s) = trees(&a, &a);
+    for k in [17, 90] {
+        let seq = b_kdj(&r, &s, k, &spilling());
+        let par = par_b_kdj(&r, &s, k, &spilling(), 1);
+        let label = format!("tied b_kdj k={k}");
+        assert_eq!(seq.results, par.results, "{label}: results");
+        assert_parity(&label, &seq.stats, &par.stats, true);
+        assert_spill_parity(&label, &seq.stats, &par.stats);
+        assert_eq!(par.stats.pairs_stolen, 0, "{label}: pairs_stolen");
+    }
 }
 
 #[test]
@@ -121,6 +174,23 @@ fn aggressive_policy_one_thread_equals_sequential() {
         assert_eq!(seq.results, par.results, "{name}: results");
         assert_parity(&format!("am_kdj {name}"), &seq.stats, &par.stats, true);
         assert_eq!(par.stats.pairs_stolen, 0, "{name}: pairs_stolen");
+    }
+    // A self-join: k sits inside the distance-0 tie group. The server's
+    // one-thread kdj must give the library's answer too.
+    let (r, s) = trees(&a, &a);
+    for k in [17, 80] {
+        let seq = am_kdj(&r, &s, k, &spilling(), &AmKdjOptions::default());
+        let par = par_am_kdj(&r, &s, k, &spilling(), &AmKdjOptions::default(), 1);
+        let label = format!("tied am_kdj k={k}");
+        assert_eq!(seq.results, par.results, "{label}: results");
+        assert_parity(&label, &seq.stats, &par.stats, true);
+        assert_spill_parity(&label, &seq.stats, &par.stats);
+        assert_eq!(par.stats.pairs_stolen, 0, "{label}: pairs_stolen");
+        assert_eq!(
+            serve_kdj(&r, &s, k, &spilling()),
+            seq.results,
+            "{label}: serve"
+        );
     }
 }
 

@@ -11,14 +11,15 @@
 //!
 //! The invariant is the engine's strongest: under *any* schedule, every
 //! policy × thread-count cell must return results bit-identical to the
-//! sequential reference. Distances are compared by bit pattern, ids
+//! unperturbed one-thread reference. Distances are compared by bit pattern, ids
 //! exactly (continuous random rectangles make distance ties
 //! measure-zero).
 
-use amdj_core::engine::{self, Aggressive, Exact, Parallel, Sequential};
+use amdj_core::engine::{self, Aggressive, Exact, Parallel};
 use amdj_core::{AmIdjOptions, JoinConfig, ResultPair, TestSchedule};
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
+use amdj_tests::cursor_take;
 use proptest::prelude::*;
 
 fn arb_dataset(max_n: usize) -> impl Strategy<Value = Vec<(Rect<2>, u64)>> {
@@ -112,7 +113,7 @@ proptest! {
     })]
 
     /// Every policy × thread count, under a seeded stall/forced-steal
-    /// schedule, returns the sequential answer bit for bit.
+    /// schedule, returns the one-thread answer bit for bit.
     #[test]
     fn kdj_stealing_bit_identical_under_perturbation(
         a in arb_dataset(80),
@@ -122,7 +123,7 @@ proptest! {
     ) {
         let (r, s) = trees(&a, &b);
         let reference = canonical(
-            engine::kdj(&r, &s, k, &JoinConfig::unbounded(), &Exact, &Sequential).results,
+            engine::kdj(&r, &s, k, &JoinConfig::unbounded(), &Exact, &Parallel::new(1)).results,
         );
         let scale = reference.last().map_or(1.0, |p| p.dist);
         let cfg = JoinConfig::unbounded();
@@ -154,7 +155,7 @@ proptest! {
         let (r, s) = trees(&a, &b);
         let opts = AmIdjOptions { initial_k, growth: 2.0, ..AmIdjOptions::default() };
         let cfg = JoinConfig::unbounded();
-        let reference = canonical(engine::idj(&r, &s, take, &cfg, &opts, &Sequential).results);
+        let reference = canonical(cursor_take(&r, &s, take, &cfg, &opts));
         for threads in THREADS {
             let out = engine::idj(&r, &s, take, &cfg, &opts, &stealing(threads, seed));
             let label = format!("idj × {threads}t seed={seed}");
@@ -195,7 +196,14 @@ fn forced_schedule_actually_steals() {
         "no pairs stolen under a force-every-claim schedule"
     );
     assert!(out.stats.steal_attempts >= out.stats.pairs_stolen.min(1));
-    let reference = engine::kdj(&r, &s, 200, &JoinConfig::unbounded(), &Exact, &Sequential);
+    let reference = engine::kdj(
+        &r,
+        &s,
+        200,
+        &JoinConfig::unbounded(),
+        &Exact,
+        &Parallel::new(1),
+    );
     assert_eq!(canonical(out.results), canonical(reference.results));
 }
 

@@ -7,7 +7,7 @@
 //! the top distances are all 0, and which of the pairs tied at `Dmax`
 //! make the cut depends on expansion order, so policies and thread
 //! counts may legitimately pick different ones. What must hold in every
-//! policy × backend cell, checked here against brute force:
+//! policy × thread-count cell, checked here against brute force:
 //!
 //! * the distance sequence is identical, bit for bit, in order;
 //! * every pair strictly below the k-th distance is present;
@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use amdj_core::engine::{self, Aggressive, Exact, Parallel, Sequential};
+use amdj_core::engine::{self, Aggressive, Exact, Parallel};
 use amdj_core::{bruteforce, JoinConfig, ResultPair};
 use amdj_datagen::{tiger, Dataset};
 use amdj_geom::Rect;
@@ -24,9 +24,8 @@ use amdj_rtree::RTree;
 use amdj_tests::build_trees;
 use proptest::prelude::*;
 
-/// Backends: `None` is [`Sequential`], `Some(t)` is [`Parallel`] with `t`
-/// workers.
-const BACKENDS: [Option<usize>; 5] = [None, Some(1), Some(2), Some(3), Some(8)];
+/// Worker counts; one worker is the paper's sequential join.
+const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 /// Policy cells: `None` is [`Exact`]; `Some(e)` is [`Aggressive`] with
 /// that `edmax_override` (`Some(None)` uses the Equation 3 estimator).
@@ -45,28 +44,13 @@ fn run_cell(
     s: &RTree<2>,
     k: usize,
     policy: Option<Option<f64>>,
-    threads: Option<usize>,
+    threads: usize,
 ) -> Vec<ResultPair> {
     let cfg = JoinConfig::unbounded();
-    let out = match (policy, threads) {
-        (None, None) => engine::kdj(r, s, k, &cfg, &Exact, &Sequential),
-        (None, Some(t)) => engine::kdj(r, s, k, &cfg, &Exact, &Parallel::new(t)),
-        (Some(e), None) => engine::kdj(
-            r,
-            s,
-            k,
-            &cfg,
-            &Aggressive { edmax_override: e },
-            &Sequential,
-        ),
-        (Some(e), Some(t)) => engine::kdj(
-            r,
-            s,
-            k,
-            &cfg,
-            &Aggressive { edmax_override: e },
-            &Parallel::new(t),
-        ),
+    let par = Parallel::new(threads);
+    let out = match policy {
+        None => engine::kdj(r, s, k, &cfg, &Exact, &par),
+        Some(e) => engine::kdj(r, s, k, &cfg, &Aggressive { edmax_override: e }, &par),
     };
     out.results
 }
@@ -151,15 +135,15 @@ impl Oracle {
     }
 }
 
-/// Runs every policy × backend cell of a k-distance join over `a × b`.
+/// Runs every policy × thread-count cell of a k-distance join over `a × b`.
 fn check_all_cells(a: &Dataset, b: &Dataset, k: usize) -> Result<Oracle, TestCaseError> {
     let oracle = Oracle::new(a, b, k);
     let (r, s) = build_trees(a, b);
     let scale = oracle.want.last().map_or(1.0, |p| p.dist).max(1e-3);
     for (name, policy) in policy_cells(scale) {
-        for threads in BACKENDS {
+        for threads in THREADS {
             let got = run_cell(&r, &s, k, policy, threads);
-            oracle.check(&format!("k={k} {name} × {threads:?}"), &got)?;
+            oracle.check(&format!("k={k} {name} × {threads}"), &got)?;
         }
     }
     Ok(oracle)
