@@ -248,6 +248,43 @@ exec 3>&-
     || { echo "serve smoke: SIGINT left no cursor checkpoint"; exit 1; }
 echo "serve smoke: concurrent queries bit-identical, cursor survived restart, SIGINT exited 75"
 
+echo "== cursor tie smoke: a serve cursor pages through the distance-0 group =="
+# The tie smoke's self-join opens with 1500 pairs at distance 0, so every
+# pull window below ends inside that group. Pulls are driven in lockstep
+# (a cursor serves one request at a time). The served distances must be
+# the one-shot CLI's, in order; tied pairs may come in another order (the
+# server delivers canonical (dist, r, s) order).
+TIE_DIR="$CKPT_DIR/cursor_tie"
+mkdir -p "$TIE_DIR"
+mkfifo "$TIE_DIR/in"
+timeout 60 "$AMDJ_BIN" serve --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/a.amdj" \
+    < "$TIE_DIR/in" > "$TIE_DIR/out.jsonl" 2>/dev/null &
+SERVE_PID=$!
+exec 3> "$TIE_DIR/in"
+printf '%s\n' '{"op":"idj_open","id":"t","take":200}' >&3
+await_lines 1 "$TIE_DIR/out.jsonl"
+for i in $(seq 1 8); do
+    printf '%s\n' '{"op":"idj_pull","id":"t","n":25}' >&3
+    await_lines $((i + 1)) "$TIE_DIR/out.jsonl"
+done
+printf '%s\n' '{"op":"idj_close","id":"t"}' >&3
+await_lines 10 "$TIE_DIR/out.jsonl"
+exec 3>&-
+wait "$SERVE_PID" || { echo "cursor tie smoke: serve exit $?"; exit 1; }
+if grep -q '"ok":false' "$TIE_DIR/out.jsonl"; then
+    echo "cursor tie smoke: a request failed"
+    grep '"ok":false' "$TIE_DIR/out.jsonl"
+    exit 1
+fi
+grep '"op":"idj_pull"' "$TIE_DIR/out.jsonl" | serve_pairs | cut -d, -f3 > "$TIE_DIR/served.txt"
+timeout 60 "$AMDJ_BIN" idj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/a.amdj" --take 200 --algo am \
+    2>/dev/null | grep -v '^#' | cut -d, -f3 > "$TIE_DIR/cli.txt"
+[ "$(wc -l < "$TIE_DIR/served.txt")" = "200" ] \
+    || { echo "cursor tie smoke: $(wc -l < "$TIE_DIR/served.txt") distances served, not 200"; exit 1; }
+cmp -s "$TIE_DIR/served.txt" "$TIE_DIR/cli.txt" \
+    || { echo "cursor tie smoke: served distances differ from amdj idj --algo am"; exit 1; }
+echo "cursor tie smoke: 200 served distances match the one-shot CLI in order"
+
 echo "== socket smoke: amdj serve --listen over TCP =="
 # The same protocol over a real socket: kdj and an IDJ cursor driven
 # through bash's /dev/tcp, diffed against the one-shot CLI; then SIGINT

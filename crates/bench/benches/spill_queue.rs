@@ -1,5 +1,6 @@
 //! Hybrid memory/disk queue micro-benchmarks: push/pop throughput under
-//! various memory budgets, and the value of Equation-3 boundaries.
+//! various memory budgets, the value of Equation-3 boundaries, and a
+//! tie-heavy stream shaped like an incremental join's distance-0 group.
 
 use amdj_storage::codec::{put_f64, put_u64, Reader};
 use amdj_storage::{SpillItem, SpillQueue, SpillQueueConfig};
@@ -105,5 +106,56 @@ fn bench_boundary_guidance(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_push_pop, bench_boundary_guidance);
+fn bench_tie_heavy(c: &mut Criterion) {
+    // An incremental join walking a distance-0 group: the heap starts 90 %
+    // full of zeros, then each step pops two zeros and pushes two zeros
+    // plus one positive key below every earlier one (so it lands in the
+    // heap, not in a spilled segment). 100k pushes, 70 % of them zeros,
+    // against the paper's 512 KB queue memory; then a full drain.
+    const PUSHES: usize = 100_000;
+    let budget = 512 * 1024;
+    let capacity = budget / SpillQueue::<Item>::per_item_cost(16);
+    let prefill = capacity * 9 / 10;
+    let mut g = c.benchmark_group("spill_queue/tie_heavy_100k");
+    g.throughput(Throughput::Elements(PUSHES as u64));
+    g.bench_function("512k", |b| {
+        b.iter(|| {
+            let mut q = SpillQueue::new(SpillQueueConfig {
+                mem_budget: budget,
+                boundaries: vec![],
+                cost: amdj_storage::CostModel::free(),
+            });
+            let mut id = 0u64;
+            let mut push = |q: &mut SpillQueue<Item>, key: f64| {
+                q.push(Item { key, id });
+                id += 1;
+            };
+            for _ in 0..prefill {
+                push(&mut q, 0.0);
+            }
+            let mut step = 0u64;
+            while q.stats().insertions < PUSHES as u64 {
+                q.pop();
+                q.pop();
+                push(&mut q, 0.0);
+                push(&mut q, 0.0);
+                push(&mut q, 1.0 / (step + 2) as f64);
+                step += 1;
+            }
+            let mut n = 0u64;
+            while q.pop().is_some() {
+                n += 1;
+            }
+            (n, q.stats().splits)
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_push_pop,
+    bench_boundary_guidance,
+    bench_tie_heavy
+);
 criterion_main!(benches);

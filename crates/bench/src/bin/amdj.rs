@@ -13,8 +13,7 @@
 //! amdj knn      --r a.amdj --s b.amdj --k K
 //! amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]
 //! amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]
-//!               [--episode-expansions N] [--max-request-bytes N] [--state-dir DIR]
-//!               [--max-threads N]
+//!               [--max-request-bytes N] [--state-dir DIR] [--max-threads N]
 //!               [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]
 //! ```
 //!
@@ -72,7 +71,7 @@ use amdj_rtree::{RTree, RTreeParams};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv\n  amdj build    --input data.csv --out index.amdj\n  amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj within   --r a.amdj --s b.amdj --dist D\n  amdj knn      --r a.amdj --s b.amdj --k K\n  amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]\n  amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]\n                [--episode-expansions N] [--max-request-bytes N] [--state-dir DIR]\n                [--max-threads N]\n                [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]"
+        "usage:\n  amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv\n  amdj build    --input data.csv --out index.amdj\n  amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj within   --r a.amdj --s b.amdj --dist D\n  amdj knn      --r a.amdj --s b.amdj --k K\n  amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]\n  amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]\n                [--max-request-bytes N] [--state-dir DIR] [--max-threads N]\n                [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]"
     );
     ExitCode::from(2)
 }
@@ -530,11 +529,6 @@ fn run() -> Result<ExitCode, String> {
             }
             if let Some(v) = flags.get("max-waiting") {
                 sopts.max_waiting = v.parse().map_err(|e| format!("--max-waiting: {e}"))?;
-            }
-            if let Some(v) = flags.get("episode-expansions") {
-                sopts.episode_expansions = v
-                    .parse()
-                    .map_err(|e| format!("--episode-expansions: {e}"))?;
             }
             if let Some(v) = flags.get("max-request-bytes") {
                 sopts.max_request_bytes =

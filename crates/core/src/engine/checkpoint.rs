@@ -3,7 +3,9 @@
 //!
 //! A resumable join runs on the work-stealing machinery of
 //! [`steal`](super::steal), in *episodes*: each episode runs until either
-//! the join finishes or the [`PauseCtl`] fires, at which point every
+//! the join finishes or the [`PauseCtl`] fires (for a serve pull,
+//! `idj_until_stable`: until the pull's window is stable), at which
+//! point every
 //! worker drains its queues into a [`StageOnePool`]-shaped suspension,
 //! the runner merges them with the un-claimed remainder of the shared
 //! pool into one canonical frontier, and the whole state becomes an
@@ -177,24 +179,67 @@ pub fn idj_resumable<const D: usize>(
     resume: Option<EngineSnapshot<D>>,
     pause: Option<&PauseCtl>,
 ) -> Result<Checkpointed<D>, SnapshotError> {
-    if let Some(snap) = &resume {
-        match snap.kind {
-            SnapshotKind::Idj { take: st } => {
-                if st != take as u64 {
-                    return Err(SnapshotError::Invalid("snapshot take differs from request"));
-                }
-            }
-            SnapshotKind::Kdj { .. } => {
-                return Err(SnapshotError::Invalid(
-                    "k-distance-join snapshot passed to an incremental join",
-                ))
-            }
-        }
-    }
-    let threads = threads.max(1);
+    check_idj_resume(&resume, take)?;
     Ok(steal::run_idj_ckpt(
-        r, s, take, cfg, opts, threads, schedule, resume, pause,
+        r,
+        s,
+        take,
+        None,
+        cfg,
+        opts,
+        threads.max(1),
+        schedule,
+        resume,
+        pause,
     ))
+}
+
+/// Runs (or resumes) the incremental join of [`idj_resumable`] only until
+/// its first `want` results are final — strictly below every pending
+/// frontier pair and parked compensation entry — and suspends there in
+/// one step, or returns `Done` if the join finished on the way. A serve
+/// cursor's pull is one such episode.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn idj_until_stable<const D: usize>(
+    r: &RTree<D>,
+    s: &RTree<D>,
+    take: usize,
+    want: usize,
+    cfg: &JoinConfig,
+    opts: &AmIdjOptions,
+    threads: usize,
+    resume: Option<EngineSnapshot<D>>,
+) -> Result<Checkpointed<D>, SnapshotError> {
+    check_idj_resume(&resume, take)?;
+    Ok(steal::run_idj_ckpt(
+        r,
+        s,
+        take,
+        Some(want),
+        cfg,
+        opts,
+        threads.max(1),
+        None,
+        resume,
+        None,
+    ))
+}
+
+/// Refuses a snapshot that is not an incremental join of the same `take`.
+fn check_idj_resume<const D: usize>(
+    resume: &Option<EngineSnapshot<D>>,
+    take: usize,
+) -> Result<(), SnapshotError> {
+    match resume.as_ref().map(|snap| snap.kind) {
+        None => Ok(()),
+        Some(SnapshotKind::Idj { take: st }) if st == take as u64 => Ok(()),
+        Some(SnapshotKind::Idj { .. }) => {
+            Err(SnapshotError::Invalid("snapshot take differs from request"))
+        }
+        Some(SnapshotKind::Kdj { .. }) => Err(SnapshotError::Invalid(
+            "k-distance-join snapshot passed to an incremental join",
+        )),
+    }
 }
 
 /// Writes a snapshot to `path` atomically: encode to `<path>.tmp`, sync,

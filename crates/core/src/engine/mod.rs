@@ -34,6 +34,7 @@ pub(crate) mod sweep;
 
 pub use backend::Parallel;
 pub use bound::MinBound;
+pub(crate) use checkpoint::idj_until_stable;
 pub use checkpoint::{
     idj_resumable, kdj_resumable, read_checkpoint, write_checkpoint, Checkpointed, PauseCtl,
 };
@@ -76,7 +77,18 @@ pub fn idj<const D: usize>(
     par: &Parallel,
 ) -> JoinOutput {
     let threads = backend::resolve_threads(par.threads);
-    match steal::run_idj_ckpt(r, s, take, cfg, opts, threads, par.schedule, None, None) {
+    match steal::run_idj_ckpt(
+        r,
+        s,
+        take,
+        None,
+        cfg,
+        opts,
+        threads,
+        par.schedule,
+        None,
+        None,
+    ) {
         Checkpointed::Done(out) => out,
         Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
     }

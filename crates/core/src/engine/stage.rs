@@ -65,6 +65,9 @@ pub struct StageDriver<'a, const D: usize> {
     /// incremental join): cutoffs are clamped to it, and the owning worker
     /// stops consuming once the stream passes it. `None` when standalone.
     shared: Option<&'a MinBound>,
+    /// The bound past which the owning worker stops consuming: the shared
+    /// bound, or a tighter serve-pull window ([`set_stop`](Self::set_stop)).
+    stop: Option<&'a MinBound>,
     edmax: f64,
     k_target: u64,
     emitted: u64,
@@ -175,6 +178,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
             compq: CompQueue::new(),
             scratch: SweepScratch::new(),
             shared,
+            stop: shared,
             edmax,
             k_target,
             emitted: 0,
@@ -197,6 +201,13 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// [`next_step`](Self::next_step) observes it.
     pub(crate) fn set_pause(&mut self, pause: Option<&'a PauseCtl>) {
         self.pause = pause;
+    }
+
+    /// Stops this worker cursor at `stop` instead of the shared bound.
+    /// Sweep cutoffs stay clamped to the shared bound, so the cursor
+    /// walks exactly what it would without the earlier stop.
+    pub(crate) fn set_stop(&mut self, stop: &'a MinBound) {
+        self.stop = Some(stop);
     }
 
     /// Overwrites the stage-loop scalars from a snapshot's canonical
@@ -313,13 +324,13 @@ impl<'a, const D: usize> StageDriver<'a, D> {
                 (None, Some(c)) => (false, c),
                 (Some(m), Some(c)) => (m <= c, m.min(c)),
             };
-            if self.shared.is_some_and(|b| key > b.get()) {
+            if self.stop.is_some_and(|b| key > b.get()) {
                 // Worker cursor: `key` lower-bounds every pair this cursor
-                // can still produce, and the shared bound only tightens, so
-                // nothing left here can enter the global result set. Stop
-                // now — advancing stages cannot help, because the sweep
-                // cutoff stays clamped to the shared bound and the parked
-                // entries would never clear.
+                // can still produce, and the stop bound only tightens, so
+                // nothing left here is wanted. Stop now — advancing stages
+                // cannot help, because the sweep cutoff stays clamped to
+                // the shared bound and the parked entries would never
+                // clear.
                 return Step::Done;
             }
             if key > self.edmax {

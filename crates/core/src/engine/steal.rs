@@ -562,8 +562,36 @@ enum PumpEnd {
     Paused,
 }
 
+/// A serve pull's second bound: the `want`-th smallest distance a worker
+/// has evidence for, published to a [`MinBound`] shared like the `take`
+/// bound and never above it. Workers stop at it instead of the `take`
+/// bound, which still decides what the suspension keeps.
+struct Window<'b> {
+    distq: DistanceQueue,
+    bound: &'b MinBound,
+}
+
+impl<'b> Window<'b> {
+    /// A window pre-seeded (uncounted) with a snapshot's distance
+    /// evidence, already published.
+    fn new(want: usize, bound: &'b MinBound, seed_dists: &[f64]) -> Self {
+        let mut distq = DistanceQueue::new(want);
+        for &d in seed_dists {
+            distq.seed(d);
+        }
+        bound.tighten(distq.qdmax());
+        Window { distq, bound }
+    }
+
+    fn record(&mut self, dist: f64) {
+        self.distq.insert(dist);
+        self.bound.tighten(self.distq.qdmax());
+    }
+}
+
 /// Pumps one incremental cursor while its next emission can still beat
-/// the shared bound, publishing each emission's distance.
+/// the stop bound (the shared bound, or the [`Window`]'s when set),
+/// publishing each emission's distance.
 ///
 /// A stage advance is a global decision. The cursor's queues hold only
 /// its claimed share of the frontier — on resume, nothing but the parked
@@ -577,6 +605,7 @@ fn pump_idj<const D: usize>(
     cursor: &mut StageDriver<'_, D>,
     distq: &mut DistanceQueue,
     shared: &MinBound,
+    window: &mut Option<Window<'_>>,
     results: &mut Vec<ResultPair>,
     tightenings: &mut u64,
     pool: &StealPool<Pair<D>>,
@@ -586,8 +615,9 @@ fn pump_idj<const D: usize>(
         // The cursor's minimum queue key lower-bounds every future
         // emission: stop before doing the work once it passes the
         // bound.
+        let stop = window.as_ref().map_or(shared, |w| w.bound);
         match cursor.peek_key() {
-            Some(key) if key <= shared.get() => {}
+            Some(key) if key <= stop.get() => {}
             _ => return PumpEnd::Drained,
         }
         match cursor.next_step(hold) {
@@ -597,6 +627,12 @@ fn pump_idj<const D: usize>(
                     // still (and a tighter bound may admit new claims,
                     // which the outer loop handles).
                     return PumpEnd::Drained;
+                }
+                // Window first: both queues see the same distances and
+                // `want ≤ take`, so the window bound never exceeds the
+                // shared one.
+                if let Some(w) = window {
+                    w.record(pair.dist);
                 }
                 distq.insert(pair.dist);
                 let q = distq.qdmax();
@@ -643,6 +679,12 @@ fn pump_idj<const D: usize>(
 /// advancing the stage on an empty main queue. A fired `pause` suspends
 /// the cursor instead of finishing it; the drained cut comes back as the
 /// fourth return.
+///
+/// With a `window` of `(want, bound)` the same exit rule runs against the
+/// window bound instead — the `want`-th smallest distance any worker has
+/// evidence for — and the worker suspends where it would have finished:
+/// once every worker has exited, nothing pending lies at or below the
+/// window bound, so at least `want` results are final.
 #[allow(clippy::too_many_arguments)]
 fn idj_worker<const D: usize>(
     r: &RTree<D>,
@@ -653,6 +695,7 @@ fn idj_worker<const D: usize>(
     pool: &StealPool<Pair<D>>,
     w: usize,
     shared: &MinBound,
+    window: Option<(usize, &MinBound)>,
     schedule: Option<TestSchedule>,
     pause: Option<&PauseCtl>,
     restore: Option<(u32, f64, u64, u64, f64)>,
@@ -669,6 +712,11 @@ fn idj_worker<const D: usize>(
     for &d in seed_dists {
         distq.seed(d);
     }
+    let stop = window.map_or(shared, |(_, bound)| bound);
+    let mut window = window.map(|(want, bound)| {
+        cursor.set_stop(bound);
+        Window::new(want, bound, seed_dists)
+    });
     let mut results = Vec::new();
     let mut tightenings = 0u64;
     let (mut stolen, mut attempts) = (0u64, 0u64);
@@ -677,6 +725,7 @@ fn idj_worker<const D: usize>(
         &mut cursor,
         &mut distq,
         shared,
+        &mut window,
         &mut results,
         &mut tightenings,
         pool,
@@ -695,7 +744,7 @@ fn idj_worker<const D: usize>(
         let forced = schedule.is_some_and(|sch| sch.force_steal(w, step));
         let bound = match end {
             PumpEnd::Deferred => cursor.clamped_edmax(),
-            _ => shared.get(),
+            _ => stop.get(),
         };
         let claimed = claim_round(pool, w, bound, false, forced, &mut stolen, &mut attempts);
         match claimed {
@@ -710,12 +759,13 @@ fn idj_worker<const D: usize>(
             &mut cursor,
             &mut distq,
             shared,
+            &mut window,
             &mut results,
             &mut tightenings,
             pool,
         );
     }
-    let (mut stats, queue_io, suspend) = if end == PumpEnd::Paused {
+    let (mut stats, queue_io, suspend) = if end == PumpEnd::Paused || window.is_some() {
         let (sus, st, io) = cursor.suspend();
         (st, io, Some(sus))
     } else {
@@ -1018,6 +1068,28 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
     Checkpointed::Done(JoinOutput { results, stats })
 }
 
+/// Tightens the `take` bound at a suspension with the object pairs still
+/// queued in the frontier: they are real pairs, distinct from every
+/// emitted result, so the `take`-th smallest distance over both is a
+/// proven bound the workers could not publish yet (they count only
+/// emissions). A window stop early in the stream, before `take` results
+/// exist, then still prunes the snapshot to what can make the `take`.
+fn tighten_by_pending_results<const D: usize>(
+    shared: &MinBound,
+    take: usize,
+    results: &[ResultPair],
+    frontier: &[Pair<D>],
+) {
+    let mut known: Vec<f64> = results
+        .iter()
+        .map(|p| p.dist)
+        .chain(frontier.iter().filter(|p| p.is_result()).map(|p| p.dist))
+        .collect();
+    if take > 0 && known.len() >= take {
+        shared.tighten(*known.select_nth_unstable_by(take - 1, f64::total_cmp).1);
+    }
+}
+
 /// The checkpointable incremental join. On resume, every worker's cursor
 /// restores the snapshot's stage-loop scalars, is dealt a share of the
 /// saved compensation entries (the pair pool cannot carry them), and
@@ -1028,11 +1100,17 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
 /// estimate only advances stages earlier — completeness is unaffected),
 /// `stage`/`k_target`/`last_dist` the maximum, `emitted` the global
 /// result count. All of these steer heuristics only.
+///
+/// With `window = Some(want)`, `want < take`, the workers stop once the
+/// first `want` results are final ([`idj_worker`]) and the run suspends
+/// there — unless nothing is left pending at or below the `take` bound,
+/// in which case the join is finished and returns `Done`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_idj_ckpt<const D: usize>(
     r: &RTree<D>,
     s: &RTree<D>,
     take: usize,
+    window: Option<usize>,
     cfg: &JoinConfig,
     opts: &AmIdjOptions,
     threads: usize,
@@ -1070,6 +1148,10 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
         ),
     };
     let shared = MinBound::new(bound0);
+    let window_bound = MinBound::new(bound0);
+    let window = window
+        .filter(|&want| want < take)
+        .map(|want| (want.max(1), &window_bound));
     let mut queue_io = 0.0;
     if take > 0 {
         let mut frontier = match snap_frontier {
@@ -1093,6 +1175,7 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
                     &pool,
                     w,
                     &shared,
+                    window,
                     schedule,
                     pause,
                     restore,
@@ -1127,12 +1210,18 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
                 last_max = last_max.max(sus.last_dist);
             }
         }
+        sus_frontier.extend(pool.into_remaining());
         if suspended {
-            let bound = shared.get();
-            sus_frontier.extend(pool.into_remaining());
-            sus_frontier.retain(|p| p.dist <= bound);
+            tighten_by_pending_results(&shared, take, &results, &sus_frontier);
+        }
+        let bound = shared.get();
+        sus_frontier.retain(|p| p.dist <= bound);
+        sus_comps.retain(|e| e.key <= bound);
+        // A window stop with nothing pending under the `take` bound is a
+        // finished join.
+        let finished = window.is_some() && sus_frontier.is_empty() && sus_comps.is_empty();
+        if suspended && !finished {
             sus_frontier.sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist));
-            sus_comps.retain(|e| e.key <= bound);
             sus_comps.sort_by(|a, b| a.key.total_cmp(&b.key));
             sort_canonical(&mut results);
             // Results beyond the proven bound can never make the final

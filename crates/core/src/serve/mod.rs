@@ -56,9 +56,6 @@ pub struct ServeOptions {
     pub mem_budget_bytes: u64,
     /// Requests allowed to wait for admission before rejection.
     pub max_waiting: usize,
-    /// Expansion budget per cursor episode (`0` = run to completion in
-    /// one episode; pulls then never suspend mid-join).
-    pub episode_expansions: u64,
     /// Request line size cap, bytes.
     pub max_request_bytes: usize,
     /// Per-query `threads` cap. The engine spawns exactly that many OS
@@ -80,7 +77,6 @@ impl Default for ServeOptions {
         ServeOptions {
             mem_budget_bytes: 8 * base_config.queue_mem_bytes as u64,
             max_waiting: 64,
-            episode_expansions: 512,
             max_request_bytes: 1 << 20,
             max_threads: (4 * cores).max(16),
             base_config,
@@ -342,8 +338,8 @@ impl<'t, const D: usize> Server<'t, D> {
         self.cursors.insert(id, cursor)
     }
 
-    /// Pulls the next `n` pairs from a cursor, running resumable
-    /// episodes under admission control until the window is stable.
+    /// Pulls the next `n` pairs from a cursor under admission control,
+    /// running at most one engine episode to make the window stable.
     pub fn idj_pull(&self, id: &str, n: usize) -> Result<Pull, ServeError> {
         let mut cursor = self.cursors.checkout(id)?;
         let cfg = &self.opts.base_config;
@@ -351,14 +347,7 @@ impl<'t, const D: usize> Server<'t, D> {
             Err(e) => Err(e),
             Ok(guard) => {
                 cursor.queue_wait_ns += guard.queue_wait_ns;
-                let res = cursor.pull(
-                    self.r,
-                    self.s,
-                    cfg,
-                    &self.opts.idj_opts,
-                    self.opts.episode_expansions,
-                    n,
-                );
+                let res = cursor.pull(self.r, self.s, cfg, &self.opts.idj_opts, n);
                 drop(guard);
                 res
             }

@@ -3,9 +3,9 @@
 //! An open IDJ cursor is, between pulls, nothing but an
 //! [`EngineSnapshot`] — the same consistent cut the checkpoint/resume
 //! machinery writes to disk — plus the client's delivery position. A
-//! pull runs resumable episodes ([`idj_resumable`] with a fresh
-//! [`PauseCtl`] per episode) until enough of the result stream is
-//! *stable*, then hands the next slice out.
+//! pull whose window is not yet *stable* resumes the snapshot once: the
+//! engine (`engine::idj_until_stable`) runs until the window is stable and
+//! suspends once, then the pull hands the next slice out.
 //!
 //! # Stable-prefix rule
 //!
@@ -24,7 +24,9 @@
 
 use amdj_rtree::RTree;
 
-use crate::engine::{idj_resumable, Checkpointed, EngineSnapshot, PauseCtl, SnapshotKind};
+use crate::engine::{
+    idj_resumable, idj_until_stable, Checkpointed, EngineSnapshot, PauseCtl, SnapshotKind,
+};
 use crate::{AmIdjOptions, JoinConfig, JoinStats, ResultPair};
 
 use super::codec::QuerySpec;
@@ -56,6 +58,8 @@ pub struct Cursor<const D: usize> {
     pub stats: JoinStats,
     /// Total admission queue wait across this cursor's pulls, ns.
     pub queue_wait_ns: u64,
+    /// Engine episodes this cursor ran (at most one per pull).
+    episodes: u64,
 }
 
 /// Folds one episode's stats into a cursor's running totals. Work
@@ -112,6 +116,7 @@ impl<const D: usize> Cursor<D> {
             state: CursorState::Fresh,
             stats: JoinStats::default(),
             queue_wait_ns: 0,
+            episodes: 0,
         }
     }
 
@@ -152,6 +157,7 @@ impl<const D: usize> Cursor<D> {
             state: CursorState::Live(Box::new(snap)),
             stats: JoinStats::default(),
             queue_wait_ns: 0,
+            episodes: 0,
         })
     }
 
@@ -165,16 +171,23 @@ impl<const D: usize> Cursor<D> {
         self.take
     }
 
-    /// Runs one resumable episode of at most `episode_expansions`
-    /// expansions (`0` = run to completion), advancing the state.
+    /// Engine episodes this cursor has run: at most one per pull, plus
+    /// the paused cut a checkpoint takes of a fresh cursor.
+    pub fn episodes(&self) -> u64 {
+        self.episodes
+    }
+
+    /// Runs one engine episode from the cursor's state and stores the
+    /// outcome. With `want`, the episode runs until the first `want`
+    /// results are stable and suspends there (or finishes the join);
+    /// without, it pauses at once — the consistent cut of a fresh cursor.
     fn run_episode(
         &mut self,
         r: &RTree<D>,
         s: &RTree<D>,
         cfg: &JoinConfig,
         opts: &AmIdjOptions,
-        episode_expansions: u64,
-        stop_immediately: bool,
+        want: Option<usize>,
     ) -> Result<(), ServeError> {
         let resume = match std::mem::replace(&mut self.state, CursorState::Fresh) {
             CursorState::Fresh => None,
@@ -184,24 +197,27 @@ impl<const D: usize> Cursor<D> {
                 return Ok(());
             }
         };
-        let ctl = PauseCtl::every(episode_expansions);
-        if stop_immediately {
-            ctl.request_stop();
-        }
         let threads = (self.spec.threads as usize).max(1);
-        match idj_resumable(
-            r,
-            s,
-            self.take,
-            cfg,
-            opts,
-            threads,
-            None,
-            resume,
-            Some(&ctl),
-        )
-        .map_err(ServeError::Snapshot)?
-        {
+        let outcome = match want {
+            Some(want) => idj_until_stable(r, s, self.take, want, cfg, opts, threads, resume),
+            None => {
+                let ctl = PauseCtl::every(0);
+                ctl.request_stop();
+                idj_resumable(
+                    r,
+                    s,
+                    self.take,
+                    cfg,
+                    opts,
+                    threads,
+                    None,
+                    resume,
+                    Some(&ctl),
+                )
+            }
+        };
+        self.episodes += 1;
+        match outcome.map_err(ServeError::Snapshot)? {
             Checkpointed::Done(out) => {
                 accumulate(&mut self.stats, &out.stats);
                 self.state = CursorState::Done(out.results);
@@ -214,50 +230,52 @@ impl<const D: usize> Cursor<D> {
         Ok(())
     }
 
-    /// Pulls the next `n` pairs, running as many episodes as needed
-    /// until the delivery window is stable (or the join finishes).
-    /// Returns the slice and whether the cursor is exhausted.
+    /// Pulls the next `n` pairs. A window already inside the stable
+    /// prefix is served from the snapshot; otherwise one episode runs
+    /// until it is stable (or the join finishes). Returns the slice and
+    /// whether the cursor is exhausted.
     pub fn pull(
         &mut self,
         r: &RTree<D>,
         s: &RTree<D>,
         cfg: &JoinConfig,
         opts: &AmIdjOptions,
-        episode_expansions: u64,
         n: usize,
     ) -> Result<(Vec<ResultPair>, bool), ServeError> {
         let want = (self.delivered as usize).saturating_add(n).min(self.take);
-        loop {
-            match &self.state {
-                CursorState::Done(results) => {
-                    let end = want.min(results.len()).min(self.take);
-                    let from = self.delivered as usize;
-                    // `from > end` means the delivery position claims
-                    // pairs the stream cannot replay (an inconsistent
-                    // resume): refuse rather than rewind `delivered`
-                    // and re-label old pairs as new.
-                    if from > end {
-                        return Err(position_error());
-                    }
-                    let slice = results[from..end].to_vec();
-                    self.delivered = end as u64;
-                    let exhausted = end >= results.len().min(self.take);
-                    return Ok((slice, exhausted));
-                }
-                CursorState::Live(snap) if stable_len(snap, self.take) >= want => {
-                    let from = self.delivered as usize;
-                    if from > want {
-                        return Err(position_error());
-                    }
-                    let slice = snap.results[from..want].to_vec();
-                    self.delivered = want as u64;
-                    // Stable but suspended: more results may follow —
-                    // unless the delivery budget itself is spent.
-                    return Ok((slice, want >= self.take));
-                }
-                _ => self.run_episode(r, s, cfg, opts, episode_expansions, false)?,
-            }
+        let covered = match &self.state {
+            CursorState::Fresh => false,
+            CursorState::Live(snap) => stable_len(snap, self.take) >= want,
+            CursorState::Done(_) => true,
+        };
+        if !covered {
+            self.run_episode(r, s, cfg, opts, Some(want))?;
         }
+        let from = self.delivered as usize;
+        let (results, end, exhausted) = match &self.state {
+            CursorState::Fresh => unreachable!("the episode above left Fresh"),
+            CursorState::Done(results) => {
+                let end = want.min(results.len());
+                (results, end, end >= results.len().min(self.take))
+            }
+            // Stable but suspended: more results may follow — unless the
+            // delivery budget itself is spent. An honest snapshot is
+            // stable up to `want` after one episode; a forged one only
+            // ever yields its own stable prefix.
+            CursorState::Live(snap) => {
+                let end = want.min(stable_len(snap, self.take));
+                (&snap.results, end, end >= self.take)
+            }
+        };
+        // `from > end` means the delivery position claims pairs the
+        // stream cannot replay (an inconsistent resume): refuse rather
+        // than rewind `delivered` and re-label old pairs as new.
+        if from > end {
+            return Err(position_error());
+        }
+        let slice = results[from..end].to_vec();
+        self.delivered = end as u64;
+        Ok((slice, exhausted))
     }
 
     /// Serializes the cursor to snapshot bytes plus the delivery
@@ -273,7 +291,7 @@ impl<const D: usize> Cursor<D> {
         opts: &AmIdjOptions,
     ) -> Result<(Vec<u8>, u64), ServeError> {
         if matches!(self.state, CursorState::Fresh) {
-            self.run_episode(r, s, cfg, opts, 0, true)?;
+            self.run_episode(r, s, cfg, opts, None)?;
         }
         let bytes = match &self.state {
             CursorState::Fresh => unreachable!("episode above left Fresh"),
@@ -382,5 +400,65 @@ impl<const D: usize> CursorTable<D> {
     pub fn ids(&self) -> Vec<String> {
         let map = self.map.lock().expect("cursor table poisoned");
         map.keys().cloned().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amdj_rtree::RTreeParams;
+
+    #[test]
+    fn a_pull_runs_one_episode_past_the_stable_prefix_and_none_inside() {
+        // A self-join: the stream opens with a distance-0 group, and a
+        // window ending inside it is stable only once the whole group is,
+        // which leaves a stable surplus to pull from.
+        let (streets, _) = amdj_datagen::tiger::arizona_workload(0.0003, 5);
+        let r = RTree::bulk_load(RTreeParams::for_tests(), streets.clone());
+        let s = RTree::bulk_load(RTreeParams::for_tests(), streets.clone());
+        let (cfg, opts) = (JoinConfig::default(), AmIdjOptions::default());
+        let take = 400;
+        // Under ties the cursor delivers the canonical `(dist, r, s)` order.
+        let want = crate::bruteforce::k_closest_pairs(&streets, &streets, take);
+
+        let mut cursor = Cursor::<2>::open(take, QuerySpec::default());
+        let mut got = Vec::new();
+        let (slice, done) = cursor.pull(&r, &s, &cfg, &opts, 10).expect("first pull");
+        got.extend(slice);
+        assert!(!done);
+        assert_eq!(
+            cursor.episodes(),
+            1,
+            "a fresh cursor's pull runs one episode"
+        );
+        let stable = match &cursor.state {
+            CursorState::Live(snap) => stable_len(snap, take),
+            _ => panic!("the first window suspends mid-join"),
+        };
+        assert!(stable > 10, "the distance-0 group is stable as a whole");
+
+        // Inside the stable prefix: served from the snapshot.
+        let (slice, _) = cursor
+            .pull(&r, &s, &cfg, &opts, stable - 10)
+            .expect("pull inside the stable prefix");
+        got.extend(slice);
+        assert_eq!(cursor.episodes(), 1, "a stable window runs no episode");
+
+        // Past it, however far: exactly one more episode per pull.
+        for (i, n) in [15, 100, take].into_iter().enumerate() {
+            let before = cursor.delivered();
+            let (slice, _) = cursor.pull(&r, &s, &cfg, &opts, n).expect("pull");
+            assert_eq!(slice.len() as u64, cursor.delivered() - before);
+            got.extend(slice);
+            assert_eq!(cursor.episodes(), 2 + i as u64, "one episode per pull");
+        }
+        assert_eq!(got.len(), take);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                (g.r, g.s, g.dist.to_bits()),
+                (w.r, w.s, w.dist.to_bits()),
+                "rank {i}"
+            );
+        }
     }
 }

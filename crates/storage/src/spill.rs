@@ -13,6 +13,9 @@
 //! paper derives them from Equation (3) as `b_i = sqrt(i · n · ρ)` for heap
 //! capacity `n` — and fall back to the median key, so the queue behaves
 //! sensibly even when the uniformity assumption behind Equation (3) fails.
+//! Splits make amortised progress whatever the keys, so a tie-heavy key
+//! stream (a distance-0 group filling the heap) cannot degrade into one
+//! split per push.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -484,13 +487,41 @@ impl<T: SpillItem> SpillQueue<T> {
         seg.bytes += encoded as u64;
     }
 
-    /// Chooses a split boundary for the current heap contents: the
-    /// configured (Equation 3) boundary closest to the median key if one
-    /// separates the contents, otherwise the median key itself.
-    fn choose_boundary(entries: &mut [HeapEntry<T>], configured: &[f64], upper: f64) -> f64 {
-        let mid = entries.len() / 2;
-        let (_, median, _) = entries.select_nth_unstable_by(mid, |a, b| a.key.total_cmp(&b.key));
-        let median = median.key;
+    /// Chooses where a split cuts the heap: entries keyed below the
+    /// returned boundary stay resident, and so do the `ties_kept` oldest
+    /// entries keyed exactly at it; everything else spills to a segment
+    /// whose range starts at the boundary. Every cut keeps at least one
+    /// entry and spills at least one. In order of preference:
+    ///
+    /// 1. the configured (Equation 3) boundary closest to the median key,
+    ///    among those that separate the contents;
+    /// 2. the median key, when it lies above the minimum;
+    /// 3. the smallest key above the minimum, when at most three quarters
+    ///    of the heap share the minimum key — a tie-heavy heap keeps its
+    ///    whole minimum-key group resident;
+    /// 4. otherwise the minimum key itself, keeping the older half of the
+    ///    heap (all at that key) resident. An all-equal heap lands here.
+    ///
+    /// Cuts 2–4 spill at least a quarter of the heap, so the next such cut
+    /// waits for a quarter of a heap's worth of inserts. A configured cut
+    /// becomes the front segment's lower bound, and later cuts must fall
+    /// below it until a swap-in, so each configured boundary cuts at most
+    /// once in between. Between swap-ins, then, `n` pushes cause at most
+    /// `4n / (capacity + 1) + 1 + B` splits for `B` configured boundaries,
+    /// whatever the key distribution.
+    fn choose_cut(entries: &mut [HeapEntry<T>], configured: &[f64], upper: f64) -> (f64, usize) {
+        let n = entries.len();
+        let key_at = |entries: &mut [HeapEntry<T>], i: usize| {
+            entries
+                .select_nth_unstable_by(i, |a, b| a.key.total_cmp(&b.key))
+                .1
+                .key
+        };
+        // At most `3n / 4` entries lie strictly below any key at or under
+        // `limit`, so cutting at a key in `(min, limit]` spills a quarter
+        // or more.
+        let limit = key_at(entries, n - n.div_ceil(4));
+        let median = key_at(entries, n / 2);
         let min = entries.iter().map(|e| e.key).fold(f64::INFINITY, f64::min);
         let max = entries
             .iter()
@@ -501,50 +532,72 @@ impl<T: SpillItem> SpillQueue<T> {
             .copied()
             .filter(|&b| b > min && b <= max && b < upper)
             .min_by(|a, b| (a - median).abs().total_cmp(&(b - median).abs()));
-        match candidate {
-            Some(b) => b,
-            None if median > min => median,
-            // Degenerate distribution (median == min): split just above min
-            // so at least the min-key items stay in memory.
-            None => max,
+        if let Some(b) = candidate {
+            return (b, 0);
         }
+        if median > min {
+            return (median, 0);
+        }
+        match Self::next_key(entries, min) {
+            Some(above) if limit > min => (above, 0),
+            _ => (min, n / 2),
+        }
+    }
+
+    /// The smallest key above `key` among `entries`, if any.
+    fn next_key(entries: &[HeapEntry<T>], key: f64) -> Option<f64> {
+        entries
+            .iter()
+            .map(|e| e.key)
+            .filter(|&k| k > key)
+            .min_by(f64::total_cmp)
     }
 
     fn split(&mut self) {
         self.stats.splits += 1;
         let mut entries: Vec<HeapEntry<T>> = std::mem::take(&mut self.heap).into_vec();
         let upper = self.segments.front().map_or(f64::INFINITY, |s| s.lo);
-        let boundary = Self::choose_boundary(&mut entries, &self.config.boundaries, upper);
+        let (boundary, ties_kept) = Self::choose_cut(&mut entries, &self.config.boundaries, upper);
+        // The newest entry at the boundary that still stays resident.
+        let last_kept_tie = (ties_kept > 0).then(|| {
+            let mut tie_seqs: Vec<u64> = entries
+                .iter()
+                .filter(|e| e.key == boundary)
+                .map(|e| e.seq)
+                .collect();
+            *tie_seqs.select_nth_unstable(ties_kept - 1).1
+        });
+        // A cut inside a tie group gives the spilled ties a segment of
+        // their own, ending at the next key: later pushes at the tied key
+        // then share no pile, and no swap-in, with the keys above it.
+        let above = if ties_kept > 0 {
+            Self::next_key(&entries, boundary)
+        } else {
+            None
+        };
         let page_size = self.disk.page_size();
         // Cap the number of segments (each keeps a one-page write buffer):
         // past the cap, widen the front segment's range downward instead of
         // creating a new one — it is an unsorted pile, so lowering its `lo`
         // bound is always legal.
         const MAX_SEGMENTS: usize = 64;
-        if self.segments.len() >= MAX_SEGMENTS {
-            self.segments.front_mut().expect("segments non-empty").lo = boundary;
-        } else {
-            self.segments.push_front(Segment::new(boundary, page_size));
+        for lo in above.into_iter().chain([boundary]) {
+            if self.segments.len() >= MAX_SEGMENTS {
+                self.segments.front_mut().expect("segments non-empty").lo = lo;
+            } else {
+                self.segments.push_front(Segment::new(lo, page_size));
+            }
         }
 
         let mut kept = Vec::new();
         let mut spill = Vec::new();
         for e in entries {
-            if e.key < boundary {
+            if e.key < boundary || (e.key == boundary && last_kept_tie.is_some_and(|s| e.seq <= s))
+            {
                 kept.push(e);
             } else {
                 spill.push(e);
             }
-        }
-        if kept.is_empty() {
-            // Degenerate split: every entry shares one key, so
-            // `boundary == min == max` rejected them all. Keep the *older*
-            // half in memory — the heap must stay non-empty or every
-            // subsequent pop swaps straight back in from disk — and
-            // forcibly spill only the newer half.
-            spill.sort_by_key(|e| e.seq);
-            let keep = spill.len() / 2;
-            kept = spill.drain(..keep.max(1)).collect();
         }
         for e in spill {
             self.heap_bytes -= Self::item_cost(&e.item);
@@ -912,6 +965,77 @@ mod tests {
         let keys = pop_keys(&mut q);
         assert_eq!(keys.len(), 100);
         assert!(keys.iter().all(|&k| k == 7.0));
+    }
+
+    #[test]
+    fn tie_heavy_streams_split_with_amortised_progress() {
+        // Regression: when the median key equalled the minimum, a split
+        // cut at the *maximum* key and moved only the max-key entries out.
+        // An incremental join walking a distance-0 group pops one zero
+        // and pushes a zero and a small positive pair per step; with the
+        // heap mostly zeros, every push then split the heap and moved one
+        // entry. Without configured boundaries every cut now spills at
+        // least a quarter of the heap, so between swap-ins n pushes cause
+        // at most 4n/(capacity + 1) + 1 splits.
+        let capacity = 50u64;
+        let small = |i: u64| ((i * 7919) % 997 + 1) as f64 / 1000.0;
+        // The adversarial positive: below every earlier one, so it always
+        // lands in the heap rather than in a spilled segment.
+        let shrinking = |i: u64| 1.0 / (i + 2) as f64;
+        for (label, zeros_first, popping, positive) in [
+            (
+                "90% zeros, alternating",
+                45,
+                true,
+                &shrinking as &dyn Fn(u64) -> f64,
+            ),
+            ("60% zeros, alternating", 30, true, &shrinking),
+            ("90% zeros, random positives", 45, true, &small),
+            ("push-only, 90% zeros", 0, false, &small),
+        ] {
+            let mut cfg = SpillQueueConfig::budgeted(
+                capacity as usize * SpillQueue::<Item>::per_item_cost(16),
+                vec![],
+            );
+            cfg.cost.page_size = 256;
+            let mut q = SpillQueue::new(cfg);
+            let mut live = Vec::new();
+            let mut push = |q: &mut SpillQueue<Item>, key: f64| {
+                q.push(Item {
+                    key,
+                    id: live.len() as u64,
+                });
+                live.push(key);
+            };
+            for _ in 0..zeros_first {
+                push(&mut q, 0.0);
+            }
+            let mut popped = Vec::new();
+            for i in 0..3000u64 {
+                if popping {
+                    popped.push(q.pop().expect("non-empty").key);
+                    push(&mut q, 0.0);
+                    push(&mut q, positive(i));
+                } else {
+                    push(&mut q, if i % 10 == 9 { positive(i) } else { 0.0 });
+                }
+            }
+            let st = q.stats();
+            let bound = 4 * st.insertions / (capacity + 1) + st.swap_ins + 1;
+            assert!(
+                st.splits <= bound,
+                "{label}: {} splits for {} pushes and {} swap-ins, bound {bound}",
+                st.splits,
+                st.insertions,
+                st.swap_ins
+            );
+            // Zeros pop first, and every key comes back out exactly once.
+            assert!(popped.iter().all(|&k| k == 0.0), "{label}: pops the zeros");
+            popped.extend(pop_keys(&mut q));
+            live.sort_unstable_by(f64::total_cmp);
+            popped.sort_unstable_by(f64::total_cmp);
+            assert_eq!(popped, live, "{label}: contents");
+        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ fn run_against_reference(
     page: usize,
     boundaries: Vec<f64>,
 ) -> Result<(), TestCaseError> {
+    let nbounds = boundaries.len() as u64;
     let cost = CostModel {
         page_size: page,
         ..CostModel::paper_1999_disk()
@@ -111,6 +112,18 @@ fn run_against_reference(
         assert_budget(&q, mem)?;
     }
     prop_assert_eq!(q.len() as usize, reference.len());
+    // Between swap-ins, n pushes cause at most 4n/(capacity + 1) + 1 + B
+    // splits for B configured boundaries.
+    let st = q.stats();
+    let capacity = (mem / item_cost()) as u64;
+    prop_assert!(
+        st.splits <= 4 * st.insertions / (capacity + 1) + (st.swap_ins + 1) * (1 + nbounds),
+        "{} splits for {} pushes and {} swap-ins at capacity {}",
+        st.splits,
+        st.insertions,
+        st.swap_ins,
+        capacity
+    );
     // Drain the remainder: must come out sorted and complete, never
     // blowing the budget along the way.
     let mut rest: Vec<f64> = Vec::new();

@@ -38,11 +38,27 @@ fn reference(r: &RTree<2>, s: &RTree<2>, cfg: &JoinConfig, take: usize) -> Vec<R
 fn serve_opts(cfg: &JoinConfig) -> ServeOptions {
     ServeOptions {
         base_config: cfg.clone(),
-        // Small episodes so pulls and checkpoints exercise real
-        // mid-join suspensions, not run-to-completion shortcuts.
-        episode_expansions: 64,
         ..ServeOptions::default()
     }
+}
+
+/// A tie-heavy input: TIGER-like streets joined with themselves, so the
+/// stream opens with a long distance-0 group (every object with itself,
+/// plus every intersecting pair). The take runs 20 pairs past the group,
+/// and the queue budget is small enough that the group spills. Returns
+/// the trees, the config, and the canonical `(dist, r, s)` stream a
+/// serve cursor must deliver.
+fn tied_self_join() -> (RTree<2>, RTree<2>, JoinConfig, Vec<ResultPair>) {
+    let (streets, _) = amdj_datagen::tiger::arizona_workload(0.0003, 5);
+    let zeros = amdj_core::bruteforce::pairs_within(&streets, &streets, 0.0).len();
+    assert!(zeros > 50, "too few zero-distance pairs ({zeros})");
+    let want = amdj_core::bruteforce::k_closest_pairs(&streets, &streets, zeros + 20);
+    let (r, s) = build_trees(&streets, &streets);
+    let cfg = JoinConfig {
+        queue_mem_bytes: 8 * 1024,
+        ..JoinConfig::default()
+    };
+    (r, s, cfg, want)
 }
 
 fn assert_identical(label: &str, want: &[ResultPair], got: &[ResultPair]) {
@@ -59,26 +75,47 @@ fn assert_identical(label: &str, want: &[ResultPair], got: &[ResultPair]) {
 
 #[test]
 fn checkpoint_restart_resume_is_bit_identical() {
+    let take = 60;
     let (r, s) = workload();
     let cfg = JoinConfig::default();
-    let take = 60;
     let want = reference(&r, &s, &cfg, take);
     assert_eq!(want.len(), take, "workload yields a full stream");
+    check_restart_resume("untied", &r, &s, &cfg, &want);
 
-    let server1 = Server::new(&r, &s, serve_opts(&cfg));
+    // The first pull windows end inside the distance-0 group, where the
+    // canonical order is the only order both servers can agree on.
+    let (r, s, cfg, want) = tied_self_join();
+    check_restart_resume("tied self-join", &r, &s, &cfg, &want);
+}
+
+fn check_restart_resume(
+    label: &str,
+    r: &RTree<2>,
+    s: &RTree<2>,
+    cfg: &JoinConfig,
+    want: &[ResultPair],
+) {
+    let take = want.len();
+    let server1 = Server::new(r, s, serve_opts(cfg));
     server1
         .idj_open("c", take, QuerySpec::default())
         .expect("opens");
     let first = server1.idj_pull("c", 25).expect("first pull");
-    assert!(!first.done, "stream not exhausted at 25 of 60");
+    assert!(!first.done, "{label}: stream not exhausted at 25 of {take}");
     assert_eq!(first.delivered, 25);
-    assert_identical("first window", &want[..25], &first.results);
+    assert_identical(label, &want[..25], &first.results);
     let (bytes, at) = server1.idj_checkpoint("c").expect("checkpoint");
     assert_eq!(at, 25, "checkpoint records the delivery position");
+    // The pull suspended the join mid-way: pending work rides along.
+    let snap = amdj_core::EngineSnapshot::<2>::decode(&bytes).expect("own snapshot decodes");
+    assert!(
+        snap.frontier_len() > 0,
+        "{label}: a real mid-join suspension"
+    );
 
     // "Restart": a brand-new server over the same trees, fed only the
     // snapshot bytes and the delivery position a client would replay.
-    let server2 = Server::new(&r, &s, serve_opts(&cfg));
+    let server2 = Server::new(r, s, serve_opts(cfg));
     server2
         .idj_resume("c", &bytes, at, QuerySpec::default())
         .expect("resumes");
@@ -90,7 +127,7 @@ fn checkpoint_restart_resume_is_bit_identical() {
             break;
         }
     }
-    assert_identical("resumed remainder", &want[25..], &rest);
+    assert_identical(label, &want[25..], &rest);
 }
 
 #[test]

@@ -15,6 +15,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use amdj_core::serve::{
+    snap_file_name,
     transport::{serve_listener, TransportOptions, TransportStats},
     ServeOptions, Server,
 };
@@ -32,8 +33,6 @@ fn workload() -> (RTree<2>, RTree<2>) {
 fn serve_opts(cfg: &JoinConfig) -> ServeOptions {
     ServeOptions {
         base_config: cfg.clone(),
-        // Small episodes so idj pulls suspend mid-join over the wire.
-        episode_expansions: 64,
         ..ServeOptions::default()
     }
 }
@@ -421,6 +420,10 @@ fn stop_checkpoint_restart_resume_over_tcp_is_bit_identical() {
         .checkpoint_open_cursors(&dir)
         .expect("shutdown checkpoint");
     assert_eq!(ids, vec!["c"], "the open cursor checkpointed");
+    // The pull over the wire suspended the join mid-way.
+    let bytes = std::fs::read(dir.join(snap_file_name("c"))).expect("snapshot file");
+    let snap = amdj_core::EngineSnapshot::<2>::decode(&bytes).expect("own snapshot decodes");
+    assert!(snap.frontier_len() > 0, "a real mid-join suspension");
 
     // Restart: fresh server, resume from the state dir, keep pulling
     // over a fresh socket.
