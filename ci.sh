@@ -82,10 +82,28 @@ AMDJ_INTERRUPT_AFTER=25 $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" 
 [ "$rc" = "75" ] || { echo "checkpoint smoke: interrupted exit $rc != 75"; exit 1; }
 [ -f "$CKPT_DIR/run.snap" ] || { echo "checkpoint smoke: no checkpoint written"; exit 1; }
 $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --k 100 --algo par-am \
-    --threads 4 --resume "$CKPT_DIR/run.snap" > "$CKPT_DIR/res.txt" 2>/dev/null
+    --threads 4 --resume "$CKPT_DIR/run.snap" > "$CKPT_DIR/res.txt" 2> "$CKPT_DIR/res.err"
 diff <(grep -v '^#' "$CKPT_DIR/ref.txt") <(grep -v '^#' "$CKPT_DIR/res.txt") \
     || { echo "checkpoint smoke: resumed results differ"; exit 1; }
-echo "checkpoint smoke: interrupt exited 75, resume bit-identical"
+# The interrupted aggressive join parked work, so the resume decoded and
+# replayed compensation entries (the snapshot's entry codec end to end).
+grep -Eq '^# resuming from .*, [1-9][0-9]* compensation entries$' "$CKPT_DIR/res.err" \
+    || { echo "checkpoint smoke: the resumed snapshot carried no compensation entry"; \
+         cat "$CKPT_DIR/res.err"; exit 1; }
+# A version 1 image (byte 8 of the header) is refused cleanly: a usage
+# error naming the version, not a panic (101) or a hang (124).
+cp "$CKPT_DIR/run.snap" "$CKPT_DIR/v1.snap"
+printf '\001' | dd of="$CKPT_DIR/v1.snap" bs=1 seek=8 count=1 conv=notrunc 2>/dev/null
+rc=0
+timeout 5 target/release/amdj kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --k 100 \
+    --algo am --resume "$CKPT_DIR/v1.snap" >/dev/null 2> "$CKPT_DIR/v1.err" || rc=$?
+case "$rc" in
+    0|101|124) echo "checkpoint smoke: version 1 resume exit $rc"; exit 1 ;;
+esac
+grep -q 'unsupported snapshot version' "$CKPT_DIR/v1.err" \
+    || { echo "checkpoint smoke: version 1 image refused for the wrong reason"; \
+         cat "$CKPT_DIR/v1.err"; exit 1; }
+echo "checkpoint smoke: interrupt exited 75, resume bit-identical, version 1 refused (exit $rc)"
 
 echo "== tie smoke: every one-thread kdj path gives one answer =="
 # A self-join: each object pairs with itself at distance 0, so k=100

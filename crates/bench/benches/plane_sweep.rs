@@ -1,10 +1,15 @@
 //! Ablation bench for §3's optimizations: B-KDJ with sweeping-axis and
-//! direction selection on vs off (the timing view of Figure 11), plus the
-//! leaf sweep's throughput on two leaf-heavy workloads.
+//! direction selection on vs off (the timing view of Figure 11), the
+//! leaf sweep's throughput on two leaf-heavy workloads, the cost of
+//! laying out one node's children for a sweep (cold vs cached order),
+//! and AM-KDJ's park-and-replay path.
 
 use amdj_bench::{build_trees, Workload};
 use amdj_core::{am_kdj, b_kdj, within_join, AmKdjOptions, JoinConfig};
 use amdj_datagen::tiger;
+use amdj_geom::{Rect, SweepDirection};
+use amdj_rtree::Node;
+use amdj_storage::PageId;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn workload() -> Workload {
@@ -72,5 +77,77 @@ fn bench_leaf_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sweep_optimizations, bench_leaf_kernel);
+/// One node's children laid out for a sweep, the way the engine's
+/// expansion fills its scratch list: the node's sweep order, then a
+/// gather of (MBR, child, key) in that order. `cold` sorts a freshly
+/// decoded node (its order cache starts empty; `clone_only` is the copy
+/// it pays for that), `cached` gathers from a buffer-resident node whose
+/// order was already computed.
+fn bench_node_fill(c: &mut Criterion) {
+    let w = workload();
+    let (r, _) = build_trees(&w, 512 * 1024);
+    let root = r.fetch(r.root_page().expect("non-empty"));
+    let leaf = r.fetch(PageId(root.entries[0].child));
+    let template: Node<2> = Node::clone(&leaf);
+    let (axis, dir) = (0, SweepDirection::Forward);
+    let mut buf: Vec<(Rect<2>, u64, f64)> = Vec::with_capacity(template.entries.len());
+    let mut fill = |node: &Node<2>| {
+        buf.clear();
+        buf.extend(node.sweep_order(axis, dir).iter().map(|&slot| {
+            let e = &node.entries[slot as usize];
+            (e.mbr, e.child, e.mbr.lo()[axis])
+        }));
+        buf.len()
+    };
+    let mut g = c.benchmark_group("plane_sweep/node_fill");
+    // Sub-microsecond iterations: let the ~100 ms target set the count.
+    g.sample_size(1_000_000);
+    g.bench_function("clone_only", |b| {
+        b.iter(|| Node::clone(&template).entries.len());
+    });
+    g.bench_function("cold", |b| {
+        b.iter(|| fill(&Node::clone(&template)));
+    });
+    let cached = Node::clone(&template);
+    g.bench_function("cached", |b| {
+        b.iter(|| fill(&cached));
+    });
+    g.finish();
+}
+
+/// AM-KDJ's compensation bookkeeping: parks that are never replayed
+/// (`exact`: stage one runs at the true k-th distance, so stage two
+/// finds nothing parked below its cutoff) against parks that all come
+/// back (`underest`: a fifth of the true distance, so every parked
+/// expansion re-fetches its node pair and replays its skipped pairs).
+fn bench_park_and_replay(c: &mut Criterion) {
+    let w = workload();
+    let (r, s) = build_trees(&w, 512 * 1024);
+    amdj_bench::reset(&r, &s);
+    let cfg = JoinConfig::unbounded();
+    let k = 1_000;
+    let dmax = amdj_bench::oracle_dmax(&r, &s, k);
+    let mut g = c.benchmark_group("plane_sweep/am_park_replay");
+    g.sample_size(10);
+    for (name, edmax) in [("exact", dmax), ("underest", dmax * 0.2)] {
+        let opts = AmKdjOptions {
+            edmax_override: Some(edmax),
+        };
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                amdj_bench::reset(&r, &s);
+                am_kdj(&r, &s, k, &cfg, &opts).results.len()
+            });
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_sweep_optimizations,
+    bench_leaf_kernel,
+    bench_node_fill,
+    bench_park_and_replay
+);
 criterion_main!(benches);

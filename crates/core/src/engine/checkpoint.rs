@@ -125,6 +125,7 @@ pub fn kdj_resumable<const D: usize>(
     pause: Option<&PauseCtl>,
 ) -> Result<Checkpointed<D>, SnapshotError> {
     if let Some(snap) = &resume {
+        snap.check_trees(r, s)?;
         match snap.kind {
             SnapshotKind::Kdj {
                 k: sk,
@@ -180,6 +181,9 @@ pub fn idj_resumable<const D: usize>(
     pause: Option<&PauseCtl>,
 ) -> Result<Checkpointed<D>, SnapshotError> {
     check_idj_resume(&resume, take)?;
+    if let Some(snap) = &resume {
+        snap.check_trees(r, s)?;
+    }
     Ok(steal::run_idj_ckpt(
         r,
         s,
@@ -198,7 +202,9 @@ pub fn idj_resumable<const D: usize>(
 /// its first `want` results are final — strictly below every pending
 /// frontier pair and parked compensation entry — and suspends there in
 /// one step, or returns `Done` if the join finished on the way. A serve
-/// cursor's pull is one such episode.
+/// cursor's pull is one such episode. Unlike the public entry points it
+/// does not re-check `resume` against the trees: a cursor only holds
+/// snapshots this engine produced or `idj_resume` already checked.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn idj_until_stable<const D: usize>(
     r: &RTree<D>,

@@ -357,7 +357,9 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
                 self.scratch
                     .sweep(&mut sink, &mut self.stats, MarkMode::Suffix);
                 if !self.scratch.marks_exhausted() {
-                    let entry = self.scratch.park(pair.dist.max(self.edmax.next_up()));
+                    let entry = self
+                        .scratch
+                        .park(pair.dist.max(self.edmax.next_up()), &pair);
                     self.compq.push(entry, &mut self.stats);
                 }
             } else {
@@ -433,7 +435,7 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
                     tightenings: &mut self.tightenings,
                 };
                 self.scratch
-                    .compensate(&mut entry, &mut sink, &mut self.stats);
+                    .compensate(self.r, self.s, &mut entry, &mut sink, &mut self.stats);
                 self.note_expansion();
             }
         }

@@ -39,6 +39,7 @@ pub use checkpoint::{
     idj_resumable, kdj_resumable, read_checkpoint, write_checkpoint, Checkpointed, PauseCtl,
 };
 pub use policy::{Aggressive, Exact, PruningPolicy};
+pub(crate) use snapshot::TreePrint;
 pub use snapshot::{EngineSnapshot, SnapshotError, SnapshotKind};
 pub use stage::StageDriver;
 pub use steal::TestSchedule;

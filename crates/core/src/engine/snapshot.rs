@@ -11,16 +11,19 @@
 //! join emits exactly the pairs the uninterrupted join would have —
 //! regardless of how many workers the resumed run uses.
 //!
-//! # Wire format (version 1)
+//! # Wire format (version 2)
 //!
 //! All integers little-endian, via [`amdj_storage::codec`]:
 //!
 //! ```text
 //! magic   8 × u8   "AMDJSNAP"
-//! version u8       1
+//! version u8       2
 //! kind    u8       0 = k-distance join, 1 = incremental join
 //! flags   u8       bit 0: aggressive pruning policy
 //! dim     u32      D (decode refuses a mismatched dimension)
+//! trees   2 × tree fingerprint (R, then S):
+//!           len u64, height u32, root page u64 (u64::MAX = empty),
+//!           root MBR lo[0..D], hi[0..D] as f64 bits (u64; 0 when empty)
 //! k       u64      k (kdj) or take (idj)
 //! stage   u32      1 or 2 (kdj); current stage counter (idj)
 //! edmax   f64      stage-one estimated cutoff at pause (min over workers)
@@ -31,24 +34,43 @@
 //! results  u64 count, then (r u64, s u64, dist f64) each
 //! dists    u64 count, then f64 each (ascending, ≤ k entries)
 //! frontier spill page framing (see [`encode_page_framed`])
-//! comps    u64 count, then one encoded CompEntry each
+//! comps    u64 count, then per entry:
+//!            key f64, axis u32, direction u8 (0 forward, 1 backward),
+//!            the parked pair (its spill encoding), left stops,
+//!            right stops (u64 count + u32 each), rejects (u64 count +
+//!            (left u32, right u32, dist f64) each), track-rejects u8
 //! ```
 //!
 //! The frontier reuses the spill queue's page-framed segment encoding —
 //! the same bytes a spilled queue segment holds — rather than inventing a
-//! second pair encoding. Decoding is fully fallible: a truncated or
-//! corrupt image surfaces a [`SnapshotError`] naming the byte offset and
-//! the field expected there, never a panic.
+//! second pair encoding. A compensation entry references its node pair
+//! rather than carrying the children lists: a resume gathers them from
+//! the trees again. Version 1 images (which carried the lists) are
+//! refused. Decoding is fully fallible: a truncated or corrupt image
+//! surfaces a [`SnapshotError`] naming the byte offset and the field
+//! expected there, never a panic.
+//!
+//! # Validation against the trees
+//!
+//! A snapshot comes from disk or from the wire, so resuming one is
+//! refused ([`SnapshotError::Invalid`]) unless
+//! [`check_trees`](EngineSnapshot::check_trees) passes: the fingerprints
+//! must match the trees being joined, every node reference (frontier and
+//! compensation pairs) must name a live page whose node sits at the
+//! referenced level, and every compensation entry's marks must fit its
+//! sides' entry counts.
 
+use amdj_geom::SweepDirection;
+use amdj_rtree::RTree;
 use amdj_storage::codec::{put_f64, put_u32, put_u64, put_u8, CodecError, Reader};
-use amdj_storage::{encode_page_framed, try_decode_page_framed};
+use amdj_storage::{encode_page_framed, try_decode_page_framed, PageId, SpillItem};
 
-use crate::{Pair, ResultPair};
+use crate::{ItemRef, Pair, ResultPair};
 
-use super::sweep::{CompEntry, Reject, SweepEntry, SweepList, SweepMarks};
+use super::sweep::{CompEntry, Reject, SweepMarks, SweepSetup};
 
 const MAGIC: &[u8; 8] = b"AMDJSNAP";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 /// Page size used for the frontier's spill framing inside a snapshot.
 const SNAP_PAGE: usize = 4096;
 
@@ -96,6 +118,72 @@ impl From<CodecError> for SnapshotError {
     }
 }
 
+/// What identifies the tree a snapshot was taken on: object count,
+/// height, root page, and the root MBR's bits. A resume against a tree
+/// with another fingerprint is refused — the snapshot's page references
+/// would name foreign or missing nodes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct TreePrint<const D: usize> {
+    len: u64,
+    height: u32,
+    /// `u64::MAX` for an empty tree.
+    root: u64,
+    /// `lo` then `hi` coordinate bits; zero for an empty tree.
+    mbr: [[u64; D]; 2],
+}
+
+impl<const D: usize> TreePrint<D> {
+    /// The fingerprint of `tree`, read without touching its buffer or
+    /// access counters.
+    pub(crate) fn of(tree: &RTree<D>) -> Self {
+        let root = tree.root_page();
+        let mbr = root
+            .and_then(|pid| tree.peek_node(pid))
+            .filter(|node| !node.entries.is_empty())
+            .map(|node| {
+                let m = node.mbr();
+                [m.lo().map(f64::to_bits), m.hi().map(f64::to_bits)]
+            })
+            .unwrap_or([[0; D]; 2]);
+        TreePrint {
+            len: tree.len(),
+            height: tree.height(),
+            root: root.map_or(u64::MAX, |p| p.0),
+            mbr,
+        }
+    }
+
+    /// The fingerprints of a join's two trees, R first.
+    pub(crate) fn pair(r: &RTree<D>, s: &RTree<D>) -> [Self; 2] {
+        [Self::of(r), Self::of(s)]
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.len);
+        put_u32(out, self.height);
+        put_u64(out, self.root);
+        for bits in self.mbr.iter().flatten() {
+            put_u64(out, *bits);
+        }
+    }
+
+    fn try_decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let len = r.try_u64("tree object count")?;
+        let height = r.try_u32("tree height")?;
+        let root = r.try_u64("tree root page")?;
+        let mut mbr = [[0; D]; 2];
+        for bits in mbr.iter_mut().flatten() {
+            *bits = r.try_u64("tree root MBR bits")?;
+        }
+        Ok(TreePrint {
+            len,
+            height,
+            root,
+            mbr,
+        })
+    }
+}
+
 /// The complete mid-join state of the engine as one owned, versioned,
 /// serializable value. Produced by pausing a resumable join
 /// ([`kdj_resumable`](super::checkpoint::kdj_resumable) /
@@ -105,6 +193,8 @@ impl From<CodecError> for SnapshotError {
 #[derive(Debug, PartialEq)]
 pub struct EngineSnapshot<const D: usize> {
     pub(crate) kind: SnapshotKind,
+    /// Fingerprints of the R and S trees the snapshot was taken on.
+    pub(crate) trees: [TreePrint<D>; 2],
     /// Paper stage at pause: 1 or 2 for kdj, the stage counter for idj.
     pub(crate) stage: u32,
     /// The estimated stage-one cutoff at pause (min over workers);
@@ -158,6 +248,42 @@ impl<const D: usize> EngineSnapshot<D> {
         self.comps.len()
     }
 
+    /// Checks that the snapshot belongs to the trees `r` and `s` (module
+    /// docs, *Validation against the trees*): matching fingerprints,
+    /// node references to live pages at the referenced level, and
+    /// compensation marks within their sides' entry counts. Every resume
+    /// of a snapshot from outside the process runs this first, so that a
+    /// foreign or crafted image is refused instead of indexing past a
+    /// node.
+    pub(crate) fn check_trees(&self, r: &RTree<D>, s: &RTree<D>) -> Result<(), SnapshotError> {
+        if self.trees != TreePrint::pair(r, s) {
+            return Err(SnapshotError::Invalid(
+                "snapshot was taken on other trees (fingerprint mismatch)",
+            ));
+        }
+        for pair in &self.frontier {
+            side_len(r, pair.a)?;
+            side_len(s, pair.b)?;
+        }
+        for entry in &self.comps {
+            let (nl, nr) = (side_len(r, entry.pair.a)?, side_len(s, entry.pair.b)?);
+            let m = &entry.marks;
+            let fits = m.left_stops.len() <= nl
+                && m.right_stops.len() <= nr
+                && m.left_stops.iter().all(|&stop| stop as usize <= nr)
+                && m.right_stops.iter().all(|&stop| stop as usize <= nl)
+                && m.rejects
+                    .iter()
+                    .all(|rej| (rej.left as usize) < nl && (rej.right as usize) < nr);
+            if !fits {
+                return Err(SnapshotError::Invalid(
+                    "compensation marks out of range for their nodes",
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Serializes the snapshot (see the module docs for the layout).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -170,6 +296,9 @@ impl<const D: usize> EngineSnapshot<D> {
         put_u8(&mut out, kind);
         put_u8(&mut out, flags);
         put_u32(&mut out, D as u32);
+        for tree in &self.trees {
+            tree.encode(&mut out);
+        }
         put_u64(&mut out, k);
         put_u32(&mut out, self.stage);
         put_f64(&mut out, self.edmax);
@@ -214,6 +343,10 @@ impl<const D: usize> EngineSnapshot<D> {
         if dim as usize != D {
             return Err(SnapshotError::Invalid("dimension mismatch"));
         }
+        let trees = [
+            TreePrint::try_decode(&mut r)?,
+            TreePrint::try_decode(&mut r)?,
+        ];
         let k = r.try_u64("snapshot k")?;
         let kind = match kind_tag {
             0 => SnapshotKind::Kdj {
@@ -265,6 +398,7 @@ impl<const D: usize> EngineSnapshot<D> {
         }
         Ok(EngineSnapshot {
             kind,
+            trees,
             stage,
             edmax,
             shared_bound,
@@ -279,6 +413,24 @@ impl<const D: usize> EngineSnapshot<D> {
     }
 }
 
+/// The number of sweep entries one side of a pair lays out: its node's
+/// entry count, or 1 for an object. A node reference must name a live
+/// page of `tree` whose node sits at the referenced level.
+fn side_len<const D: usize>(tree: &RTree<D>, side: ItemRef) -> Result<usize, SnapshotError> {
+    match side {
+        ItemRef::Object { .. } => Ok(1),
+        ItemRef::Node { page, level } => match tree.peek_node_header(PageId(page)) {
+            None => Err(SnapshotError::Invalid(
+                "node reference to a page the tree does not hold",
+            )),
+            Some((node_level, _)) if node_level != level => Err(SnapshotError::Invalid(
+                "node reference level differs from the node's",
+            )),
+            Some((_, count)) => Ok(count),
+        },
+    }
+}
+
 /// Reads a declared element count, rejecting one that exceeds the bytes
 /// left — every element encodes to at least one byte, so a larger count
 /// is corrupt and must not drive `Vec::with_capacity`.
@@ -287,67 +439,17 @@ fn checked_count(r: &mut Reader<'_>, what: &'static str) -> Result<usize, Snapsh
     plausible(r, declared, what)
 }
 
-fn encode_sweep_list<const D: usize>(out: &mut Vec<u8>, list: &SweepList<D>) {
-    put_u8(out, u8::from(list.objects));
-    put_u32(out, list.child_level);
-    put_u64(out, list.entries.len() as u64);
-    for e in &list.entries {
-        for d in 0..D {
-            put_f64(out, e.mbr.lo()[d]);
-        }
-        for d in 0..D {
-            put_f64(out, e.mbr.hi()[d]);
-        }
-        put_u64(out, e.child);
-        put_f64(out, e.key);
-    }
-}
-
-fn try_decode_sweep_list<const D: usize>(
-    r: &mut Reader<'_>,
-) -> Result<SweepList<D>, SnapshotError> {
-    let objects = r.try_u8("sweep list objects flag")? != 0;
-    let child_level = r.try_u32("sweep list child level")?;
-    let count = checked_count(r, "sweep list entry count")?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let start = r.position();
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for slot in lo.iter_mut() {
-            *slot = r.try_f64("sweep entry lo coordinate")?;
-        }
-        for slot in hi.iter_mut() {
-            *slot = r.try_f64("sweep entry hi coordinate")?;
-        }
-        // Rect::new panics on inverted or non-finite bounds; corrupt
-        // bytes must surface as a decode error instead.
-        if (0..D).any(|d| !lo[d].is_finite() || !hi[d].is_finite() || lo[d] > hi[d]) {
-            return Err(SnapshotError::Codec(CodecError {
-                offset: start,
-                expected: "well-formed sweep entry bounds",
-            }));
-        }
-        let child = r.try_u64("sweep entry child")?;
-        let key = r.try_f64("sweep entry key")?;
-        entries.push(SweepEntry {
-            mbr: amdj_geom::Rect::new(lo, hi),
-            child,
-            key,
-        });
-    }
-    Ok(SweepList {
-        entries,
-        objects,
-        child_level,
-    })
-}
-
 fn encode_comp<const D: usize>(out: &mut Vec<u8>, entry: &CompEntry<D>) {
     put_f64(out, entry.key);
-    put_u32(out, entry.axis as u32);
-    encode_sweep_list(out, &entry.left);
-    encode_sweep_list(out, &entry.right);
+    put_u32(out, entry.setup.axis as u32);
+    put_u8(
+        out,
+        match entry.setup.dir {
+            SweepDirection::Forward => 0,
+            SweepDirection::Backward => 1,
+        },
+    );
+    entry.pair.encode(out);
     put_u64(out, entry.marks.left_stops.len() as u64);
     for &s in &entry.marks.left_stops {
         put_u32(out, s);
@@ -368,8 +470,21 @@ fn encode_comp<const D: usize>(out: &mut Vec<u8>, entry: &CompEntry<D>) {
 fn try_decode_comp<const D: usize>(r: &mut Reader<'_>) -> Result<CompEntry<D>, SnapshotError> {
     let key = r.try_f64("compensation key")?;
     let axis = r.try_u32("compensation axis")? as usize;
-    let left = try_decode_sweep_list(r)?;
-    let right = try_decode_sweep_list(r)?;
+    if axis >= D {
+        return Err(SnapshotError::Invalid("compensation axis out of range"));
+    }
+    let dir_at = r.position();
+    let dir = match r.try_u8("compensation direction")? {
+        0 => SweepDirection::Forward,
+        1 => SweepDirection::Backward,
+        _ => {
+            return Err(SnapshotError::Codec(CodecError {
+                offset: dir_at,
+                expected: "compensation direction 0 or 1",
+            }))
+        }
+    };
+    let pair = Pair::try_decode(r)?;
     let n_left = checked_count(r, "left stop count")?;
     let mut left_stops = Vec::with_capacity(n_left);
     for _ in 0..n_left {
@@ -392,9 +507,8 @@ fn try_decode_comp<const D: usize>(r: &mut Reader<'_>) -> Result<CompEntry<D>, S
     let track_rejects = r.try_u8("track rejects flag")? != 0;
     Ok(CompEntry {
         key,
-        axis,
-        left,
-        right,
+        setup: SweepSetup { axis, dir },
+        pair,
         marks: SweepMarks {
             left_stops,
             right_stops,
@@ -420,9 +534,7 @@ fn plausible(r: &Reader<'_>, declared: u64, _what: &'static str) -> Result<usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ItemRef;
     use amdj_geom::Rect;
-    use amdj_storage::SpillItem;
     use proptest::prelude::*;
 
     type Snap = EngineSnapshot<2>;
@@ -453,32 +565,22 @@ mod tests {
         })
     }
 
-    fn sweep_list() -> impl Strategy<Value = SweepList<2>> {
-        (
-            any::<bool>(),
-            0u32..6,
-            prop::collection::vec(
-                (rect(), 0u64..10_000, finite()).prop_map(|(mbr, child, key)| SweepEntry {
-                    mbr,
-                    child,
-                    key,
-                }),
-                0..6,
-            ),
-        )
-            .prop_map(|(objects, child_level, entries)| SweepList {
-                entries,
-                objects,
-                child_level,
-            })
+    fn setup() -> impl Strategy<Value = SweepSetup> {
+        (0usize..2, any::<bool>()).prop_map(|(axis, backward)| SweepSetup {
+            axis,
+            dir: if backward {
+                SweepDirection::Backward
+            } else {
+                SweepDirection::Forward
+            },
+        })
     }
 
     fn comp_entry() -> impl Strategy<Value = CompEntry<2>> {
         (
             finite(),
-            0usize..2,
-            sweep_list(),
-            sweep_list(),
+            setup(),
+            pair(),
             prop::collection::vec(0u32..32, 0..5),
             prop::collection::vec(0u32..32, 0..5),
             prop::collection::vec(
@@ -492,21 +594,33 @@ mod tests {
             any::<bool>(),
         )
             .prop_map(
-                |(key, axis, left, right, left_stops, right_stops, rejects, track_rejects)| {
-                    CompEntry {
-                        key,
-                        axis,
-                        left,
-                        right,
-                        marks: SweepMarks {
-                            left_stops,
-                            right_stops,
-                            rejects,
-                            track_rejects,
-                        },
-                    }
+                |(key, setup, pair, left_stops, right_stops, rejects, track_rejects)| CompEntry {
+                    key,
+                    setup,
+                    pair,
+                    marks: SweepMarks {
+                        left_stops,
+                        right_stops,
+                        rejects,
+                        track_rejects,
+                    },
                 },
             )
+    }
+
+    fn tree_print() -> impl Strategy<Value = TreePrint<2>> {
+        (
+            any::<u64>(),
+            0u32..8,
+            any::<u64>(),
+            prop::collection::vec(any::<u64>(), 4..5),
+        )
+            .prop_map(|(len, height, root, bits)| TreePrint {
+                len,
+                height,
+                root,
+                mbr: [[bits[0], bits[1]], [bits[2], bits[3]]],
+            })
     }
 
     fn kind() -> impl Strategy<Value = SnapshotKind> {
@@ -519,7 +633,7 @@ mod tests {
 
     fn snapshot() -> impl Strategy<Value = Snap> {
         (
-            kind(),
+            (kind(), tree_print(), tree_print()),
             (
                 1u32..5,
                 finite(),
@@ -542,7 +656,7 @@ mod tests {
         )
             .prop_map(
                 |(
-                    kind,
+                    (kind, print_r, print_s),
                     (stage, edmax, shared, k_target, emitted, last),
                     results,
                     dists,
@@ -551,6 +665,7 @@ mod tests {
                 )| {
                     EngineSnapshot {
                         kind,
+                        trees: [print_r, print_s],
                         stage,
                         edmax,
                         shared_bound: shared,
@@ -564,6 +679,12 @@ mod tests {
                     }
                 },
             )
+    }
+
+    /// The fingerprints of two empty trees.
+    fn no_trees() -> [TreePrint<2>; 2] {
+        let empty = RTree::<2>::new(amdj_rtree::RTreeParams::for_tests());
+        TreePrint::pair(&empty, &empty)
     }
 
     fn roundtrip(snap: &Snap) -> Snap {
@@ -603,6 +724,7 @@ mod tests {
     #[test]
     fn empty_queues_roundtrip() {
         let snap = Snap {
+            trees: no_trees(),
             kind: SnapshotKind::Kdj {
                 k: 10,
                 aggressive: false,
@@ -640,6 +762,7 @@ mod tests {
             .collect();
         assert!(frontier.len() * frontier[0].encoded_len() > 4 * SNAP_PAGE);
         let snap = Snap {
+            trees: no_trees(),
             kind: SnapshotKind::Idj { take: 1000 },
             stage: 3,
             edmax: 42.0,
@@ -664,6 +787,7 @@ mod tests {
     #[test]
     fn max_stage_scalars_roundtrip() {
         let snap = Snap {
+            trees: no_trees(),
             kind: SnapshotKind::Idj { take: u64::MAX },
             stage: u32::MAX,
             edmax: f64::MAX,
@@ -679,9 +803,137 @@ mod tests {
         assert_eq!(roundtrip(&snap), snap);
     }
 
+    /// `check_trees` refuses every reference a resume would follow into
+    /// the trees unless it names a live node at its level, and every
+    /// mark unless it fits that node's entries.
+    #[test]
+    fn check_trees_refuses_bad_references_and_marks() {
+        let items: Vec<(Rect<2>, u64)> = (0..40)
+            .map(|i| {
+                let (x, y) = ((i % 7) as f64, (i / 7) as f64);
+                (Rect::new([x, y], [x + 0.5, y + 0.5]), i)
+            })
+            .collect();
+        let r = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items.clone());
+        let s = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items);
+        let root = crate::engine::driver::root_pair(&r, &s).unwrap();
+        let (ItemRef::Node { page, level }, ItemRef::Node { page: s_page, .. }) = (root.a, root.b)
+        else {
+            panic!("node roots")
+        };
+        let (nl, nr) = (
+            r.peek_node(PageId(page)).unwrap().entries.len() as u32,
+            s.peek_node_header(PageId(s_page)).unwrap().1 as u32,
+        );
+        let snap = |frontier: Vec<Pair<2>>, marks: SweepMarks| Snap {
+            kind: SnapshotKind::Idj { take: 5 },
+            trees: TreePrint::pair(&r, &s),
+            stage: 1,
+            edmax: 1.0,
+            shared_bound: f64::INFINITY,
+            k_target: 5,
+            emitted: 0,
+            last_dist: 0.0,
+            results: Vec::new(),
+            dists: Vec::new(),
+            frontier,
+            comps: vec![CompEntry {
+                key: 1.0,
+                setup: SweepSetup {
+                    axis: 1,
+                    dir: SweepDirection::Backward,
+                },
+                pair: root,
+                marks,
+            }],
+        };
+        let fits = SweepMarks {
+            left_stops: vec![nr; nl as usize],
+            right_stops: vec![nl; nr as usize],
+            rejects: vec![Reject {
+                left: nl - 1,
+                right: nr - 1,
+                dist: 2.0,
+            }],
+            track_rejects: true,
+        };
+        assert_eq!(snap(vec![root], fits.clone()).check_trees(&r, &s), Ok(()));
+
+        let invalid =
+            |snap: Snap| matches!(snap.check_trees(&r, &s), Err(SnapshotError::Invalid(_)));
+        let wrong_level = Pair {
+            a: ItemRef::Node {
+                page,
+                level: level + 1,
+            },
+            ..root
+        };
+        let dead_page = Pair {
+            b: ItemRef::Node {
+                page: 1 << 40,
+                level,
+            },
+            ..root
+        };
+        assert!(invalid(snap(vec![wrong_level], fits.clone())));
+        assert!(invalid(snap(vec![dead_page], fits.clone())));
+        let bad_marks = [
+            SweepMarks {
+                left_stops: vec![0; nl as usize + 1],
+                ..fits.clone()
+            },
+            SweepMarks {
+                right_stops: vec![nl + 1],
+                ..fits.clone()
+            },
+            SweepMarks {
+                left_stops: vec![nr + 1],
+                ..fits.clone()
+            },
+            SweepMarks {
+                rejects: vec![Reject {
+                    left: nl,
+                    right: 0,
+                    dist: 2.0,
+                }],
+                ..fits.clone()
+            },
+        ];
+        for marks in bad_marks {
+            assert!(invalid(snap(vec![root], marks)));
+        }
+        // An object side lays out one entry.
+        let object_side = CompEntry {
+            pair: Pair {
+                b: ItemRef::Object { oid: 3 },
+                ..root
+            },
+            ..snap(Vec::new(), SweepMarks::default()).comps.pop().unwrap()
+        };
+        let mut one = snap(Vec::new(), SweepMarks::default());
+        one.comps = vec![CompEntry {
+            marks: SweepMarks {
+                left_stops: vec![1; nl as usize],
+                right_stops: vec![nl],
+                ..SweepMarks::default()
+            },
+            ..object_side
+        }];
+        assert_eq!(one.check_trees(&r, &s), Ok(()));
+        one.comps[0].marks.right_stops.push(0);
+        assert!(invalid(one));
+        // Trees with another fingerprint are refused outright.
+        assert!(matches!(
+            snap(vec![root], fits)
+                .check_trees(&s, &RTree::new(amdj_rtree::RTreeParams::for_tests())),
+            Err(SnapshotError::Invalid(_))
+        ));
+    }
+
     #[test]
     fn wrong_magic_is_invalid_not_panic() {
         let snap = Snap {
+            trees: no_trees(),
             kind: SnapshotKind::Kdj {
                 k: 1,
                 aggressive: true,
@@ -708,6 +960,7 @@ mod tests {
     #[test]
     fn oversized_count_is_codec_error_with_offset() {
         let snap = Snap {
+            trees: no_trees(),
             kind: SnapshotKind::Kdj {
                 k: 1,
                 aggressive: false,
@@ -725,7 +978,8 @@ mod tests {
         };
         let mut bytes = snap.encode();
         // The results count sits right after the fixed header; blow it up.
-        let off = 8 + 1 + 1 + 1 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 8;
+        let print = 8 + 4 + 8 + 4 * 8;
+        let off = 8 + 1 + 1 + 1 + 4 + 2 * print + 8 + 4 + 8 + 8 + 8 + 8 + 8;
         bytes[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         match Snap::decode(&bytes) {
             Err(SnapshotError::Codec(e)) => assert_eq!(e.offset, off),

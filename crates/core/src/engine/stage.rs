@@ -373,7 +373,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
                     // the cutoff, so the park key must exceed it strictly
                     // or the entry would be re-processed in this same stage
                     // without progress.
-                    let entry = self.scratch.park(pair.dist.max(cutoff.next_up()));
+                    let entry = self.scratch.park(pair.dist.max(cutoff.next_up()), &pair);
                     self.compq.push(entry, &mut self.counters);
                 }
             } else {
@@ -383,15 +383,17 @@ impl<'a, const D: usize> StageDriver<'a, D> {
                     mainq: &mut self.mainq,
                     edmax: cutoff,
                 };
-                self.scratch
-                    .compensate(&mut entry, &mut sink, &mut self.counters);
+                let exhausted = self.scratch.compensate(
+                    self.r,
+                    self.s,
+                    &mut entry,
+                    &mut sink,
+                    &mut self.counters,
+                );
                 if let Some(p) = self.pause {
                     p.note_expansion();
                 }
-                if !entry
-                    .marks
-                    .exhausted(entry.left.entries.len(), entry.right.entries.len())
-                {
+                if !exhausted {
                     // Unexamined pairs now all lie strictly beyond the
                     // current cutoff: park for a later stage.
                     entry.key = self.edmax.next_up();

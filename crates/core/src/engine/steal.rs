@@ -84,7 +84,7 @@ use super::bound::MinBound;
 use super::checkpoint::{Checkpointed, PauseCtl};
 use super::driver::{ExpansionDriver, StageOnePool};
 use super::policy::PruningPolicy;
-use super::snapshot::{EngineSnapshot, SnapshotKind};
+use super::snapshot::{EngineSnapshot, SnapshotKind, TreePrint};
 use super::stage::{IdjSuspend, StageDriver, Step};
 use super::sweep::CompEntry;
 
@@ -919,6 +919,7 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                 sort_canonical(&mut results);
                 baseline.finish(r, s, &mut stats, queue_io);
                 let snap = Box::new(EngineSnapshot {
+                    trees: TreePrint::pair(r, s),
                     kind: SnapshotKind::Kdj {
                         k: k as u64,
                         aggressive: P::AGGRESSIVE,
@@ -1042,6 +1043,7 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                 sort_canonical(&mut results);
                 baseline.finish(r, s, &mut stats, queue_io);
                 let snap = Box::new(EngineSnapshot {
+                    trees: TreePrint::pair(r, s),
                     kind: SnapshotKind::Kdj {
                         k: k as u64,
                         aggressive: P::AGGRESSIVE,
@@ -1235,6 +1237,7 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
             let emitted = results.len() as u64;
             baseline.finish(r, s, &mut stats, queue_io);
             let snap = Box::new(EngineSnapshot {
+                trees: TreePrint::pair(r, s),
                 kind: SnapshotKind::Idj { take: take as u64 },
                 stage: stage_max,
                 edmax: edmax_min,

@@ -2,7 +2,7 @@
 //! per-pair sweeping-axis and sweeping-direction selection, plus the
 //! compensation bookkeeping that §4 builds on.
 //!
-//! A pair ⟨l, r⟩ is expanded by sorting both children lists along the
+//! A pair ⟨l, r⟩ is expanded by laying both children lists out along the
 //! chosen axis, then repeatedly taking the least-advanced entry (the
 //! *anchor*) and scanning the other list while the axis distance stays
 //! within the cutoff ([`plane_sweep`]). Axis distances are monotone along
@@ -15,16 +15,23 @@
 //!
 //! Expansion is the hottest path of every join, so its buffers are owned
 //! by a reusable [`SweepScratch`] rather than allocated per node pair:
-//! the two sorted entry lists, the mark vectors, and the compensation
-//! staging area all live in the scratch and are `clear()`ed between
-//! expansions. In the steady state (capacities warmed up to the tree
-//! fanout) an expansion performs **zero** heap allocations. The only
-//! allocating operation is [`SweepScratch::park`], which surrenders the
-//! current buffers to a long-lived [`CompEntry`] — the parked pair
-//! legitimately owns its data — leaving fresh (empty, unallocated) vectors
-//! behind. Sorting uses `sort_unstable_by` over [`f64::total_cmp`] (with
-//! the child id as tiebreaker for determinism), which neither panics on
-//! NaN nor allocates a merge buffer.
+//! the two entry lists, the mark vectors, and the compensation staging
+//! area all live in the scratch and are `clear()`ed between expansions.
+//! A list is filled by gathering the node's children in the order the
+//! node caches per (axis, direction) ([`Node::sweep_order`]), so a
+//! buffer-resident node is sorted once, not once per expansion. In the
+//! steady state (capacities warmed up to the tree fanout, orders cached)
+//! an expansion performs **zero** heap allocations.
+//!
+//! The only allocating operation is [`SweepScratch::park`], which copies
+//! the current marks into a long-lived [`CompEntry`] in exact-size
+//! vectors — at most three allocations (two stop vectors, plus the
+//! rejects when there are any). The entry holds the parked [`Pair`] and
+//! its [`SweepSetup`], not the lists: a replay
+//! ([`SweepScratch::compensate`]) re-fetches both nodes through the
+//! buffer and gathers the same lists bit for bit, since the trees do not
+//! change during a join and the cached order is a pure function of the
+//! node's entries. The scratch keeps its list capacities across a park.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -43,18 +50,6 @@ pub(crate) struct SweepEntry<const D: usize> {
     pub mbr: Rect<D>,
     pub child: u64,
     pub(crate) key: f64,
-}
-
-/// One side's children, sorted along the sweep axis — the *owned* form,
-/// used when an expansion outlives its scratch (parked [`CompEntry`]s).
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct SweepList<const D: usize> {
-    pub entries: Vec<SweepEntry<D>>,
-    /// Whether the children are objects (parent was a leaf, or the side
-    /// was itself an object).
-    pub objects: bool,
-    /// Level of the children when they are nodes.
-    pub child_level: u32,
 }
 
 /// A borrowed view of one side: what the sweep loops actually consume.
@@ -102,49 +97,58 @@ fn sort_key<const D: usize>(mbr: &Rect<D>, setup: SweepSetup) -> f64 {
     }
 }
 
-/// Fills `buf` with a node's children keyed for sweeping, sorted without
-/// allocating. Equal keys are ordered by child id so the sweep order — and
-/// therefore every downstream tie order — is deterministic.
-fn fill_from_node<const D: usize>(buf: &mut Vec<SweepEntry<D>>, node: &Node<D>, setup: SweepSetup) {
-    buf.clear();
-    buf.extend(node.entries.iter().map(|e| SweepEntry {
-        mbr: e.mbr,
-        child: e.child,
-        key: sort_key(&e.mbr, setup),
-    }));
-    buf.sort_unstable_by(|a, b| a.key.total_cmp(&b.key).then_with(|| a.child.cmp(&b.child)));
+/// One side of an expansion laid out for sweeping: a reusable entry
+/// buffer plus what its entries are. A [`SweepScratch`] owns two.
+#[derive(Debug, Default)]
+struct SideBuf<const D: usize> {
+    entries: Vec<SweepEntry<D>>,
+    /// Whether the entries are objects (the side was a leaf or an
+    /// object).
+    objects: bool,
+    /// Level of the entries when they are nodes.
+    child_level: u32,
 }
 
-impl<const D: usize> SweepList<D> {
-    /// Prepares a node's children for sweeping (owned; prefer
-    /// [`SweepScratch::expand`] on hot paths).
-    #[cfg(test)]
-    pub(crate) fn from_node(node: &Node<D>, setup: SweepSetup) -> Self {
-        let mut entries = Vec::new();
-        fill_from_node(&mut entries, node, setup);
-        SweepList {
-            entries,
-            objects: node.is_leaf(),
-            child_level: node.level.saturating_sub(1),
+impl<const D: usize> SideBuf<D> {
+    /// Lays out a node's children, gathered in the node's cached sweep
+    /// order ([`Node::sweep_order`]: ascending key, ties by child id,
+    /// then slot) so the sweep order — and therefore every downstream
+    /// tie order — is deterministic.
+    fn fill_node(&mut self, node: &Node<D>, setup: SweepSetup) {
+        self.entries.clear();
+        self.entries
+            .extend(node.sweep_order(setup.axis, setup.dir).iter().map(|&slot| {
+                let e = &node.entries[slot as usize];
+                SweepEntry {
+                    mbr: e.mbr,
+                    child: e.child,
+                    key: sort_key(&e.mbr, setup),
+                }
+            }));
+        self.objects = node.is_leaf();
+        self.child_level = node.level.saturating_sub(1);
+    }
+
+    /// Lays out one side of a pair: a node side fetches the node and
+    /// gathers its children, an object side is a one-entry list of the
+    /// pair's own MBR.
+    fn load(&mut self, tree: &RTree<D>, side: ItemRef, mbr: &Rect<D>, setup: SweepSetup) {
+        match side {
+            ItemRef::Node { page, .. } => self.fill_node(&tree.fetch(PageId(page)), setup),
+            ItemRef::Object { oid } => {
+                self.entries.clear();
+                self.entries.push(SweepEntry {
+                    mbr: *mbr,
+                    child: oid,
+                    key: sort_key(mbr, setup),
+                });
+                self.objects = true;
+                self.child_level = 0;
+            }
         }
     }
 
-    /// Wraps a single object as a one-entry list (for ⟨node, object⟩
-    /// pairs).
-    #[cfg(test)]
-    pub(crate) fn singleton_object(oid: u64, mbr: Rect<D>, setup: SweepSetup) -> Self {
-        SweepList {
-            entries: vec![SweepEntry {
-                mbr,
-                child: oid,
-                key: sort_key(&mbr, setup),
-            }],
-            objects: true,
-            child_level: 0,
-        }
-    }
-
-    pub(crate) fn view(&self) -> SweepSide<'_, D> {
+    fn view(&self) -> SweepSide<'_, D> {
         SweepSide {
             entries: &self.entries,
             objects: self.objects,
@@ -254,18 +258,14 @@ pub(crate) struct CompScratch {
     fresh: SweepMarks,
 }
 
-/// Reusable expansion state: the two sorted entry buffers, the mark
-/// vectors, and the compensation staging area. One scratch per worker (or
-/// per sequential join); see the module docs for the ownership rules.
+/// Reusable expansion state: the two side buffers, the mark vectors,
+/// and the compensation staging area. One scratch per worker (or per
+/// sequential join); see the module docs for the ownership rules.
 #[derive(Debug)]
 pub(crate) struct SweepScratch<const D: usize> {
-    left: Vec<SweepEntry<D>>,
-    right: Vec<SweepEntry<D>>,
-    left_objects: bool,
-    left_child_level: u32,
-    right_objects: bool,
-    right_child_level: u32,
-    axis: usize,
+    left: SideBuf<D>,
+    right: SideBuf<D>,
+    setup: SweepSetup,
     marks: SweepMarks,
     comp: CompScratch,
 }
@@ -273,13 +273,12 @@ pub(crate) struct SweepScratch<const D: usize> {
 impl<const D: usize> SweepScratch<D> {
     pub(crate) fn new() -> Self {
         SweepScratch {
-            left: Vec::new(),
-            right: Vec::new(),
-            left_objects: false,
-            left_child_level: 0,
-            right_objects: false,
-            right_child_level: 0,
-            axis: 0,
+            left: SideBuf::default(),
+            right: SideBuf::default(),
+            setup: SweepSetup {
+                axis: 0,
+                dir: SweepDirection::Forward,
+            },
             marks: SweepMarks::default(),
             comp: CompScratch::default(),
         }
@@ -296,55 +295,22 @@ impl<const D: usize> SweepScratch<D> {
         cfg: &JoinConfig,
     ) {
         let setup = choose_setup(&pair.a_mbr, &pair.b_mbr, cutoff, cfg);
-        self.axis = setup.axis;
-        match pair.a {
-            ItemRef::Node { page, .. } => {
-                let node = r.fetch(PageId(page));
-                fill_from_node(&mut self.left, &node, setup);
-                self.left_objects = node.is_leaf();
-                self.left_child_level = node.level.saturating_sub(1);
-            }
-            ItemRef::Object { oid } => {
-                self.left.clear();
-                self.left.push(SweepEntry {
-                    mbr: pair.a_mbr,
-                    child: oid,
-                    key: sort_key(&pair.a_mbr, setup),
-                });
-                self.left_objects = true;
-                self.left_child_level = 0;
-            }
-        }
-        match pair.b {
-            ItemRef::Node { page, .. } => {
-                let node = s.fetch(PageId(page));
-                fill_from_node(&mut self.right, &node, setup);
-                self.right_objects = node.is_leaf();
-                self.right_child_level = node.level.saturating_sub(1);
-            }
-            ItemRef::Object { oid } => {
-                self.right.clear();
-                self.right.push(SweepEntry {
-                    mbr: pair.b_mbr,
-                    child: oid,
-                    key: sort_key(&pair.b_mbr, setup),
-                });
-                self.right_objects = true;
-                self.right_child_level = 0;
-            }
-        }
+        self.load(r, s, pair, setup);
+    }
+
+    /// Fetches both sides of `pair` and lays them out under `setup`.
+    fn load(&mut self, r: &RTree<D>, s: &RTree<D>, pair: &Pair<D>, setup: SweepSetup) {
+        self.setup = setup;
+        self.left.load(r, pair.a, &pair.a_mbr, setup);
+        self.right.load(s, pair.b, &pair.b_mbr, setup);
     }
 
     /// Prepares two level-matched nodes directly (SJ-SORT's sync
     /// traversal, which never carries `Pair`s).
     pub(crate) fn expand_nodes(&mut self, nr: &Node<D>, ns: &Node<D>, setup: SweepSetup) {
-        self.axis = setup.axis;
-        fill_from_node(&mut self.left, nr, setup);
-        self.left_objects = nr.is_leaf();
-        self.left_child_level = nr.level.saturating_sub(1);
-        fill_from_node(&mut self.right, ns, setup);
-        self.right_objects = ns.is_leaf();
-        self.right_child_level = ns.level.saturating_sub(1);
+        self.setup = setup;
+        self.left.fill_node(nr, setup);
+        self.right.fill_node(ns, setup);
     }
 
     /// Sweeps the prepared lists. With a recording [`MarkMode`] the
@@ -357,16 +323,6 @@ impl<const D: usize> SweepScratch<D> {
         stats: &mut JoinStats,
         mode: MarkMode,
     ) {
-        let left = SweepSide {
-            entries: &self.left,
-            objects: self.left_objects,
-            child_level: self.left_child_level,
-        };
-        let right = SweepSide {
-            entries: &self.right,
-            objects: self.right_objects,
-            child_level: self.right_child_level,
-        };
         let marks = match mode {
             MarkMode::None => None,
             MarkMode::Suffix => {
@@ -378,53 +334,57 @@ impl<const D: usize> SweepScratch<D> {
                 Some(&mut self.marks)
             }
         };
-        plane_sweep_into(left, right, self.axis, sink, stats, marks);
+        let (left, right) = (self.left.view(), self.right.view());
+        plane_sweep_into(left, right, self.setup.axis, sink, stats, marks);
     }
 
     /// Whether the last recording sweep left unexamined or rejected pairs.
     pub(crate) fn marks_exhausted(&self) -> bool {
-        self.marks.exhausted(self.left.len(), self.right.len())
+        self.marks
+            .exhausted(self.left.entries.len(), self.right.entries.len())
     }
 
-    /// Surrenders the current expansion to a long-lived [`CompEntry`].
-    /// The scratch is left with fresh (empty) buffers; this is the one
-    /// deliberately allocating hand-off in the sweep path.
-    pub(crate) fn park(&mut self, key: f64) -> CompEntry<D> {
+    /// Parks the current expansion of `pair` as a [`CompEntry`]: the pair,
+    /// its setup, and an exact-size copy of the marks. This is the one
+    /// deliberately allocating step of the sweep path; the scratch keeps
+    /// its buffers.
+    pub(crate) fn park(&self, key: f64, pair: &Pair<D>) -> CompEntry<D> {
         CompEntry {
             key,
-            axis: self.axis,
-            left: SweepList {
-                entries: std::mem::take(&mut self.left),
-                objects: self.left_objects,
-                child_level: self.left_child_level,
-            },
-            right: SweepList {
-                entries: std::mem::take(&mut self.right),
-                objects: self.right_objects,
-                child_level: self.right_child_level,
-            },
-            marks: std::mem::take(&mut self.marks),
+            setup: self.setup,
+            pair: *pair,
+            marks: self.marks.clone(),
         }
     }
 
-    /// Replays the pairs a parked expansion skipped, reusing the scratch's
-    /// compensation staging buffers (see [`compensation_sweep`]).
+    /// Replays the pairs a parked expansion skipped: re-fetches both
+    /// sides through the trees' buffers, lays them out under the parked
+    /// setup, and resumes the marks (see [`compensation_sweep`]) with the
+    /// scratch's staging buffers. Returns whether the entry is now
+    /// exhausted (nothing unexamined or rejected remains).
     pub(crate) fn compensate(
         &mut self,
+        r: &RTree<D>,
+        s: &RTree<D>,
         entry: &mut CompEntry<D>,
         sink: &mut impl SweepSink<D>,
         stats: &mut JoinStats,
-    ) {
+    ) -> bool {
         stats.comp_replays += 1;
+        self.load(r, s, &entry.pair, entry.setup);
+        let (left, right) = (self.left.view(), self.right.view());
         compensation_sweep_into(
-            entry.left.view(),
-            entry.right.view(),
-            entry.axis,
+            left,
+            right,
+            entry.setup.axis,
             &mut entry.marks,
             sink,
             stats,
             &mut self.comp,
         );
+        entry
+            .marks
+            .exhausted(self.left.entries.len(), self.right.entries.len())
     }
 }
 
@@ -759,14 +719,15 @@ fn compensation_sweep_into<const D: usize>(
     marks.rejects.append(&mut comp.fresh.rejects);
 }
 
-/// A parked expansion awaiting compensation: the sorted lists, the marks,
-/// and a key lower-bounding every unexamined pair's distance.
+/// A parked expansion awaiting compensation: the expanded pair (its
+/// refs and MBRs), the setup it was swept under, the marks, and a key
+/// lower-bounding every unexamined pair's distance. The lists themselves
+/// are not kept — [`SweepScratch::compensate`] gathers them again.
 #[derive(Debug, PartialEq)]
 pub(crate) struct CompEntry<const D: usize> {
     pub key: f64,
-    pub axis: usize,
-    pub left: SweepList<D>,
-    pub right: SweepList<D>,
+    pub setup: SweepSetup,
+    pub pair: Pair<D>,
     pub marks: SweepMarks,
 }
 
@@ -799,7 +760,10 @@ impl<const D: usize> Ord for CompOrd<D> {
 
 /// The compensation queue (`Q_C`). Holds only non-object node pairs, so —
 /// as §4.4 argues — it is orders of magnitude smaller than the main queue
-/// and kept in memory.
+/// and kept in memory. That argument holds because an entry references
+/// its node pair and keeps only its marks (a few hundred bytes at paper
+/// fanout); entries that copied both sorted children lists (≈ 10 KB
+/// each) made this queue the largest structure of a paper-scale join.
 pub(crate) struct CompQueue<const D: usize> {
     heap: BinaryHeap<CompOrd<D>>,
     seq: u64,
@@ -876,10 +840,28 @@ mod tests {
         }
     }
 
+    fn side(node: &Node<2>, setup: SweepSetup) -> SideBuf<2> {
+        let mut buf = SideBuf::default();
+        buf.fill_node(node, setup);
+        buf
+    }
+
+    fn object_side(oid: u64, mbr: Rect<2>, setup: SweepSetup) -> SideBuf<2> {
+        SideBuf {
+            entries: vec![SweepEntry {
+                mbr,
+                child: oid,
+                key: sort_key(&mbr, setup),
+            }],
+            objects: true,
+            child_level: 0,
+        }
+    }
+
     fn leaf(points: &[(f64, f64)], base_id: u64) -> Node<2> {
-        Node {
-            level: 0,
-            entries: points
+        Node::with_entries(
+            0,
+            points
                 .iter()
                 .enumerate()
                 .map(|(i, &(x, y))| amdj_rtree::Entry {
@@ -887,7 +869,7 @@ mod tests {
                     child: base_id + i as u64,
                 })
                 .collect(),
-        }
+        )
     }
 
     fn setup_fwd() -> SweepSetup {
@@ -913,8 +895,8 @@ mod tests {
     fn sweep_finds_exactly_the_close_pairs() {
         let a_pts = [(0.0, 0.0), (1.0, 0.5), (4.0, 0.0), (9.0, 1.0)];
         let b_pts = [(0.5, 0.0), (3.5, 0.2), (8.0, 0.0)];
-        let la = SweepList::from_node(&leaf(&a_pts, 0), setup_fwd());
-        let lb = SweepList::from_node(&leaf(&b_pts, 100), setup_fwd());
+        let la = side(&leaf(&a_pts, 0), setup_fwd());
+        let lb = side(&leaf(&b_pts, 100), setup_fwd());
         for cutoff in [0.4, 0.6, 1.2, 3.0, 100.0] {
             let mut sink = Collect {
                 axis: cutoff,
@@ -949,8 +931,8 @@ mod tests {
         // real distance computations near-linear.
         let a_pts: Vec<(f64, f64)> = (0..50).map(|i| (i as f64, 0.0)).collect();
         let b_pts: Vec<(f64, f64)> = (0..50).map(|i| (i as f64 + 0.5, 0.0)).collect();
-        let la = SweepList::from_node(&leaf(&a_pts, 0), setup_fwd());
-        let lb = SweepList::from_node(&leaf(&b_pts, 100), setup_fwd());
+        let la = side(&leaf(&a_pts, 0), setup_fwd());
+        let lb = side(&leaf(&b_pts, 100), setup_fwd());
         let mut sink = Collect {
             axis: 1.0,
             real: 1.0,
@@ -986,8 +968,8 @@ mod tests {
             dir: SweepDirection::Backward,
         };
         for setup in [fwd, bwd] {
-            let la = SweepList::from_node(&leaf(&a_pts, 0), setup);
-            let lb = SweepList::from_node(&leaf(&b_pts, 100), setup);
+            let la = side(&leaf(&a_pts, 0), setup);
+            let lb = side(&leaf(&b_pts, 100), setup);
             let mut sink = Collect {
                 axis: 1.1,
                 real: 1.1,
@@ -1017,8 +999,8 @@ mod tests {
         let b_pts: Vec<(f64, f64)> = (0..15)
             .map(|i| (i as f64 * 0.9 + 0.2, (i % 4) as f64))
             .collect();
-        let la = SweepList::from_node(&leaf(&a_pts, 0), setup_fwd());
-        let lb = SweepList::from_node(&leaf(&b_pts, 100), setup_fwd());
+        let la = side(&leaf(&a_pts, 0), setup_fwd());
+        let lb = side(&leaf(&b_pts, 100), setup_fwd());
 
         let mut aggressive = Collect {
             axis: 1.0,
@@ -1062,8 +1044,8 @@ mod tests {
         // the new shell.
         let a_pts: Vec<(f64, f64)> = (0..30).map(|i| (i as f64, 0.0)).collect();
         let b_pts: Vec<(f64, f64)> = (0..30).map(|i| (i as f64 + 0.3, 0.0)).collect();
-        let la = SweepList::from_node(&leaf(&a_pts, 0), setup_fwd());
-        let lb = SweepList::from_node(&leaf(&b_pts, 100), setup_fwd());
+        let la = side(&leaf(&a_pts, 0), setup_fwd());
+        let lb = side(&leaf(&b_pts, 100), setup_fwd());
         let mut stats = JoinStats::default();
         let mut sink = Collect {
             axis: 1.0,
@@ -1096,9 +1078,8 @@ mod tests {
     #[test]
     fn singleton_object_list() {
         let setup = setup_fwd();
-        let obj =
-            SweepList::<2>::singleton_object(7, Rect::from_point(Point::new([1.0, 1.0])), setup);
-        let la = SweepList::from_node(&leaf(&[(0.0, 1.0), (3.0, 1.0)], 0), setup);
+        let obj = object_side(7, Rect::from_point(Point::new([1.0, 1.0])), setup);
+        let la = side(&leaf(&[(0.0, 1.0), (3.0, 1.0)], 0), setup);
         let mut sink = Collect {
             axis: 1.5,
             real: 1.5,
@@ -1122,20 +1103,21 @@ mod tests {
     fn comp_queue_orders_by_key() {
         let mut stats = JoinStats::default();
         let mut q: CompQueue<2> = CompQueue::new();
-        for key in [3.0, 1.0, 2.0] {
+        let unit = Rect::new([0.0, 0.0], [1.0, 1.0]);
+        for (i, key) in [3.0, 1.0, 2.0, 1.0].into_iter().enumerate() {
             q.push(
                 CompEntry {
                     key,
-                    axis: 0,
-                    left: SweepList {
-                        entries: vec![],
-                        objects: false,
-                        child_level: 0,
-                    },
-                    right: SweepList {
-                        entries: vec![],
-                        objects: false,
-                        child_level: 0,
+                    setup: setup_fwd(),
+                    pair: Pair {
+                        dist: key,
+                        a: ItemRef::Node {
+                            page: i as u64,
+                            level: 1,
+                        },
+                        b: ItemRef::Object { oid: 7 },
+                        a_mbr: unit,
+                        b_mbr: unit,
                     },
                     marks: SweepMarks::default(),
                 },
@@ -1143,23 +1125,33 @@ mod tests {
             );
         }
         assert_eq!(q.peek_key(), Some(1.0));
-        assert_eq!(q.pop().unwrap().key, 1.0);
+        // FIFO among equal keys: the first parked key-1 entry comes first.
+        let first = q.pop().unwrap();
+        assert_eq!(
+            (first.key, first.pair.a),
+            (1.0, ItemRef::Node { page: 1, level: 1 })
+        );
+        let second = q.pop().unwrap();
+        assert_eq!(
+            (second.key, second.pair.a),
+            (1.0, ItemRef::Node { page: 3, level: 1 })
+        );
         assert_eq!(q.pop().unwrap().key, 2.0);
         assert_eq!(q.pop().unwrap().key, 3.0);
-        assert_eq!(stats.compq_insertions, 3);
+        assert_eq!(stats.compq_insertions, 4);
         assert!(q.pop().is_none());
     }
 
     #[test]
     fn non_leaf_lists_produce_node_refs() {
-        let node: Node<2> = Node {
-            level: 2,
-            entries: vec![amdj_rtree::Entry {
+        let node: Node<2> = Node::with_entries(
+            2,
+            vec![amdj_rtree::Entry {
                 mbr: Rect::new([0.0, 0.0], [1.0, 1.0]),
                 child: 55,
             }],
-        };
-        let l = SweepList::from_node(&node, setup_fwd());
+        );
+        let l = side(&node, setup_fwd());
         assert!(!l.objects);
         let v = l.view();
         assert_eq!(
@@ -1171,12 +1163,30 @@ mod tests {
     #[test]
     fn scratch_reuses_buffers_and_parks_cleanly() {
         // Two expansions through the same scratch; the second must see
-        // fresh state. Parking hands the lists off and resets the scratch.
-        let a = leaf(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 0);
-        let b = leaf(&[(0.4, 0.0), (1.4, 0.0)], 100);
+        // fresh state. Parking copies only the marks: the scratch keeps
+        // its lists, and the replay re-fetches both nodes.
+        let pts_a = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)];
+        let pts_b = [(0.4, 0.0), (1.4, 0.0)];
+        let tree = |pts: &[(f64, f64)], base: u64| {
+            let items = pts
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| (Rect::from_point(Point::new([x, y])), base + i as u64))
+                .collect();
+            RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items)
+        };
+        let (r, s) = (tree(&pts_a, 0), tree(&pts_b, 100));
+        assert_eq!((r.height(), s.height()), (1, 1), "one leaf per side");
+        let pair = crate::engine::driver::root_pair(&r, &s).unwrap();
+        // Axis 0, forward: the cutoff alone decides what is skipped.
+        let cfg = JoinConfig {
+            optimize_axis: false,
+            optimize_direction: false,
+            ..JoinConfig::unbounded()
+        };
         let mut scratch: SweepScratch<2> = SweepScratch::new();
         let mut stats = JoinStats::default();
-        scratch.expand_nodes(&a, &b, setup_fwd());
+        scratch.expand(&r, &s, &pair, 0.5, &cfg);
         let mut sink = Collect {
             axis: 0.5,
             real: f64::INFINITY,
@@ -1184,12 +1194,22 @@ mod tests {
         };
         scratch.sweep(&mut sink, &mut stats, MarkMode::Full);
         assert!(!scratch.marks_exhausted(), "0.5 axis cutoff must truncate");
-        let entry = scratch.park(1.0);
-        assert_eq!(entry.left.entries.len(), 3);
-        assert_eq!(entry.right.entries.len(), 2);
-        assert!(scratch.left.is_empty() && scratch.right.is_empty());
+        let mut entry = scratch.park(1.0, &pair);
+        assert_eq!(entry.pair, pair);
+        assert_eq!(entry.setup, setup_fwd());
+        assert_eq!(entry.marks, scratch.marks);
+        assert_eq!(
+            entry.marks.left_stops.capacity(),
+            entry.marks.left_stops.len(),
+            "parked marks are exact-size copies"
+        );
+        assert_eq!(
+            (scratch.left.entries.len(), scratch.right.entries.len()),
+            (3, 2)
+        );
 
         // Scratch is immediately reusable for an unrelated expansion.
+        let (a, b) = (leaf(&pts_a, 0), leaf(&pts_b, 100));
         scratch.expand_nodes(&b, &a, setup_fwd());
         let mut sink2 = Collect {
             axis: f64::INFINITY,
@@ -1199,19 +1219,77 @@ mod tests {
         scratch.sweep(&mut sink2, &mut stats, MarkMode::None);
         assert_eq!(sink2.pairs.len(), 6);
 
-        // And the parked entry compensates through the same scratch.
-        let mut entry = entry;
+        // And the parked entry compensates through the same scratch,
+        // fetching its node pair again.
+        let before = r.access_stats().requests + s.access_stats().requests;
         let mut sink3 = Collect {
             axis: f64::INFINITY,
             real: f64::INFINITY,
             pairs: vec![],
         };
-        scratch.compensate(&mut entry, &mut sink3, &mut stats);
-        assert!(entry
-            .marks
-            .exhausted(entry.left.entries.len(), entry.right.entries.len()));
+        assert!(scratch.compensate(&r, &s, &mut entry, &mut sink3, &mut stats));
+        assert!(entry.marks.exhausted(3, 2));
         assert_eq!(sink.pairs.len() + sink3.pairs.len(), 6);
         assert_eq!(stats.comp_replays, 1);
+        let after = r.access_stats().requests + s.access_stats().requests;
+        assert_eq!(after - before, 2, "a replay fetches both sides");
+    }
+
+    /// Replays gather exactly the lists the parked expansion swept, for
+    /// every axis and direction — including ⟨node, object⟩ pairs, whose
+    /// object side comes from the pair's own MBR.
+    #[test]
+    fn replay_lists_match_the_parked_expansion() {
+        let items: Vec<(Rect<2>, u64)> = (0..5)
+            .map(|i| {
+                let (x, y) = ((i * 7 % 5) as f64, (i * 3 % 5) as f64 * 0.5);
+                (Rect::new([x, y], [x + 0.25, y + 1.0]), i)
+            })
+            .collect();
+        let r = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items.clone());
+        let s = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items);
+        let root = crate::engine::driver::root_pair(&r, &s).unwrap();
+        let obj = Pair {
+            b: ItemRef::Object { oid: 42 },
+            b_mbr: Rect::new([1.0, 1.0], [2.0, 2.0]),
+            ..root
+        };
+        let mut scratch: SweepScratch<2> = SweepScratch::new();
+        let mut replay: SweepScratch<2> = SweepScratch::new();
+        for pair in [root, obj] {
+            for axis in 0..2 {
+                for dir in [SweepDirection::Forward, SweepDirection::Backward] {
+                    let setup = SweepSetup { axis, dir };
+                    scratch.load(&r, &s, &pair, setup);
+                    let mut stats = JoinStats::default();
+                    let mut sink = Collect {
+                        axis: 0.0,
+                        real: f64::INFINITY,
+                        pairs: vec![],
+                    };
+                    scratch.sweep(&mut sink, &mut stats, MarkMode::Full);
+                    let mut entry = scratch.park(pair.dist, &pair);
+                    let mut rest = Collect {
+                        axis: f64::INFINITY,
+                        real: f64::INFINITY,
+                        pairs: vec![],
+                    };
+                    assert!(replay.compensate(&r, &s, &mut entry, &mut rest, &mut stats));
+                    for (got, want) in [
+                        (&replay.left, &scratch.left),
+                        (&replay.right, &scratch.right),
+                    ] {
+                        assert_eq!(got.entries, want.entries, "axis {axis} {dir:?}");
+                        assert_eq!(
+                            (got.objects, got.child_level),
+                            (want.objects, want.child_level)
+                        );
+                    }
+                    let n = scratch.left.entries.len() * scratch.right.entries.len();
+                    assert_eq!(sink.pairs.len() + rest.pairs.len(), n);
+                }
+            }
+        }
     }
 
     /// The lane window search must agree with a plain linear scan for

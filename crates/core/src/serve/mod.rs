@@ -334,6 +334,7 @@ impl<'t, const D: usize> Server<'t, D> {
     ) -> Result<(), ServeError> {
         self.check_spec(&spec)?;
         let snap = crate::EngineSnapshot::<D>::decode(snapshot).map_err(ServeError::Snapshot)?;
+        snap.check_trees(self.r, self.s)?;
         let cursor = Cursor::resume(snap, delivered, spec)?;
         self.cursors.insert(id, cursor)
     }

@@ -26,6 +26,7 @@ use amdj_rtree::RTree;
 
 use crate::engine::{
     idj_resumable, idj_until_stable, Checkpointed, EngineSnapshot, PauseCtl, SnapshotKind,
+    TreePrint,
 };
 use crate::{AmIdjOptions, JoinConfig, JoinStats, ResultPair};
 
@@ -300,6 +301,7 @@ impl<const D: usize> Cursor<D> {
                 let results: Vec<ResultPair> = results.iter().take(self.take).copied().collect();
                 let dists: Vec<f64> = results.iter().map(|p| p.dist).collect();
                 let snap = EngineSnapshot::<D> {
+                    trees: TreePrint::pair(r, s),
                     kind: SnapshotKind::Idj {
                         take: self.take as u64,
                     },

@@ -65,7 +65,11 @@ pub struct JoinStats {
     /// (stage 2).
     pub stage2_expansions: u64,
     /// Logical R-tree node accesses, both trees (Table 2's parenthesized
-    /// "no buffer" figure).
+    /// "no buffer" figure): one per node side of every stage-one and
+    /// stage-two expansion, one per node side of every compensation
+    /// replay (a parked entry keeps its node pair, not the children
+    /// lists, so a replay fetches both nodes again), plus a few fixed
+    /// reads of the two roots at join start.
     pub node_requests: u64,
     /// R-tree nodes actually fetched from disk (Table 2's main figure).
     pub node_disk_reads: u64,

@@ -52,7 +52,8 @@ pub fn thread_buffer_stats() -> (u64, u64, u64) {
 ///
 /// Decoded nodes are cached as `Arc<Node<D>>`, so a buffer hit is one
 /// lock acquisition and one refcount bump; no page is ever decoded twice
-/// while it stays resident.
+/// while it stays resident, and its children are sorted at most once per
+/// sweep axis and direction ([`Node::sweep_order`]).
 #[derive(Debug)]
 pub struct BufferManager<const D: usize> {
     disk: VirtualDisk,
@@ -104,7 +105,10 @@ impl<const D: usize> BufferManager<D> {
         self.disk.alloc()
     }
 
-    /// Encodes and writes `node` to `pid`, keeping the buffer coherent.
+    /// Encodes and writes `node` to `pid`, keeping the buffer coherent:
+    /// the buffer holds a fresh clone, whose sweep-order cache
+    /// ([`Node::sweep_order`]) starts empty, so no order computed for the
+    /// page's previous contents survives the write.
     ///
     /// Panics if the encoded node exceeds the page size.
     pub fn write(&mut self, pid: PageId, node: &Node<D>) {
@@ -194,13 +198,7 @@ mod tests {
     fn fetch_counts_through_shared_ref() {
         let mut m = manager(4 * 256);
         let pid = m.alloc();
-        m.write(
-            pid,
-            &Node {
-                level: 0,
-                entries: vec![],
-            },
-        );
+        m.write(pid, &Node::new(0));
         m.reset_stats();
         m.clear();
         let m = &m; // all reads below go through &BufferManager
@@ -215,13 +213,7 @@ mod tests {
     fn thread_counters_track_the_calling_thread_only() {
         let mut m = manager(4 * 256);
         let pid = m.alloc();
-        m.write(
-            pid,
-            &Node {
-                level: 0,
-                entries: vec![],
-            },
-        );
+        m.write(pid, &Node::new(0));
         m.clear();
         let (h0, m0) = thread_buffer_counters();
         let _ = m.fetch(pid); // miss
@@ -248,13 +240,7 @@ mod tests {
         let pids: Vec<PageId> = (0..8)
             .map(|_| {
                 let pid = m.alloc();
-                m.write(
-                    pid,
-                    &Node {
-                        level: 0,
-                        entries: vec![],
-                    },
-                );
+                m.write(pid, &Node::new(0));
                 pid
             })
             .collect();

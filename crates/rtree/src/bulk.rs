@@ -30,7 +30,7 @@ impl<const D: usize> RTree<D> {
             let single = nodes.len() == 1;
             let mut next: Vec<(Rect<D>, u64)> = Vec::with_capacity(nodes.len());
             for entries in nodes {
-                let node = Node { level, entries };
+                let node = Node::with_entries(level, entries);
                 let mbr = node.mbr();
                 let pid = tree.alloc_page();
                 tree.write_node(pid, &node);

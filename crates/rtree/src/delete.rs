@@ -82,13 +82,7 @@ impl<const D: usize> RTree<D> {
             if self.root.is_none() {
                 debug_assert_eq!(level, 0, "only leaf entries can seed an empty tree");
                 let pid = self.alloc_page();
-                self.write_node(
-                    pid,
-                    &crate::Node {
-                        level: 0,
-                        entries: vec![entry],
-                    },
-                );
+                self.write_node(pid, &crate::Node::with_entries(0, vec![entry]));
                 self.root = Some(pid);
                 self.height = 1;
                 continue;

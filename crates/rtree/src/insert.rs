@@ -14,13 +14,7 @@ impl<const D: usize> RTree<D> {
         let entry = Entry { mbr, child: oid };
         if self.root.is_none() {
             let pid = self.alloc_page();
-            self.write_node(
-                pid,
-                &Node {
-                    level: 0,
-                    entries: vec![entry],
-                },
-            );
+            self.write_node(pid, &Node::with_entries(0, vec![entry]));
             self.root = Some(pid);
             self.height = 1;
             return;
@@ -71,10 +65,7 @@ impl<const D: usize> RTree<D> {
                     let (keep, split_off) =
                         rstar_split(std::mem::take(&mut node.entries), min_fill);
                     node.entries = keep;
-                    let sibling = Node {
-                        level: node.level,
-                        entries: split_off,
-                    };
+                    let sibling = Node::with_entries(node.level, split_off);
                     let spid = self.alloc_page();
                     let smbr = sibling.mbr();
                     self.write_node(spid, &sibling);
@@ -90,16 +81,16 @@ impl<const D: usize> RTree<D> {
                 None => {
                     if let Some(c) = carry.take() {
                         // Root split: grow the tree by one level.
-                        let new_root = Node {
-                            level: node.level + 1,
-                            entries: vec![
+                        let new_root = Node::with_entries(
+                            node.level + 1,
+                            vec![
                                 Entry {
                                     mbr: node_mbr,
                                     child: pid.0,
                                 },
                                 c,
                             ],
-                        };
+                        );
                         let rpid = self.alloc_page();
                         self.write_node(rpid, &new_root);
                         self.root = Some(rpid);
@@ -375,10 +366,7 @@ mod tests {
 
     #[test]
     fn reinsert_removes_farthest() {
-        let mut node: Node<2> = Node {
-            level: 0,
-            entries: vec![],
-        };
+        let mut node: Node<2> = Node::new(0);
         for i in 0..10 {
             node.entries.push(Entry {
                 mbr: pt(i as f64, 0.0),

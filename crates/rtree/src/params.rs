@@ -47,7 +47,9 @@ impl RTreeParams {
     /// Maximum entries per node for dimension `D`.
     ///
     /// Node layout: 8-byte header, then per entry `2·D` coordinates
-    /// (8 bytes each) plus an 8-byte child/object id.
+    /// (8 bytes each) plus an 8-byte child/object id. Capped at
+    /// `u16::MAX` so a node's cached sweep orders
+    /// ([`Node::sweep_order`](crate::Node::sweep_order)) fit `u16` slots.
     pub fn capacity<const D: usize>(&self) -> usize {
         let entry = 16 * D + 8;
         let cap = (self.page_size - 8) / entry;
@@ -55,6 +57,12 @@ impl RTreeParams {
             cap >= 4,
             "page size {} too small for 4 entries of dim {D}",
             self.page_size
+        );
+        assert!(
+            cap <= u16::MAX as usize,
+            "page size {} holds more than {} entries of dim {D}",
+            self.page_size,
+            u16::MAX
         );
         cap
     }
@@ -100,6 +108,14 @@ mod tests {
         let mut p = RTreeParams::for_tests();
         p.reinsert_ratio = 0.0;
         assert_eq!(p.reinsert_count::<2>(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 65535 entries")]
+    fn huge_page_rejected() {
+        let mut p = RTreeParams::for_tests();
+        p.page_size = 8 + 40 * (u16::MAX as usize + 1);
+        let _ = p.capacity::<2>();
     }
 
     #[test]

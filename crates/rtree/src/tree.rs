@@ -158,6 +158,22 @@ impl<const D: usize> RTree<D> {
         self.pages.fetch(pid)
     }
 
+    /// The level and entry count of the live node at `pid`, read from
+    /// its page image's header without a buffer lookup, access counting,
+    /// or I/O charge; `None` when no live page has that id. For
+    /// validating a node reference from outside the tree (a resumed join
+    /// snapshot's), not for traversal.
+    pub fn peek_node_header(&self, pid: PageId) -> Option<(u32, usize)> {
+        self.pages.disk().peek(pid).map(Node::<D>::decode_header)
+    }
+
+    /// The live node at `pid`, decoded like
+    /// [`peek_node_header`](RTree::peek_node_header) reads its header:
+    /// uncounted and uncharged.
+    pub fn peek_node(&self, pid: PageId) -> Option<Node<D>> {
+        self.pages.disk().peek(pid).map(Node::decode)
+    }
+
     /// Allocates a page for a new node.
     pub(crate) fn alloc_page(&mut self) -> PageId {
         self.pages.alloc()
@@ -196,10 +212,7 @@ mod tests {
     fn fetch_counts_requests_and_misses() {
         let mut t: RTree<2> = RTree::new(RTreeParams::for_tests());
         let pid = t.alloc_page();
-        let node = Node {
-            level: 0,
-            entries: vec![],
-        };
+        let node = Node::new(0);
         t.write_node(pid, &node);
         t.reset_stats();
         t.clear_buffer();
@@ -217,13 +230,7 @@ mod tests {
         p.buffer_bytes = 0;
         let mut t: RTree<2> = RTree::new(p);
         let pid = t.alloc_page();
-        t.write_node(
-            pid,
-            &Node {
-                level: 0,
-                entries: vec![],
-            },
-        );
+        t.write_node(pid, &Node::new(0));
         t.reset_stats();
         for _ in 0..5 {
             let _ = t.fetch(pid);

@@ -178,22 +178,22 @@ mod tests {
         // Build a two-level tree whose leaf is underfull.
         let mut t: RTree<2> = RTree::new(RTreeParams::for_tests());
         let leaf_pid = t.alloc_page();
-        let leaf = Node {
-            level: 0,
-            entries: vec![Entry {
+        let leaf = Node::with_entries(
+            0,
+            vec![Entry {
                 mbr: Rect::from_point(Point::new([0.0, 0.0])),
                 child: 0,
             }],
-        };
+        );
         t.write_node(leaf_pid, &leaf);
         let root_pid = t.alloc_page();
-        let root = Node {
-            level: 1,
-            entries: vec![Entry {
+        let root = Node::with_entries(
+            1,
+            vec![Entry {
                 mbr: leaf.mbr(),
                 child: leaf_pid.0,
             }],
-        };
+        );
         t.write_node(root_pid, &root);
         t.root = Some(root_pid);
         t.height = 2;

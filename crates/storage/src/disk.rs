@@ -216,6 +216,13 @@ impl VirtualDisk {
             .expect("read of freed page")
     }
 
+    /// Page `id`'s image if it is live, without charging I/O or touching
+    /// the access pattern — for validating a page reference, not for
+    /// reading data a query pays for.
+    pub fn peek(&self, id: PageId) -> Option<&[u8]> {
+        self.pages.get(usize::try_from(id.0).ok()?)?.as_deref()
+    }
+
     /// Frees page `id`, making the slot reusable. Freeing is a metadata
     /// operation and charges no I/O.
     pub fn free(&mut self, id: PageId) {

@@ -407,6 +407,98 @@ fn disk_roundtrip_and_resume_validation() {
     assert_eq!(canonical(out.results), reference);
 }
 
+/// Byte offset of the first compensation entry's first left stop in a
+/// snapshot image, found by walking the version 2 layout with the
+/// public codec: fixed header, results, dists, the page-framed
+/// frontier, the entry count, then the entry's key, axis, direction and
+/// parked pair ahead of its left-stop count.
+fn first_left_stop_offset(bytes: &[u8]) -> usize {
+    use amdj_storage::codec::Reader;
+    let mut r = Reader::new(bytes);
+    let print = 8 + 4 + 8 + 4 * 8;
+    let header = 8 + 1 + 1 + 1 + 4 + 2 * print + 8 + 4 + 8 + 8 + 8 + 8 + 8;
+    for _ in 0..header {
+        r.try_u8("header").unwrap();
+    }
+    let results = r.try_u64("results").unwrap() as usize;
+    for _ in 0..results * 3 {
+        r.try_u64("result").unwrap();
+    }
+    let dists = r.try_u64("dists").unwrap() as usize;
+    for _ in 0..dists {
+        r.try_u64("dist").unwrap();
+    }
+    amdj_storage::try_decode_page_framed::<amdj_core::Pair<2>>(&mut r).unwrap();
+    assert!(r.try_u64("comps").unwrap() > 0, "no compensation entry");
+    let stop_count = r.position() + 8 + 4 + 1 + amdj_core::Pair::<2>::ENCODED_LEN;
+    assert!(
+        u64::from_le_bytes(bytes[stop_count..stop_count + 8].try_into().unwrap()) > 0,
+        "the first entry has no left stops"
+    );
+    stop_count + 8
+}
+
+/// Snapshots come from disk or the wire, so a resume checks what they
+/// reference before running: a version 1 image (which carried the
+/// children lists) is refused at decode, a compensation mark past its
+/// node's entries is refused at resume, and a snapshot of other trees
+/// is refused by its tree fingerprint — all as `Invalid`, never a panic.
+#[test]
+fn resume_refuses_foreign_and_crafted_snapshots() {
+    let (r, s) = trees(&grid(12, 0.4), &grid(12, 0.9));
+    let k = 80;
+    let cfg = JoinConfig::unbounded();
+    // An aggressive run paused mid-stage-one holds parked entries.
+    let ctl = PauseCtl::every(12);
+    let snap = match kdj_resumable(&r, &s, k, &cfg, true, 1, None, None, Some(&ctl)).unwrap() {
+        Checkpointed::Suspended(snap, _) => *snap,
+        Checkpointed::Done(_) => panic!("join outran a 12-expansion pause budget"),
+    };
+    assert!(
+        snap.comps_len() > 0,
+        "the cut must carry compensation entries"
+    );
+    let bytes = snap.encode();
+    let resume = |bytes: &[u8], r: &RTree<2>, s: &RTree<2>| {
+        let snap = EngineSnapshot::decode(bytes)?;
+        kdj_resumable(r, s, k, &cfg, true, 1, None, Some(snap), None)
+    };
+
+    let mut v1 = bytes.clone();
+    v1[8] = 1;
+    assert_eq!(
+        EngineSnapshot::<2>::decode(&v1).unwrap_err(),
+        SnapshotError::Invalid("unsupported snapshot version")
+    );
+
+    let at = first_left_stop_offset(&bytes);
+    for bad in [u32::MAX, 10_000] {
+        let mut crafted = bytes.clone();
+        crafted[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+        assert!(
+            matches!(resume(&crafted, &r, &s), Err(SnapshotError::Invalid(_))),
+            "left stop {bad} must be refused"
+        );
+    }
+
+    let (r2, s2) = trees(&grid(14, 0.4), &grid(12, 0.9));
+    assert!(matches!(
+        resume(&bytes, &r2, &s2),
+        Err(SnapshotError::Invalid(_))
+    ));
+    assert!(matches!(
+        resume(&bytes, &s, &r),
+        Err(SnapshotError::Invalid(_))
+    ));
+
+    // The untouched image still resumes to the uninterrupted answer.
+    let reference = canonical(uninterrupted_kdj(&r, &s, k, true).results);
+    match resume(&bytes, &r, &s).expect("pristine snapshot resumes") {
+        Checkpointed::Done(out) => assert_eq!(canonical(out.results), reference),
+        Checkpointed::Suspended(..) => unreachable!("no pause control on the resume"),
+    }
+}
+
 /// A resumed incremental join must not start a stage early. On resume a
 /// worker's cursor holds only the parked compensation entries (keyed
 /// just above `eDmax`) while the saved frontier waits in the claim pool;

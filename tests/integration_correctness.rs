@@ -108,6 +108,64 @@ fn insert_built_trees_agree_with_bulk_loaded() {
     assert_same_distances(&out.results, &want, "B-KDJ over insert-built trees");
 }
 
+/// Nodes cache their children's sweep orders while buffer-resident. An
+/// insert or delete rewrites nodes; the buffer then holds the rewritten
+/// copy, whose cache starts empty. Joins before and after a batch of
+/// inserts and deletes on the same (fully buffered) trees must both
+/// match brute force, so no order derived from an old node survives.
+#[test]
+fn sweep_orders_do_not_survive_node_rewrites() {
+    let params = RTreeParams {
+        buffer_bytes: 1 << 20,
+        ..RTreeParams::for_tests()
+    };
+    let mut a = uniform_points(400, unit_universe(), 81);
+    let mut b = uniform_points(300, unit_universe(), 82);
+    let (mut r, mut s) = (RTree::new(params.clone()), RTree::new(params));
+    for &(mbr, id) in &a {
+        r.insert(mbr, id);
+    }
+    for &(mbr, id) in &b {
+        s.insert(mbr, id);
+    }
+    let k = 60;
+    let cfg = JoinConfig::unbounded();
+    let check = |r: &RTree<2>, s: &RTree<2>, a: &Dataset, b: &Dataset, when: &str| {
+        let want = bruteforce::k_closest_pairs(a, b, k);
+        let bk = b_kdj(r, s, k, &cfg);
+        assert_same_distances(&bk.results, &want, &format!("B-KDJ {when}"));
+        let am = am_kdj(r, s, k, &cfg, &AmKdjOptions::default());
+        assert_same_distances(&am.results, &want, &format!("AM-KDJ {when}"));
+    };
+    check(&r, &s, &a, &b, "before the rewrites");
+
+    // New objects land in already-swept (order-cached) leaves and split
+    // some of them; deletes shrink and condense others.
+    let extra_a = uniform_points(150, unit_universe(), 83);
+    for (i, &(mbr, _)) in extra_a.iter().enumerate() {
+        let id = 10_000 + i as u64;
+        r.insert(mbr, id);
+        a.push((mbr, id));
+    }
+    let extra_b = uniform_points(150, unit_universe(), 84);
+    for (i, &(mbr, _)) in extra_b.iter().enumerate() {
+        let id = 20_000 + i as u64;
+        s.insert(mbr, id);
+        b.push((mbr, id));
+    }
+    for (mbr, id) in a.iter().step_by(3).copied().collect::<Vec<_>>() {
+        assert!(r.delete(&mbr, id));
+        a.retain(|&(_, x)| x != id);
+    }
+    for (mbr, id) in b.iter().step_by(4).copied().collect::<Vec<_>>() {
+        assert!(s.delete(&mbr, id));
+        b.retain(|&(_, x)| x != id);
+    }
+    r.validate().expect("R valid");
+    s.validate().expect("S valid");
+    check(&r, &s, &a, &b, "after the rewrites");
+}
+
 #[test]
 fn very_different_cardinalities() {
     let a = uniform_points(2000, unit_universe(), 71);

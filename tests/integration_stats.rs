@@ -1,7 +1,9 @@
 //! Statistics plausibility across algorithms: the relations the paper's
 //! figures rely on must hold on real workloads.
 
-use amdj_core::{am_kdj, b_kdj, hs_kdj, sj_sort, AmKdjOptions, JoinConfig};
+use amdj_core::{
+    am_kdj, b_kdj, hs_kdj, sj_sort, AmIdj, AmIdjOptions, AmKdjOptions, JoinConfig, JoinStats,
+};
 use amdj_datagen::tiger::Geography;
 use amdj_datagen::Dataset;
 use amdj_geom::{Point, Rect};
@@ -94,6 +96,75 @@ fn node_requests_dominate_disk_reads() {
     let out = b_kdj(&r, &s, 200, &JoinConfig::unbounded());
     assert!(out.stats.node_requests >= out.stats.node_disk_reads);
     assert!(out.stats.node_disk_reads > 0);
+}
+
+/// The node-request ledger. Every node a join requests is one side of a
+/// node-pair expansion (stage one or two) or of a compensation replay,
+/// which fetches its parked pair's two nodes again; the only other
+/// requests are a few fixed setup reads of the two roots. On trees of
+/// equal height every expanded pair is ⟨node, node⟩, so each expansion
+/// and each replay requests exactly two nodes.
+#[test]
+fn node_requests_ledger() {
+    let grid = |n: usize, dx: f64, dy: f64| -> Vec<(Rect<2>, u64)> {
+        (0..n * n)
+            .map(|i| {
+                let x = (i % n) as f64 + dx + (i as f64 * 0.000137).sin() * 0.01;
+                let y = (i / n) as f64 + dy + (i as f64 * 0.000271).cos() * 0.01;
+                (Rect::from_point(Point::new([x, y])), i as u64)
+            })
+            .collect()
+    };
+    let (r, s) = build_trees(&grid(30, 0.0, 0.0), &grid(30, 0.31, 0.17));
+    assert_eq!(r.height(), s.height(), "the ledger assumes equal heights");
+    let sides =
+        |st: &JoinStats| 2 * (st.stage1_expansions + st.stage2_expansions + st.comp_replays);
+    // Setup reads: the root pair's bounds and the Eq. 3 estimator's.
+    const SETUP: u64 = 4;
+    let cfg = JoinConfig::unbounded();
+    let k = 300;
+    let bk = b_kdj(&r, &s, k, &cfg);
+    assert_eq!(bk.stats.node_requests, sides(&bk.stats) + SETUP, "B-KDJ");
+    let dmax = bk.results.last().unwrap().dist;
+    let mut replayed = false;
+    for (name, edmax) in [("exact", dmax), ("over", 1.5 * dmax), ("under", 0.2 * dmax)] {
+        let am = am_kdj(
+            &r,
+            &s,
+            k,
+            &cfg,
+            &AmKdjOptions {
+                edmax_override: Some(edmax),
+            },
+        );
+        assert_same_distances(&am.results, &bk.results, name);
+        assert_eq!(
+            am.stats.node_requests,
+            sides(&am.stats) + SETUP,
+            "AM-KDJ {name}: {:?}",
+            am.stats
+        );
+        replayed |= am.stats.comp_replays > 0;
+    }
+    assert!(
+        replayed,
+        "an underestimate must replay compensation entries"
+    );
+
+    // A small first-stage target makes the cursor cross stages.
+    let opts = AmIdjOptions {
+        initial_k: 16,
+        growth: 2.0,
+        ..AmIdjOptions::default()
+    };
+    let mut cursor = AmIdj::new(&r, &s, &cfg, opts);
+    let streamed = std::iter::from_fn(|| cursor.next()).take(k).count();
+    assert_eq!(streamed, k);
+    let st = cursor.stats();
+    assert!(st.comp_replays > 0, "AM-IDJ must cross a stage: {st:?}");
+    // The incremental join also reads both root bounds for its largest
+    // possible distance.
+    assert_eq!(st.node_requests, sides(&st) + SETUP + 2, "AM-IDJ: {st:?}");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! are clean structured errors — never panics.
 
 use amdj_core::serve::{
-    codec::{hex_decode, QuerySpec},
+    codec::{hex_decode, hex_encode, QuerySpec},
     snap_file_name, ServeError, ServeOptions, Server,
 };
 use amdj_core::{
@@ -225,6 +225,69 @@ fn corrupt_and_truncated_snapshots_are_clean_errors() {
     server
         .idj_resume("ok", &bytes, at, QuerySpec::default())
         .expect("pristine snapshot resumes");
+}
+
+/// A valid snapshot taken on another server's (larger) index names
+/// pages this index does not have. The `idj_resume` op must answer with
+/// an error reply — whether the tree fingerprint gives it away or, with
+/// the fingerprint doctored to match, a node reference does — and the
+/// server must go on serving other cursors bit-identically.
+#[test]
+fn cross_index_resume_is_an_error_reply() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::default();
+    let take = 60;
+    let want = reference(&r, &s, &cfg, take);
+    let big_a = uniform_points(4000, unit_universe(), 31);
+    let big_b = clustered_points(4000, 16, 0.02, unit_universe(), 32);
+    let (big_r, big_s) = build_trees(&big_a, &big_b);
+    let big = Server::new(&big_r, &big_s, serve_opts(&cfg));
+    big.idj_open("c", take, QuerySpec::default())
+        .expect("opens");
+    big.idj_pull("c", 20).expect("pull");
+    let (foreign, at) = big.idj_checkpoint("c").expect("checkpoint");
+
+    let server = Server::new(&r, &s, serve_opts(&cfg));
+    server
+        .idj_open("own", take, QuerySpec::default())
+        .expect("opens");
+    let (own, _) = server.idj_checkpoint("own").expect("checkpoint");
+    // The fingerprints sit right after magic, version, kind, flags, dim.
+    let prints = 15..15 + 2 * (8 + 4 + 8 + 4 * 8);
+    let mut doctored = foreign.clone();
+    doctored[prints.clone()].copy_from_slice(&own[prints]);
+    for (label, bytes, why) in [
+        ("foreign", &foreign, "other trees"),
+        ("doctored", &doctored, "node reference"),
+    ] {
+        let line = format!(
+            "{{\"op\":\"idj_resume\",\"id\":\"x\",\"snapshot\":\"{}\",\"delivered\":{at}}}",
+            hex_encode(bytes)
+        );
+        let (resp, shutdown) = server.handle_line(line.as_bytes());
+        let reply = resp.encode();
+        assert!(!shutdown);
+        assert!(reply.contains("\"ok\":false"), "{label}: {reply}");
+        assert!(reply.contains(why), "{label}: {reply}");
+        assert!(matches!(
+            server.idj_pull("x", 1),
+            Err(ServeError::UnknownCursor(_))
+        ));
+    }
+
+    // The server is unharmed: another cursor streams the reference.
+    server
+        .idj_open("after", take, QuerySpec::default())
+        .expect("opens");
+    let mut got = Vec::new();
+    while got.len() < take {
+        let pull = server.idj_pull("after", 25).expect("pull");
+        got.extend(pull.results);
+        if pull.done {
+            break;
+        }
+    }
+    assert_identical("after the refused resume", &want, &got);
 }
 
 #[test]
