@@ -1,7 +1,8 @@
 //! Ablation bench for §3's optimizations: B-KDJ with sweeping-axis and
 //! direction selection on vs off (the timing view of Figure 11), the
 //! leaf sweep's throughput on two leaf-heavy workloads, the cost of
-//! laying out one node's children for a sweep (cold vs cached order),
+//! decoding a page and laying out one node's children for a sweep (cold
+//! vs cached order),
 //! and AM-KDJ's park-and-replay path.
 
 use amdj_bench::{build_trees, Workload};
@@ -77,18 +78,22 @@ fn bench_leaf_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-/// One node's children laid out for a sweep, the way the engine's
-/// expansion fills its scratch list: the node's sweep order, then a
-/// gather of (MBR, child, key) in that order. `cold` sorts a freshly
-/// decoded node (its order cache starts empty; `clone_only` is the copy
-/// it pays for that), `cached` gathers from a buffer-resident node whose
-/// order was already computed.
+/// The steps of a buffer miss and of laying one node's children out for
+/// a sweep, the way the engine's expansion fills its scratch list: the
+/// node's sweep order, then a gather of (MBR, child, key) in that order.
+/// `decode` turns a 4 KB page image into a `Node` (a miss's first step),
+/// `cold` sorts a fresh node (its order cache starts empty; `clone_only`
+/// is the copy it pays for that), `cached` gathers from a
+/// buffer-resident node whose order was already computed.
 fn bench_node_fill(c: &mut Criterion) {
     let w = workload();
     let (r, _) = build_trees(&w, 512 * 1024);
     let root = r.fetch(r.root_page().expect("non-empty"));
     let leaf = r.fetch(PageId(root.entries[0].child));
     let template: Node<2> = Node::clone(&leaf);
+    let mut page = Vec::new();
+    template.encode(&mut page);
+    page.resize(4096, 0);
     let (axis, dir) = (0, SweepDirection::Forward);
     let mut buf: Vec<(Rect<2>, u64, f64)> = Vec::with_capacity(template.entries.len());
     let mut fill = |node: &Node<2>| {
@@ -102,6 +107,9 @@ fn bench_node_fill(c: &mut Criterion) {
     let mut g = c.benchmark_group("plane_sweep/node_fill");
     // Sub-microsecond iterations: let the ~100 ms target set the count.
     g.sample_size(1_000_000);
+    g.bench_function("decode", |b| {
+        b.iter(|| Node::<2>::decode(&page).entries.len());
+    });
     g.bench_function("clone_only", |b| {
         b.iter(|| Node::clone(&template).entries.len());
     });

@@ -34,26 +34,22 @@ impl DistanceQueue {
             return;
         }
         self.insertions += 1;
-        if self.heap.len() < self.k {
-            self.heap.push(TotalF64::new(dist));
-        } else if dist < self.qdmax() {
-            self.heap.pop();
-            self.heap.push(TotalF64::new(dist));
-        }
+        self.seed(dist);
     }
 
     /// Offers a candidate distance without counting it as new work: used
     /// when a parallel stage-two queue is pre-seeded with distances the
     /// stage-one workers already counted on first insertion.
+    ///
+    /// A full queue replaces its top in place (one sift-down) rather
+    /// than popping and pushing.
     pub fn seed(&mut self, dist: f64) {
-        if self.k == 0 {
-            return;
-        }
         if self.heap.len() < self.k {
             self.heap.push(TotalF64::new(dist));
-        } else if dist < self.qdmax() {
-            self.heap.pop();
-            self.heap.push(TotalF64::new(dist));
+        } else if let Some(mut top) = self.heap.peek_mut() {
+            if dist < top.get() {
+                *top = TotalF64::new(dist);
+            }
         }
     }
 
@@ -93,6 +89,7 @@ impl DistanceQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn qdmax_infinite_until_full() {
@@ -153,5 +150,44 @@ mod tests {
         assert_eq!(q.qdmax(), 7.0);
         q.insert(6.0);
         assert_eq!(q.qdmax(), 7.0, "one 7.0 replaced, another remains");
+    }
+
+    proptest! {
+        /// Against a sorted-vector oracle: after any mix of counted and
+        /// uncounted offers, the queue holds exactly the `k` smallest
+        /// distances offered, its cutoff is the k-th of them (`+∞` short
+        /// of `k`), and only `insert` counts.
+        #[test]
+        fn matches_a_sorted_vector_oracle(
+            k in prop_oneof![Just(0usize), Just(1), Just(7), Just(100)],
+            ops in prop::collection::vec((any::<bool>(), 0u8..40), 0..300),
+        ) {
+            let mut q = DistanceQueue::new(k);
+            let mut offered: Vec<f64> = Vec::new();
+            let mut inserts = 0u64;
+            for (counted, v) in ops {
+                // Half-unit steps over a small range: ties are common.
+                let d = f64::from(v) * 0.5;
+                if counted {
+                    q.insert(d);
+                    inserts += 1;
+                } else {
+                    q.seed(d);
+                }
+                offered.push(d);
+                offered.sort_unstable_by(f64::total_cmp);
+                let want = &offered[..offered.len().min(k)];
+                let cutoff = if k > 0 && offered.len() >= k {
+                    offered[k - 1]
+                } else {
+                    f64::INFINITY
+                };
+                prop_assert_eq!(q.qdmax(), cutoff);
+                let mut got = q.retained();
+                got.sort_unstable_by(f64::total_cmp);
+                prop_assert_eq!(&got[..], want);
+            }
+            prop_assert_eq!(q.insertions(), if k == 0 { 0 } else { inserts });
+        }
     }
 }

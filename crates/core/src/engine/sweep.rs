@@ -179,14 +179,17 @@ pub(crate) trait SweepSink<const D: usize> {
     fn axis_cutoff(&self) -> f64;
     /// Pairs with real distance beyond this are dropped.
     fn real_cutoff(&self) -> f64;
-    /// Receives a candidate pair (`dist ≤ real_cutoff()` at call time).
+    /// Receives a candidate pair (`dist ≤ real_cutoff()` as last read).
+    /// Within one worker this is the only call that may tighten either
+    /// cutoff: [`scan`] reads them once per anchor and again only after
+    /// each emit.
     fn emit(&mut self, pair: Pair<D>);
     /// `Some(w)` when the **axis** cutoff is frozen at `w` for the whole
     /// sweep (it does not depend on state that `emit` mutates). A frozen
     /// axis cutoff means the set of examined partners is fixed up front,
     /// which lets [`scan`] find each anchor's window with the lane search
     /// before computing any distance. The *real* cutoff may still be
-    /// live; it is re-read per candidate in scan order.
+    /// live; it is re-read after each emit.
     fn fixed_axis_cutoff(&self) -> Option<f64> {
         None
     }
@@ -468,12 +471,24 @@ fn plane_sweep_into<const D: usize>(
 /// Scans partners for one anchor starting at `from` in the other list;
 /// returns the absolute index where the scan stopped (first unexamined).
 ///
+/// The sink's cutoffs are read once before the loop and again only
+/// after each [`emit`](SweepSink::emit) — the one call that can tighten
+/// them (`qDmax` shrinks as results enter the distance queue). With one
+/// worker that is exactly a per-candidate read. With several, another
+/// worker may tighten the shared bound between two reads; the stale
+/// cutoff is then looser than the live one, so it only loosens pruning:
+/// results stay correct, and only the schedule-dependent multi-worker
+/// counters (distances computed, pairs enqueued) can move.
+///
 /// With a frozen axis cutoff the window is fixed before any distance
 /// math, so the monotone axis-gap search runs as an unroll-by-[`LANES`]
 /// pass ([`axis_window_stop`]) and the distance loop then walks the
 /// window without re-testing the axis. Bit-identical to the live path:
 /// same gap expression, same break condition, same counting (the
 /// breaking partner counts as examined).
+///
+/// A candidate beyond the real cutoff costs nothing more unless the
+/// marks track rejects ([`MarkMode::Full`]).
 #[allow(clippy::too_many_arguments)]
 fn scan<const D: usize>(
     anchor: &SweepEntry<D>,
@@ -485,53 +500,57 @@ fn scan<const D: usize>(
     axis: usize,
     sink: &mut impl SweepSink<D>,
     stats: &mut JoinStats,
-    mut marks: Option<&mut SweepMarks>,
+    marks: Option<&mut SweepMarks>,
 ) -> usize {
     let partners = if anchor_is_left {
         right.entries
     } else {
         left.entries
     };
+    let mut rejects = marks.filter(|m| m.track_rejects).map(|m| &mut m.rejects);
+    let reject = |j: usize, dist: f64| {
+        let (l, r) = if anchor_is_left {
+            (anchor_idx, j)
+        } else {
+            (j, anchor_idx)
+        };
+        Reject {
+            left: l as u32,
+            right: r as u32,
+            dist,
+        }
+    };
+    let mut real_cutoff = sink.real_cutoff();
     if let Some(w) = sink.fixed_axis_cutoff() {
         let n = partners.len();
         let stop = axis_window_stop(anchor, partners, from, axis, w);
         stats.axis_dist += (if stop < n { stop + 1 } else { n } - from) as u64;
-        for (i, m) in partners.iter().enumerate().take(stop).skip(from) {
-            stats.real_dist += 1;
+        stats.real_dist += (stop - from) as u64;
+        for (j, m) in (from..stop).zip(&partners[from..stop]) {
             let real = anchor.mbr.min_dist(&m.mbr);
-            offer(
-                real,
-                i,
-                anchor,
-                anchor_idx,
-                anchor_is_left,
-                left,
-                right,
-                sink,
-                &mut marks,
-            );
+            if real <= real_cutoff {
+                emit_at(sink, anchor, anchor_is_left, left, right, j, real);
+                real_cutoff = sink.real_cutoff();
+            } else if let Some(rejects) = rejects.as_deref_mut() {
+                rejects.push(reject(j, real));
+            }
         }
         return stop;
     }
-    for (i, m) in partners.iter().enumerate().skip(from) {
+    let mut axis_cutoff = sink.axis_cutoff();
+    for (j, m) in (from..).zip(&partners[from..]) {
         stats.axis_dist += 1;
-        let ad = anchor.mbr.axis_dist(&m.mbr, axis);
-        if ad > sink.axis_cutoff() {
-            return i;
+        if anchor.mbr.axis_dist(&m.mbr, axis) > axis_cutoff {
+            return j;
         }
         stats.real_dist += 1;
         let real = anchor.mbr.min_dist(&m.mbr);
-        offer(
-            real,
-            i,
-            anchor,
-            anchor_idx,
-            anchor_is_left,
-            left,
-            right,
-            sink,
-            &mut marks,
-        );
+        if real <= real_cutoff {
+            emit_at(sink, anchor, anchor_is_left, left, right, j, real);
+            (axis_cutoff, real_cutoff) = (sink.axis_cutoff(), sink.real_cutoff());
+        } else if let Some(rejects) = rejects.as_deref_mut() {
+            rejects.push(reject(j, real));
+        }
     }
     partners.len()
 }
@@ -579,53 +598,29 @@ fn axis_window_stop<const D: usize>(
     n
 }
 
-/// The per-candidate emit/reject decision of [`scan`]'s frozen-window and
-/// live paths: compare against the *live* real cutoff, emit at or below
-/// it, record a reject (when tracking) above it.
-#[allow(clippy::too_many_arguments)]
-fn offer<const D: usize>(
-    real: f64,
-    j: usize,
+/// Emits the pair of `anchor` and the other list's entry `j`, oriented
+/// left to right.
+fn emit_at<const D: usize>(
+    sink: &mut impl SweepSink<D>,
     anchor: &SweepEntry<D>,
-    anchor_idx: usize,
     anchor_is_left: bool,
     left: SweepSide<'_, D>,
     right: SweepSide<'_, D>,
-    sink: &mut impl SweepSink<D>,
-    marks: &mut Option<&mut SweepMarks>,
+    j: usize,
+    real: f64,
 ) {
-    let partner = if anchor_is_left {
-        &right.entries[j]
+    let (le, re) = if anchor_is_left {
+        (anchor, &right.entries[j])
     } else {
-        &left.entries[j]
+        (&left.entries[j], anchor)
     };
-    if real <= sink.real_cutoff() {
-        let (le, re) = if anchor_is_left {
-            (anchor, partner)
-        } else {
-            (partner, anchor)
-        };
-        sink.emit(Pair {
-            dist: real,
-            a: left.item_ref(le),
-            b: right.item_ref(re),
-            a_mbr: le.mbr,
-            b_mbr: re.mbr,
-        });
-    } else if let Some(m) = marks.as_deref_mut() {
-        if m.track_rejects {
-            let (li_, ri_) = if anchor_is_left {
-                (anchor_idx, j)
-            } else {
-                (j, anchor_idx)
-            };
-            m.rejects.push(Reject {
-                left: li_ as u32,
-                right: ri_ as u32,
-                dist: real,
-            });
-        }
-    }
+    sink.emit(Pair {
+        dist: real,
+        a: left.item_ref(le),
+        b: right.item_ref(re),
+        a_mbr: le.mbr,
+        b_mbr: re.mbr,
+    });
 }
 
 /// Re-examines only the pairs a previous (aggressive) sweep skipped
@@ -1288,6 +1283,150 @@ mod tests {
                     let n = scratch.left.entries.len() * scratch.right.entries.len();
                     assert_eq!(sink.pairs.len() + rest.pairs.len(), n);
                 }
+            }
+        }
+    }
+
+    /// A sink whose real cutoff tightens on every emit, the way `qDmax`
+    /// does as results enter the distance queue: it moves halfway to the
+    /// emitted distance. `frozen` fixes the axis cutoff (aggressive stage
+    /// one); otherwise the axis cutoff is the live real cutoff.
+    struct Tightening {
+        frozen: Option<f64>,
+        real: f64,
+        pairs: Vec<Pair<2>>,
+    }
+
+    impl SweepSink<2> for Tightening {
+        fn axis_cutoff(&self) -> f64 {
+            self.frozen.unwrap_or(self.real)
+        }
+        fn real_cutoff(&self) -> f64 {
+            self.real
+        }
+        fn fixed_axis_cutoff(&self) -> Option<f64> {
+            self.frozen
+        }
+        fn emit(&mut self, pair: Pair<2>) {
+            self.real = (self.real + pair.dist) / 2.0;
+            self.pairs.push(pair);
+        }
+    }
+
+    /// What one sweep produced: emitted pairs, rejects, both stop lists
+    /// and the distance counts.
+    type Outcome = (Vec<Pair<2>>, Vec<Reject>, Vec<u32>, Vec<u32>, u64, u64);
+
+    /// The plain per-candidate sweep: both cutoffs are read for every
+    /// partner, straight from the sink.
+    fn reference_sweep(
+        left: SweepSide<'_, 2>,
+        right: SweepSide<'_, 2>,
+        sink: &mut Tightening,
+        track: bool,
+    ) -> Outcome {
+        let (mut rejects, mut stops) = (Vec::new(), [Vec::new(), Vec::new()]);
+        let (mut real_n, mut axis_n) = (0, 0);
+        let (mut li, mut ri) = (0, 0);
+        while li < left.entries.len() && ri < right.entries.len() {
+            let anchor_is_left = left.entries[li].key <= right.entries[ri].key;
+            let (anchor_idx, from) = if anchor_is_left { (li, ri) } else { (ri, li) };
+            let (anchor, partners) = if anchor_is_left {
+                (left.entries[li], right.entries)
+            } else {
+                (right.entries[ri], left.entries)
+            };
+            let mut stop = partners.len();
+            for (j, m) in partners.iter().enumerate().skip(from) {
+                axis_n += 1;
+                if anchor.mbr.axis_dist(&m.mbr, 0) > sink.axis_cutoff() {
+                    stop = j;
+                    break;
+                }
+                real_n += 1;
+                let dist = anchor.mbr.min_dist(&m.mbr);
+                let (l, r) = if anchor_is_left {
+                    (anchor_idx, j)
+                } else {
+                    (j, anchor_idx)
+                };
+                if dist <= sink.real_cutoff() {
+                    let (le, re) = (&left.entries[l], &right.entries[r]);
+                    sink.emit(Pair {
+                        dist,
+                        a: left.item_ref(le),
+                        b: right.item_ref(re),
+                        a_mbr: le.mbr,
+                        b_mbr: re.mbr,
+                    });
+                } else if track {
+                    rejects.push(Reject {
+                        left: l as u32,
+                        right: r as u32,
+                        dist,
+                    });
+                }
+            }
+            stops[usize::from(!anchor_is_left)].push(stop as u32);
+            if anchor_is_left {
+                li += 1;
+            } else {
+                ri += 1;
+            }
+        }
+        let [left_stops, right_stops] = stops;
+        let pairs = std::mem::take(&mut sink.pairs);
+        (pairs, rejects, left_stops, right_stops, real_n, axis_n)
+    }
+
+    /// Reading the cutoffs once per anchor and again only after each
+    /// emit is the per-candidate sweep, as long as only `emit` tightens
+    /// them: same pairs, rejects, stops and distance counts, under both
+    /// recording modes and with a frozen or a live axis cutoff.
+    #[test]
+    fn one_cutoff_read_per_emit_matches_the_per_candidate_sweep() {
+        // A small deterministic scatter of points, 40 per side.
+        let mut x = 12_345u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 11) as f64 / (1u64 << 53) as f64 * 10.0
+        };
+        let a_pts: Vec<(f64, f64)> = (0..40).map(|_| (next(), next())).collect();
+        let b_pts: Vec<(f64, f64)> = (0..40).map(|_| (next(), next())).collect();
+        let (la, lb) = (
+            side(&leaf(&a_pts, 0), setup_fwd()),
+            side(&leaf(&b_pts, 100), setup_fwd()),
+        );
+        for mode in [MarkMode::Suffix, MarkMode::Full] {
+            for frozen in [Some(2.0), None] {
+                let fresh = || Tightening {
+                    frozen,
+                    real: 4.0,
+                    pairs: vec![],
+                };
+                let mut sink = fresh();
+                let mut stats = JoinStats::default();
+                let marks = plane_sweep(la.view(), lb.view(), 0, &mut sink, &mut stats, mode)
+                    .expect("recording mode");
+                let got: Outcome = (
+                    sink.pairs,
+                    marks.rejects,
+                    marks.left_stops,
+                    marks.right_stops,
+                    stats.real_dist,
+                    stats.axis_dist,
+                );
+                let want =
+                    reference_sweep(la.view(), lb.view(), &mut fresh(), mode == MarkMode::Full);
+                assert!(
+                    want.0.len() > 10 && want.0.len() < 40 * 40,
+                    "the cutoff must prune some pairs but not all ({} emitted)",
+                    want.0.len()
+                );
+                assert_eq!(mode == MarkMode::Full, !want.1.is_empty(), "{mode:?}");
+                assert_eq!(got, want, "{mode:?}, frozen axis {frozen:?}");
             }
         }
     }

@@ -1,7 +1,29 @@
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use amdj_geom::{Rect, SweepDirection};
 use amdj_storage::codec::{put_f64, put_u32, put_u64, put_u8, Reader};
+
+thread_local! {
+    /// The packed sort keys of [`Node::sweep_order`], reused across
+    /// calls so computing an order allocates only the order itself. A
+    /// fresh key vector per order measured ≈ 6 MB more peak RSS on the
+    /// paper-scale benchmark (heap fragmentation between the short-lived
+    /// keys and the long-lived orders and nodes).
+    static SORT_KEYS: RefCell<Vec<(u64, u64, u16)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `x`'s bits mapped so that unsigned integer order equals
+/// [`f64::total_cmp`] order: negatives have every bit flipped, the rest
+/// get the sign bit set.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
 
 /// One slot of an R-tree node.
 ///
@@ -101,23 +123,25 @@ impl<const D: usize> Node<D> {
     /// sorted at most `2·D` times while it stays resident. The cache
     /// costs at most `2·D·capacity` `u16` slots per node (≈ 800 bytes at
     /// 4 KB pages in 2-D) and is not charged to the buffer's byte budget.
+    /// The sort compares packed integer keys, never the entries.
     pub fn sweep_order(&self, axis: usize, dir: SweepDirection) -> &[u16] {
         let slot = &self.orders[axis][dir as usize];
         let order = slot.get_or_init(|| {
-            let key = |e: &Entry<D>| match dir {
-                SweepDirection::Forward => e.mbr.lo()[axis],
-                SweepDirection::Backward => -e.mbr.hi()[axis],
-            };
             let n = u16::try_from(self.entries.len()).expect("node slots fit u16");
-            let mut order: Box<[u16]> = (0..n).collect();
-            order.sort_unstable_by(|&a, &b| {
-                let (ea, eb) = (&self.entries[a as usize], &self.entries[b as usize]);
-                key(ea)
-                    .total_cmp(&key(eb))
-                    .then_with(|| ea.child.cmp(&eb.child))
-                    .then_with(|| a.cmp(&b))
-            });
-            order
+            // Packed keys compare as plain integers: the key's total-order
+            // bits, then the child id, then the slot.
+            SORT_KEYS.with_borrow_mut(|keys| {
+                keys.clear();
+                keys.extend(self.entries.iter().zip(0..n).map(|(e, slot)| {
+                    let key = match dir {
+                        SweepDirection::Forward => e.mbr.lo()[axis],
+                        SweepDirection::Backward => -e.mbr.hi()[axis],
+                    };
+                    (total_order_bits(key), e.child, slot)
+                }));
+                keys.sort_unstable();
+                keys.iter().map(|&(_, _, slot)| slot).collect()
+            })
         });
         debug_assert_eq!(order.len(), self.entries.len(), "stale sweep order");
         order
@@ -142,30 +166,26 @@ impl<const D: usize> Node<D> {
     }
 
     /// Deserializes a node from a page image produced by
-    /// [`encode`](Node::encode).
+    /// [`encode`](Node::encode), in one pass over the entry records.
+    /// Every rectangle goes through [`Rect::new`], so a corrupt page
+    /// (inverted or non-finite bounds) panics here rather than feeding
+    /// the join a bad MBR.
     pub fn decode(buf: &[u8]) -> Self {
-        let mut r = Reader::new(buf);
-        let level = r.u8() as u32;
-        let _ = r.u8();
-        let _ = r.u8();
-        let _ = r.u8();
-        let count = r.u32() as usize;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut lo = [0.0; D];
-            let mut hi = [0.0; D];
-            for slot in lo.iter_mut() {
-                *slot = r.f64();
-            }
-            for slot in hi.iter_mut() {
-                *slot = r.f64();
-            }
-            let child = r.u64();
-            entries.push(Entry {
-                mbr: Rect::new(lo, hi),
-                child,
-            });
-        }
+        let (level, count) = Node::<D>::decode_header(buf);
+        let word = |rec: &[u8], i: usize| -> [u8; 8] {
+            rec[8 * i..8 * i + 8].try_into().expect("8 bytes")
+        };
+        let entries = buf[8..Node::<D>::encoded_len(count)]
+            .chunks_exact(16 * D + 8)
+            .map(|rec| {
+                let lo = std::array::from_fn(|d| f64::from_le_bytes(word(rec, d)));
+                let hi = std::array::from_fn(|d| f64::from_le_bytes(word(rec, D + d)));
+                Entry {
+                    mbr: Rect::new(lo, hi),
+                    child: u64::from_le_bytes(word(rec, 2 * D)),
+                }
+            })
+            .collect();
         Node::with_entries(level, entries)
     }
 
@@ -279,16 +299,18 @@ mod tests {
     }
 
     /// Random nodes drawn from a tiny coordinate and id range, so tied
-    /// keys and duplicate child ids are common.
+    /// keys and duplicate child ids are common. Coordinates include
+    /// negatives and both signed zeros, so one order can hold keys `-0.0`
+    /// and `0.0`, which the packed keys must order as `total_cmp` does.
     fn tied_node<const D: usize>() -> impl Strategy<Value = Node<D>> {
+        const VALUES: [f64; 6] = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0];
         let entry = (
-            prop::collection::vec(0u8..4, D..D + 1),
-            prop::collection::vec(0u8..3, D..D + 1),
+            prop::collection::vec((0..VALUES.len(), 0..VALUES.len()), D..D + 1),
             0u64..4,
         )
-            .prop_map(|(lo, ext, child)| {
-                let lo: [f64; D] = std::array::from_fn(|d| f64::from(lo[d]) * 0.5);
-                let hi: [f64; D] = std::array::from_fn(|d| lo[d] + f64::from(ext[d]) * 0.5);
+            .prop_map(|(bounds, child)| {
+                let lo: [f64; D] = std::array::from_fn(|d| VALUES[bounds[d].0.min(bounds[d].1)]);
+                let hi: [f64; D] = std::array::from_fn(|d| VALUES[bounds[d].0.max(bounds[d].1)]);
                 Entry {
                     mbr: Rect::new(lo, hi),
                     child,
@@ -320,6 +342,49 @@ mod tests {
         Ok(())
     }
 
+    /// Random nodes of `0..=capacity` entries at 4 KB pages with
+    /// arbitrary finite bounds, any child id and any level.
+    fn page_node<const D: usize>() -> impl Strategy<Value = Node<D>> {
+        let cap = crate::RTreeParams::paper_defaults().capacity::<D>();
+        let coord = -1e9..1e9f64;
+        let entry = (
+            prop::collection::vec((coord.clone(), coord), D..D + 1),
+            any::<u64>(),
+        )
+            .prop_map(|(bounds, child)| Entry {
+                mbr: Rect::new(
+                    std::array::from_fn(|d| bounds[d].0.min(bounds[d].1)),
+                    std::array::from_fn(|d| bounds[d].0.max(bounds[d].1)),
+                ),
+                child,
+            });
+        (any::<u8>(), prop::collection::vec(entry, 0..cap + 1))
+            .prop_map(|(level, entries)| Node::with_entries(u32::from(level), entries))
+    }
+
+    /// Encodes `node`, zero-pads the image to a 4 KB page like the disk
+    /// does, and decodes it again.
+    fn page_roundtrip<const D: usize>(node: &Node<D>) -> Result<(), TestCaseError> {
+        let mut buf = Vec::new();
+        node.encode(&mut buf);
+        prop_assert_eq!(buf.len(), Node::<D>::encoded_len(node.entries.len()));
+        buf.resize(4096, 0);
+        let back = Node::<D>::decode(&buf);
+        prop_assert_eq!(back.level, node.level);
+        // Bit for bit, so signed zeros count too.
+        let bits = |n: &Node<D>| -> Vec<(Vec<u64>, u64)> {
+            n.entries
+                .iter()
+                .map(|e| {
+                    let coords = e.mbr.lo().into_iter().chain(e.mbr.hi());
+                    (coords.map(|c| c.to_bits()).collect(), e.child)
+                })
+                .collect()
+        };
+        prop_assert_eq!(bits(&back), bits(node));
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn sweep_order_is_a_stable_sort_2d(node in tied_node::<2>()) {
@@ -330,6 +395,63 @@ mod tests {
         fn sweep_order_is_a_stable_sort_3d(node in tied_node::<3>()) {
             check_orders(&node)?;
         }
+
+        #[test]
+        fn padded_page_roundtrips_2d(node in page_node::<2>()) {
+            page_roundtrip(&node)?;
+        }
+
+        #[test]
+        fn padded_page_roundtrips_3d(node in page_node::<3>()) {
+            page_roundtrip(&node)?;
+        }
+    }
+
+    #[test]
+    fn total_order_bits_follow_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    /// A page image whose first entry's axis-0 bounds are overwritten.
+    fn corrupt_page(lo0: f64, hi0: f64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        sample().encode(&mut buf);
+        buf[8..16].copy_from_slice(&lo0.to_le_bytes());
+        buf[24..32].copy_from_slice(&hi0.to_le_bytes());
+        buf.resize(4096, 0);
+        buf
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid rect bounds")]
+    fn decode_rejects_an_inverted_rect() {
+        let _ = Node::<2>::decode(&corrupt_page(2.0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid rect bounds")]
+    fn decode_rejects_a_nan_rect() {
+        let _ = Node::<2>::decode(&corrupt_page(f64::NAN, 1.0));
     }
 
     #[test]
