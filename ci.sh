@@ -25,6 +25,22 @@ echo "== perfbench self-tests (the benchmark must build against the engine and s
 # benchmark's build fails here instead of at benchmark time.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench smoke: one short run of every workload =="
+# A workload exits non-zero when a guard fails (paper-kdj refuses a query
+# that reports no buffer misses or no queue page writes) and ends with
+# one JSON line whose "correct" says every result matched the serial
+# library call. About 8 s in total on a 2-vCPU VM.
+for workload in paper-kdj serve-mixed idj-cursor; do
+    rc=0
+    out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0)" || rc=$?
+    [ "$rc" = "0" ] || { echo "perfbench smoke: $workload exited $rc"; printf '%s\n' "$out" | tail -n 5; exit 1; }
+    printf '%s\n' "$out" | tail -n 1 | grep -q '"correct": true' \
+        || { echo "perfbench smoke: $workload did not end with \"correct\": true"; \
+             printf '%s\n' "$out" | tail -n 5; exit 1; }
+done
+echo "perfbench smoke: every workload exited 0 with correct results"
+
 echo "== bench smoke: emitted JSON schema =="
 # A tiny bench run; then validate the schema version and required columns
 # so consumers of BENCH_kdj.json notice shape drift here, not downstream.

@@ -217,16 +217,6 @@ fn run_episodes(
     }
 }
 
-/// Resolves `--threads` the way the parallel entry points do: 0 means
-/// one worker per available core.
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
-}
-
 fn parse_flags(args: &[String]) -> Option<HashMap<String, String>> {
     let mut map = HashMap::new();
     let mut it = args.iter().peekable();
@@ -369,8 +359,8 @@ fn run() -> Result<ExitCode, String> {
                 let (aggressive, threads) = match algo {
                     "am" => (true, 1),
                     "b" => (false, 1),
-                    "par-am" => (true, resolve_threads(threads)),
-                    "par" => (false, resolve_threads(threads)),
+                    "par-am" => (true, threads),
+                    "par" => (false, threads),
                     other => return Err(format!("unknown algo '{other}'")),
                 };
                 let run = |resume, pause: Option<&PauseCtl>| {
@@ -426,7 +416,7 @@ fn run() -> Result<ExitCode, String> {
             if let Some(ckpt) = parse_ckpt(&flags)? {
                 let threads = match algo {
                     "am" => 1,
-                    "par-am" => resolve_threads(threads),
+                    "par-am" => threads,
                     other => {
                         return Err(format!("--algo {other} does not support checkpointing"));
                     }

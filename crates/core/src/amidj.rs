@@ -8,6 +8,7 @@
 use amdj_rtree::RTree;
 
 use crate::engine::StageDriver;
+use crate::stats::Baseline;
 use crate::{AmIdjOptions, JoinConfig, JoinStats, ResultPair};
 
 /// The AM-IDJ cursor: call [`next`](AmIdj::next) repeatedly; stages are
@@ -35,14 +36,26 @@ use crate::{AmIdjOptions, JoinConfig, JoinStats, ResultPair};
 /// }
 /// ```
 pub struct AmIdj<'a, const D: usize> {
+    r: &'a RTree<D>,
+    s: &'a RTree<D>,
     driver: StageDriver<'a, D>,
+    baseline: Baseline,
 }
 
 impl<'a, const D: usize> AmIdj<'a, D> {
     /// Starts an incremental join over two indexes.
     pub fn new(r: &'a RTree<D>, s: &'a RTree<D>, cfg: &JoinConfig, opts: AmIdjOptions) -> Self {
+        // Captured before the driver's setup reads (the estimator and the
+        // largest possible distance both touch the roots), so the cursor's
+        // node counters cover the same window the parallel backend's
+        // whole-join baseline does: one-worker runs then report identical
+        // node_requests either way.
+        let baseline = Baseline::capture(r, s);
         AmIdj {
+            r,
+            s,
             driver: StageDriver::new(r, s, cfg, opts),
+            baseline,
         }
     }
 
@@ -65,7 +78,9 @@ impl<'a, const D: usize> AmIdj<'a, D> {
 
     /// A snapshot of the work done so far.
     pub fn stats(&self) -> JoinStats {
-        self.driver.stats()
+        let mut st = self.driver.stats();
+        self.baseline.delta(self.r, self.s, &mut st);
+        st
     }
 }
 

@@ -27,6 +27,7 @@ use amdj_rtree::RTree;
 
 use crate::{AmIdjOptions, JoinConfig, JoinOutput};
 
+use super::backend::resolve_threads;
 use super::policy::{Aggressive, Exact};
 use super::snapshot::{EngineSnapshot, SnapshotError, SnapshotKind};
 use super::steal::{self, TestSchedule};
@@ -107,8 +108,10 @@ pub enum Checkpointed<const D: usize> {
 /// join suspends into a snapshot once the control fires; with `resume`
 /// set, the join continues from the snapshot's cut instead of the roots.
 ///
-/// `threads == 1` replays the sequential join; a snapshot taken at any
-/// thread count resumes at any other. The result stream of an
+/// `threads == 0` runs one worker per available core, as
+/// [`Parallel`](super::Parallel) does; `threads == 1` replays the
+/// sequential join; a snapshot taken at any thread count resumes at any
+/// other. The result stream of an
 /// interrupted-and-resumed join is bit-identical to the uninterrupted
 /// one (`tests/checkpoint_resume.rs` pins this across policies,
 /// thread counts, and interrupt points).
@@ -147,7 +150,7 @@ pub fn kdj_resumable<const D: usize>(
             }
         }
     }
-    let threads = threads.max(1);
+    let threads = resolve_threads(threads);
     Ok(if aggressive {
         steal::run_kdj_ckpt::<D, Aggressive>(
             r,
@@ -191,7 +194,7 @@ pub fn idj_resumable<const D: usize>(
         None,
         cfg,
         opts,
-        threads.max(1),
+        resolve_threads(threads),
         schedule,
         resume,
         pause,
@@ -224,7 +227,7 @@ pub(crate) fn idj_until_stable<const D: usize>(
         Some(want),
         cfg,
         opts,
-        threads.max(1),
+        resolve_threads(threads),
         None,
         resume,
         None,
@@ -255,17 +258,21 @@ pub fn write_checkpoint<const D: usize>(
     path: impl AsRef<Path>,
     snapshot: &EngineSnapshot<D>,
 ) -> std::io::Result<()> {
-    let path = path.as_ref();
+    write_atomic(path.as_ref(), &snapshot.encode())
+}
+
+/// Writes `bytes` to `path` atomically: write to a `<path>.tmp` sibling,
+/// sync, rename over the target. A crash mid-write can leave a stale tmp
+/// file behind but never a truncated file under the real name.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write as _;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    let bytes = snapshot.encode();
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
     std::fs::rename(&tmp, path)
 }
 

@@ -119,7 +119,6 @@ pub(crate) struct StageOnePool<const D: usize> {
     pub(crate) comps: Vec<CompEntry<D>>,
     pub(crate) dists: Vec<f64>,
     pub(crate) stats: JoinStats,
-    pub(crate) queue_io: f64,
     /// The driver's final (ratcheted) `eDmax`; `+∞` under exact pruning.
     pub(crate) edmax: f64,
     /// Whether the driver stopped on a fired pause rather than running
@@ -451,7 +450,6 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
             comps: Vec::new(),
             dists: self.distq.retained(),
             stats: JoinStats::default(),
-            queue_io: 0.0,
             edmax: self.edmax,
             suspended: false,
         }
@@ -483,14 +481,13 @@ impl<'x, const D: usize> ExpansionDriver<'x, D> {
         self.stats.bound_tightenings = self.tightenings;
         self.stats.distq_insertions = self.distq.insertions();
         let dists = self.distq.retained();
-        let queue_io = self.mainq.account(&mut self.stats);
+        self.mainq.account(&mut self.stats);
         StageOnePool {
             results: self.results,
             leftovers,
             comps,
             dists,
             stats: self.stats,
-            queue_io,
             edmax: self.edmax,
             suspended: self.suspended,
         }

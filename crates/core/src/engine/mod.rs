@@ -34,10 +34,10 @@ pub(crate) mod sweep;
 
 pub use backend::Parallel;
 pub use bound::MinBound;
-pub(crate) use checkpoint::idj_until_stable;
 pub use checkpoint::{
     idj_resumable, kdj_resumable, read_checkpoint, write_checkpoint, Checkpointed, PauseCtl,
 };
+pub(crate) use checkpoint::{idj_until_stable, write_atomic};
 pub use policy::{Aggressive, Exact, PruningPolicy};
 pub(crate) use snapshot::TreePrint;
 pub use snapshot::{EngineSnapshot, SnapshotError, SnapshotKind};

@@ -9,7 +9,7 @@
 //! the per-anchor marks kept with every expanded pair let stage `i+1`
 //! examine exactly the child pairs stages `1..i` skipped.
 
-use amdj_rtree::{AccessStats, RTree};
+use amdj_rtree::RTree;
 
 use crate::mainq::MainQueue;
 use crate::{
@@ -75,11 +75,6 @@ pub struct StageDriver<'a, const D: usize> {
     /// Upper bound on any possible pair distance — the terminal `eDmax`.
     max_possible: f64,
     counters: JoinStats,
-    r_acc0: AccessStats,
-    s_acc0: AccessStats,
-    r_io0: f64,
-    s_io0: f64,
-    buf0: (u64, u64, u64),
     /// Cooperative pause signal of a resumable join; checked once per
     /// step-loop iteration, ticked per expansion/compensation.
     pause: Option<&'a PauseCtl>,
@@ -144,14 +139,6 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     ) -> Self {
         assert!(opts.growth > 1.0, "stage growth must exceed 1");
         assert!(opts.initial_k >= 1, "initial k must be at least 1");
-        // Capture the access baseline before any setup reads (the
-        // estimator and `max_possible` both touch the roots), so the
-        // cursor's node counters cover the same window the parallel
-        // backend's whole-join baseline does — single-worker runs then
-        // report identical node_requests either way.
-        let (r_acc0, s_acc0) = (r.access_stats(), s.access_stats());
-        let (r_io0, s_io0) = (r.disk_stats().io_seconds, s.disk_stats().io_seconds);
-        let buf0 = amdj_rtree::thread_buffer_stats();
         let est = Estimator::from_trees(r, s);
         let mut mainq = MainQueue::new(cfg, est.as_ref());
         for pair in seeds.unwrap_or_else(|| root_pair(r, s).into_iter().collect()) {
@@ -188,11 +175,6 @@ impl<'a, const D: usize> StageDriver<'a, D> {
                 stages: 1,
                 ..JoinStats::default()
             },
-            r_acc0,
-            s_acc0,
-            r_io0,
-            s_io0,
-            buf0,
             pause: None,
         }
     }
@@ -450,7 +432,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// the same argument: the key lower-bounds every pair their marks can
     /// still recover. Standalone cursors (no shared bound) keep
     /// everything.
-    pub(crate) fn suspend(mut self) -> (IdjSuspend<D>, JoinStats, f64) {
+    pub(crate) fn suspend(mut self) -> (IdjSuspend<D>, JoinStats) {
         let bound = self.shared.map_or(f64::INFINITY, |b| b.get());
         let mut frontier = Vec::new();
         while let Some(pair) = self.mainq.pop() {
@@ -461,8 +443,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         }
         let mut comps = self.compq.drain_sorted();
         comps.retain(|c| c.key <= bound);
-        let mut stats = self.counters;
-        let queue_io = self.mainq.account(&mut stats);
+        let stats = self.stats();
         (
             IdjSuspend {
                 frontier,
@@ -473,43 +454,17 @@ impl<'a, const D: usize> StageDriver<'a, D> {
                 last_dist: self.last_dist,
             },
             stats,
-            queue_io,
         )
     }
 
-    /// Consumes the cursor, folding its queue work into the returned
-    /// counters (plus the queue's modeled I/O seconds). Unlike
-    /// [`stats`](Self::stats) this reports no tree access deltas — those
-    /// counters are shared across concurrent cursors, so attribution is
-    /// the parallel backend's job.
-    pub(crate) fn finish_worker(self) -> (JoinStats, f64) {
-        let mut st = self.counters;
-        let io = self.mainq.account(&mut st);
-        (st, io)
-    }
-
-    /// A snapshot of the work done so far.
+    /// The work this cursor did so far: its own counters plus its main
+    /// queue's insertions, page transfers and modeled I/O. Tree and buffer
+    /// deltas are not included — the trees may be shared with concurrent
+    /// cursors, so attributing them is the owner's job (the parallel
+    /// backend's, or [`crate::AmIdj`]'s own baseline).
     pub fn stats(&self) -> JoinStats {
         let mut st = self.counters;
-        st.mainq_insertions = self.mainq.insertions();
-        let (ra, sa) = (self.r.access_stats(), self.s.access_stats());
-        st.node_requests =
-            (ra.requests - self.r_acc0.requests) + (sa.requests - self.s_acc0.requests);
-        st.node_disk_reads =
-            (ra.disk_reads - self.r_acc0.disk_reads) + (sa.disk_reads - self.s_acc0.disk_reads);
-        let qd = self.mainq.disk_stats();
-        st.queue_page_reads = qd.pages_read;
-        st.queue_page_writes = qd.pages_written;
-        st.io_seconds = (self.r.disk_stats().io_seconds - self.r_io0)
-            + (self.s.disk_stats().io_seconds - self.s_io0)
-            + qd.io_seconds;
-        // Only valid standalone: a parallel worker's cursor reports no
-        // tree/buffer deltas (see `finish_worker`), so this snapshot path
-        // may assume every fetch since `buf0` happened on this thread.
-        let (h, m, e) = amdj_rtree::thread_buffer_stats();
-        st.buffer_hits = h - self.buf0.0;
-        st.buffer_misses = m - self.buf0.1;
-        st.buffer_evictions = e - self.buf0.2;
+        self.mainq.account(&mut st);
         st
     }
 }

@@ -678,7 +678,7 @@ fn pump_idj<const D: usize>(
 /// sit just beyond `eDmax`, defers to the pool's frontier rather than
 /// advancing the stage on an empty main queue. A fired `pause` suspends
 /// the cursor instead of finishing it; the drained cut comes back as the
-/// fourth return.
+/// third return.
 ///
 /// With a `window` of `(want, bound)` the same exit rule runs against the
 /// window bound instead — the `want`-th smallest distance any worker has
@@ -701,7 +701,7 @@ fn idj_worker<const D: usize>(
     restore: Option<(u32, f64, u64, u64, f64)>,
     comps: Vec<CompEntry<D>>,
     seed_dists: &[f64],
-) -> (Vec<ResultPair>, JoinStats, f64, Option<IdjSuspend<D>>) {
+) -> (Vec<ResultPair>, JoinStats, Option<IdjSuspend<D>>) {
     let mut cursor = StageDriver::with_seeds(r, s, cfg, opts, Vec::new(), shared);
     cursor.set_pause(pause);
     if let Some((stage, edmax, k_target, emitted, last_dist)) = restore {
@@ -765,18 +765,17 @@ fn idj_worker<const D: usize>(
             pool,
         );
     }
-    let (mut stats, queue_io, suspend) = if end == PumpEnd::Paused || window.is_some() {
-        let (sus, st, io) = cursor.suspend();
-        (st, io, Some(sus))
+    let (mut stats, suspend) = if end == PumpEnd::Paused || window.is_some() {
+        let (sus, st) = cursor.suspend();
+        (st, Some(sus))
     } else {
-        let (st, io) = cursor.finish_worker();
-        (st, io, None)
+        (cursor.stats(), None)
     };
     stats.bound_tightenings += tightenings;
     stats.distq_insertions += distq.insertions();
     stats.pairs_stolen += stolen;
     stats.steal_attempts += attempts;
-    (results, stats, queue_io, suspend)
+    (results, stats, suspend)
 }
 
 /// The checkpointable k-distance join. Without `resume` it starts from
@@ -834,7 +833,6 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
         };
     let shared = &MinBound::new(bound0);
     let lone = threads == 1;
-    let mut queue_io = 0.0;
     if k > 0 {
         let est = est.as_ref();
         // Inputs to stage two, produced by stage one (or read straight
@@ -880,7 +878,6 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                 comps.extend(outcome.comps);
                 dists.extend(outcome.dists);
                 stats.absorb_worker(&outcome.stats);
-                queue_io += outcome.queue_io;
                 suspended |= outcome.suspended;
                 edmax_min = edmax_min.min(outcome.edmax);
             }
@@ -917,7 +914,7 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                 comps.retain(|e| e.key <= bound);
                 comps.sort_by(|a, b| a.key.total_cmp(&b.key));
                 sort_canonical(&mut results);
-                baseline.finish(r, s, &mut stats, queue_io);
+                baseline.finish(r, s, &mut stats);
                 let snap = Box::new(EngineSnapshot {
                     trees: TreePrint::pair(r, s),
                     kind: SnapshotKind::Kdj {
@@ -1016,7 +1013,6 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                 leftovers.extend(outcome.leftovers);
                 comps.extend(outcome.comps);
                 stats.absorb_worker(&outcome.stats);
-                queue_io += outcome.queue_io;
                 suspended |= outcome.suspended;
                 // outcome.dists is the shared seed slice plus the worker's
                 // own insertions — pooling those would double-count the
@@ -1041,7 +1037,7 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                 comps.retain(|e| e.key <= bound);
                 comps.sort_by(|a, b| a.key.total_cmp(&b.key));
                 sort_canonical(&mut results);
-                baseline.finish(r, s, &mut stats, queue_io);
+                baseline.finish(r, s, &mut stats);
                 let snap = Box::new(EngineSnapshot {
                     trees: TreePrint::pair(r, s),
                     kind: SnapshotKind::Kdj {
@@ -1066,7 +1062,7 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
         results.truncate(k);
     }
     stats.results = results.len() as u64;
-    baseline.finish(r, s, &mut stats, queue_io);
+    baseline.finish(r, s, &mut stats);
     Checkpointed::Done(JoinOutput { results, stats })
 }
 
@@ -1154,7 +1150,6 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
     let window = window
         .filter(|&want| want < take)
         .map(|want| (want.max(1), &window_bound));
-    let mut queue_io = 0.0;
     if take > 0 {
         let mut frontier = match snap_frontier {
             Some(f) => f,
@@ -1197,11 +1192,10 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
         let mut suspended = false;
         let (mut edmax_min, mut stage_max, mut k_target_max, mut last_max) =
             (f64::INFINITY, 1u32, opts.initial_k, 0.0f64);
-        for (mut part, wstats, wio, suspend) in outputs {
+        for (mut part, wstats, suspend) in outputs {
             results.append(&mut part);
             stats.stages = stats.stages.max(wstats.stages);
             stats.absorb_worker(&wstats);
-            queue_io += wio;
             if let Some(sus) = suspend {
                 suspended = true;
                 sus_frontier.extend(sus.frontier);
@@ -1235,7 +1229,7 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
             // later emissions) stays sound.
             let dists: Vec<f64> = results.iter().map(|p| p.dist).take(take).collect();
             let emitted = results.len() as u64;
-            baseline.finish(r, s, &mut stats, queue_io);
+            baseline.finish(r, s, &mut stats);
             let snap = Box::new(EngineSnapshot {
                 trees: TreePrint::pair(r, s),
                 kind: SnapshotKind::Idj { take: take as u64 },
@@ -1256,7 +1250,7 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
         results.truncate(take);
     }
     stats.results = results.len() as u64;
-    baseline.finish(r, s, &mut stats, queue_io);
+    baseline.finish(r, s, &mut stats);
     Checkpointed::Done(JoinOutput { results, stats })
 }
 

@@ -14,10 +14,11 @@
 //! original's max-distance entries for node pairs can double-count a
 //! witness and are also ineffective, as the footnote observes.
 
-use amdj_rtree::{AccessStats, RTree};
+use amdj_rtree::RTree;
 use amdj_storage::PageId;
 
 use crate::mainq::MainQueue;
+use crate::stats::Baseline;
 use crate::{
     DistanceQueue, Estimator, ItemRef, JoinConfig, JoinOutput, JoinStats, Pair, ResultPair,
 };
@@ -30,11 +31,7 @@ pub struct HsIdj<'a, const D: usize> {
     mainq: MainQueue<D>,
     distq: Option<DistanceQueue>,
     counters: JoinStats,
-    r_acc0: AccessStats,
-    s_acc0: AccessStats,
-    r_io0: f64,
-    s_io0: f64,
-    buf0: (u64, u64, u64),
+    baseline: Baseline,
 }
 
 impl<'a, const D: usize> HsIdj<'a, D> {
@@ -68,8 +65,6 @@ impl<'a, const D: usize> HsIdj<'a, D> {
                 b_mbr: sb,
             });
         }
-        let (r_acc0, s_acc0) = (r.access_stats(), s.access_stats());
-        let (r_io0, s_io0) = (r.disk_stats().io_seconds, s.disk_stats().io_seconds);
         HsIdj {
             r,
             s,
@@ -79,11 +74,7 @@ impl<'a, const D: usize> HsIdj<'a, D> {
                 stages: 1,
                 ..JoinStats::default()
             },
-            r_acc0,
-            s_acc0,
-            r_io0,
-            s_io0,
-            buf0: amdj_rtree::thread_buffer_stats(),
+            baseline: Baseline::capture(r, s),
         }
     }
 
@@ -191,25 +182,11 @@ impl<'a, const D: usize> HsIdj<'a, D> {
     /// [`next`](HsIdj::next) calls).
     pub fn stats(&self) -> JoinStats {
         let mut st = self.counters;
-        st.mainq_insertions = self.mainq.insertions();
         st.distq_insertions = self.distq.as_ref().map_or(0, DistanceQueue::insertions);
-        let (ra, sa) = (self.r.access_stats(), self.s.access_stats());
-        st.node_requests =
-            (ra.requests - self.r_acc0.requests) + (sa.requests - self.s_acc0.requests);
-        st.node_disk_reads =
-            (ra.disk_reads - self.r_acc0.disk_reads) + (sa.disk_reads - self.s_acc0.disk_reads);
-        let qd = self.mainq.disk_stats();
-        st.queue_page_reads = qd.pages_read;
-        st.queue_page_writes = qd.pages_written;
-        st.io_seconds = (self.r.disk_stats().io_seconds - self.r_io0)
-            + (self.s.disk_stats().io_seconds - self.s_io0)
-            + qd.io_seconds;
+        self.mainq.account(&mut st);
         // Single-threaded cursor: every fetch since construction happened
         // on this thread.
-        let (h, m, e) = amdj_rtree::thread_buffer_stats();
-        st.buffer_hits = h - self.buf0.0;
-        st.buffer_misses = m - self.buf0.1;
-        st.buffer_evictions = e - self.buf0.2;
+        self.baseline.delta(self.r, self.s, &mut st);
         st
     }
 }

@@ -89,7 +89,7 @@ pub fn knn_join<const D: usize>(r: &RTree<D>, s: &RTree<D>, k: usize) -> KnnJoin
         }
         groups.sort_by_key(|&(rid, _)| rid);
     }
-    baseline.finish(r, s, &mut stats, 0.0);
+    baseline.finish(r, s, &mut stats);
     KnnJoinOutput { groups, stats }
 }
 

@@ -1,4 +1,4 @@
-use amdj_storage::{DiskStats, SpillQueue, SpillQueueConfig};
+use amdj_storage::{SpillQueue, SpillQueueConfig};
 
 use crate::{Estimator, JoinConfig, JoinStats, Pair};
 
@@ -10,6 +10,8 @@ const BOUNDARY_COUNT: usize = 64;
 /// §4.4 segment boundaries from the estimator.
 pub(crate) struct MainQueue<const D: usize> {
     q: SpillQueue<Pair<D>>,
+    /// Total [`push`](MainQueue::push) calls (excluding
+    /// [`unpop`](MainQueue::unpop) re-insertions).
     insertions: u64,
 }
 
@@ -39,12 +41,6 @@ impl<const D: usize> MainQueue<D> {
         self.q.push(pair);
     }
 
-    /// Total [`push`](MainQueue::push) calls (excluding
-    /// [`unpop`](MainQueue::unpop) re-insertions).
-    pub(crate) fn insertions(&self) -> u64 {
-        self.insertions
-    }
-
     /// Re-inserts a pair without counting it as new work (used when a
     /// stage boundary parks the popped head). Routed through the spill
     /// queue's uncounted path so `SpillQueueStats` stays truthful too.
@@ -60,18 +56,14 @@ impl<const D: usize> MainQueue<D> {
         self.q.peek_min()
     }
 
-    pub(crate) fn disk_stats(&self) -> DiskStats {
-        self.q.disk_stats()
-    }
-
-    /// Folds the queue's insertion count and disk traffic into `stats`
-    /// and returns its modeled I/O seconds.
-    pub(crate) fn account(&self, stats: &mut JoinStats) -> f64 {
+    /// Folds the queue's insertion count, disk traffic and modeled I/O
+    /// seconds into `stats`.
+    pub(crate) fn account(&self, stats: &mut JoinStats) {
         stats.mainq_insertions += self.insertions;
         let d = self.q.disk_stats();
         stats.queue_page_reads += d.pages_read;
         stats.queue_page_writes += d.pages_written;
-        d.io_seconds
+        stats.io_seconds += d.io_seconds;
     }
 }
 
@@ -100,7 +92,7 @@ mod tests {
         let head = q.pop().unwrap();
         assert_eq!(head.dist, 1.0);
         q.unpop(head);
-        assert_eq!(q.insertions(), 2);
+        assert_eq!(q.insertions, 2);
         assert_eq!(q.q.len(), 2);
         // The underlying spill queue's own counters must agree: a parked
         // head is not a new insertion there either.
@@ -122,9 +114,9 @@ mod tests {
             assert!(p.dist >= last);
             last = p.dist;
         }
-        let io = q.account(&mut stats);
-        assert_eq!(stats.queue_page_reads, q.disk_stats().pages_read);
+        q.account(&mut stats);
+        assert_eq!(stats.queue_page_reads, q.q.disk_stats().pages_read);
         assert_eq!(stats.mainq_insertions, 500);
-        assert!(io >= 0.0);
+        assert_eq!(stats.io_seconds, q.q.disk_stats().io_seconds);
     }
 }

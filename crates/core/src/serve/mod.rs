@@ -41,7 +41,7 @@ use std::sync::Mutex;
 
 use amdj_rtree::RTree;
 
-use crate::engine::{self, Aggressive, Exact, Parallel};
+use crate::engine::{self, write_atomic, Aggressive, Exact, Parallel};
 use crate::{AmIdjOptions, JoinConfig, JoinOutput, SnapshotError};
 
 use admission::Admission;
@@ -174,22 +174,6 @@ pub struct Pull {
     /// The cursor's *cumulative* admission wait across all its pulls,
     /// ns — the queueing delay the wire response reports.
     pub queue_wait_ns: u64,
-}
-
-/// Writes `bytes` to `path` atomically: write to a `.tmp` sibling,
-/// fsync, rename — the `engine/checkpoint.rs` pattern. A crash
-/// mid-write can leave a stale tmp file behind but never a truncated
-/// snapshot or manifest under the real name.
-fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)
 }
 
 /// The transport-independent join server over one shared tree pair.

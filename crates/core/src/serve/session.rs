@@ -72,7 +72,6 @@ fn accumulate(total: &mut JoinStats, episode: &JoinStats) {
     total.node_requests += episode.node_requests;
     total.node_disk_reads += episode.node_disk_reads;
     total.cpu_seconds += episode.cpu_seconds;
-    total.io_seconds += episode.io_seconds;
     total.barrier_idle_ns += episode.barrier_idle_ns;
     total.stages = stages;
     total.results = episode.results;

@@ -174,7 +174,8 @@ pub fn sj_sort<const D: usize>(
     let d = stream.disk_stats();
     stats.queue_page_reads = d.pages_read;
     stats.queue_page_writes = d.pages_written;
-    baseline.finish(r, s, &mut stats, d.io_seconds);
+    stats.io_seconds = d.io_seconds;
+    baseline.finish(r, s, &mut stats);
     JoinOutput { results, stats }
 }
 

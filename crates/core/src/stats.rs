@@ -1,4 +1,5 @@
 use amdj_rtree::{thread_buffer_stats, AccessStats, RTree};
+use amdj_storage::{CostModel, DiskStats};
 
 /// Worker slots tracked by the per-worker buffer counters in
 /// [`JoinStats`]. Joins running more workers fold the excess into the
@@ -148,11 +149,12 @@ impl JoinStats {
     /// Folds one parallel worker's counters into an aggregate. Work
     /// counters *sum*: every unit of work — a distance computation, a
     /// queue insertion (counted once, when a pair first enters a queue),
-    /// an expansion, a compensation replay — happens in exactly one
-    /// worker, so on one thread the totals equal the sequential join's.
-    /// Driver-owned fields (`results`, `stages`, node access deltas,
-    /// `barrier_idle_ns` — measured by the backend across a whole stage —
-    /// wall-clock and I/O time) are left to the driver.
+    /// an expansion, a compensation replay, a spill-queue page transfer
+    /// and its modeled I/O time — happens in exactly one worker, so on
+    /// one thread the totals equal the sequential join's. Driver-owned
+    /// fields (`results`, `stages`, node access deltas, `barrier_idle_ns`
+    /// — measured by the backend across a whole stage — and wall-clock
+    /// time) are left to the driver, and tree I/O to its baseline.
     pub fn absorb_worker(&mut self, w: &JoinStats) {
         self.real_dist += w.real_dist;
         self.axis_dist += w.axis_dist;
@@ -167,6 +169,7 @@ impl JoinStats {
         self.stage2_expansions += w.stage2_expansions;
         self.queue_page_reads += w.queue_page_reads;
         self.queue_page_writes += w.queue_page_writes;
+        self.io_seconds += w.io_seconds;
         self.buffer_hits += w.buffer_hits;
         self.buffer_misses += w.buffer_misses;
         self.buffer_evictions += w.buffer_evictions;
@@ -238,61 +241,73 @@ pub struct JoinOutput {
     pub stats: JoinStats,
 }
 
-/// Captures tree counters at join start so a join can report deltas even
-/// when the caller reuses trees across runs.
+/// The one capture of tree, buffer and disk state a join reports its
+/// deltas against, so a join counts correctly even when the caller reuses
+/// trees across runs. Node accesses come from the trees' buffer counters,
+/// buffer hits/misses/evictions from the calling thread's counters, and
+/// modeled tree I/O from the trees' disk transfer counts.
 pub(crate) struct Baseline {
     r_acc: AccessStats,
     s_acc: AccessStats,
-    r_io: f64,
-    s_io: f64,
-    buf_hits: u64,
-    buf_misses: u64,
-    buf_evictions: u64,
+    r_disk: DiskStats,
+    s_disk: DiskStats,
+    buf: (u64, u64, u64),
     started: std::time::Instant,
 }
 
 impl Baseline {
     pub(crate) fn capture<const D: usize>(r: &RTree<D>, s: &RTree<D>) -> Self {
-        let (buf_hits, buf_misses, buf_evictions) = thread_buffer_stats();
         Baseline {
             r_acc: r.access_stats(),
             s_acc: s.access_stats(),
-            r_io: r.disk_stats().io_seconds,
-            s_io: s.disk_stats().io_seconds,
-            buf_hits,
-            buf_misses,
-            buf_evictions,
+            r_disk: r.disk_stats(),
+            s_disk: s.disk_stats(),
+            buf: thread_buffer_stats(),
             started: std::time::Instant::now(),
         }
     }
 
-    /// Folds tree deltas and elapsed time into `stats`. `queue_io_seconds`
-    /// is the total modeled I/O of any queues/sorters the join owned.
-    pub(crate) fn finish<const D: usize>(
-        self,
-        r: &RTree<D>,
-        s: &RTree<D>,
-        stats: &mut JoinStats,
-        queue_io_seconds: f64,
-    ) {
-        let ra = r.access_stats();
-        let sa = s.access_stats();
+    /// Adds the node accesses, modeled tree I/O and the calling thread's
+    /// buffer traffic since the capture to `stats`; no wall-clock time
+    /// (a cursor accumulates its own CPU time inside `next`).
+    pub(crate) fn delta<const D: usize>(&self, r: &RTree<D>, s: &RTree<D>, stats: &mut JoinStats) {
+        let (ra, sa) = (r.access_stats(), s.access_stats());
         stats.node_requests +=
             (ra.requests - self.r_acc.requests) + (sa.requests - self.s_acc.requests);
         stats.node_disk_reads +=
             (ra.disk_reads - self.r_acc.disk_reads) + (sa.disk_reads - self.s_acc.disk_reads);
-        let tree_io =
-            (r.disk_stats().io_seconds - self.r_io) + (s.disk_stats().io_seconds - self.s_io);
-        stats.io_seconds += tree_io + queue_io_seconds;
+        stats.io_seconds += tree_io_since(r, &self.r_disk) + tree_io_since(s, &self.s_disk);
         // The coordinating thread's own buffer traffic: frontier seeding,
         // plus all of a lone k-distance worker's, which ran on it;
         // spawned workers report their deltas via `WorkerBufferSpan`.
         let (h, m, e) = thread_buffer_stats();
-        stats.buffer_hits += h - self.buf_hits;
-        stats.buffer_misses += m - self.buf_misses;
-        stats.buffer_evictions += e - self.buf_evictions;
+        stats.buffer_hits += h - self.buf.0;
+        stats.buffer_misses += m - self.buf.1;
+        stats.buffer_evictions += e - self.buf.2;
+    }
+
+    /// [`delta`](Self::delta) plus the wall-clock time since the capture,
+    /// for a join that runs to completion inside one call.
+    pub(crate) fn finish<const D: usize>(self, r: &RTree<D>, s: &RTree<D>, stats: &mut JoinStats) {
+        self.delta(r, s, stats);
         stats.cpu_seconds += self.started.elapsed().as_secs_f64();
     }
+}
+
+/// Modeled seconds of `tree`'s disk transfers since `then`, priced from
+/// the transfer-count deltas so equal work reports bit-equal seconds
+/// however much I/O the disk saw before. The tree's disk charges the
+/// tree's cost model at its page size ([`RTree::new`]).
+fn tree_io_since<const D: usize>(tree: &RTree<D>, then: &DiskStats) -> f64 {
+    let now = tree.disk_stats();
+    let params = tree.params();
+    let cost = CostModel {
+        page_size: params.page_size,
+        ..params.cost
+    };
+    let seq = (now.seq_reads + now.seq_writes) - (then.seq_reads + then.seq_writes);
+    let rand = (now.total_ios() - then.total_ios()).saturating_sub(seq);
+    seq as f64 * cost.page_time(true) + rand as f64 * cost.page_time(false)
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ pub fn within_join<const D: usize>(
     });
     stats.results = results.len() as u64;
     stats.mainq_insertions = stats.results;
-    baseline.finish(r, s, &mut stats, 0.0);
+    baseline.finish(r, s, &mut stats);
     JoinOutput { results, stats }
 }
 

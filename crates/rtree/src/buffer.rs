@@ -1,5 +1,4 @@
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use amdj_storage::{CostModel, PageId, ShardedLru, VirtualDisk};
@@ -12,24 +11,18 @@ thread_local! {
     static TL_BUFFER_EVICTIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Cumulative buffer `(hits, misses)` observed by the *calling thread*,
-/// across every [`BufferManager`] it has ever fetched through.
+/// Cumulative buffer `(hits, misses, evictions)` observed (or, for
+/// evictions, *caused*) by the *calling thread*, across every
+/// [`BufferManager`] it has ever fetched through.
 ///
 /// The sharded buffer's own hit/miss counters are process-wide atomics;
 /// they cannot say *which* worker enjoyed the hits. These monotone
 /// thread-local counters can: a caller attributes a span of work to
 /// itself by reading the counters before and after and differencing —
-/// which is how the join engine builds its per-worker
-/// cache-residency aggregates. Never reset; always cheap (no atomics).
-pub fn thread_buffer_counters() -> (u64, u64) {
-    (TL_BUFFER_HITS.get(), TL_BUFFER_MISSES.get())
-}
-
-/// Cumulative buffer `(hits, misses, evictions)` observed (or, for
-/// evictions, *caused*) by the calling thread. The eviction count
-/// attributes buffer pressure the way the hit/miss counters attribute
-/// residency: every page this thread's inserts pushed out of a buffer,
-/// across every [`BufferManager`]. Never reset; always cheap.
+/// which is how the join engine builds its per-worker cache-residency
+/// aggregates. The eviction count attributes buffer pressure the same
+/// way: every page this thread's inserts pushed out of a buffer. Never
+/// reset; always cheap (no atomics).
 pub fn thread_buffer_stats() -> (u64, u64, u64) {
     (
         TL_BUFFER_HITS.get(),
@@ -43,8 +36,10 @@ pub fn thread_buffer_stats() -> (u64, u64, u64) {
 ///
 /// [`fetch`](BufferManager::fetch) takes `&self`, so any number of
 /// threads can traverse a tree concurrently: the buffer synchronizes
-/// internally (one mutex per shard, chosen by page-id hash) and the
-/// node-access counters are `AtomicU64`s. Structural mutation —
+/// internally (one mutex per shard, chosen by page-id hash). Each fetch
+/// is counted once, by the cache's own hit/miss atomics;
+/// [`access_stats`](BufferManager::access_stats) derives the node-access
+/// counters from them. Structural mutation —
 /// [`alloc`](BufferManager::alloc), [`write`](BufferManager::write),
 /// [`free`](BufferManager::free), restore — still takes `&mut self`;
 /// that exclusivity is exactly what makes the shared-read path sound
@@ -59,8 +54,6 @@ pub struct BufferManager<const D: usize> {
     disk: VirtualDisk,
     cache: ShardedLru<PageId, Arc<Node<D>>>,
     page_size: usize,
-    requests: AtomicU64,
-    disk_reads: AtomicU64,
 }
 
 impl<const D: usize> BufferManager<D> {
@@ -73,8 +66,6 @@ impl<const D: usize> BufferManager<D> {
             disk: VirtualDisk::new(cost),
             cache: ShardedLru::new(buffer_bytes, shards),
             page_size,
-            requests: AtomicU64::new(0),
-            disk_reads: AtomicU64::new(0),
         }
     }
 
@@ -87,12 +78,10 @@ impl<const D: usize> BufferManager<D> {
     /// Fetches a node through the buffer, charging the disk's cost model
     /// on a miss.
     pub fn fetch(&self, pid: PageId) -> Arc<Node<D>> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
         if let Some(hit) = self.cache.get(&pid) {
             TL_BUFFER_HITS.set(TL_BUFFER_HITS.get() + 1);
             return hit;
         }
-        self.disk_reads.fetch_add(1, Ordering::Relaxed);
         TL_BUFFER_MISSES.set(TL_BUFFER_MISSES.get() + 1);
         let node = Arc::new(Node::decode(self.disk.read(pid)));
         let evicted = self.cache.insert(pid, Arc::clone(&node), self.page_size);
@@ -134,11 +123,14 @@ impl<const D: usize> BufferManager<D> {
     }
 
     /// Node access counters since the last
-    /// [`reset_stats`](BufferManager::reset_stats).
+    /// [`reset_stats`](BufferManager::reset_stats), derived from the
+    /// cache's own counters: every fetch is one cache lookup, and every
+    /// miss is one disk read.
     pub fn access_stats(&self) -> AccessStats {
+        let disk_reads = self.cache.misses();
         AccessStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            disk_reads: self.disk_reads.load(Ordering::Relaxed),
+            requests: self.cache.hits() + disk_reads,
+            disk_reads,
         }
     }
 
@@ -160,8 +152,6 @@ impl<const D: usize> BufferManager<D> {
 
     /// Clears node-access and disk statistics (lock-free).
     pub fn reset_stats(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.disk_reads.store(0, Ordering::Relaxed);
         self.cache.reset_stats();
         self.disk.reset_stats();
     }
@@ -215,23 +205,24 @@ mod tests {
         let pid = m.alloc();
         m.write(pid, &Node::new(0));
         m.clear();
-        let (h0, m0) = thread_buffer_counters();
+        let (h0, m0, _) = thread_buffer_stats();
         let _ = m.fetch(pid); // miss
         let _ = m.fetch(pid); // hit
         let _ = m.fetch(pid); // hit
-        let (h1, m1) = thread_buffer_counters();
+        let after = thread_buffer_stats();
+        let (h1, m1, _) = after;
         assert_eq!((h1 - h0, m1 - m0), (2, 1));
         // A fetch on another thread moves that thread's counters, not ours.
         std::thread::scope(|scope| {
             let m = &m;
             scope.spawn(move || {
-                let (h, ms) = thread_buffer_counters();
-                assert_eq!((h, ms), (0, 0), "fresh thread starts at zero");
+                let (h, ms, e) = thread_buffer_stats();
+                assert_eq!((h, ms, e), (0, 0, 0), "fresh thread starts at zero");
                 let _ = m.fetch(pid);
-                assert_eq!(thread_buffer_counters(), (h + 1, ms));
+                assert_eq!(thread_buffer_stats(), (h + 1, ms, e));
             });
         });
-        assert_eq!(thread_buffer_counters(), (h1, m1));
+        assert_eq!(thread_buffer_stats(), after);
     }
 
     #[test]

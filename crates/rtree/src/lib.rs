@@ -31,7 +31,7 @@ mod query;
 mod tree;
 mod validate;
 
-pub use buffer::{thread_buffer_counters, thread_buffer_stats, BufferManager};
+pub use buffer::{thread_buffer_stats, BufferManager};
 pub use node::{Entry, Node};
 pub use params::RTreeParams;
 pub use query::Neighbor;

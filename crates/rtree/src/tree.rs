@@ -125,7 +125,7 @@ impl<const D: usize> RTree<D> {
 
     /// Node-buffer hits as counted by the shared cache itself
     /// (process-wide, unlike the per-thread
-    /// [`thread_buffer_counters`](crate::thread_buffer_counters)).
+    /// [`thread_buffer_stats`](crate::thread_buffer_stats)).
     pub fn buffer_hits(&self) -> u64 {
         self.pages.cache_hits()
     }

@@ -19,7 +19,10 @@ pub struct DiskStats {
     pub pages_written: u64,
     /// Writes classified sequential.
     pub seq_writes: u64,
-    /// Total modeled I/O time in seconds, per the disk's [`CostModel`].
+    /// Total modeled I/O time in seconds, per the disk's [`CostModel`]:
+    /// sequential transfers times [`CostModel::page_time`]`(true)` plus
+    /// random ones times `page_time(false)`, priced from the counts above
+    /// when the snapshot is taken.
     pub io_seconds: f64,
 }
 
@@ -44,49 +47,33 @@ impl DiskStats {
 /// stats reset. Page ids never reach this value in practice.
 const NO_PAGE: u64 = u64::MAX;
 
-/// Atomic accumulator behind [`DiskStats`], so metering works from
-/// `&self` and concurrent readers never contend on a lock.
-///
-/// `io_seconds` is an `f64` stored as its bit pattern in an `AtomicU64`
-/// and accumulated with a compare-and-swap loop; counter updates use
-/// relaxed ordering since they are statistics, not synchronization.
+/// Atomic counters behind [`DiskStats`], so metering works from `&self`
+/// and concurrent readers never contend on a lock. Updates use relaxed
+/// ordering since they are statistics, not synchronization. Modeled time
+/// is not accumulated: [`VirtualDisk::stats`] prices the counts.
 #[derive(Debug, Default)]
 struct AtomicDiskStats {
     pages_read: AtomicU64,
     seq_reads: AtomicU64,
     pages_written: AtomicU64,
     seq_writes: AtomicU64,
-    io_second_bits: AtomicU64,
 }
 
 impl AtomicDiskStats {
-    fn add_io_seconds(&self, secs: f64) {
-        if secs == 0.0 {
-            return;
-        }
-        let mut current = self.io_second_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + secs).to_bits();
-            match self.io_second_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    fn snapshot(&self) -> DiskStats {
-        DiskStats {
+    fn snapshot(&self, cost: &CostModel) -> DiskStats {
+        let mut s = DiskStats {
             pages_read: self.pages_read.load(Ordering::Relaxed),
             seq_reads: self.seq_reads.load(Ordering::Relaxed),
             pages_written: self.pages_written.load(Ordering::Relaxed),
             seq_writes: self.seq_writes.load(Ordering::Relaxed),
-            io_seconds: f64::from_bits(self.io_second_bits.load(Ordering::Relaxed)),
-        }
+            io_seconds: 0.0,
+        };
+        let seq = s.seq_reads + s.seq_writes;
+        // Saturating: a snapshot racing a transfer may see its sequential
+        // count before its total.
+        let rand = s.total_ios().saturating_sub(seq);
+        s.io_seconds = seq as f64 * cost.page_time(true) + rand as f64 * cost.page_time(false);
+        s
     }
 
     fn reset(&self) {
@@ -94,8 +81,6 @@ impl AtomicDiskStats {
         self.seq_reads.store(0, Ordering::Relaxed);
         self.pages_written.store(0, Ordering::Relaxed);
         self.seq_writes.store(0, Ordering::Relaxed);
-        self.io_second_bits
-            .store(0.0f64.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -179,7 +164,6 @@ impl VirtualDisk {
     fn charge(&self, id: PageId, write: bool) {
         let prev = self.last_accessed.swap(id.0, Ordering::Relaxed);
         let sequential = prev != NO_PAGE && prev == id.0.wrapping_sub(1);
-        self.stats.add_io_seconds(self.cost.page_time(sequential));
         if write {
             self.stats.pages_written.fetch_add(1, Ordering::Relaxed);
             if sequential {
@@ -235,7 +219,7 @@ impl VirtualDisk {
     /// Cumulative statistics (a consistent-enough snapshot: counters are
     /// read individually with relaxed ordering).
     pub fn stats(&self) -> DiskStats {
-        self.stats.snapshot()
+        self.stats.snapshot(&self.cost)
     }
 
     /// Resets the statistics (page contents are untouched). Useful to

@@ -1,10 +1,14 @@
 //! Property-based validation of the storage substrate: the spill queue
 //! must behave exactly like a reference binary heap under arbitrary
 //! push/pop interleavings, budgets, and boundary sets; the external
-//! sorter must sort; the LRU must respect its budget.
+//! sorter must sort; the LRU must respect its budget; the virtual disk's
+//! statistics must match a per-access reference meter.
 
 use amdj_storage::codec::{put_f64, put_u64, CodecError, Reader};
-use amdj_storage::{ByteLru, CostModel, ExternalSorter, SpillItem, SpillQueue, SpillQueueConfig};
+use amdj_storage::{
+    ByteLru, CostModel, DiskStats, ExternalSorter, SpillItem, SpillQueue, SpillQueueConfig,
+    VirtualDisk,
+};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -138,8 +142,90 @@ fn run_against_reference(
     Ok(())
 }
 
+/// Replays `accesses` (page index, is-write) on a fresh paper-cost disk
+/// and checks its statistics against a reference meter that classifies
+/// every access itself and sums its modeled time one page at a time.
+fn disk_matches_reference_meter(
+    pages: usize,
+    page_size: usize,
+    accesses: &[(usize, bool)],
+) -> Result<(), TestCaseError> {
+    let cost = CostModel {
+        page_size,
+        ..CostModel::paper_1999_disk()
+    };
+    let mut disk = VirtualDisk::new(cost);
+    let ids = disk.alloc_contiguous(pages);
+    let mut want = DiskStats::default();
+    let mut prev: Option<u64> = None;
+    for &(i, write) in accesses {
+        let id = ids[i % pages];
+        if write {
+            disk.write(id, b"page");
+        } else {
+            let _ = disk.read(id);
+        }
+        let sequential = prev.is_some_and(|p| p + 1 == id.0);
+        prev = Some(id.0);
+        want.io_seconds += cost.page_time(sequential);
+        if write {
+            want.pages_written += 1;
+            want.seq_writes += u64::from(sequential);
+        } else {
+            want.pages_read += 1;
+            want.seq_reads += u64::from(sequential);
+        }
+    }
+    let got = disk.stats();
+    prop_assert_eq!(
+        (
+            got.pages_read,
+            got.seq_reads,
+            got.pages_written,
+            got.seq_writes
+        ),
+        (
+            want.pages_read,
+            want.seq_reads,
+            want.pages_written,
+            want.seq_writes
+        )
+    );
+    let tol = 1e-9 * want.io_seconds.abs().max(f64::MIN_POSITIVE);
+    prop_assert!(
+        (got.io_seconds - want.io_seconds).abs() <= tol,
+        "modeled {} s, reference {} s",
+        got.io_seconds,
+        want.io_seconds
+    );
+    Ok(())
+}
+
+/// Page-access sequences mixing sequential runs (`i, i+1, …`, the cheap
+/// case) with random jumps, reads with writes.
+fn accesses() -> impl Strategy<Value = Vec<(usize, bool)>> {
+    prop::collection::vec((0usize..8, 1usize..6, any::<bool>()), 0..80).prop_map(|runs| {
+        let mut out = Vec::new();
+        let mut at = 0usize;
+        for (jump, len, write) in runs {
+            at += jump * 7;
+            out.extend((0..len).map(|j| (at + j, write)));
+        }
+        out
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn disk_stats_match_reference_meter(
+        accesses in accesses(),
+        pages in 1usize..40,
+        page_size in 64usize..8192,
+    ) {
+        disk_matches_reference_meter(pages, page_size, &accesses)?;
+    }
 
     #[test]
     fn spill_queue_matches_reference_heap(

@@ -14,8 +14,9 @@
 //! rectangles make distance ties measure-zero).
 
 use amdj_core::{
-    idj_resumable, kdj_resumable, read_checkpoint, write_checkpoint, AmIdjOptions, Checkpointed,
-    EngineSnapshot, JoinConfig, JoinOutput, PauseCtl, ResultPair, SnapshotError, TestSchedule,
+    idj_resumable, kdj_resumable, par_am_kdj, read_checkpoint, write_checkpoint, AmIdjOptions,
+    AmKdjOptions, Checkpointed, EngineSnapshot, JoinConfig, JoinOutput, PauseCtl, ResultPair,
+    SnapshotError, TestSchedule,
 };
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
@@ -332,6 +333,25 @@ fn interrupts_land_in_both_stages() {
         "no snapshot was cut in stage two: {:?}",
         log.stages
     );
+}
+
+/// `threads == 0` means one worker per available core on the resumable
+/// entry point too, as on the parallel ones: an uninterrupted
+/// `kdj_resumable` at zero threads returns `par_am_kdj`'s answer at zero
+/// threads, bit for bit.
+#[test]
+fn zero_threads_resolve_like_the_parallel_entry_points() {
+    let (r, s) = trees(&grid(12, 0.4), &grid(12, 0.9));
+    let k = 80;
+    let cfg = JoinConfig::unbounded();
+    let want = par_am_kdj(&r, &s, k, &cfg, &AmKdjOptions::default(), 0);
+    let got = match kdj_resumable(&r, &s, k, &cfg, true, 0, None, None, None)
+        .expect("a fresh join needs no snapshot checks")
+    {
+        Checkpointed::Done(out) => out,
+        Checkpointed::Suspended(..) => unreachable!("no pause control"),
+    };
+    assert_identical("zero threads", &want.results, &got.results).expect("same answer");
 }
 
 /// A snapshot survives the disk: write-then-rename out, validated read

@@ -7,6 +7,7 @@ use amdj_core::{
 use amdj_datagen::tiger::Geography;
 use amdj_datagen::Dataset;
 use amdj_geom::{Point, Rect};
+use amdj_rtree::{RTree, RTreeParams};
 use amdj_tests::{assert_same_distances, build_paper_trees, build_trees};
 
 fn workload() -> (Dataset, Dataset) {
@@ -232,4 +233,44 @@ fn results_count_matches_stats() {
     );
     assert_eq!(out.stats.results, out.results.len() as u64);
     assert_eq!(out.results.len(), 77);
+}
+
+/// Modeled I/O is priced from transfer counts, not accumulated in a
+/// float: identical queries on the same warm trees report identical
+/// counters and bit-identical `io_seconds`, however much I/O the trees'
+/// disks saw before them.
+#[test]
+fn repeated_queries_report_identical_stats() {
+    let (a, b) = workload();
+    // Paper pages and disk cost, but a four-page buffer, so warm queries
+    // still miss and pay modeled tree I/O.
+    let params = RTreeParams {
+        buffer_bytes: 4 * 4096,
+        ..RTreeParams::paper_defaults()
+    };
+    let r = RTree::bulk_load(params.clone(), a);
+    let s = RTree::bulk_load(params, b);
+    let cfg = JoinConfig::default();
+    let run = || {
+        let st = am_kdj(&r, &s, 200, &cfg, &AmKdjOptions::default()).stats;
+        JoinStats {
+            cpu_seconds: 0.0,
+            ..st
+        }
+    };
+    run(); // warm the buffers
+    let first = run();
+    assert!(first.node_disk_reads > 0, "{first:?}");
+    assert!(first.io_seconds > 0.0, "{first:?}");
+    for i in 1..4 {
+        let st = run();
+        assert_eq!(
+            st.io_seconds.to_bits(),
+            first.io_seconds.to_bits(),
+            "run {i}: {} s vs {} s",
+            st.io_seconds,
+            first.io_seconds
+        );
+        assert_eq!(st, first, "run {i}");
+    }
 }
