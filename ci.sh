@@ -91,11 +91,22 @@ $AMDJ build --input "$CKPT_DIR/a.csv" --out "$CKPT_DIR/a.amdj" >/dev/null
 $AMDJ build --input "$CKPT_DIR/b.csv" --out "$CKPT_DIR/b.amdj" >/dev/null
 $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --k 100 --algo am \
     > "$CKPT_DIR/ref.txt" 2>/dev/null
-rc=0
-AMDJ_INTERRUPT_AFTER=25 $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" \
-    --k 100 --algo am --checkpoint-path "$CKPT_DIR/run.snap" --checkpoint-every 10 \
-    >/dev/null 2>&1 || rc=$?
-[ "$rc" = "75" ] || { echo "checkpoint smoke: interrupted exit $rc != 75"; exit 1; }
+# The interrupt hook caps each episode's pause budget, so the interrupted
+# run stops at the same expansion every time: three runs must all exit
+# 75 and print identical checkpoint lines.
+for run in 1 2 3; do
+    rc=0
+    AMDJ_INTERRUPT_AFTER=25 $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" \
+        --k 100 --algo am --checkpoint-path "$CKPT_DIR/run.snap" --checkpoint-every 10 \
+        >/dev/null 2> "$CKPT_DIR/interrupt$run.err" || rc=$?
+    [ "$rc" = "75" ] || { echo "checkpoint smoke: interrupted run $run exit $rc != 75"; exit 1; }
+    grep '^# checkpoint:' "$CKPT_DIR/interrupt$run.err" > "$CKPT_DIR/interrupt$run.ckpt"
+    [ -s "$CKPT_DIR/interrupt$run.ckpt" ] \
+        || { echo "checkpoint smoke: interrupted run $run printed no checkpoint line"; exit 1; }
+    cmp -s "$CKPT_DIR/interrupt1.ckpt" "$CKPT_DIR/interrupt$run.ckpt" \
+        || { echo "checkpoint smoke: interrupted run $run stopped elsewhere than run 1"; \
+             cat "$CKPT_DIR/interrupt1.ckpt" "$CKPT_DIR/interrupt$run.ckpt"; exit 1; }
+done
 [ -f "$CKPT_DIR/run.snap" ] || { echo "checkpoint smoke: no checkpoint written"; exit 1; }
 $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --k 100 --algo par-am \
     --threads 4 --resume "$CKPT_DIR/run.snap" > "$CKPT_DIR/res.txt" 2> "$CKPT_DIR/res.err"
@@ -185,9 +196,9 @@ for dist in -1 NaN inf; do
 done
 echo "bad input smoke: inverted and NaN rows, negative and non-finite --dist all exit 2"
 
-echo "== serve smoke: concurrent protocol queries over one shared index =="
-# Drive `amdj serve` over the protocol: three concurrent kdj queries,
-# then an IDJ cursor suspended across a server restart, each diffed
+echo "== serve smoke: protocol queries over one shared index =="
+# Drive `amdj serve` over the protocol: three kdj queries, answered in
+# order on stdin, then an IDJ cursor suspended across a server restart, each diffed
 # against the one-shot CLI. Uses the release binary directly (not
 # `cargo run`) so SIGINT reaches the server, not the cargo wrapper.
 # Dependent requests on one cursor are driven in lockstep — a cursor is
@@ -213,7 +224,8 @@ mkfifo "$SERVE_DIR/in1"
     < "$SERVE_DIR/in1" > "$SERVE_DIR/out1.jsonl" 2>/dev/null &
 SERVE_PID=$!
 exec 3> "$SERVE_DIR/in1"
-# Three concurrent kdj queries with distinct ids, fired back-to-back.
+# Three kdj queries with distinct ids, fired back-to-back; stdin is one
+# connection, so they are answered in order.
 printf '%s\n' \
     '{"op":"kdj","id":"q1","k":50}' \
     '{"op":"kdj","id":"q2","k":50,"aggressive":false}' \
@@ -233,7 +245,7 @@ if grep -q '"ok":false' "$SERVE_DIR/out1.jsonl"; then
     grep '"ok":false' "$SERVE_DIR/out1.jsonl"
     exit 1
 fi
-# Each concurrent kdj answer must match the one-shot CLI bit for bit.
+# Each kdj answer must match the one-shot CLI bit for bit.
 $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --k 50 --algo am \
     > "$SERVE_DIR/kdj_am.txt" 2>/dev/null
 $AMDJ kdj --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" --k 50 --algo b \
@@ -280,7 +292,31 @@ exec 3>&-
 # so arbitrary ids neither collide nor corrupt the manifest.
 [ -f "$SERVE_DIR/state3/736967.snap" ] \
     || { echo "serve smoke: SIGINT left no cursor checkpoint"; exit 1; }
-echo "serve smoke: concurrent queries bit-identical, cursor survived restart, SIGINT exited 75"
+echo "serve smoke: queries bit-identical, cursor survived restart, SIGINT exited 75"
+
+echo "== stdin smoke: bad and oversized input on the serve pipe =="
+# Stdin is served by the same handler loop as a socket connection. A
+# line that is not UTF-8 gets one structured error and the session goes
+# on; an unterminated line is refused once it outgrows the request cap,
+# before it can grow the process.
+printf '\377\376\n%s\n%s\n' '{"op":"kdj","id":"u","k":50}' '{"op":"shutdown"}' \
+    | timeout 30 "$AMDJ_BIN" serve --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" \
+        > "$SERVE_DIR/utf8.jsonl" 2>/dev/null \
+    || { echo "stdin smoke: non-UTF-8 session did not exit 0"; exit 1; }
+{ [ "$(grep -c '"ok":false' "$SERVE_DIR/utf8.jsonl")" = "1" ] \
+    && sed -n 1p "$SERVE_DIR/utf8.jsonl" | grep -q '"ok":false'; } \
+    || { echo "stdin smoke: expected one error line first"; cat "$SERVE_DIR/utf8.jsonl"; exit 1; }
+diff <(grep '"id":"u"' "$SERVE_DIR/utf8.jsonl" | serve_pairs) \
+     <(grep -v '^#' "$SERVE_DIR/kdj_am.txt") \
+    || { echo "stdin smoke: kdj after a non-UTF-8 line differs from one-shot CLI"; exit 1; }
+rc=0
+timeout 30 "$AMDJ_BIN" serve --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" \
+    --max-request-bytes 1024 \
+    < <(head -c 100000000 /dev/zero | tr '\0' x) > "$SERVE_DIR/flood.jsonl" 2>/dev/null || rc=$?
+[ "$rc" = "0" ] || { echo "stdin smoke: 100 MB unterminated line exit $rc"; exit 1; }
+grep -q 'unterminated request exceeds 1024 bytes' "$SERVE_DIR/flood.jsonl" \
+    || { echo "stdin smoke: 100 MB unterminated line not refused"; cat "$SERVE_DIR/flood.jsonl"; exit 1; }
+echo "stdin smoke: non-UTF-8 line answered with an error, 100 MB unterminated line refused"
 
 echo "== cursor tie smoke: a serve cursor pages through the distance-0 group =="
 # The tie smoke's self-join opens with 1500 pairs at distance 0, so every

@@ -26,16 +26,19 @@
 //! `--resume <path>` continues from it — at any thread count — producing
 //! the exact result stream the uninterrupted run would have. An
 //! interrupted run exits with code 75 after writing its final
-//! checkpoint. `AMDJ_INTERRUPT_AFTER=<n>` simulates an interrupt after
-//! `n` expansions of the current episode (used by `ci.sh`'s resume
+//! checkpoint. `AMDJ_INTERRUPT_AFTER=<n>` simulates an interrupt once
+//! `n` expansions have run, counted across the whole run and all its
+//! episodes; it caps each episode's pause budget, so the interrupt
+//! lands at the same point on every run (used by `ci.sh`'s resume
 //! smoke test).
 //!
-//! `serve` loads both trees once and then answers any number of
-//! concurrent KDJ/IDJ queries over them through the line-delimited JSON
-//! protocol of [`amdj_core::serve`] (one request per line, one response
-//! line per request; see DESIGN.md §12–§13). By default requests arrive
-//! on stdin and responses leave on stdout; with `--listen ADDR` the same
-//! protocol is served over TCP instead, one handler per connection, with
+//! `serve` loads both trees once and then answers KDJ/IDJ queries over
+//! them through the line-delimited JSON protocol of [`amdj_core::serve`]
+//! (one request per line, one response line per request; see DESIGN.md
+//! §12–§13). By default requests arrive on stdin and responses leave on
+//! stdout, as one connection: its requests are answered in order, one at
+//! a time. For concurrent clients, `--listen ADDR` serves the same
+//! protocol over TCP instead, one handler per connection, with
 //! `--max-conns` bounding concurrent connections (excess ones get a
 //! structured error line and are closed) and `--idle-timeout-ms`
 //! disconnecting clients that go silent. Executing queries are
@@ -55,8 +58,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use amdj_core::serve::{
-    codec::QuerySpec,
-    transport::{serve_listener, TransportOptions},
+    codec::{QuerySpec, Request},
+    transport::{serve_listener, serve_stream, TransportOptions},
     ServeOptions, Server,
 };
 use amdj_core::{
@@ -168,21 +171,28 @@ fn run_episodes(
         Err(_) => None,
     };
     // The hook counts expansions across the whole run; each episode gets
-    // a fresh pause control, so carry the completed episodes' total.
+    // a fresh pause control, so carry the completed episodes' total. The
+    // hook's remaining expansions cap the episode's pause budget, so the
+    // interrupt lands at the same expansion on every run.
     let mut prior_expansions = 0u64;
     loop {
-        let ctl = Arc::new(PauseCtl::every(ckpt.every));
+        let remaining = interrupt_after.map(|n| n.saturating_sub(prior_expansions));
+        // A budget of 0 never fires, so it loses to any non-zero one.
+        let budget = remaining
+            .filter(|&left| ckpt.every == 0 || left < ckpt.every)
+            .unwrap_or(ckpt.every);
+        let ctl = Arc::new(PauseCtl::every(budget));
+        if remaining == Some(0) {
+            ctl.request_stop();
+        }
         let episode_done = Arc::new(AtomicBool::new(false));
         // The join's workers only observe the pause control; this
-        // watcher turns external signals into pause requests.
+        // watcher turns SIGINT into a pause request.
         let watcher = std::thread::spawn({
             let ctl = Arc::clone(&ctl);
             let episode_done = Arc::clone(&episode_done);
             move || {
                 while !episode_done.load(Ordering::SeqCst) {
-                    if interrupt_after.is_some_and(|n| prior_expansions + ctl.expansions() >= n) {
-                        INTERRUPTED.store(true, Ordering::SeqCst);
-                    }
                     if INTERRUPTED.load(Ordering::SeqCst) {
                         ctl.request_stop();
                         return;
@@ -208,7 +218,9 @@ fn run_episodes(
                     snap.results_len(),
                     snap.frontier_len()
                 );
-                if INTERRUPTED.load(Ordering::SeqCst) {
+                if INTERRUPTED.load(Ordering::SeqCst)
+                    || interrupt_after.is_some_and(|n| prior_expansions >= n)
+                {
                     return Ok(None);
                 }
                 resume = Some(*snap);
@@ -595,15 +607,12 @@ fn run() -> Result<ExitCode, String> {
 }
 
 /// The `serve` command: one shared [`Server`] over the two trees,
-/// driven either by stdin (the default) or, with `--listen`, by the TCP
-/// transport of [`amdj_core::serve::transport`]. Both paths share the
-/// resume-on-start and checkpoint-on-exit bracket around `--state-dir`.
-///
-/// On the stdin path, glibc installs SIGINT handlers with `SA_RESTART`,
-/// so a blocked stdin read would never observe Ctrl-C — reading happens
-/// on a detached thread and the loop polls the channel, so an interrupt
-/// always gets its chance to drain, checkpoint, and exit 75. The TCP
-/// path polls its sockets on short timeouts for the same reason.
+/// served by the transport of [`amdj_core::serve::transport`] — over
+/// stdin/stdout as one in-order connection (the default), or with
+/// `--listen` over TCP to concurrent clients. Both share the
+/// resume-on-start and checkpoint-on-exit bracket around `--state-dir`,
+/// and both poll the SIGINT flag, so an interrupt always gets its
+/// chance to drain, checkpoint, and exit 75.
 fn serve_loop(
     r: &RTree<2>,
     s: &RTree<2>,
@@ -621,11 +630,32 @@ fn serve_loop(
             eprintln!("# resumed cursor `{id}`");
         }
     }
-    if let Some((addr, topts)) = listen {
-        serve_tcp(&server, r, s, &addr, &topts)?;
-    } else {
-        serve_stdin(&server, r, s);
-    }
+    let objects = format!("{} x {} objects", r.len(), s.len());
+    let stats = match listen {
+        Some((addr, topts)) => {
+            // Port 0 requests an ephemeral port, so scripts parse the
+            // bound address from the "# listening on" line.
+            let listener =
+                std::net::TcpListener::bind(&addr).map_err(|e| format!("{addr}: {e}"))?;
+            let bound = listener.local_addr().map_err(|e| e.to_string())?;
+            eprintln!("# serving {objects}; one JSON request per line per connection");
+            eprintln!("# listening on {bound}");
+            serve_listener(&server, listener, &topts, &INTERRUPTED)
+                .map_err(|e| format!("{addr}: {e}"))?
+        }
+        None => {
+            eprintln!("# serving {objects}; one JSON request per line on stdin");
+            serve_stream(&server, std::io::stdin(), std::io::stdout(), &INTERRUPTED)
+        }
+    };
+    eprintln!(
+        "# served {} request(s) over {} connection(s); rejected {} at the connection cap, dropped {} idle and {} oversized",
+        stats.requests,
+        stats.accepted,
+        stats.rejected,
+        stats.idle_disconnects,
+        stats.oversize_disconnects,
+    );
     if let Some(dir) = &state_dir {
         let ids = server
             .checkpoint_open_cursors(dir)
@@ -643,89 +673,6 @@ fn serve_loop(
         return Ok(ExitCode::from(EXIT_INTERRUPTED));
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// The stdin transport: a reader thread feeds a channel, the loop polls
-/// it, and each request line gets its own handler thread writing the
-/// response line under a stdout lock.
-fn serve_stdin(server: &Server<'_, 2>, r: &RTree<2>, s: &RTree<2>) {
-    let (tx, rx) = std::sync::mpsc::channel::<String>();
-    std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { return };
-            if tx.send(line).is_err() {
-                return;
-            }
-        }
-    });
-    let stdout = Mutex::new(std::io::stdout());
-    let shutdown = AtomicBool::new(false);
-    eprintln!(
-        "# serving {} x {} objects; one JSON request per line on stdin",
-        r.len(),
-        s.len()
-    );
-    std::thread::scope(|scope| {
-        loop {
-            if INTERRUPTED.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let line = match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-                Ok(line) => line,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-                // stdin reached EOF: no more requests can arrive.
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (server, stdout, shutdown) = (server, &stdout, &shutdown);
-            scope.spawn(move || {
-                let (resp, stop) = server.handle_line(line.as_bytes());
-                if stop {
-                    shutdown.store(true, Ordering::SeqCst);
-                }
-                let mut out = stdout.lock().expect("stdout poisoned");
-                let _ = writeln!(out, "{}", resp.encode());
-                let _ = out.flush();
-            });
-        }
-        // Leaving the scope joins every in-flight handler: the drain.
-    });
-}
-
-/// The TCP transport: bind, announce the bound address on stderr (port
-/// 0 requests an ephemeral port, so scripts parse it from here), and
-/// hand the listener to the core transport until SIGINT or a client's
-/// `shutdown` op stops it.
-fn serve_tcp(
-    server: &Server<'_, 2>,
-    r: &RTree<2>,
-    s: &RTree<2>,
-    addr: &str,
-    topts: &TransportOptions,
-) -> Result<(), String> {
-    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("{addr}: {e}"))?;
-    let bound = listener.local_addr().map_err(|e| e.to_string())?;
-    eprintln!(
-        "# serving {} x {} objects; one JSON request per line per connection",
-        r.len(),
-        s.len()
-    );
-    eprintln!("# listening on {bound}");
-    let stats = serve_listener(server, listener, topts, &INTERRUPTED)
-        .map_err(|e| format!("{addr}: {e}"))?;
-    eprintln!(
-        "# served {} request(s) over {} connection(s); rejected {} over the {}-connection cap, dropped {} idle and {} oversized",
-        stats.requests,
-        stats.accepted,
-        stats.rejected,
-        topts.max_conns,
-        stats.idle_disconnects,
-        stats.oversize_disconnects,
-    );
-    Ok(())
 }
 
 /// One measured cell of the benchmark matrix.
@@ -1000,9 +947,9 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
                     let mut reader =
                         std::io::BufReader::new(stream.try_clone().expect("bench serve clone"));
                     let mut stream = stream;
-                    let mut request = |line: String| -> String {
+                    let mut request = |req: Request| -> String {
                         stream
-                            .write_all(line.as_bytes())
+                            .write_all(req.encode().as_bytes())
                             .and_then(|()| stream.write_all(b"\n"))
                             .expect("bench serve write");
                         let mut resp = String::new();
@@ -1018,26 +965,34 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
                             continue;
                         }
                         let start = std::time::Instant::now();
+                        let id = id.clone();
                         let results = match kind {
                             ServeKind::Kdj { k, spec } => {
-                                parse_wire_results(&request(kdj_request_line(id, *k, spec)))
+                                parse_wire_results(&request(Request::Kdj {
+                                    id,
+                                    k: *k as u64,
+                                    spec: spec.clone(),
+                                }))
                             }
                             ServeKind::Idj { take, batch } => {
-                                request(format!(
-                                    "{{\"op\":\"idj_open\",\"id\":\"{id}\",\"take\":{take}}}"
-                                ));
+                                request(Request::IdjOpen {
+                                    id: id.clone(),
+                                    take: *take as u64,
+                                    spec: QuerySpec::default(),
+                                });
                                 let mut out = Vec::with_capacity(*take);
                                 loop {
-                                    let resp = request(format!(
-                                        "{{\"op\":\"idj_pull\",\"id\":\"{id}\",\"n\":{batch}}}"
-                                    ));
+                                    let resp = request(Request::IdjPull {
+                                        id: id.clone(),
+                                        n: *batch as u64,
+                                    });
                                     let done = resp.contains("\"done\":true");
                                     out.extend(parse_wire_results(&resp));
                                     if done || out.len() >= *take {
                                         break;
                                     }
                                 }
-                                request(format!("{{\"op\":\"idj_close\",\"id\":\"{id}\"}}"));
+                                request(Request::IdjClose { id });
                                 out
                             }
                         };
@@ -1112,20 +1067,6 @@ fn run_bench_matrix(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Vec<Benc
         });
     }
     rows
-}
-
-/// Formats a serve-protocol kdj request line from a bench cell's spec;
-/// default knobs stay off the wire, exactly like a real client.
-fn kdj_request_line(id: &str, k: usize, spec: &QuerySpec) -> String {
-    let mut line = format!("{{\"op\":\"kdj\",\"id\":\"{id}\",\"k\":{k}");
-    if !spec.aggressive {
-        line.push_str(",\"aggressive\":false");
-    }
-    if spec.threads != 1 {
-        line.push_str(&format!(",\"threads\":{}", spec.threads));
-    }
-    line.push('}');
-    line
 }
 
 /// Scans the `results` array off a serve Results response line. The

@@ -3,10 +3,10 @@
 //!
 //! [`Server`] is the transport-independent core of `amdj serve`
 //! (DESIGN.md §12): it owns no sockets and spawns no threads — callers
-//! (the CLI's stdin/stdout loop, the concurrency tests, the bench serve
-//! section) bring their own threads and drive it through either the
-//! typed methods ([`Server::kdj`], [`Server::idj_pull`], …) or the wire
-//! seam ([`Server::handle_line`]), which decodes one request line,
+//! (the [`transport`] loop behind `amdj serve`, the concurrency tests)
+//! bring their own threads and drive it through either the typed
+//! methods ([`Server::kdj`], [`Server::idj_pull`], …) or the wire seam
+//! ([`Server::handle_line`]), which decodes one request line,
 //! dispatches, and encodes one response line without ever panicking.
 //!
 //! Three subsystems compose it:
@@ -14,8 +14,8 @@
 //! * **admission** ([`admission`]) — every executing query charges the
 //!   engine's own `queue_mem_bytes` unit against one serve-wide memory
 //!   budget; overflow waits in a bounded FIFO line, and a full line is
-//!   a structured rejection. Blocking happens on the *handler thread*
-//!   (one per in-flight request), so admitted queries always progress;
+//!   a structured rejection. Blocking happens on the calling thread
+//!   (one connection's handler), so admitted queries always progress;
 //! * **sessions** ([`session`]) — IDJ cursors are suspended
 //!   [`EngineSnapshot`](crate::EngineSnapshot)s behind ids, with
 //!   checkout semantics so concurrent requests against one cursor fail
@@ -156,8 +156,8 @@ impl From<RequestError> for ServeError {
 /// lowercase hex of the id's bytes plus `.snap`. Hex is injective, so
 /// distinct ids — `"a.b"` versus `"a_b"`, say — can never collide on
 /// one file, and ids containing separators or control characters stay
-/// inert. Shared by [`Server::checkpoint_open_cursors`] and the CLI's
-/// restart-resume path so both ends agree on the naming.
+/// inert. Shared by [`Server::checkpoint_open_cursors`] and
+/// [`Server::resume_cursors_from`] so both ends agree on the naming.
 pub fn snap_file_name(id: &str) -> String {
     format!("{}.snap", codec::hex_encode(id.as_bytes()))
 }

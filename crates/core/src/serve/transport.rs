@@ -1,40 +1,40 @@
-//! TCP transport for the serve loop: a listener thread plus one
-//! handler loop per connection, all driving the transport-independent
-//! [`Server`] through its [`handle_line`](Server::handle_line) seam.
+//! The serve transport: one handler loop per connection, driving the
+//! transport-independent [`Server`] through its
+//! [`handle_line`](Server::handle_line) seam. [`serve_listener`] runs
+//! it for every accepted TCP connection, [`serve_stream`] once over a
+//! pipe such as the CLI's stdin/stdout. Either way the protocol is
+//! line-delimited JSON, one response line per request line, in order,
+//! and every connection gets:
 //!
-//! The wire protocol is exactly the stdin/stdout one — line-delimited
-//! JSON, one response line per request line — so a session recorded
-//! against `amdj serve` on a pipe replays unchanged over a socket.
-//! What the transport adds is the multi-client machinery the pipe
-//! cannot express:
+//! * **bounded buffering** — at most `max_request_bytes` of an
+//!   unterminated line is ever buffered; a client that streams more
+//!   without a newline is refused and disconnected *before* the bytes
+//!   accumulate (a complete-but-oversized or non-UTF-8 line is still
+//!   answered with the codec's structured error and the connection
+//!   survives);
+//! * **cooperative shutdown** — when the caller's `stop` flag rises
+//!   (SIGINT) or any client sends the `shutdown` op, every handler
+//!   finishes the requests already buffered on its connection and
+//!   returns, so the caller can checkpoint open cursors.
+//!
+//! Sockets also get what a pipe's single client does not need:
 //!
 //! * **connection cap** — at most [`TransportOptions::max_conns`]
 //!   handler threads; an excess connection receives one structured
 //!   error line and is closed, never silently queued;
 //! * **idle timeout** — a connection that sends no bytes for
 //!   [`TransportOptions::idle_timeout`] gets a structured error line
-//!   and is closed, so a stalled client cannot pin a handler thread;
-//! * **bounded buffering** — at most `max_request_bytes` of an
-//!   unterminated line is ever buffered; a client that streams more
-//!   without a newline is refused and disconnected *before* the bytes
-//!   accumulate (a complete-but-oversized line is still answered with
-//!   the codec's structured `TooLarge` error and the connection
-//!   survives);
-//! * **cooperative shutdown** — when the caller's `stop` flag rises
-//!   (SIGINT) or any client sends the `shutdown` op, the listener
-//!   stops accepting, every handler finishes the requests already
-//!   buffered on its connection, and [`serve_listener`] returns so the
-//!   caller can checkpoint open cursors.
+//!   and is closed, so a stalled client cannot pin a handler thread.
 //!
 //! The handler loop never blocks indefinitely: reads tick at
 //! [`TransportOptions::poll_interval`] so the stop flag is observed
-//! between requests, and writes carry the idle timeout so a client
-//! that stops draining responses is disconnected rather than pinning
-//! the thread.
+//! between requests, and socket writes carry the idle timeout so a
+//! client that stops draining responses cannot pin the thread.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{Cursor, Read, Write};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use super::codec::Response;
@@ -66,10 +66,11 @@ impl Default for TransportOptions {
     }
 }
 
-/// What a [`serve_listener`] run did, returned when it stops.
+/// What a [`serve_listener`] or [`serve_stream`] run did, returned when
+/// it stops.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Connections admitted to a handler thread.
+    /// Connections admitted to a handler loop.
     pub accepted: u64,
     /// Connections refused by the `max_conns` cap.
     pub rejected: u64,
@@ -81,7 +82,7 @@ pub struct TransportStats {
     pub oversize_disconnects: u64,
 }
 
-/// Shared mutable transport state: the handler threads' counters plus
+/// Shared mutable transport state: the handler loops' counters plus
 /// the internal shutdown latch the `shutdown` op raises.
 #[derive(Debug, Default)]
 struct Shared {
@@ -153,15 +154,29 @@ pub fn serve_listener<const D: usize>(
                 }
             };
             if shared.active.load(Ordering::Relaxed) >= opts.max_conns {
+                // Best-effort: the client may already be gone.
                 shared.rejected.fetch_add(1, Ordering::Relaxed);
-                reject(stream, opts.max_conns);
+                let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+                let error = format!("server at capacity: {} connections", opts.max_conns);
+                let _ = write_error(&mut &stream, error);
                 continue;
             }
             shared.accepted.fetch_add(1, Ordering::Relaxed);
             shared.active.fetch_add(1, Ordering::Relaxed);
             let shared = &shared;
             scope.spawn(move || {
-                handle_conn(server, stream, opts, stop, shared);
+                let _ = stream.set_nodelay(true);
+                // The listener is nonblocking; on platforms where
+                // accepted sockets inherit that, the handler loop would
+                // spin. Blocking + read timeout is the mode it is
+                // written for.
+                let _ = stream.set_nonblocking(false);
+                let timeouts = (stream.set_read_timeout(Some(opts.poll_interval)))
+                    .and(stream.set_write_timeout(Some(opts.idle_timeout)));
+                if timeouts.is_ok() {
+                    let idle = Some(opts.idle_timeout);
+                    handle_conn(server, &stream, &stream, idle, stop, shared);
+                }
                 shared.active.fetch_sub(1, Ordering::Relaxed);
             });
         }
@@ -173,49 +188,96 @@ pub fn serve_listener<const D: usize>(
     }
 }
 
-/// Refuses an over-cap connection with one structured error line.
-/// Best-effort: the client may already be gone.
-fn reject(mut stream: TcpStream, max_conns: usize) {
-    let resp = Response::Error {
-        id: None,
-        error: format!("server at capacity: {max_conns} connections"),
+/// Serves `server` over one pipe (the CLI's stdin/stdout) as a single
+/// connection on the caller's thread, like one TCP connection but with
+/// no idle timeout. A detached thread reads `input` into a bounded
+/// channel, since a blocked pipe read may never wake for a signal (glibc
+/// installs handlers with `SA_RESTART`); the loop polls that channel at
+/// the default [`TransportOptions::poll_interval`] to observe `stop`.
+pub fn serve_stream<const D: usize>(
+    server: &Server<'_, D>,
+    mut input: impl Read + Send + 'static,
+    output: impl Write,
+    stop: &AtomicBool,
+) -> TransportStats {
+    // At most 16 chunks of 4 KB read ahead of the handler loop.
+    let (tx, rx) = std::sync::mpsc::sync_channel(16);
+    std::thread::spawn(move || {
+        let mut chunk = [0u8; 4096];
+        loop {
+            let n = match input.read(&mut chunk) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Ok(0) | Err(_) => return,
+                Ok(n) => n,
+            };
+            if tx.send(chunk[..n].to_vec()).is_err() {
+                return;
+            }
+        }
+    });
+    let shared = Shared::default();
+    shared.accepted.store(1, Ordering::Relaxed);
+    let chunks = ChunkReader {
+        rx,
+        pending: Cursor::new(Vec::new()),
+        poll_interval: TransportOptions::default().poll_interval,
     };
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut line = resp.encode();
-    line.push('\n');
-    let _ = stream.write_all(line.as_bytes());
+    handle_conn(server, chunks, output, None, stop, &shared);
+    shared.snapshot()
+}
+
+/// The handler loop's view of a [`serve_stream`] reader thread: `Ok(0)`
+/// once that thread ended, `TimedOut` after `poll_interval` without data.
+struct ChunkReader {
+    rx: Receiver<Vec<u8>>,
+    pending: Cursor<Vec<u8>>,
+    poll_interval: Duration,
+}
+
+impl Read for ChunkReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        // The reader thread never sends an empty chunk.
+        if self.pending.position() == self.pending.get_ref().len() as u64 {
+            match self.rx.recv_timeout(self.poll_interval) {
+                Ok(chunk) => self.pending = Cursor::new(chunk),
+                Err(RecvTimeoutError::Timeout) => return Err(std::io::ErrorKind::TimedOut.into()),
+                Err(RecvTimeoutError::Disconnected) => return Ok(0),
+            }
+        }
+        self.pending.read(buf)
+    }
 }
 
 /// One connection's handler loop: read lines, dispatch each through
 /// [`Server::handle_line`], write each response line back. Returns (and
-/// thereby closes the connection) on EOF, any I/O error, idle timeout,
-/// an unterminated oversized line, or once a stop is requested and the
-/// already-buffered lines have been answered.
+/// thereby closes the connection) at the end of input (answering a last
+/// line that lacks its newline), on any I/O error, the idle timeout
+/// (when set), an unterminated oversized line, or once a stop is
+/// requested and the already-buffered lines have been answered. Reads
+/// that time out (`WouldBlock`/`TimedOut`) are where stops are seen.
 fn handle_conn<const D: usize>(
     server: &Server<'_, D>,
-    mut stream: TcpStream,
-    opts: &TransportOptions,
+    mut input: impl Read,
+    mut output: impl Write,
+    idle_timeout: Option<Duration>,
     stop: &AtomicBool,
     shared: &Shared,
 ) {
     let max_line = server.options().max_request_bytes;
-    let _ = stream.set_nodelay(true);
-    // The listener is nonblocking; on platforms where accepted sockets
-    // inherit that, the tick loop below would spin. Blocking + read
-    // timeout is the mode the loop is written for.
-    let _ = stream.set_nonblocking(false);
-    if stream.set_read_timeout(Some(opts.poll_interval)).is_err()
-        || stream.set_write_timeout(Some(opts.idle_timeout)).is_err()
-    {
-        return;
-    }
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     let mut last_activity = Instant::now();
     loop {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => return, // EOF
-            Ok(n) => n,
+        let eof = match input.read(&mut chunk) {
+            Ok(0) if buf.is_empty() => return,
+            Ok(0) => {
+                buf.push(b'\n');
+                true
+            }
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                false
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -225,16 +287,10 @@ fn handle_conn<const D: usize>(
                     // complete line was answered below), so close.
                     return;
                 }
-                if last_activity.elapsed() >= opts.idle_timeout {
+                if let Some(idle) = idle_timeout.filter(|&t| last_activity.elapsed() >= t) {
                     shared.idle_disconnects.fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::Error {
-                        id: None,
-                        error: format!(
-                            "idle timeout: no request in {} ms",
-                            opts.idle_timeout.as_millis()
-                        ),
-                    };
-                    let _ = write_line(&mut stream, &resp);
+                    let error = format!("idle timeout: no request in {} ms", idle.as_millis());
+                    let _ = write_error(&mut output, error);
                     return;
                 }
                 continue;
@@ -243,14 +299,13 @@ fn handle_conn<const D: usize>(
             Err(_) => return,
         };
         last_activity = Instant::now();
-        buf.extend_from_slice(&chunk[..n]);
         while let Some(line) = split_line(&mut buf) {
             if line.is_empty() {
                 continue; // blank keep-alive lines are inert
             }
             shared.requests.fetch_add(1, Ordering::Relaxed);
             let (resp, shutdown) = server.handle_line(&line);
-            if write_line(&mut stream, &resp).is_err() {
+            if write_line(&mut output, &resp).is_err() {
                 return;
             }
             if shutdown {
@@ -263,14 +318,12 @@ fn handle_conn<const D: usize>(
         // never happen is buffering an unterminated line without bound.
         if buf.len() > max_line {
             shared.oversize_disconnects.fetch_add(1, Ordering::Relaxed);
-            let resp = Response::Error {
-                id: None,
-                error: format!("unterminated request exceeds {max_line} bytes; closing connection"),
-            };
-            let _ = write_line(&mut stream, &resp);
+            let error =
+                format!("unterminated request exceeds {max_line} bytes; closing connection");
+            let _ = write_error(&mut output, error);
             return;
         }
-        if shared.stopping(stop) {
+        if eof || shared.stopping(stop) {
             return;
         }
     }
@@ -278,10 +331,15 @@ fn handle_conn<const D: usize>(
 
 /// Writes one encoded response line. The stream's write timeout bounds
 /// how long a non-draining client can stall this.
-fn write_line(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
+fn write_line(output: &mut impl Write, resp: &Response) -> std::io::Result<()> {
     let mut line = resp.encode();
     line.push('\n');
-    stream.write_all(line.as_bytes())
+    output.write_all(line.as_bytes())
+}
+
+/// Writes one structured error line about the connection itself.
+fn write_error(output: &mut impl Write, error: String) -> std::io::Result<()> {
+    write_line(output, &Response::Error { id: None, error })
 }
 
 /// Splits the first complete line off `buf`, stripping the `\n` and an

@@ -1,22 +1,25 @@
-//! The TCP transport end to end: many concurrent connections drive the
+//! The transport end to end: many concurrent connections drive the
 //! shared server over real sockets and every response is bit-identical
 //! to the serial equivalent; the connection cap, idle timeout, and
-//! request-size bound all fire as structured errors; and a stop →
-//! drain → checkpoint → restart → resume cycle over TCP loses nothing.
+//! request-size bound all fire as structured errors; a stop → drain →
+//! checkpoint → restart → resume cycle over TCP loses nothing; and the
+//! stream entry point (the CLI's stdin/stdout) answers a byte stream
+//! exactly as one socket connection does.
 //!
 //! Serial expectations come from a second `Server` over the same trees
 //! fed the same request lines through `handle_line` one at a time —
 //! the transport must add nothing and lose nothing relative to that.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Cursor, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use amdj_core::serve::{
     snap_file_name,
-    transport::{serve_listener, TransportOptions, TransportStats},
+    transport::{serve_listener, serve_stream, TransportOptions, TransportStats},
     ServeOptions, Server,
 };
 use amdj_core::JoinConfig;
@@ -467,4 +470,196 @@ fn shutdown_op_over_tcp_stops_the_listener() {
         );
     });
     assert!(stats.requests >= 2, "both requests served: {stats:?}");
+}
+
+/// Feeds `input` to a fresh connection through the TCP listener, closes
+/// the sending half, and returns every byte the server wrote back.
+fn socket_transcript(server: &Server<'_, 2>, input: &[u8]) -> (Vec<u8>, TransportStats) {
+    let (stats, out) = with_listener(server, &fast_topts(), |addr, _| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(input).expect("write input");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let mut out = Vec::new();
+        stream.read_to_end(&mut out).expect("read responses");
+        out
+    });
+    (out, stats)
+}
+
+/// Feeds `input` through the stream entry point and returns every byte
+/// written to the output.
+fn stream_transcript(server: &Server<'_, 2>, input: &[u8]) -> (Vec<u8>, TransportStats) {
+    let mut out = Vec::new();
+    let stop = AtomicBool::new(false);
+    let stats = serve_stream(server, Cursor::new(input.to_vec()), &mut out, &stop);
+    (out, stats)
+}
+
+/// A fixed mix of good and bad input reaches the stream entry point and
+/// a socket connection as the same bytes and gets the same bytes back:
+/// valid kdj/idj requests, a line that is not UTF-8, blank and `\r\n`
+/// lines, a complete oversized line (a structured error; the session
+/// goes on), and an unterminated oversized tail (one error line, then
+/// the connection ends).
+#[test]
+fn stream_and_socket_answer_the_same_mix_byte_for_byte() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::default();
+    let opts = ServeOptions {
+        max_request_bytes: 256,
+        ..serve_opts(&cfg)
+    };
+    let mut mix = Vec::new();
+    mix.extend_from_slice(b"{\"op\":\"kdj\",\"id\":\"k1\",\"k\":16}\n");
+    mix.extend_from_slice(b"\xff\xfe\n");
+    mix.extend_from_slice(b"\n\r\n");
+    mix.extend_from_slice(b"{\"op\":\"idj_open\",\"id\":\"c\",\"take\":30}\r\n");
+    mix.extend_from_slice(
+        format!(
+            "{{\"op\":\"kdj\",\"id\":\"{}\",\"k\":8}}\n",
+            "x".repeat(300)
+        )
+        .as_bytes(),
+    );
+    mix.extend_from_slice(b"{\"op\":\"idj_pull\",\"id\":\"c\",\"n\":12}\n");
+    mix.extend_from_slice(b"{\"op\":\"kdj\",\"id\":\"k2\",\"k\":8,\"aggressive\":false}\n");
+    mix.extend_from_slice(b"{\"op\":\"idj_pull\",\"id\":\"c\",\"n\":12}\n");
+    mix.extend_from_slice(b"{\"op\":\"idj_close\",\"id\":\"c\"}\n");
+    mix.extend_from_slice(&[b'x'; 1000]);
+
+    let (streamed, stream_stats) = stream_transcript(&Server::new(&r, &s, opts.clone()), &mix);
+    let (socketed, socket_stats) = socket_transcript(&Server::new(&r, &s, opts), &mix);
+    let text = String::from_utf8(streamed.clone()).expect("responses are UTF-8");
+    assert_eq!(
+        text,
+        String::from_utf8(socketed).expect("responses are UTF-8"),
+        "stream and socket transcripts are byte-identical"
+    );
+
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 9, "one line per non-blank request: {text}");
+    for (i, line) in lines.iter().enumerate() {
+        let ok = !matches!(i, 1 | 3 | 8);
+        assert_eq!(line.contains("\"ok\":true"), ok, "line {i}: {line}");
+    }
+    assert!(lines[1].contains("bad request at byte 0"), "{}", lines[1]);
+    assert!(
+        lines[3].contains("exceeds the 256-byte cap"),
+        "{}",
+        lines[3]
+    );
+    assert!(
+        lines[8].contains("unterminated request exceeds 256 bytes"),
+        "{}",
+        lines[8]
+    );
+    assert_eq!(stream_stats.requests, 8, "{stream_stats:?}");
+    assert_eq!(stream_stats.oversize_disconnects, 1, "{stream_stats:?}");
+    assert_eq!(stream_stats.requests, socket_stats.requests);
+    assert_eq!(
+        stream_stats.oversize_disconnects,
+        socket_stats.oversize_disconnects
+    );
+}
+
+/// A request cut off by the end of input is answered on both
+/// transports, as the pipe's last line always was.
+#[test]
+fn a_final_line_without_newline_is_answered() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::default();
+    let input = b"{\"op\":\"kdj\",\"id\":\"a\",\"k\":4}\n{\"op\":\"kdj\",\"id\":\"b\",\"k\":4}";
+    let (streamed, stats) = stream_transcript(&Server::new(&r, &s, serve_opts(&cfg)), input);
+    let (socketed, _) = socket_transcript(&Server::new(&r, &s, serve_opts(&cfg)), input);
+    assert_eq!(streamed, socketed);
+    let text = String::from_utf8(streamed).expect("responses are UTF-8");
+    assert_eq!(text.lines().count(), 2, "{text}");
+    assert!(text.contains("\"id\":\"b\""), "{text}");
+    assert_eq!(stats.requests, 2);
+}
+
+/// A pipe whose writer is still open: reads block until the test sends
+/// a chunk, and end once every sender is dropped.
+struct ChannelPipe {
+    rx: Receiver<Vec<u8>>,
+    pending: Cursor<Vec<u8>>,
+}
+
+impl ChannelPipe {
+    fn new(rx: Receiver<Vec<u8>>) -> Self {
+        ChannelPipe {
+            rx,
+            pending: Cursor::new(Vec::new()),
+        }
+    }
+}
+
+impl Read for ChannelPipe {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        while self.pending.position() == self.pending.get_ref().len() as u64 {
+            match self.rx.recv() {
+                Ok(chunk) => self.pending = Cursor::new(chunk),
+                Err(_) => return Ok(0),
+            }
+        }
+        self.pending.read(buf)
+    }
+}
+
+/// The `shutdown` op ends a stream session whose input is still open,
+/// and the stats count every answered line.
+#[test]
+fn shutdown_op_ends_a_stream_session() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::default();
+    let server = Server::new(&r, &s, serve_opts(&cfg));
+    let (tx, rx) = channel();
+    tx.send(b"{\"op\":\"kdj\",\"id\":\"q\",\"k\":8}\n\n{\"op\":\"stats\"}\n".to_vec())
+        .unwrap();
+    tx.send(b"{\"op\":\"shutdown\"}\n{\"op\":\"stats\"}\n".to_vec())
+        .unwrap();
+    let stop = AtomicBool::new(false);
+    let mut out = Vec::new();
+    let stats = serve_stream(&server, ChannelPipe::new(rx), &mut out, &stop);
+    let text = String::from_utf8(out).expect("responses are UTF-8");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "nothing after the shutdown ack: {text}");
+    assert_eq!(lines[2], "{\"ok\":true,\"op\":\"shutdown\"}");
+    assert_eq!(stats.requests, 3, "{stats:?}");
+    assert_eq!(stats.accepted, 1, "{stats:?}");
+    assert!(
+        !stop.load(Ordering::Relaxed),
+        "the external stop never rose"
+    );
+    drop(tx);
+}
+
+/// Raising `stop` while the input blocks with its writer still open
+/// (an idle stdin) returns within a few poll intervals.
+#[test]
+fn stop_ends_a_blocked_stream_session_promptly() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::default();
+    let server = Server::new(&r, &s, serve_opts(&cfg));
+    let (tx, rx) = channel::<Vec<u8>>();
+    let poll = TransportOptions::default().poll_interval;
+    let stop = AtomicBool::new(false);
+    let mut out = Vec::new();
+    let (stats, late) = std::thread::scope(|scope| {
+        let raised = scope.spawn(|| {
+            std::thread::sleep(Duration::from_millis(50));
+            stop.store(true, Ordering::Relaxed);
+            Instant::now()
+        });
+        let stats = serve_stream(&server, ChannelPipe::new(rx), &mut out, &stop);
+        let late = raised.join().expect("stopper thread").elapsed();
+        (stats, late)
+    });
+    assert!(
+        late < poll * 25,
+        "returned {late:?} after the stop, with a {poll:?} poll"
+    );
+    assert!(out.is_empty(), "nothing to answer");
+    assert_eq!(stats.requests, 0);
+    drop(tx);
 }
