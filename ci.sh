@@ -48,16 +48,21 @@ BENCH_SMOKE_JSON="$(mktemp -t bench_smoke.XXXXXX.json)"
 trap 'rm -f "$BENCH_SMOKE_JSON"' EXIT
 cargo run --release -q -p amdj-bench --bin amdj -- \
     bench --n 300 --k 20 --json "$BENCH_SMOKE_JSON" 2>/dev/null
-grep -q '"schema_version": 13' "$BENCH_SMOKE_JSON" \
-    || { echo "bench smoke: schema_version != 13"; exit 1; }
-for col in op algo query_id transport connections threads \
-           k wall_time_s node_accesses \
-           pairs_computed results \
+grep -q '"schema_version": 14' "$BENCH_SMOKE_JSON" \
+    || { echo "bench smoke: schema_version != 14"; exit 1; }
+# Row labels, every field `encode_stats` writes for a one-shot row's
+# JoinStats, the serve section's header, and the serve rows' QueryReport.
+for col in op algo threads k wall_time_s checkpoints_written \
+           real_dist axis_dist mainq_insertions distq_insertions \
+           compq_insertions comp_replays bound_tightenings \
            pairs_stolen steal_attempts barrier_idle_ns \
-           buffer_hits buffer_misses buffer_evictions buffer_hit_rate \
-           queue_wait_ns admission_rejections \
+           stage1_expansions stage2_expansions node_requests node_disk_reads \
+           buffer_hits buffer_misses buffer_evictions \
            buffer_hits_by_worker buffer_misses_by_worker \
-           checkpoints_written; do
+           queue_page_reads queue_page_writes results stages \
+           cpu_seconds io_seconds \
+           transport connections admission_rejections \
+           id queue_wait_ns; do
     grep -q "\"$col\":" "$BENCH_SMOKE_JSON" \
         || { echo "bench smoke: missing column '$col'"; exit 1; }
 done
@@ -65,19 +70,20 @@ grep -q '"algo": "am-ckpt"' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: missing am-ckpt checkpoint-overhead row"; exit 1; }
 # The serve section runs 144 mixed queries over 16 concurrent TCP
 # connections (bit-identity against serial is asserted inside the bench
-# itself) and emits one op="serve" row per query, tagged with the
-# transport. Against the default 8-slot admission budget, 16 connections
-# guarantee some query visibly queued.
-grep -q '"op": "serve"' "$BENCH_SMOKE_JSON" \
-    || { echo "bench smoke: missing serve rows"; exit 1; }
-# Single greps, not `grep | grep -q` pipelines: under pipefail, -q
+# itself) and emits one op="serve" row per query under a header naming
+# the transport. Against the default 8-slot admission budget, 16
+# connections guarantee some query visibly queued.
+serve_rows="$(grep -c '"op": "serve"' "$BENCH_SMOKE_JSON" || true)"
+[ "$serve_rows" = "144" ] \
+    || { echo "bench smoke: $serve_rows serve rows, not 144"; exit 1; }
+grep -q '"transport": "tcp"' "$BENCH_SMOKE_JSON" \
+    || { echo "bench smoke: serve section not on the tcp transport"; exit 1; }
+# A single grep, not a `grep | grep -q` pipeline: under pipefail, -q
 # exiting at the first match SIGPIPEs the upstream grep across 144
-# serve rows. Each row is one line, with op before the other columns.
-grep -Eq '"op": "serve".*"transport": "tcp"' "$BENCH_SMOKE_JSON" \
-    || { echo "bench smoke: serve rows not tagged with the tcp transport"; exit 1; }
-grep -Eq '"op": "serve".*"queue_wait_ns": [1-9]' "$BENCH_SMOKE_JSON" \
+# serve rows. Each row is one line, with op before its report.
+grep -Eq '"op": "serve".*"queue_wait_ns":[1-9]' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: no serve row reports a nonzero queue wait"; exit 1; }
-echo "bench smoke: schema_version 13 with all required columns"
+echo "bench smoke: schema_version 14 with all required columns and 144 serve rows"
 
 echo "== checkpoint smoke: interrupt, resume, compare =="
 # An interrupted join must exit 75 with a checkpoint on disk, and the
@@ -316,7 +322,14 @@ timeout 30 "$AMDJ_BIN" serve --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" \
 [ "$rc" = "0" ] || { echo "stdin smoke: 100 MB unterminated line exit $rc"; exit 1; }
 grep -q 'unterminated request exceeds 1024 bytes' "$SERVE_DIR/flood.jsonl" \
     || { echo "stdin smoke: 100 MB unterminated line not refused"; cat "$SERVE_DIR/flood.jsonl"; exit 1; }
-echo "stdin smoke: non-UTF-8 line answered with an error, 100 MB unterminated line refused"
+# The socket-only flags cannot apply to stdin: a usage error, not
+# silently ignored.
+for flag in "--max-conns 4" "--idle-timeout-ms 100"; do
+    # shellcheck disable=SC2086 # the flag and its value are two words
+    expect_usage_error "${flag%% *} requires --listen" \
+        "$AMDJ_BIN" serve --r "$CKPT_DIR/a.amdj" --s "$CKPT_DIR/b.amdj" $flag
+done
+echo "stdin smoke: non-UTF-8 line answered with an error, 100 MB unterminated line refused, socket-only flags exit 2"
 
 echo "== cursor tie smoke: a serve cursor pages through the distance-0 group =="
 # The tie smoke's self-join opens with 1500 pairs at distance 0, so every

@@ -3,7 +3,8 @@
 //! Each binary in `src/bin/` regenerates one table or figure; this library
 //! carries the shared pieces: the TIGER-like workload, tree construction
 //! at the paper's configuration, per-run state reset, the `Dmax` oracle,
-//! and plain-text table rendering.
+//! and plain-text table rendering. [`matrix`] is `amdj bench`'s
+//! algorithm-and-serve matrix.
 //!
 //! Environment knobs (all optional):
 //!
@@ -15,6 +16,7 @@
 #![deny(unsafe_code)]
 
 pub mod experiments;
+pub mod matrix;
 
 use amdj_core::{b_kdj, JoinConfig};
 use amdj_datagen::tiger;

@@ -39,7 +39,7 @@
 
 use amdj_storage::codec::CodecError;
 
-use crate::ResultPair;
+use crate::{JoinStats, ResultPair, MAX_TRACKED_WORKERS};
 
 /// Per-query engine knobs a request may carry.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -606,7 +606,31 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
-    fn encode(&self) -> String {
+    /// The report of one query `id` whose join ran with `stats`:
+    /// its buffer traffic and stages, plus the admission wait and the
+    /// results delivered, which the caller knows and `stats` does not.
+    pub(crate) fn from_stats(
+        id: &str,
+        op: &'static str,
+        queue_wait_ns: u64,
+        results: u64,
+        stats: &JoinStats,
+    ) -> QueryReport {
+        QueryReport {
+            id: id.to_string(),
+            op,
+            queue_wait_ns,
+            buffer_hits: stats.buffer_hits,
+            buffer_misses: stats.buffer_misses,
+            buffer_evictions: stats.buffer_evictions,
+            results,
+            stages: stats.stages,
+        }
+    }
+
+    /// Encodes the report as one JSON object, as the `stats` response
+    /// lists it.
+    pub fn encode(&self) -> String {
         format!(
             "{{\"id\":{},\"op\":\"{}\",\"queue_wait_ns\":{},\"buffer_hits\":{},\"buffer_misses\":{},\"buffer_evictions\":{},\"results\":{},\"stages\":{}}}",
             json_string(&self.id),
@@ -789,6 +813,49 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
+/// Encodes every [`JoinStats`] counter as one JSON object, each under
+/// its field's name. Floats print in shortest round-trip form and the
+/// per-worker arrays in full. The exhaustive destructure makes a new
+/// field a compile error here until it is written.
+pub fn encode_stats(s: &JoinStats) -> String {
+    let JoinStats {
+        real_dist,
+        axis_dist,
+        // Always zero since the quantized prefilter went.
+        quantized_rejects: _,
+        mainq_insertions,
+        distq_insertions,
+        compq_insertions,
+        comp_replays,
+        bound_tightenings,
+        pairs_stolen,
+        steal_attempts,
+        barrier_idle_ns,
+        stage1_expansions,
+        stage2_expansions,
+        node_requests,
+        node_disk_reads,
+        buffer_hits,
+        buffer_misses,
+        buffer_evictions,
+        buffer_hits_by_worker,
+        buffer_misses_by_worker,
+        queue_page_reads,
+        queue_page_writes,
+        results,
+        stages,
+        cpu_seconds,
+        io_seconds,
+    } = *s;
+    let array =
+        |vals: [u64; MAX_TRACKED_WORKERS]| format!("[{}]", vals.map(|v| v.to_string()).join(","));
+    format!(
+        "{{\"real_dist\":{real_dist},\"axis_dist\":{axis_dist},\"mainq_insertions\":{mainq_insertions},\"distq_insertions\":{distq_insertions},\"compq_insertions\":{compq_insertions},\"comp_replays\":{comp_replays},\"bound_tightenings\":{bound_tightenings},\"pairs_stolen\":{pairs_stolen},\"steal_attempts\":{steal_attempts},\"barrier_idle_ns\":{barrier_idle_ns},\"stage1_expansions\":{stage1_expansions},\"stage2_expansions\":{stage2_expansions},\"node_requests\":{node_requests},\"node_disk_reads\":{node_disk_reads},\"buffer_hits\":{buffer_hits},\"buffer_misses\":{buffer_misses},\"buffer_evictions\":{buffer_evictions},\"buffer_hits_by_worker\":{},\"buffer_misses_by_worker\":{},\"queue_page_reads\":{queue_page_reads},\"queue_page_writes\":{queue_page_writes},\"results\":{results},\"stages\":{stages},\"cpu_seconds\":{cpu_seconds},\"io_seconds\":{io_seconds}}}",
+        array(buffer_hits_by_worker),
+        array(buffer_misses_by_worker),
+    )
+}
+
 /// Lowercase hex of `bytes`.
 pub fn hex_encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
@@ -905,6 +972,83 @@ mod tests {
         assert_eq!(hex_decode(&hex_encode(&bytes)), Some(bytes));
         assert_eq!(hex_decode("0"), None, "odd length");
         assert_eq!(hex_decode("zz"), None, "non-hex");
+    }
+
+    #[test]
+    fn encode_stats_writes_every_field_under_its_name() {
+        let hits: [u64; MAX_TRACKED_WORKERS] = std::array::from_fn(|w| 1000 + w as u64);
+        let misses: [u64; MAX_TRACKED_WORKERS] = std::array::from_fn(|w| 2000 + w as u64);
+        let stats = JoinStats {
+            real_dist: 1,
+            axis_dist: 2,
+            quantized_rejects: 0,
+            mainq_insertions: 3,
+            distq_insertions: 4,
+            compq_insertions: 5,
+            comp_replays: 6,
+            bound_tightenings: 7,
+            pairs_stolen: 8,
+            steal_attempts: 9,
+            barrier_idle_ns: 10,
+            stage1_expansions: 11,
+            stage2_expansions: 12,
+            node_requests: 13,
+            node_disk_reads: 14,
+            buffer_hits: 15,
+            buffer_misses: 16,
+            buffer_evictions: 17,
+            buffer_hits_by_worker: hits,
+            buffer_misses_by_worker: misses,
+            queue_page_reads: 18,
+            queue_page_writes: 19,
+            results: 20,
+            stages: 21,
+            cpu_seconds: 0.25,
+            io_seconds: 1.5,
+        };
+        let line = encode_stats(&stats);
+        let array = |vals: [u64; MAX_TRACKED_WORKERS]| {
+            format!("[{}]", vals.map(|v| v.to_string()).join(","))
+        };
+        let want = [
+            ("real_dist", "1".to_string()),
+            ("axis_dist", "2".into()),
+            ("mainq_insertions", "3".into()),
+            ("distq_insertions", "4".into()),
+            ("compq_insertions", "5".into()),
+            ("comp_replays", "6".into()),
+            ("bound_tightenings", "7".into()),
+            ("pairs_stolen", "8".into()),
+            ("steal_attempts", "9".into()),
+            ("barrier_idle_ns", "10".into()),
+            ("stage1_expansions", "11".into()),
+            ("stage2_expansions", "12".into()),
+            ("node_requests", "13".into()),
+            ("node_disk_reads", "14".into()),
+            ("buffer_hits", "15".into()),
+            ("buffer_misses", "16".into()),
+            ("buffer_evictions", "17".into()),
+            ("buffer_hits_by_worker", array(hits)),
+            ("buffer_misses_by_worker", array(misses)),
+            ("queue_page_reads", "18".into()),
+            ("queue_page_writes", "19".into()),
+            ("results", "20".into()),
+            ("stages", "21".into()),
+            ("cpu_seconds", "0.25".into()),
+            ("io_seconds", "1.5".into()),
+        ];
+        for (name, value) in &want {
+            let field = format!("\"{name}\":{value}");
+            assert!(
+                line.contains(&format!("{field},")) || line.ends_with(&format!("{field}}}")),
+                "{field} missing from {line}"
+            );
+        }
+        assert_eq!(
+            line.matches("\":").count(),
+            want.len(),
+            "no other field: {line}"
+        );
     }
 
     #[test]

@@ -286,16 +286,8 @@ impl<'t, const D: usize> Server<'t, D> {
         };
         let wait_ns = guard.queue_wait_ns;
         drop(guard);
-        let report = QueryReport {
-            id: id.to_string(),
-            op: "kdj",
-            queue_wait_ns: wait_ns,
-            buffer_hits: out.stats.buffer_hits,
-            buffer_misses: out.stats.buffer_misses,
-            buffer_evictions: out.stats.buffer_evictions,
-            results: out.results.len() as u64,
-            stages: out.stats.stages,
-        };
+        let report =
+            QueryReport::from_stats(id, "kdj", wait_ns, out.results.len() as u64, &out.stats);
         self.record(report.clone(), false);
         Ok((out, report))
     }
@@ -339,16 +331,7 @@ impl<'t, const D: usize> Server<'t, D> {
         };
         let wait_ns = cursor.queue_wait_ns;
         let delivered = cursor.delivered();
-        let report = QueryReport {
-            id: id.to_string(),
-            op: "idj",
-            queue_wait_ns: wait_ns,
-            buffer_hits: cursor.stats.buffer_hits,
-            buffer_misses: cursor.stats.buffer_misses,
-            buffer_evictions: cursor.stats.buffer_evictions,
-            results: delivered,
-            stages: cursor.stats.stages,
-        };
+        let report = QueryReport::from_stats(id, "idj", wait_ns, delivered, &cursor.stats);
         self.cursors.checkin(id, cursor);
         let (results, done) = outcome?;
         self.record(report, true);

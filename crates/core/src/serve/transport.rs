@@ -6,12 +6,13 @@
 //! line-delimited JSON, one response line per request line, in order,
 //! and every connection gets:
 //!
-//! * **bounded buffering** — at most `max_request_bytes` of an
-//!   unterminated line is ever buffered; a client that streams more
-//!   without a newline is refused and disconnected *before* the bytes
-//!   accumulate (a complete-but-oversized or non-UTF-8 line is still
-//!   answered with the codec's structured error and the connection
-//!   survives);
+//! * **bounded buffering** — at most `max_request_bytes` plus one 4 KB
+//!   read of an unterminated line is ever buffered; a client that
+//!   streams more without a newline, or goes quiet or hangs up past the
+//!   cap, is refused and disconnected *before* the bytes accumulate (a
+//!   complete-but-oversized or non-UTF-8 line is still answered with
+//!   the codec's structured error and the connection survives, also
+//!   when its newline arrives in a later read);
 //! * **cooperative shutdown** — when the caller's `stop` flag rises
 //!   (SIGINT) or any client sends the `shutdown` op, every handler
 //!   finishes the requests already buffered on its connection and
@@ -267,9 +268,20 @@ fn handle_conn<const D: usize>(
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     let mut last_activity = Instant::now();
+    // What must never happen is buffering an unterminated line without
+    // bound. An over-cap tail may still be a complete line whose newline
+    // is in flight (the codec answers that with a survivable error), so
+    // it is refused only once the input goes quiet or ends, or once it
+    // outgrows the cap by a whole read chunk.
+    let refuse = |mut output: &mut dyn Write| {
+        shared.oversize_disconnects.fetch_add(1, Ordering::Relaxed);
+        let error = format!("unterminated request exceeds {max_line} bytes; closing connection");
+        let _ = write_error(&mut output, error);
+    };
     loop {
         let eof = match input.read(&mut chunk) {
             Ok(0) if buf.is_empty() => return,
+            Ok(0) if buf.len() > max_line => return refuse(&mut output),
             Ok(0) => {
                 buf.push(b'\n');
                 true
@@ -282,6 +294,9 @@ fn handle_conn<const D: usize>(
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
+                if buf.len() > max_line {
+                    return refuse(&mut output);
+                }
                 if shared.stopping(stop) {
                     // Drain point: nothing buffered is in flight (every
                     // complete line was answered below), so close.
@@ -313,15 +328,8 @@ fn handle_conn<const D: usize>(
                 return;
             }
         }
-        // A complete line of any length was handed to the codec above
-        // (which answers oversize with a structured error); what must
-        // never happen is buffering an unterminated line without bound.
-        if buf.len() > max_line {
-            shared.oversize_disconnects.fetch_add(1, Ordering::Relaxed);
-            let error =
-                format!("unterminated request exceeds {max_line} bytes; closing connection");
-            let _ = write_error(&mut output, error);
-            return;
+        if buf.len() > max_line + chunk.len() {
+            return refuse(&mut output);
         }
         if eof || shared.stopping(stop) {
             return;

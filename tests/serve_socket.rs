@@ -374,6 +374,44 @@ fn oversized_requests_are_bounded_at_the_socket() {
     );
 }
 
+/// A complete oversized line whose newline arrives in a later read is
+/// still the codec's survivable error, not an unterminated refusal: the
+/// read in flight does not time out before the newline lands.
+#[test]
+fn an_oversized_line_split_before_its_newline_survives() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::default();
+    let server = Server::new(
+        &r,
+        &s,
+        ServeOptions {
+            max_request_bytes: 256,
+            ..serve_opts(&cfg)
+        },
+    );
+    let topts = TransportOptions {
+        poll_interval: Duration::from_millis(500),
+        ..TransportOptions::default()
+    };
+    let (stats, ()) = with_listener(&server, &topts, |addr, _| {
+        let mut client = Client::connect(addr);
+        let fat = format!("{{\"op\":\"kdj\",\"id\":\"{}\",\"k\":8}}", "x".repeat(300));
+        client.stream.write_all(fat.as_bytes()).expect("write line");
+        std::thread::sleep(Duration::from_millis(20));
+        client.stream.write_all(b"\n").expect("write newline");
+        let resp = client.read_line().expect("response line");
+        assert!(
+            resp.contains("\"ok\":false") && resp.contains("exceeds the 256-byte cap"),
+            "structured oversize error: {resp}"
+        );
+        assert!(
+            client.request("{\"op\":\"stats\"}").contains("\"ok\":true"),
+            "connection survives a split oversized line"
+        );
+    });
+    assert_eq!(stats.oversize_disconnects, 0, "{stats:?}");
+}
+
 /// External stop (the CLI's SIGINT path) drains in-flight cursors into
 /// a checkpoint directory; a restarted server resumes them over a new
 /// socket and the remaining stream is bit-identical to the
