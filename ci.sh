@@ -68,6 +68,17 @@ for col in op algo threads k wall_time_s checkpoints_written \
 done
 grep -q '"algo": "am-ckpt"' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: missing am-ckpt checkpoint-overhead row"; exit 1; }
+# The am-ckpt row pauses every quarter of the am row's expansions and
+# replays, so it must write checkpoints, and its resumed join must
+# return the am row's result count.
+kdj_field() {  # kdj_field ALGO FIELD: FIELD's value on the one-thread kdj ALGO row
+    grep "\"op\": \"kdj\", \"algo\": \"$1\", \"threads\": 1," "$BENCH_SMOKE_JSON" \
+        | grep -o "\"$2\": *[0-9]*" | grep -o '[0-9]*$'
+}
+[ "$(kdj_field am-ckpt checkpoints_written)" -ge 1 ] \
+    || { echo "bench smoke: the am-ckpt row wrote no checkpoint"; exit 1; }
+[ "$(kdj_field am-ckpt results)" = "$(kdj_field am results)" ] \
+    || { echo "bench smoke: am-ckpt results differ from the am row's"; exit 1; }
 # The serve section runs 144 mixed queries over 16 concurrent TCP
 # connections (bit-identity against serial is asserted inside the bench
 # itself) and emits one op="serve" row per query under a header naming

@@ -1,8 +1,9 @@
 //! Incremental-join timings: HS-IDJ vs AM-IDJ streaming k results (the
 //! timing view of Figure 12), plus the parallel AM-IDJ driver.
 
-use amdj_bench::{build_trees, reset, Workload};
-use amdj_core::{par_am_idj, AmIdj, AmIdjOptions, HsIdj, JoinConfig};
+use amdj_bench::{build_trees, reset, run_join, Workload};
+use amdj_core::engine::JoinKind;
+use amdj_core::{AmIdj, AmIdjOptions, HsIdj, JoinConfig};
 use amdj_datagen::tiger;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -47,9 +48,12 @@ fn bench_idj(c: &mut Criterion) {
                 |b, &k| {
                     b.iter(|| {
                         reset(&r, &s);
-                        par_am_idj(&r, &s, k, &cfg, &AmIdjOptions::default(), threads)
-                            .results
-                            .len()
+                        let kind = JoinKind::Idj {
+                            take: k,
+                            opts: AmIdjOptions::default(),
+                            window: None,
+                        };
+                        run_join(&r, &s, kind, threads, &cfg).results.len()
                     });
                 },
             );

@@ -2,8 +2,9 @@
 //! SJ-SORT on the TIGER-like workload (the timing view of Figure 10),
 //! plus the parallel drivers at several thread counts.
 
-use amdj_bench::{build_trees, reset, Workload};
-use amdj_core::{am_kdj, b_kdj, hs_kdj, par_am_kdj, par_b_kdj, sj_sort, AmKdjOptions, JoinConfig};
+use amdj_bench::{build_trees, reset, run_join, Workload};
+use amdj_core::engine::{JoinKind, Policy};
+use amdj_core::{am_kdj, b_kdj, hs_kdj, sj_sort, AmKdjOptions, JoinConfig};
 use amdj_datagen::tiger;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -59,7 +60,11 @@ fn bench_kdj(c: &mut Criterion) {
                 |b, &k| {
                     b.iter(|| {
                         reset(&r, &s);
-                        par_b_kdj(&r, &s, k, &cfg, threads).results.len()
+                        let kind = JoinKind::Kdj {
+                            k,
+                            policy: Policy::Exact,
+                        };
+                        run_join(&r, &s, kind, threads, &cfg).results.len()
                     });
                 },
             );
@@ -69,9 +74,11 @@ fn bench_kdj(c: &mut Criterion) {
                 |b, &k| {
                     b.iter(|| {
                         reset(&r, &s);
-                        par_am_kdj(&r, &s, k, &cfg, &AmKdjOptions::default(), threads)
-                            .results
-                            .len()
+                        let policy = Policy::Aggressive {
+                            edmax_override: None,
+                        };
+                        let kind = JoinKind::Kdj { k, policy };
+                        run_join(&r, &s, kind, threads, &cfg).results.len()
                     });
                 },
             );

@@ -10,7 +10,6 @@
 //! amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]
 //!               [--checkpoint-path P] [--checkpoint-every N] [--resume P]
 //! amdj within   --r a.amdj --s b.amdj --dist D
-//! amdj knn      --r a.amdj --s b.amdj --k K
 //! amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]
 //! amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]
 //!               [--max-request-bytes N] [--state-dir DIR] [--max-threads N]
@@ -65,14 +64,14 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use amdj_core::engine::{self, JoinKind, JoinRequest, Policy};
 use amdj_core::serve::{
     transport::{serve_listener, serve_stream, TransportOptions},
     ServeOptions, Server,
 };
 use amdj_core::{
-    hs_kdj, idj_resumable, kdj_resumable, knn_join, read_checkpoint, within_join, write_checkpoint,
-    AmIdj, AmIdjOptions, Checkpointed, EngineSnapshot, JoinConfig, JoinOutput, PauseCtl,
-    SnapshotError,
+    hs_kdj, read_checkpoint, within_join, write_checkpoint, AmIdj, AmIdjOptions, Checkpointed,
+    EngineSnapshot, JoinConfig, JoinOutput, PauseCtl,
 };
 use amdj_datagen::{clustered_points, tiger::Geography, uniform_points, unit_universe, Dataset};
 use amdj_geom::Rect;
@@ -80,7 +79,7 @@ use amdj_rtree::{RTree, RTreeParams};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv\n  amdj build    --input data.csv --out index.amdj\n  amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj within   --r a.amdj --s b.amdj --dist D\n  amdj knn      --r a.amdj --s b.amdj --k K\n  amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]\n  amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]\n                [--max-request-bytes N] [--state-dir DIR] [--max-threads N]\n                [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]"
+        "usage:\n  amdj generate --kind tiger-streets|tiger-hydro|uniform|clustered --n N [--seed S] --out data.csv\n  amdj build    --input data.csv --out index.amdj\n  amdj kdj      --r a.amdj --s b.amdj --k K [--algo am|b|hs|par|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj idj      --r a.amdj --s b.amdj --take N [--batch B] [--algo am|par-am] [--threads T]\n                [--checkpoint-path P] [--checkpoint-every N] [--resume P]\n  amdj within   --r a.amdj --s b.amdj --dist D\n  amdj bench    [--n N] [--k K] [--seed S] [--json [FILE]]\n  amdj serve    --r a.amdj --s b.amdj [--mem-budget BYTES] [--max-waiting N]\n                [--max-request-bytes N] [--state-dir DIR] [--max-threads N]\n                [--listen ADDR] [--max-conns N] [--idle-timeout-ms N]"
     );
     ExitCode::from(2)
 }
@@ -156,26 +155,23 @@ fn load_resume(resume: &Option<String>) -> Result<Option<EngineSnapshot<2>>, Str
     Ok(Some(snap))
 }
 
-/// Runs a resumable join to completion, or, when a checkpoint flag was
-/// given, as a sequence of episodes: run until the pause control fires,
-/// write a checkpoint, then either continue in-process (a periodic
+/// Runs `req` to completion, or, when a checkpoint flag was given, as a
+/// sequence of episodes: run until the pause control fires, write a
+/// checkpoint, then either continue in-process (a periodic
 /// `--checkpoint-every` pause) or stop (SIGINT or the
 /// `AMDJ_INTERRUPT_AFTER` hook). Returns `None` when interrupted — the
 /// final checkpoint is on disk and the caller exits with
 /// [`EXIT_INTERRUPTED`].
-#[allow(clippy::type_complexity)]
 fn run_resumable(
+    r: &RTree<2>,
+    s: &RTree<2>,
+    req: JoinRequest<2>,
+    cfg: &JoinConfig,
     ckpt: Option<CkptCli>,
-    run: &dyn Fn(
-        Option<EngineSnapshot<2>>,
-        Option<&PauseCtl>,
-    ) -> Result<Checkpointed<2>, SnapshotError>,
 ) -> Result<Option<JoinOutput>, String> {
     let Some(ckpt) = ckpt else {
-        return match run(None, None).map_err(|e| e.to_string())? {
-            Checkpointed::Done(out) => Ok(Some(out)),
-            Checkpointed::Suspended(..) => unreachable!("no pause control"),
-        };
+        let outcome = engine::run(r, s, req, cfg, None).map_err(|e| e.to_string())?;
+        return Ok(Some(outcome.done().expect("no pause control")));
     };
     let mut resume = load_resume(&ckpt.resume)?;
     install_sigint_handler();
@@ -217,7 +213,11 @@ fn run_resumable(
                 }
             }
         });
-        let outcome = run(resume.take(), Some(&ctl));
+        let episode = JoinRequest {
+            resume: resume.take(),
+            ..JoinRequest::new(req.kind.clone(), req.threads)
+        };
+        let outcome = engine::run(r, s, episode, cfg, Some(&ctl));
         episode_done.store(true, Ordering::SeqCst);
         let _ = watcher.join();
         prior_expansions += ctl.expansions();
@@ -244,6 +244,40 @@ fn run_resumable(
             }
         }
     }
+}
+
+/// The engine request `--algo` and `--threads` select for `kind`, which
+/// carries the default algorithm's (`am`'s) aggressive policy. `b` and
+/// `par` turn a k-distance join exact. `--threads` applies to `par` and
+/// `par-am` alone (default 0: one worker per core); the others run one
+/// worker.
+fn parse_request(
+    flags: &HashMap<String, String>,
+    kind: JoinKind,
+) -> Result<JoinRequest<2>, String> {
+    let algo = flags.get("algo").map_or("am", String::as_str);
+    let threads: usize = flags
+        .get("threads")
+        .map_or(Ok(0), |t| t.parse())
+        .map_err(|e| format!("--threads: {e}"))?;
+    let (exact, parallel) = match (algo, &kind) {
+        ("am", _) => (false, false),
+        ("par-am", _) => (false, true),
+        ("b", JoinKind::Kdj { .. }) => (true, false),
+        ("par", JoinKind::Kdj { .. }) => (true, true),
+        (other, _) => return Err(format!("unknown algo '{other}'")),
+    };
+    if threads != 0 && !parallel {
+        return Err(format!("--threads does not apply to --algo {algo}"));
+    }
+    let kind = match kind {
+        JoinKind::Kdj { k, .. } if exact => JoinKind::Kdj {
+            k,
+            policy: Policy::Exact,
+        },
+        kind => kind,
+    };
+    Ok(JoinRequest::new(kind, if parallel { threads } else { 1 }))
 }
 
 fn parse_flags(args: &[String]) -> Option<HashMap<String, String>> {
@@ -370,32 +404,24 @@ fn run() -> Result<ExitCode, String> {
             let r = open_tree(&get("r")?)?;
             let s = open_tree(&get("s")?)?;
             let k: usize = get("k")?.parse().map_err(|e| format!("--k: {e}"))?;
-            let algo = flags.get("algo").map_or("am", String::as_str);
-            let threads: usize = flags
-                .get("threads")
-                .map_or(Ok(0), |t| t.parse())
-                .map_err(|e| format!("--threads: {e}"))?;
-            if threads != 0 && algo != "par" && algo != "par-am" {
-                return Err("--threads only applies to --algo par or par-am".to_string());
-            }
             let ckpt = parse_ckpt(&flags)?;
-            let out = if algo == "hs" {
+            let out = if flags.get("algo").is_some_and(|a| a == "hs") {
                 if ckpt.is_some() {
                     return Err("--algo hs does not support checkpointing".to_string());
                 }
+                if flags.contains_key("threads") {
+                    return Err("--threads does not apply to --algo hs".to_string());
+                }
                 hs_kdj(&r, &s, k, &cfg)
             } else {
-                let (aggressive, threads) = match algo {
-                    "am" => (true, 1),
-                    "b" => (false, 1),
-                    "par-am" => (true, threads),
-                    "par" => (false, threads),
-                    other => return Err(format!("unknown algo '{other}'")),
-                };
-                let Some(out) = run_resumable(ckpt, &|resume, pause| {
-                    kdj_resumable(&r, &s, k, &cfg, aggressive, threads, None, resume, pause)
-                })?
-                else {
+                let req = parse_request(
+                    &flags,
+                    JoinKind::Kdj {
+                        k,
+                        policy: Policy::default(),
+                    },
+                )?;
+                let Some(out) = run_resumable(&r, &s, req, &cfg, ckpt)? else {
                     return Ok(ExitCode::from(EXIT_INTERRUPTED));
                 };
                 out
@@ -422,26 +448,18 @@ fn run() -> Result<ExitCode, String> {
             if batch == 0 && flags.contains_key("batch") {
                 return Err("--batch must be at least 1".to_string());
             }
-            let algo = flags.get("algo").map_or("am", String::as_str);
-            let threads: usize = flags
-                .get("threads")
-                .map_or(Ok(0), |t| t.parse())
-                .map_err(|e| format!("--threads: {e}"))?;
-            if threads != 0 && algo != "par-am" {
-                return Err("--threads only applies to --algo par-am".to_string());
-            }
             let ckpt = parse_ckpt(&flags)?;
-            if algo == "par-am" || ckpt.is_some() {
-                let threads = match algo {
-                    "am" => 1,
-                    "par-am" => threads,
-                    other => return Err(format!("unknown algo '{other}'")),
-                };
-                let opts = AmIdjOptions::default();
-                let Some(out) = run_resumable(ckpt, &|resume, pause| {
-                    idj_resumable(&r, &s, take, &cfg, &opts, threads, None, resume, pause)
-                })?
-                else {
+            let opts = AmIdjOptions::default();
+            let kind = JoinKind::Idj {
+                take,
+                opts: opts.clone(),
+                window: None,
+            };
+            let req = parse_request(&flags, kind)?;
+            // `--algo am` without checkpointing streams from the
+            // standalone cursor, batch by batch.
+            if flags.get("algo").is_some_and(|a| a == "par-am") || ckpt.is_some() {
+                let Some(out) = run_resumable(&r, &s, req, &cfg, ckpt)? else {
                     return Ok(ExitCode::from(EXIT_INTERRUPTED));
                 };
                 for p in &out.results {
@@ -455,10 +473,7 @@ fn run() -> Result<ExitCode, String> {
                 );
                 return Ok(ExitCode::SUCCESS);
             }
-            if algo != "am" {
-                return Err(format!("unknown algo '{algo}'"));
-            }
-            let mut cursor = AmIdj::new(&r, &s, &cfg, AmIdjOptions::default());
+            let mut cursor = AmIdj::new(&r, &s, &cfg, opts);
             let mut produced = 0;
             while produced < take {
                 let chunk = batch.min(take - produced);
@@ -495,18 +510,6 @@ fn run() -> Result<ExitCode, String> {
                 println!("{},{},{}", p.r, p.s, p.dist);
             }
             eprintln!("# {} pairs within {dist}", out.results.len());
-        }
-        "knn" => {
-            let r = open_tree(&get("r")?)?;
-            let s = open_tree(&get("s")?)?;
-            let k: usize = get("k")?.parse().map_err(|e| format!("--k: {e}"))?;
-            let out = knn_join(&r, &s, k);
-            for (rid, nn) in &out.groups {
-                for p in nn {
-                    println!("{rid},{},{}", p.s, p.dist);
-                }
-            }
-            eprintln!("# {} R-objects × {k} neighbours", out.groups.len());
         }
         "serve" => {
             let r = open_tree(&get("r")?)?;

@@ -18,7 +18,8 @@
 pub mod experiments;
 pub mod matrix;
 
-use amdj_core::{b_kdj, JoinConfig};
+use amdj_core::engine::{self, JoinKind, JoinRequest};
+use amdj_core::{b_kdj, Checkpointed, JoinConfig, JoinOutput};
 use amdj_datagen::tiger;
 use amdj_datagen::Dataset;
 use amdj_rtree::{RTree, RTreeParams};
@@ -102,6 +103,20 @@ pub fn reset(r: &RTree<2>, s: &RTree<2>) {
 pub fn oracle_dmax(r: &RTree<2>, s: &RTree<2>, k: usize) -> f64 {
     let out = b_kdj(r, s, k, &JoinConfig::unbounded());
     out.results.last().map_or(0.0, |p| p.dist)
+}
+
+/// One uninterrupted [`engine::run`] of `kind` on `threads` workers.
+pub fn run_join(
+    r: &RTree<2>,
+    s: &RTree<2>,
+    kind: JoinKind,
+    threads: usize,
+    cfg: &JoinConfig,
+) -> JoinOutput {
+    engine::run(r, s, JoinRequest::new(kind, threads), cfg, None)
+        .ok()
+        .and_then(Checkpointed::done)
+        .expect("a fresh join without a pause control finishes")
 }
 
 /// A plain-text table with right-aligned columns.

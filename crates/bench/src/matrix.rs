@@ -9,18 +9,20 @@
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use amdj_core::engine::{self, JoinKind, JoinRequest, Policy};
 use amdj_core::serve::{
     codec::{encode_stats, QueryReport, QuerySpec, Request, Response},
     transport::{serve_listener, TransportOptions},
     ServeOptions, Server,
 };
 use amdj_core::{
-    am_kdj, b_kdj, hs_kdj, kdj_resumable, par_am_idj, par_am_kdj, par_b_kdj, sj_sort,
-    write_checkpoint, AmIdj, AmIdjOptions, AmKdjOptions, Checkpointed, HsIdj, JoinConfig,
-    JoinOutput, JoinStats, PauseCtl, ResultPair,
+    am_kdj, b_kdj, hs_kdj, sj_sort, write_checkpoint, AmIdj, AmIdjOptions, AmKdjOptions,
+    Checkpointed, HsIdj, JoinConfig, JoinOutput, JoinStats, PauseCtl, ResultPair,
 };
 use amdj_datagen::{clustered_points, uniform_points, unit_universe};
 use amdj_rtree::{RTree, RTreeParams};
+
+use crate::run_join;
 
 /// Bumped whenever rows or fields change shape: 2 added the sjsort kdj
 /// row and the hs idj row; 3 the scheduler counters; 4 the buffer
@@ -144,8 +146,13 @@ pub fn run(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Matrix {
     };
     record("kdj", "hs", 1, &mut || hs_kdj(&r, &s, k, cfg));
     record("kdj", "b", 1, &mut || b_kdj(&r, &s, k, cfg));
+    // The am row's work sets the am-ckpt row's pause interval below.
+    let mut am_work = 0;
     record("kdj", "am", 1, &mut || {
-        am_kdj(&r, &s, k, cfg, &AmKdjOptions::default())
+        let out = am_kdj(&r, &s, k, cfg, &AmKdjOptions::default());
+        let st = &out.stats;
+        am_work = st.stage1_expansions + st.stage2_expansions + st.comp_replays;
+        out
     });
     // SJ-SORT gets the paper's favorable oracle: the true k-th distance
     // (taken from an uncounted B-KDJ run before the measured one starts).
@@ -153,34 +160,47 @@ pub fn run(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Matrix {
     record("kdj", "sjsort", 1, &mut || {
         sj_sort(&r, &s, k, oracle_dmax, cfg)
     });
+    let (exact, aggressive) = (Policy::Exact, Policy::default());
+    let kdj = |policy| JoinKind::Kdj { k, policy };
     // One-thread par rows would run exactly the b and am rows' code.
     for &t in &thread_counts[1..] {
-        record("kdj", "par", t, &mut || par_b_kdj(&r, &s, k, cfg, t));
+        record("kdj", "par", t, &mut || {
+            run_join(&r, &s, kdj(exact), t, cfg)
+        });
     }
     for &t in &thread_counts[1..] {
         record("kdj", "par-am", t, &mut || {
-            par_am_kdj(&r, &s, k, cfg, &AmKdjOptions::default(), t)
+            run_join(&r, &s, kdj(aggressive), t, cfg)
         });
     }
     // The checkpoint-overhead row: the same aggressive kdj as the "am"
-    // row above, but run through the resumable episode loop, pausing
-    // every few thousand expansions to serialize and write a snapshot.
-    // Comparing its wall time against "am" prices checkpointing.
+    // row above, run as a sequence of episodes that each pause after a
+    // quarter of the am row's expansions and replays, then serialize and
+    // write a snapshot. Its stats sum every episode's. Comparing its wall
+    // time against "am" prices checkpointing.
     let ckpt_path =
         std::env::temp_dir().join(format!("amdj-bench-ckpt-{}.snap", std::process::id()));
     record("kdj", "am-ckpt", 1, &mut || {
         let mut resume = None;
         let mut written = 0u64;
+        let mut stats = JoinStats::default();
         loop {
-            let ctl = PauseCtl::every(5_000);
-            match kdj_resumable(&r, &s, k, cfg, true, 1, None, resume.take(), Some(&ctl))
+            let ctl = PauseCtl::every((am_work / 4).max(1));
+            let req = JoinRequest {
+                resume: resume.take(),
+                ..JoinRequest::new(kdj(aggressive), 1)
+            };
+            match engine::run(&r, &s, req, cfg, Some(&ctl))
                 .expect("fresh or self-produced snapshot is always valid")
             {
-                Checkpointed::Done(out) => {
+                Checkpointed::Done(mut out) => {
+                    stats.absorb_episode(&out.stats);
+                    out.stats = stats;
                     ckpt_written.set(written);
                     return out;
                 }
-                Checkpointed::Suspended(snap, _) => {
+                Checkpointed::Suspended(snap, episode) => {
+                    stats.absorb_episode(&episode);
                     write_checkpoint(&ckpt_path, snap.as_ref()).expect("checkpoint write");
                     written += 1;
                     resume = Some(*snap);
@@ -205,9 +225,14 @@ pub fn run(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Matrix {
             stats: cursor.stats(),
         }
     });
+    let incremental = JoinKind::Idj {
+        take: k,
+        opts: AmIdjOptions::default(),
+        window: None,
+    };
     for t in thread_counts {
         record("idj", "par-am", t, &mut || {
-            par_am_idj(&r, &s, k, cfg, &AmIdjOptions::default(), t)
+            run_join(&r, &s, incremental.clone(), t, cfg)
         });
     }
     let (serve, admission_rejections) = run_serve(&r, &s, k, cfg);
@@ -288,18 +313,18 @@ fn run_serve(r: &RTree<2>, s: &RTree<2>, k: usize, cfg: &JoinConfig) -> (Vec<Ser
             (format!("q{i:03}"), kind)
         })
         .collect();
-    // Serial expectations through the ordinary one-shot entry points.
+    // Serial expectations through `engine::run` and the standalone cursor.
     let expected: Vec<Vec<ResultPair>> = cells
         .iter()
         .map(|(_, kind)| match kind {
             ServeKind::Kdj { k, spec } => {
-                let t = (spec.threads as usize).max(1);
-                match (spec.aggressive, t > 1) {
-                    (true, false) => am_kdj(r, s, *k, cfg, &AmKdjOptions::default()).results,
-                    (true, true) => par_am_kdj(r, s, *k, cfg, &AmKdjOptions::default(), t).results,
-                    (false, false) => b_kdj(r, s, *k, cfg).results,
-                    (false, true) => par_b_kdj(r, s, *k, cfg, t).results,
-                }
+                let policy = if spec.aggressive {
+                    Policy::default()
+                } else {
+                    Policy::Exact
+                };
+                let kind = JoinKind::Kdj { k: *k, policy };
+                run_join(r, s, kind, (spec.threads as usize).max(1), cfg).results
             }
             ServeKind::Idj { take, .. } => {
                 let mut cursor = AmIdj::new(r, s, cfg, AmIdjOptions::default());

@@ -12,10 +12,10 @@
 //! terminate when the dequeued distance *exceeds* `eDmax`, checking before
 //! emission — the reading consistent with §4.1's condition (3) and §5.6.
 //!
-//! Adapter over the unified engine: AM-KDJ is the [`Aggressive`] pruning
+//! A one-line call of [`engine::run`]: AM-KDJ is the aggressive pruning
 //! policy run by one worker.
 
-use crate::engine::{self, Aggressive, Parallel};
+use crate::engine::{self, JoinKind, JoinRequest, Policy};
 use crate::{AmKdjOptions, JoinConfig, JoinOutput};
 use amdj_rtree::RTree;
 
@@ -46,10 +46,10 @@ pub fn am_kdj<const D: usize>(
     cfg: &JoinConfig,
     opts: &AmKdjOptions,
 ) -> JoinOutput {
-    let policy = Aggressive {
+    let policy = Policy::Aggressive {
         edmax_override: opts.edmax_override,
     };
-    engine::kdj(r, s, k, cfg, &policy, &Parallel::new(1))
+    engine::run_to_end(r, s, JoinRequest::new(JoinKind::Kdj { k, policy }, 1), cfg)
 }
 
 #[cfg(test)]

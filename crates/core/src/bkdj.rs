@@ -1,18 +1,22 @@
 //! B-KDJ (§3, Algorithm 1): k-distance join with bidirectional node
 //! expansion and the optimized plane sweep.
 //!
-//! Adapter over the unified engine: B-KDJ is the [`Exact`] pruning policy
+//! A one-line call of [`engine::run`]: B-KDJ is the exact pruning policy
 //! run by one worker — the only cutoff is the proven `qDmax`, so stage
 //! one finishes the join outright.
 
-use crate::engine::{self, Exact, Parallel};
+use crate::engine::{self, JoinKind, JoinRequest, Policy};
 use crate::{JoinConfig, JoinOutput};
 use amdj_rtree::RTree;
 
 /// The B-KDJ k-distance join (Algorithm 1): returns the `k` nearest pairs
 /// in ascending distance order.
 pub fn b_kdj<const D: usize>(r: &RTree<D>, s: &RTree<D>, k: usize, cfg: &JoinConfig) -> JoinOutput {
-    engine::kdj(r, s, k, cfg, &Exact, &Parallel::new(1))
+    let kind = JoinKind::Kdj {
+        k,
+        policy: Policy::Exact,
+    };
+    engine::run_to_end(r, s, JoinRequest::new(kind, 1), cfg)
 }
 
 #[cfg(test)]

@@ -1,35 +1,22 @@
-//! Parallel k-distance and incremental joins (§6 of DESIGN.md).
+//! Parallel k-distance and incremental joins (§6 of DESIGN.md): the two
+//! `par_*` calls the benchmark under `perfbench/` imports, and the tests
+//! of [`engine::run`] at several worker counts.
 //!
-//! Adapters over the unified engine's [`Parallel`] backend: the frontier
-//! is split across workers by a breadth-first expansion of the node-pair
-//! space, and every worker — exact or aggressive — clamps its cutoffs to
-//! and publishes into a shared lock-free [`MinBound`](crate::MinBound), so
-//! one worker's progress tightens every other worker's pruning. See
-//! `engine::backend` for the partitioning and exactness arguments. One
-//! thread runs exactly what [`crate::b_kdj`] and [`crate::am_kdj`] run.
+//! The frontier is split across workers by a breadth-first expansion of
+//! the node-pair space, and every worker — exact or aggressive — clamps
+//! its cutoffs to and publishes into a shared lock-free
+//! [`MinBound`](crate::MinBound), so one worker's progress tightens every
+//! other worker's pruning. See `engine::backend` for the partitioning and
+//! exactness arguments. One thread runs exactly what [`crate::b_kdj`] and
+//! [`crate::am_kdj`] run.
 
-use crate::engine::{self, Aggressive, Exact, Parallel};
+use crate::engine::{self, JoinKind, JoinRequest, Policy};
 use crate::{AmIdjOptions, AmKdjOptions, JoinConfig, JoinOutput};
 use amdj_rtree::RTree;
 
-/// Parallel B-KDJ: frontier-partitioned workers, each running the exact
-/// (`qDmax`-only) expansion loop against the shared bound. `threads == 0`
-/// selects the available parallelism.
-pub fn par_b_kdj<const D: usize>(
-    r: &RTree<D>,
-    s: &RTree<D>,
-    k: usize,
-    cfg: &JoinConfig,
-    threads: usize,
-) -> JoinOutput {
-    engine::kdj(r, s, k, cfg, &Exact, &Parallel::new(threads))
-}
-
-/// Parallel AM-KDJ: stage one runs the aggressive policy per worker;
-/// retained stage-one state is pooled, the bound tightened from the pooled
-/// k best distances, and surviving leftovers plus compensation entries are
-/// redistributed to stage-two workers. `threads == 0` selects the
-/// available parallelism.
+/// [`engine::run`] for an aggressive k-distance join on `threads` workers
+/// (`0` = available parallelism). Kept only because `perfbench/` imports
+/// it; new code builds a [`JoinRequest`].
 pub fn par_am_kdj<const D: usize>(
     r: &RTree<D>,
     s: &RTree<D>,
@@ -38,16 +25,16 @@ pub fn par_am_kdj<const D: usize>(
     opts: &AmKdjOptions,
     threads: usize,
 ) -> JoinOutput {
-    let policy = Aggressive {
+    let policy = Policy::Aggressive {
         edmax_override: opts.edmax_override,
     };
-    engine::kdj(r, s, k, cfg, &policy, &Parallel::new(threads))
+    let kind = JoinKind::Kdj { k, policy };
+    engine::run_to_end(r, s, JoinRequest::new(kind, threads), cfg)
 }
 
-/// Parallel AM-IDJ: each worker advances its own multi-stage incremental
-/// cursor over a frontier partition; the shared bound carries the merged
-/// stream's k-th distance so exhausted partitions stop early. `threads ==
-/// 0` selects the available parallelism.
+/// [`engine::run`] for the incremental join's first `take` pairs on
+/// `threads` workers (`0` = available parallelism). Kept only because
+/// `perfbench/` imports it; new code builds a [`JoinRequest`].
 pub fn par_am_idj<const D: usize>(
     r: &RTree<D>,
     s: &RTree<D>,
@@ -56,7 +43,12 @@ pub fn par_am_idj<const D: usize>(
     opts: &AmIdjOptions,
     threads: usize,
 ) -> JoinOutput {
-    engine::idj(r, s, take, cfg, opts, &Parallel::new(threads))
+    let kind = JoinKind::Idj {
+        take,
+        opts: opts.clone(),
+        window: None,
+    };
+    engine::run_to_end(r, s, JoinRequest::new(kind, threads), cfg)
 }
 
 #[cfg(test)]
@@ -65,6 +57,42 @@ mod tests {
     use crate::{b_kdj, bruteforce};
     use amdj_geom::{Point, Rect};
     use amdj_rtree::RTreeParams;
+
+    /// One uninterrupted [`engine::run`] of `kind` on `threads` workers.
+    fn run(
+        r: &RTree<2>,
+        s: &RTree<2>,
+        kind: JoinKind,
+        cfg: &JoinConfig,
+        threads: usize,
+    ) -> JoinOutput {
+        engine::run(r, s, JoinRequest::new(kind, threads), cfg, None)
+            .expect("a fresh join has no snapshot to refuse")
+            .done()
+            .expect("a join without a pause control finishes")
+    }
+
+    fn exact(k: usize) -> JoinKind {
+        JoinKind::Kdj {
+            k,
+            policy: Policy::Exact,
+        }
+    }
+
+    fn aggressive(k: usize, edmax_override: Option<f64>) -> JoinKind {
+        JoinKind::Kdj {
+            k,
+            policy: Policy::Aggressive { edmax_override },
+        }
+    }
+
+    fn idj(take: usize) -> JoinKind {
+        JoinKind::Idj {
+            take,
+            opts: AmIdjOptions::default(),
+            window: None,
+        }
+    }
 
     fn grid(n: usize, dx: f64, dy: f64) -> Vec<(Rect<2>, u64)> {
         (0..n * n)
@@ -92,7 +120,7 @@ mod tests {
         let (r, s) = trees(&a, &b);
         for threads in [1, 2, 3, 8] {
             for k in [1, 5, 64, 300] {
-                let out = par_b_kdj(&r, &s, k, &JoinConfig::unbounded(), threads);
+                let out = run(&r, &s, exact(k), &JoinConfig::unbounded(), threads);
                 let want = bruteforce::k_closest_pairs(&a, &b, k);
                 assert_eq!(out.results.len(), want.len(), "threads={threads} k={k}");
                 for (i, (got, exp)) in out.results.iter().zip(want.iter()).enumerate() {
@@ -129,7 +157,7 @@ mod tests {
         let (r, s) = trees(&a, &b);
         for k in [1, 17, 80] {
             let seq = b_kdj(&r, &s, k, &JoinConfig::unbounded());
-            let par = par_b_kdj(&r, &s, k, &JoinConfig::unbounded(), 4);
+            let par = run(&r, &s, exact(k), &JoinConfig::unbounded(), 4);
             assert_eq!(seq.results.len(), par.results.len(), "k={k}");
             for (x, y) in seq.results.iter().zip(par.results.iter()) {
                 assert_eq!((x.r, x.s), (y.r, y.s), "k={k}");
@@ -143,7 +171,7 @@ mod tests {
         let a = grid(6, 0.0, 0.0);
         let b = grid(6, 0.4, 0.2);
         let (r, s) = trees(&a, &b);
-        let out = par_b_kdj(&r, &s, 10, &JoinConfig::unbounded(), 0);
+        let out = run(&r, &s, exact(10), &JoinConfig::unbounded(), 0);
         assert_eq!(out.results.len(), 10);
     }
 
@@ -152,11 +180,11 @@ mod tests {
         let a = grid(4, 0.0, 0.0);
         let empty: Vec<(Rect<2>, u64)> = Vec::new();
         let (r, s) = trees(&a, &empty);
-        assert!(par_b_kdj(&r, &s, 5, &JoinConfig::unbounded(), 2)
+        assert!(run(&r, &s, exact(5), &JoinConfig::unbounded(), 2)
             .results
             .is_empty());
         let (r, s) = trees(&a, &a);
-        assert!(par_b_kdj(&r, &s, 0, &JoinConfig::unbounded(), 2)
+        assert!(run(&r, &s, exact(0), &JoinConfig::unbounded(), 2)
             .results
             .is_empty());
     }
@@ -166,7 +194,7 @@ mod tests {
         let a = grid(3, 0.0, 0.0);
         let b = grid(3, 0.5, 0.5);
         let (r, s) = trees(&a, &b);
-        let out = par_b_kdj(&r, &s, 1000, &JoinConfig::unbounded(), 4);
+        let out = run(&r, &s, exact(1000), &JoinConfig::unbounded(), 4);
         assert_eq!(out.results.len(), 81);
     }
 
@@ -177,8 +205,8 @@ mod tests {
         let (r, s) = trees(&a, &b);
         let mut cfg = JoinConfig::with_queue_memory(4 * 1024);
         cfg.queue_cost.page_size = 1024;
-        let out = par_b_kdj(&r, &s, 50, &JoinConfig::unbounded(), 3);
-        let tight = par_b_kdj(&r, &s, 50, &cfg, 3);
+        let out = run(&r, &s, exact(50), &JoinConfig::unbounded(), 3);
+        let tight = run(&r, &s, exact(50), &cfg, 3);
         for (x, y) in out.results.iter().zip(tight.results.iter()) {
             assert!((x.dist - y.dist).abs() < 1e-12);
         }
@@ -189,7 +217,7 @@ mod tests {
         let a = grid(12, 0.0, 0.0);
         let b = grid(12, 0.21, 0.37);
         let (r, s) = trees(&a, &b);
-        let out = par_b_kdj(&r, &s, 25, &JoinConfig::unbounded(), 4);
+        let out = run(&r, &s, exact(25), &JoinConfig::unbounded(), 4);
         let st = out.stats;
         assert_eq!(st.results, 25);
         assert!(st.real_dist > 0);
@@ -204,7 +232,7 @@ mod tests {
         let a = grid(12, 0.0, 0.0);
         let b = grid(12, 0.21, 0.37);
         let (r, s) = trees(&a, &b);
-        let st = par_b_kdj(&r, &s, 25, &JoinConfig::unbounded(), 4).stats;
+        let st = run(&r, &s, exact(25), &JoinConfig::unbounded(), 4).stats;
         assert!(
             st.buffer_hits + st.buffer_misses > 0,
             "a join that touches nodes must see buffer traffic"
@@ -262,12 +290,11 @@ mod tests {
         let (r, s) = trees(&a, &b);
         for threads in [1, 3, 8] {
             for k in [1, 20, 150] {
-                let out = par_am_kdj(
+                let out = run(
                     &r,
                     &s,
-                    k,
+                    aggressive(k, None),
                     &JoinConfig::unbounded(),
-                    &AmKdjOptions::default(),
                     threads,
                 );
                 let want = bruteforce::k_closest_pairs(&a, &b, k);
@@ -291,14 +318,11 @@ mod tests {
         let true_dmax = bruteforce::dmax_for_k(&a, &b, k).unwrap();
         let want = bruteforce::k_closest_pairs(&a, &b, k);
         for factor in [0.0, 0.05, 0.4, 0.9] {
-            let out = par_am_kdj(
+            let out = run(
                 &r,
                 &s,
-                k,
+                aggressive(k, Some(true_dmax * factor)),
                 &JoinConfig::unbounded(),
-                &AmKdjOptions {
-                    edmax_override: Some(true_dmax * factor),
-                },
                 4,
             );
             assert_eq!(out.results.len(), k, "factor={factor}");
@@ -320,14 +344,7 @@ mod tests {
         let (r, s) = trees(&a, &b);
         for threads in [1, 2, 4] {
             for take in [1, 25, 200] {
-                let out = par_am_idj(
-                    &r,
-                    &s,
-                    take,
-                    &JoinConfig::unbounded(),
-                    &AmIdjOptions::default(),
-                    threads,
-                );
+                let out = run(&r, &s, idj(take), &JoinConfig::unbounded(), threads);
                 let want = bruteforce::k_closest_pairs(&a, &b, take);
                 assert_eq!(
                     out.results.len(),
@@ -349,14 +366,7 @@ mod tests {
         let a = grid(4, 0.0, 0.0);
         let b = grid(4, 0.3, 0.3);
         let (r, s) = trees(&a, &b);
-        let out = par_am_idj(
-            &r,
-            &s,
-            1000,
-            &JoinConfig::unbounded(),
-            &AmIdjOptions::default(),
-            3,
-        );
+        let out = run(&r, &s, idj(1000), &JoinConfig::unbounded(), 3);
         assert_eq!(out.results.len(), 256, "all 16×16 pairs");
         assert!(out.results.windows(2).all(|w| w[0].dist <= w[1].dist));
     }

@@ -1,5 +1,5 @@
-//! The [`Parallel`] backend handle and the frontier helpers of the
-//! claim-round runner ([`steal`](super::steal)).
+//! The frontier helpers of the claim-round runner
+//! ([`steal`](super::steal)) and the exactness arguments behind it.
 //!
 //! Every k-distance and incremental join runs the runner's claim rounds:
 //! the frontier is dealt round-robin into per-worker ascending deques that
@@ -55,31 +55,7 @@ use amdj_rtree::RTree;
 use crate::{ItemRef, JoinConfig, JoinStats, Pair, ResultPair};
 
 use super::driver::root_pair;
-use super::steal::TestSchedule;
 use super::sweep::{MarkMode, SweepScratch, SweepSink};
-
-/// How many workers a join runs, and an optional deterministic schedule
-/// perturbation. `threads == 0` uses
-/// [`std::thread::available_parallelism`]; `threads == 1` is the paper's
-/// sequential join. Workers steal from each other (see the module docs).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Parallel {
-    /// Worker count; `0` resolves to the machine's available parallelism.
-    pub threads: usize,
-    /// Deterministic schedule perturbation for the claim/steal protocol —
-    /// test-only machinery; leave `None` in production use.
-    pub schedule: Option<TestSchedule>,
-}
-
-impl Parallel {
-    /// A backend with `threads` workers and no schedule perturbation.
-    pub fn new(threads: usize) -> Self {
-        Parallel {
-            threads,
-            schedule: None,
-        }
-    }
-}
 
 /// Collects every swept pair, pruning nothing — used to split frontier
 /// pairs without losing any descendant.

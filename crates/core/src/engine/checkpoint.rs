@@ -1,11 +1,10 @@
 //! Checkpoint/resume on top of [`EngineSnapshot`]: cooperative pausing,
-//! the resumable join entry points, and crash-consistent snapshot files.
+//! the episode outcome, and crash-consistent snapshot files.
 //!
-//! A resumable join runs on the work-stealing machinery of
-//! [`steal`](super::steal), in *episodes*: each episode runs until either
-//! the join finishes or the [`PauseCtl`] fires (for a serve pull,
-//! `idj_until_stable`: until the pull's window is stable), at which
-//! point every
+//! Every join runs on the work-stealing machinery of
+//! [`steal`](super::steal) in *episodes*: each episode runs until either
+//! the join finishes or the [`PauseCtl`] fires (for a serve pull, until
+//! the incremental request's `window` is stable), at which point every
 //! worker drains its queues into a [`StageOnePool`]-shaped suspension,
 //! the runner merges them with the un-claimed remainder of the shared
 //! pool into one canonical frontier, and the whole state becomes an
@@ -23,14 +22,9 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use amdj_rtree::RTree;
+use crate::JoinOutput;
 
-use crate::{AmIdjOptions, JoinConfig, JoinOutput};
-
-use super::backend::resolve_threads;
-use super::policy::{Aggressive, Exact};
-use super::snapshot::{EngineSnapshot, SnapshotError, SnapshotKind};
-use super::steal::{self, TestSchedule};
+use super::snapshot::{EngineSnapshot, SnapshotError};
 
 /// Cooperative pause control shared by every worker of a resumable join.
 ///
@@ -102,152 +96,13 @@ pub enum Checkpointed<const D: usize> {
     Suspended(Box<EngineSnapshot<D>>, crate::JoinStats),
 }
 
-/// Runs (or resumes) a checkpointable k-distance join on the
-/// work-stealing backend. `aggressive` selects the pruning policy —
-/// it must match the snapshot's when resuming. With `pause` set, the
-/// join suspends into a snapshot once the control fires; with `resume`
-/// set, the join continues from the snapshot's cut instead of the roots.
-///
-/// `threads == 0` runs one worker per available core, as
-/// [`Parallel`](super::Parallel) does; `threads == 1` replays the
-/// sequential join; a snapshot taken at any thread count resumes at any
-/// other. The result stream of an
-/// interrupted-and-resumed join is bit-identical to the uninterrupted
-/// one (`tests/checkpoint_resume.rs` pins this across policies,
-/// thread counts, and interrupt points).
-#[allow(clippy::too_many_arguments)]
-pub fn kdj_resumable<const D: usize>(
-    r: &RTree<D>,
-    s: &RTree<D>,
-    k: usize,
-    cfg: &JoinConfig,
-    aggressive: bool,
-    threads: usize,
-    schedule: Option<TestSchedule>,
-    resume: Option<EngineSnapshot<D>>,
-    pause: Option<&PauseCtl>,
-) -> Result<Checkpointed<D>, SnapshotError> {
-    if let Some(snap) = &resume {
-        snap.check_trees(r, s)?;
-        match snap.kind {
-            SnapshotKind::Kdj {
-                k: sk,
-                aggressive: sa,
-            } => {
-                if sk != k as u64 {
-                    return Err(SnapshotError::Invalid("snapshot k differs from request"));
-                }
-                if sa != aggressive {
-                    return Err(SnapshotError::Invalid(
-                        "snapshot pruning policy differs from request",
-                    ));
-                }
-            }
-            SnapshotKind::Idj { .. } => {
-                return Err(SnapshotError::Invalid(
-                    "incremental-join snapshot passed to a k-distance join",
-                ))
-            }
+impl<const D: usize> Checkpointed<D> {
+    /// The finished join, or `None` if the episode suspended.
+    pub fn done(self) -> Option<JoinOutput> {
+        match self {
+            Checkpointed::Done(out) => Some(out),
+            Checkpointed::Suspended(..) => None,
         }
-    }
-    let threads = resolve_threads(threads);
-    Ok(if aggressive {
-        steal::run_kdj_ckpt::<D, Aggressive>(
-            r,
-            s,
-            k,
-            cfg,
-            &Aggressive::default(),
-            threads,
-            schedule,
-            resume,
-            pause,
-        )
-    } else {
-        steal::run_kdj_ckpt::<D, Exact>(r, s, k, cfg, &Exact, threads, schedule, resume, pause)
-    })
-}
-
-/// Runs (or resumes) a checkpointable incremental join materializing its
-/// first `take` pairs. Same episode/resume semantics as
-/// [`kdj_resumable`]; the snapshot's `take` must match.
-#[allow(clippy::too_many_arguments)]
-pub fn idj_resumable<const D: usize>(
-    r: &RTree<D>,
-    s: &RTree<D>,
-    take: usize,
-    cfg: &JoinConfig,
-    opts: &AmIdjOptions,
-    threads: usize,
-    schedule: Option<TestSchedule>,
-    resume: Option<EngineSnapshot<D>>,
-    pause: Option<&PauseCtl>,
-) -> Result<Checkpointed<D>, SnapshotError> {
-    check_idj_resume(&resume, take)?;
-    if let Some(snap) = &resume {
-        snap.check_trees(r, s)?;
-    }
-    Ok(steal::run_idj_ckpt(
-        r,
-        s,
-        take,
-        None,
-        cfg,
-        opts,
-        resolve_threads(threads),
-        schedule,
-        resume,
-        pause,
-    ))
-}
-
-/// Runs (or resumes) the incremental join of [`idj_resumable`] only until
-/// its first `want` results are final — strictly below every pending
-/// frontier pair and parked compensation entry — and suspends there in
-/// one step, or returns `Done` if the join finished on the way. A serve
-/// cursor's pull is one such episode. Unlike the public entry points it
-/// does not re-check `resume` against the trees: a cursor only holds
-/// snapshots this engine produced or `idj_resume` already checked.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn idj_until_stable<const D: usize>(
-    r: &RTree<D>,
-    s: &RTree<D>,
-    take: usize,
-    want: usize,
-    cfg: &JoinConfig,
-    opts: &AmIdjOptions,
-    threads: usize,
-    resume: Option<EngineSnapshot<D>>,
-) -> Result<Checkpointed<D>, SnapshotError> {
-    check_idj_resume(&resume, take)?;
-    Ok(steal::run_idj_ckpt(
-        r,
-        s,
-        take,
-        Some(want),
-        cfg,
-        opts,
-        resolve_threads(threads),
-        None,
-        resume,
-        None,
-    ))
-}
-
-/// Refuses a snapshot that is not an incremental join of the same `take`.
-fn check_idj_resume<const D: usize>(
-    resume: &Option<EngineSnapshot<D>>,
-    take: usize,
-) -> Result<(), SnapshotError> {
-    match resume.as_ref().map(|snap| snap.kind) {
-        None => Ok(()),
-        Some(SnapshotKind::Idj { take: st }) if st == take as u64 => Ok(()),
-        Some(SnapshotKind::Idj { .. }) => {
-            Err(SnapshotError::Invalid("snapshot take differs from request"))
-        }
-        Some(SnapshotKind::Kdj { .. }) => Err(SnapshotError::Invalid(
-            "k-distance-join snapshot passed to an incremental join",
-        )),
     }
 }
 

@@ -15,7 +15,7 @@ use crate::Estimator;
 ///
 /// Implementations are zero-sized flavor markers plus the one piece of
 /// per-run state a policy owns: the initial stage-one cutoff.
-pub trait PruningPolicy {
+pub(crate) trait PruningPolicy {
     /// Whether stage one prunes on an estimated `eDmax` with per-anchor
     /// skip bookkeeping (compensation queue, stage-two replay). `false`
     /// means stage one is already exact and no second stage can exist.
@@ -30,7 +30,7 @@ pub trait PruningPolicy {
 /// Exact pruning (B-KDJ, §3): the only cutoff is the proven `qDmax`, so
 /// nothing is ever skipped and no compensation stage exists.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Exact;
+pub(crate) struct Exact;
 
 impl PruningPolicy for Exact {
     const AGGRESSIVE: bool = false;
@@ -44,10 +44,10 @@ impl PruningPolicy for Exact {
 /// `eDmax`, parking per-anchor skip marks so the compensation stage can
 /// replay exactly the skipped child pairs — no false dismissals.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Aggressive {
+pub(crate) struct Aggressive {
     /// Use this `eDmax` instead of the Equation (3) estimate — how
     /// Figure 14 sweeps `eDmax` from `0.1×Dmax` to `10×Dmax`.
-    pub edmax_override: Option<f64>,
+    pub(crate) edmax_override: Option<f64>,
 }
 
 impl PruningPolicy for Aggressive {

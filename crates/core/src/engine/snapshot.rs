@@ -185,11 +185,10 @@ impl<const D: usize> TreePrint<D> {
 }
 
 /// The complete mid-join state of the engine as one owned, versioned,
-/// serializable value. Produced by pausing a resumable join
-/// ([`kdj_resumable`](super::checkpoint::kdj_resumable) /
-/// [`idj_resumable`](super::checkpoint::idj_resumable)), consumed by
-/// resuming one. See the module docs for the consistency argument and
-/// the wire format.
+/// serializable value. Produced by pausing a join [`run`](super::run)
+/// started, consumed by resuming one through
+/// [`JoinRequest::resume`](super::JoinRequest::resume). See the module
+/// docs for the consistency argument and the wire format.
 #[derive(Debug, PartialEq)]
 pub struct EngineSnapshot<const D: usize> {
     pub(crate) kind: SnapshotKind,

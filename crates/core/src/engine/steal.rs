@@ -1,8 +1,8 @@
 //! The engine's one k-distance and incremental join runner: claim rounds
 //! with work stealing over a round-robin split, at any worker count.
-//! Every public join — `b_kdj`, `am_kdj`, the `par_*` joins, the
-//! resumable joins and the server's queries — runs here; one worker *is*
-//! the paper's sequential join.
+//! Every join [`run`](super::run) starts — `b_kdj`, `am_kdj`, the
+//! `par_*` joins, resumed joins and the server's queries — runs here; one
+//! worker *is* the paper's sequential join.
 //!
 //! A statically partitioned frontier lets a drained worker idle at the
 //! stage barrier — on skewed frontiers (a clustered partition next to a
@@ -90,9 +90,9 @@ use super::sweep::CompEntry;
 
 /// Deterministic schedule perturbation for the work-stealing backend.
 ///
-/// Attached to a [`Parallel`](super::backend::Parallel) backend it makes
-/// workers stall and steal at points derived purely from `seed`, the
-/// worker index, and the worker's claim-step counter — so a test failure
+/// Attached to a [`JoinRequest`](super::JoinRequest) it makes workers
+/// stall and steal at points derived purely from `seed`, the worker
+/// index, and the worker's claim-step counter — so a test failure
 /// reproduces from its seed. The default (`one_in` fields zero) perturbs
 /// nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -5,9 +5,10 @@
 //! [`amdj_rtree::RTree`] index:
 //!
 //! The paper's join algorithms are thin configurations of one unified
-//! [`engine`]: a pruning *policy* ([`engine::Exact`] or
-//! [`engine::Aggressive`]) run by [`engine::Parallel`] with a worker
-//! count — one worker is the paper's sequential join:
+//! [`engine`]: one [`engine::JoinRequest`] — a k-distance join under a
+//! pruning [`engine::Policy`], or the incremental join — run by
+//! [`engine::run`] at a worker count; one worker is the paper's
+//! sequential join:
 //!
 //! | Algorithm | Entry point | Engine configuration | Paper section |
 //! |---|---|---|---|
@@ -17,9 +18,7 @@
 //! | AM-KDJ (aggressive pruning + compensation) | [`am_kdj`] | Aggressive × 1 worker | §4.1 |
 //! | AM-IDJ (adaptive multi-stage incremental) | [`AmIdj`] | [`engine::StageDriver`] | §4.2 |
 //! | SJ-SORT (spatial join + external sort baseline) | [`sj_sort`] | — (own loop) | §5 |
-//! | Parallel B-KDJ | [`par_b_kdj`] | Exact × T workers | — |
-//! | Parallel AM-KDJ | [`par_am_kdj`] | Aggressive × T workers | — |
-//! | Parallel AM-IDJ | [`par_am_idj`] | StageDriver × T workers | — |
+//! | Any of B-KDJ, AM-KDJ, AM-IDJ at T workers, resumable | [`engine::run`] | [`engine::JoinRequest`] | — |
 //!
 //! Every join takes its trees by `&RTree` — the page buffer synchronizes
 //! internally — so joins can also run concurrently over shared indexes;
@@ -74,7 +73,6 @@ pub mod engine;
 mod estimate;
 pub mod histogram;
 mod hs;
-mod knnjoin;
 mod mainq;
 mod pair;
 pub mod serve;
@@ -85,17 +83,16 @@ mod within;
 pub use amidj::AmIdj;
 pub use amkdj::am_kdj;
 pub use bkdj::b_kdj;
-pub use concurrent::{par_am_idj, par_am_kdj, par_b_kdj};
+pub use concurrent::{par_am_idj, par_am_kdj};
 pub use config::{AmIdjOptions, AmKdjOptions, Correction, EdmaxPolicy, JoinConfig};
 pub use distq::DistanceQueue;
 pub use engine::{
-    idj_resumable, kdj_resumable, read_checkpoint, write_checkpoint, Checkpointed, EngineSnapshot,
-    MinBound, PauseCtl, SnapshotError, SnapshotKind, TestSchedule,
+    read_checkpoint, write_checkpoint, Checkpointed, EngineSnapshot, MinBound, PauseCtl,
+    SnapshotError, SnapshotKind, TestSchedule,
 };
 pub use estimate::Estimator;
 pub use histogram::HistogramEstimator;
 pub use hs::{hs_kdj, HsIdj};
-pub use knnjoin::{knn_join, KnnJoinOutput};
 pub use pair::{ItemRef, Pair};
 pub use sjsort::sj_sort;
 pub use stats::{JoinOutput, JoinStats, ResultPair, MAX_TRACKED_WORKERS};

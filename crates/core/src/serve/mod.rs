@@ -41,7 +41,7 @@ use std::sync::Mutex;
 
 use amdj_rtree::RTree;
 
-use crate::engine::{self, write_atomic, Aggressive, Exact, Parallel};
+use crate::engine::{self, write_atomic, JoinKind, JoinRequest, Policy};
 use crate::{AmIdjOptions, JoinConfig, JoinOutput, SnapshotError};
 
 use admission::Admission;
@@ -162,6 +162,23 @@ pub fn snap_file_name(id: &str) -> String {
     format!("{}.snap", codec::hex_encode(id.as_bytes()))
 }
 
+/// The one mapping from a query's wire knobs onto the engine's request.
+impl QuerySpec {
+    /// The k-distance pruning policy `aggressive` names.
+    fn policy(&self) -> Policy {
+        if self.aggressive {
+            Policy::default()
+        } else {
+            Policy::Exact
+        }
+    }
+
+    /// A fresh request for `kind` on `threads` workers (at least one).
+    fn request<const D: usize>(&self, kind: JoinKind) -> JoinRequest<D> {
+        JoinRequest::new(kind, (self.threads as usize).max(1))
+    }
+}
+
 /// One [`Server::idj_pull`]'s outcome.
 #[derive(Clone, Debug)]
 pub struct Pull {
@@ -278,12 +295,11 @@ impl<'t, const D: usize> Server<'t, D> {
         self.check_spec(spec)?;
         let cfg = &self.opts.base_config;
         let guard = self.admit(self.cost_of(cfg))?;
-        let par = Parallel::new((spec.threads as usize).max(1));
-        let out = if spec.aggressive {
-            engine::kdj(self.r, self.s, k, cfg, &Aggressive::default(), &par)
-        } else {
-            engine::kdj(self.r, self.s, k, cfg, &Exact, &par)
+        let kind = JoinKind::Kdj {
+            k,
+            policy: spec.policy(),
         };
+        let out = engine::run_to_end(self.r, self.s, spec.request(kind), cfg);
         let wait_ns = guard.queue_wait_ns;
         drop(guard);
         let report =

@@ -4,8 +4,9 @@
 //! [`EngineSnapshot`] — the same consistent cut the checkpoint/resume
 //! machinery writes to disk — plus the client's delivery position. A
 //! pull whose window is not yet *stable* resumes the snapshot once: the
-//! engine (`engine::idj_until_stable`) runs until the window is stable and
-//! suspends once, then the pull hands the next slice out.
+//! engine (an incremental [`JoinRequest`] with a `window`) runs until the
+//! window is stable and suspends once, then the pull hands the next slice
+//! out.
 //!
 //! # Stable-prefix rule
 //!
@@ -25,8 +26,7 @@
 use amdj_rtree::RTree;
 
 use crate::engine::{
-    idj_resumable, idj_until_stable, Checkpointed, EngineSnapshot, PauseCtl, SnapshotKind,
-    TreePrint,
+    self, Checkpointed, EngineSnapshot, JoinKind, JoinRequest, PauseCtl, SnapshotKind, TreePrint,
 };
 use crate::{AmIdjOptions, JoinConfig, JoinStats, ResultPair};
 
@@ -61,20 +61,6 @@ pub struct Cursor<const D: usize> {
     pub queue_wait_ns: u64,
     /// Engine episodes this cursor ran (at most one per pull).
     episodes: u64,
-}
-
-/// Folds one episode's stats into a cursor's running totals. Work
-/// counters sum; `stages` keeps the maximum; driver scalars
-/// (`results`) are positional and taken from the final episode.
-fn accumulate(total: &mut JoinStats, episode: &JoinStats) {
-    let stages = total.stages.max(episode.stages);
-    total.absorb_worker(episode);
-    total.node_requests += episode.node_requests;
-    total.node_disk_reads += episode.node_disk_reads;
-    total.cpu_seconds += episode.cpu_seconds;
-    total.barrier_idle_ns += episode.barrier_idle_ns;
-    total.stages = stages;
-    total.results = episode.results;
 }
 
 /// How many of a suspended snapshot's results are final (stable): the
@@ -197,33 +183,27 @@ impl<const D: usize> Cursor<D> {
                 return Ok(());
             }
         };
-        let threads = (self.spec.threads as usize).max(1);
-        let outcome = match want {
-            Some(want) => idj_until_stable(r, s, self.take, want, cfg, opts, threads, resume),
-            None => {
-                let ctl = PauseCtl::every(0);
-                ctl.request_stop();
-                idj_resumable(
-                    r,
-                    s,
-                    self.take,
-                    cfg,
-                    opts,
-                    threads,
-                    None,
-                    resume,
-                    Some(&ctl),
-                )
-            }
+        let kind = JoinKind::Idj {
+            take: self.take,
+            opts: opts.clone(),
+            window: want,
         };
+        // Without a window the episode pauses at once.
+        let ctl = PauseCtl::every(0);
+        ctl.request_stop();
+        let req = JoinRequest {
+            resume,
+            ..self.spec.request(kind)
+        };
+        let outcome = engine::run(r, s, req, cfg, want.is_none().then_some(&ctl));
         self.episodes += 1;
         match outcome.map_err(ServeError::Snapshot)? {
             Checkpointed::Done(out) => {
-                accumulate(&mut self.stats, &out.stats);
+                self.stats.absorb_episode(&out.stats);
                 self.state = CursorState::Done(out.results);
             }
             Checkpointed::Suspended(snap, stats) => {
-                accumulate(&mut self.stats, &stats);
+                self.stats.absorb_episode(&stats);
                 self.state = CursorState::Live(snap);
             }
         }

@@ -146,6 +146,21 @@ impl JoinStats {
         self.real_dist + self.axis_dist
     }
 
+    /// Folds one resumable episode's stats into a multi-episode join's
+    /// running totals (a serve cursor's, a checkpointed run's). Work
+    /// counters sum; `stages` keeps the maximum; `results` is positional
+    /// and taken from the final episode.
+    pub fn absorb_episode(&mut self, episode: &JoinStats) {
+        let stages = self.stages.max(episode.stages);
+        self.absorb_worker(episode);
+        self.node_requests += episode.node_requests;
+        self.node_disk_reads += episode.node_disk_reads;
+        self.cpu_seconds += episode.cpu_seconds;
+        self.barrier_idle_ns += episode.barrier_idle_ns;
+        self.stages = stages;
+        self.results = episode.results;
+    }
+
     /// Folds one parallel worker's counters into an aggregate. Work
     /// counters *sum*: every unit of work — a distance computation, a
     /// queue insertion (counted once, when a pair first enters a queue),

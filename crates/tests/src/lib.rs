@@ -3,7 +3,8 @@
 
 #![deny(unsafe_code)]
 
-use amdj_core::{AmIdj, AmIdjOptions, JoinConfig, ResultPair};
+use amdj_core::engine::{self, JoinKind, JoinRequest, Policy};
+use amdj_core::{AmIdj, AmIdjOptions, JoinConfig, JoinOutput, ResultPair};
 use amdj_datagen::Dataset;
 use amdj_rtree::{RTree, RTreeParams};
 
@@ -31,6 +32,57 @@ pub fn build_paper_trees(a: &Dataset, b: &Dataset) -> (RTree<2>, RTree<2>) {
         RTree::bulk_load(RTreeParams::paper_defaults(), a.clone()),
         RTree::bulk_load(RTreeParams::paper_defaults(), b.clone()),
     )
+}
+
+/// Runs `req` to completion: no pause control, and any resume snapshot
+/// must validate.
+pub fn run_done<const D: usize>(
+    r: &RTree<D>,
+    s: &RTree<D>,
+    req: JoinRequest<D>,
+    cfg: &JoinConfig,
+) -> JoinOutput {
+    engine::run(r, s, req, cfg, None)
+        .expect("snapshot must validate")
+        .done()
+        .expect("no pause control was attached")
+}
+
+/// One uninterrupted [`engine::run`] of `kind` on `threads` workers.
+pub fn run_join<const D: usize>(
+    r: &RTree<D>,
+    s: &RTree<D>,
+    kind: JoinKind,
+    threads: usize,
+    cfg: &JoinConfig,
+) -> JoinOutput {
+    run_done(r, s, JoinRequest::new(kind, threads), cfg)
+}
+
+/// A k-distance join of `k` under the exact policy.
+pub fn exact(k: usize) -> JoinKind {
+    JoinKind::Kdj {
+        k,
+        policy: Policy::Exact,
+    }
+}
+
+/// A k-distance join of `k` under the aggressive policy, on the
+/// Equation (3) estimate or `edmax_override`.
+pub fn aggressive(k: usize, edmax_override: Option<f64>) -> JoinKind {
+    JoinKind::Kdj {
+        k,
+        policy: Policy::Aggressive { edmax_override },
+    }
+}
+
+/// The incremental join's first `take` pairs under `opts`.
+pub fn incremental(take: usize, opts: &AmIdjOptions) -> JoinKind {
+    JoinKind::Idj {
+        take,
+        opts: opts.clone(),
+        window: None,
+    }
 }
 
 /// The first `take` pairs of one standalone [`AmIdj`] cursor: the

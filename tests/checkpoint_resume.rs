@@ -4,7 +4,7 @@
 //! same result stream, bit for bit, as an uninterrupted one — across
 //! pruning policies, thread counts, and wherever the interrupt lands
 //! (mid-stage-one, mid-stage-two, mid-compensation-replay). These tests
-//! drive [`kdj_resumable`]/[`idj_resumable`] through a [`PauseCtl`] with
+//! drive [`engine::run`] through a [`PauseCtl`] with
 //! small expansion budgets so suspensions hit every phase of the join,
 //! roundtrip each snapshot through its wire encoding, and resume at a
 //! *different* thread count each episode: an N-thread snapshot must
@@ -13,13 +13,14 @@
 //! Distances are compared by bit pattern, ids exactly (continuous random
 //! rectangles make distance ties measure-zero).
 
+use amdj_core::engine::{self, JoinKind, JoinRequest, Policy};
 use amdj_core::{
-    idj_resumable, kdj_resumable, par_am_kdj, read_checkpoint, write_checkpoint, AmIdjOptions,
-    AmKdjOptions, Checkpointed, EngineSnapshot, JoinConfig, JoinOutput, PauseCtl, ResultPair,
-    SnapshotError, TestSchedule,
+    par_am_kdj, read_checkpoint, write_checkpoint, AmIdjOptions, AmKdjOptions, Checkpointed,
+    EngineSnapshot, JoinConfig, JoinOutput, PauseCtl, ResultPair, SnapshotError, TestSchedule,
 };
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
+use amdj_tests::{aggressive, incremental, run_join};
 use proptest::prelude::*;
 
 fn arb_dataset(max_n: usize) -> impl Strategy<Value = Vec<(Rect<2>, u64)>> {
@@ -80,17 +81,15 @@ struct EpisodeLog {
     mainq_insertions: u64,
 }
 
-/// Runs a resumable kdj to completion as a sequence of episodes. Every
+/// Runs a join of `kind` to completion as a sequence of episodes. Every
 /// episode gets a fresh pause control with `budget` expansions; each
 /// suspension's snapshot is roundtripped through its wire encoding and
 /// resumed with the *next* thread count in `threads_cycle`.
-#[allow(clippy::too_many_arguments)]
-fn kdj_episodes(
+fn episodes(
     r: &RTree<2>,
     s: &RTree<2>,
-    k: usize,
+    kind: JoinKind,
     cfg: &JoinConfig,
-    aggressive: bool,
     budget: u64,
     threads_cycle: &[usize],
     schedule: Option<TestSchedule>,
@@ -105,18 +104,12 @@ fn kdj_episodes(
         assert!(episode < 100_000, "episode loop failed to converge");
         let ctl = PauseCtl::every(budget);
         let threads = threads_cycle[episode % threads_cycle.len()];
-        let out = kdj_resumable(
-            r,
-            s,
-            k,
-            cfg,
-            aggressive,
-            threads,
+        let req = JoinRequest {
             schedule,
-            resume.take(),
-            Some(&ctl),
-        )
-        .expect("episode snapshot must validate");
+            resume: resume.take(),
+            ..JoinRequest::new(kind.clone(), threads)
+        };
+        let out = engine::run(r, s, req, cfg, Some(&ctl)).expect("episode snapshot must validate");
         match out {
             Checkpointed::Done(out) => {
                 log.mainq_insertions += out.stats.mainq_insertions;
@@ -135,75 +128,14 @@ fn kdj_episodes(
     unreachable!()
 }
 
-/// [`kdj_episodes`] for the incremental join.
-#[allow(clippy::too_many_arguments)]
-fn idj_episodes(
-    r: &RTree<2>,
-    s: &RTree<2>,
-    take: usize,
-    cfg: &JoinConfig,
-    opts: &AmIdjOptions,
-    budget: u64,
-    threads_cycle: &[usize],
-    schedule: Option<TestSchedule>,
-) -> (JoinOutput, EpisodeLog) {
-    let mut resume: Option<EngineSnapshot<2>> = None;
-    let mut log = EpisodeLog {
-        suspensions: 0,
-        stages: Vec::new(),
-        mainq_insertions: 0,
-    };
-    for episode in 0.. {
-        assert!(episode < 100_000, "episode loop failed to converge");
-        let ctl = PauseCtl::every(budget);
-        let threads = threads_cycle[episode % threads_cycle.len()];
-        let out = idj_resumable(
-            r,
-            s,
-            take,
-            cfg,
-            opts,
-            threads,
-            schedule,
-            resume.take(),
-            Some(&ctl),
-        )
-        .expect("episode snapshot must validate");
-        match out {
-            Checkpointed::Done(out) => {
-                log.mainq_insertions += out.stats.mainq_insertions;
-                return (out, log);
-            }
-            Checkpointed::Suspended(snap, stats) => {
-                log.mainq_insertions += stats.mainq_insertions;
-                log.suspensions += 1;
-                log.stages.push(snap.stage());
-                let decoded =
-                    EngineSnapshot::decode(&snap.encode()).expect("snapshot must roundtrip");
-                resume = Some(decoded);
-            }
-        }
-    }
-    unreachable!()
-}
-
-fn uninterrupted_kdj(r: &RTree<2>, s: &RTree<2>, k: usize, aggressive: bool) -> JoinOutput {
-    match kdj_resumable(
+fn uninterrupted_kdj(r: &RTree<2>, s: &RTree<2>, k: usize, policy: Policy) -> JoinOutput {
+    run_join(
         r,
         s,
-        k,
-        &JoinConfig::unbounded(),
-        aggressive,
+        JoinKind::Kdj { k, policy },
         1,
-        None,
-        None,
-        None,
+        &JoinConfig::unbounded(),
     )
-    .expect("no snapshot to validate")
-    {
-        Checkpointed::Done(out) => out,
-        Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
-    }
 }
 
 const CYCLES: [&[usize]; 2] = [&[1, 2, 4], &[4, 1, 3]];
@@ -217,7 +149,9 @@ proptest! {
     /// An interrupted-and-resumed kdj is bit-identical to the
     /// uninterrupted join, for both policies, under pause budgets small
     /// enough to land in every stage, with every resume migrating to a
-    /// different thread count.
+    /// different thread count. The third policy cell underestimates
+    /// `eDmax` at 0.3×Dmax, so every interrupt lands in a join that must
+    /// replay compensation.
     #[test]
     fn kdj_checkpoint_resume_bit_identical(
         a in arb_dataset(60),
@@ -233,14 +167,19 @@ proptest! {
             stall_spins: 16,
             force_steal_one_in: 3,
         });
-        for aggressive in [false, true] {
-            let reference = canonical(uninterrupted_kdj(&r, &s, k, aggressive).results);
+        let dmax = uninterrupted_kdj(&r, &s, k, Policy::Exact)
+            .results
+            .last()
+            .map_or(0.0, |p| p.dist);
+        let under = Policy::Aggressive { edmax_override: Some(0.3 * dmax) };
+        for policy in [Policy::Exact, Policy::default(), under] {
+            let reference = canonical(uninterrupted_kdj(&r, &s, k, policy).results);
             for cycle in CYCLES {
                 let cfg = JoinConfig::unbounded();
-                let (out, _log) =
-                    kdj_episodes(&r, &s, k, &cfg, aggressive, budget, cycle, schedule);
+                let kind = JoinKind::Kdj { k, policy };
+                let (out, _log) = episodes(&r, &s, kind, &cfg, budget, cycle, schedule);
                 let label =
-                    format!("kdj agg={aggressive} budget={budget} cycle={cycle:?} seed={seed}");
+                    format!("kdj {policy:?} budget={budget} cycle={cycle:?} seed={seed}");
                 assert_identical(&label, &reference, &canonical(out.results))?;
             }
         }
@@ -261,14 +200,7 @@ proptest! {
         let (r, s) = trees(&a, &b);
         let opts = AmIdjOptions { initial_k, growth: 2.0, ..AmIdjOptions::default() };
         let cfg = JoinConfig::unbounded();
-        let reference = {
-            let out = idj_resumable(&r, &s, take, &cfg, &opts, 1, None, None, None)
-                .expect("no snapshot to validate");
-            match out {
-                Checkpointed::Done(out) => canonical(out.results),
-                Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
-            }
-        };
+        let reference = canonical(run_join(&r, &s, incremental(take, &opts), 1, &cfg).results);
         let schedule = Some(TestSchedule {
             seed,
             stall_one_in: 3,
@@ -276,7 +208,8 @@ proptest! {
             force_steal_one_in: 3,
         });
         for cycle in CYCLES {
-            let (out, _log) = idj_episodes(&r, &s, take, &cfg, &opts, budget, cycle, schedule);
+            let kind = incremental(take, &opts);
+            let (out, _log) = episodes(&r, &s, kind, &cfg, budget, cycle, schedule);
             let label = format!("idj budget={budget} cycle={cycle:?} seed={seed}");
             assert_identical(&label, &reference, &canonical(out.results))?;
         }
@@ -310,13 +243,12 @@ fn interrupts_land_in_both_stages() {
     let params = RTreeParams::paper_defaults;
     let r = RTree::bulk_load(params(), a);
     let s = RTree::bulk_load(params(), b);
-    let reference = canonical(uninterrupted_kdj(&r, &s, 200, true).results);
-    let (out, log) = kdj_episodes(
+    let reference = canonical(uninterrupted_kdj(&r, &s, 200, Policy::default()).results);
+    let (out, log) = episodes(
         &r,
         &s,
-        200,
+        aggressive(200, None),
         &JoinConfig::unbounded(),
-        true,
         5,
         &[1, 2],
         None,
@@ -335,22 +267,19 @@ fn interrupts_land_in_both_stages() {
     );
 }
 
-/// `threads == 0` means one worker per available core on the resumable
-/// entry point too, as on the parallel ones: an uninterrupted
-/// `kdj_resumable` at zero threads returns `par_am_kdj`'s answer at zero
-/// threads, bit for bit.
+/// `threads == 0` means one worker per available core in a request too,
+/// as on the parallel entry points: an uninterrupted `run` at zero
+/// threads returns `par_am_kdj`'s answer at zero threads, bit for bit.
 #[test]
 fn zero_threads_resolve_like_the_parallel_entry_points() {
     let (r, s) = trees(&grid(12, 0.4), &grid(12, 0.9));
     let k = 80;
     let cfg = JoinConfig::unbounded();
     let want = par_am_kdj(&r, &s, k, &cfg, &AmKdjOptions::default(), 0);
-    let got = match kdj_resumable(&r, &s, k, &cfg, true, 0, None, None, None)
+    let got = engine::run(&r, &s, JoinRequest::new(aggressive(k, None), 0), &cfg, None)
         .expect("a fresh join needs no snapshot checks")
-    {
-        Checkpointed::Done(out) => out,
-        Checkpointed::Suspended(..) => unreachable!("no pause control"),
-    };
+        .done()
+        .expect("no pause control");
     assert_identical("zero threads", &want.results, &got.results).expect("same answer");
 }
 
@@ -361,13 +290,12 @@ fn zero_threads_resolve_like_the_parallel_entry_points() {
 fn disk_roundtrip_and_resume_validation() {
     let (r, s) = trees(&grid(12, 0.4), &grid(12, 0.9));
     let k = 80;
-    let reference = canonical(uninterrupted_kdj(&r, &s, k, true).results);
+    let reference = canonical(uninterrupted_kdj(&r, &s, k, Policy::default()).results);
 
     let ctl = PauseCtl::every(5);
     let cfg = JoinConfig::unbounded();
-    let snap = match kdj_resumable(&r, &s, k, &cfg, true, 2, None, None, Some(&ctl))
-        .expect("nothing to validate")
-    {
+    let req = JoinRequest::new(aggressive(k, None), 2);
+    let snap = match engine::run(&r, &s, req, &cfg, Some(&ctl)).expect("nothing to validate") {
         Checkpointed::Suspended(snap, _) => *snap,
         Checkpointed::Done(_) => panic!("join outran a 5-expansion pause budget"),
     };
@@ -380,51 +308,92 @@ fn disk_roundtrip_and_resume_validation() {
     std::fs::remove_file(&path).ok();
 
     // Mismatched parameters are validation errors, not corruption.
-    let wrong_k = kdj_resumable(
-        &r,
-        &s,
-        k + 1,
-        &cfg,
-        true,
-        1,
-        None,
-        Some(EngineSnapshot::decode(&reloaded.encode()).unwrap()),
-        None,
-    );
+    let resume_as = |kind: JoinKind, snap: &EngineSnapshot<2>| {
+        let req = JoinRequest {
+            resume: Some(EngineSnapshot::decode(&snap.encode()).unwrap()),
+            ..JoinRequest::new(kind, 1)
+        };
+        engine::run(&r, &s, req, &cfg, None)
+    };
+    let wrong_k = resume_as(aggressive(k + 1, None), &reloaded);
     assert!(matches!(wrong_k, Err(SnapshotError::Invalid(_))));
-    let wrong_policy = kdj_resumable(
-        &r,
-        &s,
-        k,
-        &cfg,
-        false,
-        1,
-        None,
-        Some(EngineSnapshot::decode(&reloaded.encode()).unwrap()),
-        None,
+    let wrong_policy = resume_as(
+        JoinKind::Kdj {
+            k,
+            policy: Policy::Exact,
+        },
+        &reloaded,
     );
     assert!(matches!(wrong_policy, Err(SnapshotError::Invalid(_))));
-    let wrong_kind = idj_resumable(
-        &r,
-        &s,
-        k,
-        &cfg,
-        &AmIdjOptions::default(),
-        1,
-        None,
-        Some(EngineSnapshot::decode(&reloaded.encode()).unwrap()),
-        None,
-    );
+    let wrong_kind = resume_as(incremental(k, &AmIdjOptions::default()), &reloaded);
     assert!(matches!(wrong_kind, Err(SnapshotError::Invalid(_))));
 
     // The matching resume finishes the join bit-identically.
-    let out = match kdj_resumable(&r, &s, k, &cfg, true, 3, None, Some(reloaded), None)
-        .expect("snapshot must validate")
-    {
-        Checkpointed::Done(out) => out,
-        Checkpointed::Suspended(..) => unreachable!("no pause control on the resume"),
+    let req = JoinRequest {
+        resume: Some(reloaded),
+        ..JoinRequest::new(aggressive(k, None), 3)
     };
+    let out = engine::run(&r, &s, req, &cfg, None)
+        .expect("snapshot must validate")
+        .done()
+        .expect("no pause control on the resume");
     assert_eq!(canonical(out.results), reference);
+}
+
+/// `run` is the one place a resume snapshot meets its request: a
+/// snapshot of another kind, `k`, `take` or pruning policy is refused
+/// with its own `Invalid` reason before any work, never a panic.
+#[test]
+fn run_refuses_mismatched_resume() {
+    let (r, s) = trees(&grid(12, 0.4), &grid(12, 0.9));
+    let (k, take) = (80, 60);
+    let cfg = JoinConfig::unbounded();
+    let opts = AmIdjOptions::default();
+    let paused = |kind: JoinKind| -> Vec<u8> {
+        let ctl = PauseCtl::every(5);
+        match engine::run(&r, &s, JoinRequest::new(kind, 1), &cfg, Some(&ctl)).unwrap() {
+            Checkpointed::Suspended(snap, _) => snap.encode(),
+            Checkpointed::Done(_) => panic!("join outran a 5-expansion pause budget"),
+        }
+    };
+    let kdj_snap = paused(aggressive(k, None));
+    let idj_snap = paused(incremental(take, &opts));
+    let refusal = |bytes: &[u8], kind: JoinKind| {
+        let req = JoinRequest {
+            resume: Some(EngineSnapshot::decode(bytes).unwrap()),
+            ..JoinRequest::new(kind, 1)
+        };
+        engine::run(&r, &s, req, &cfg, None)
+            .map(|_| ())
+            .unwrap_err()
+    };
+    let invalid = SnapshotError::Invalid;
+    assert_eq!(
+        refusal(&kdj_snap, incremental(k, &opts)),
+        invalid("k-distance-join snapshot passed to an incremental join")
+    );
+    assert_eq!(
+        refusal(&idj_snap, aggressive(take, None)),
+        invalid("incremental-join snapshot passed to a k-distance join")
+    );
+    assert_eq!(
+        refusal(&kdj_snap, aggressive(k + 1, None)),
+        invalid("snapshot k differs from request")
+    );
+    assert_eq!(
+        refusal(
+            &kdj_snap,
+            JoinKind::Kdj {
+                k,
+                policy: Policy::Exact
+            }
+        ),
+        invalid("snapshot pruning policy differs from request")
+    );
+    assert_eq!(
+        refusal(&idj_snap, incremental(take + 1, &opts)),
+        invalid("snapshot take differs from request")
+    );
 }
 
 /// Byte offset of the first compensation entry's first left stop in a
@@ -470,7 +439,8 @@ fn resume_refuses_foreign_and_crafted_snapshots() {
     let cfg = JoinConfig::unbounded();
     // An aggressive run paused mid-stage-one holds parked entries.
     let ctl = PauseCtl::every(12);
-    let snap = match kdj_resumable(&r, &s, k, &cfg, true, 1, None, None, Some(&ctl)).unwrap() {
+    let req = JoinRequest::new(aggressive(k, None), 1);
+    let snap = match engine::run(&r, &s, req, &cfg, Some(&ctl)).unwrap() {
         Checkpointed::Suspended(snap, _) => *snap,
         Checkpointed::Done(_) => panic!("join outran a 12-expansion pause budget"),
     };
@@ -480,8 +450,11 @@ fn resume_refuses_foreign_and_crafted_snapshots() {
     );
     let bytes = snap.encode();
     let resume = |bytes: &[u8], r: &RTree<2>, s: &RTree<2>| {
-        let snap = EngineSnapshot::decode(bytes)?;
-        kdj_resumable(r, s, k, &cfg, true, 1, None, Some(snap), None)
+        let req = JoinRequest {
+            resume: Some(EngineSnapshot::decode(bytes)?),
+            ..JoinRequest::new(aggressive(k, None), 1)
+        };
+        engine::run(r, s, req, &cfg, None)
     };
 
     let mut v1 = bytes.clone();
@@ -512,7 +485,7 @@ fn resume_refuses_foreign_and_crafted_snapshots() {
     ));
 
     // The untouched image still resumes to the uninterrupted answer.
-    let reference = canonical(uninterrupted_kdj(&r, &s, k, true).results);
+    let reference = canonical(uninterrupted_kdj(&r, &s, k, Policy::default()).results);
     match resume(&bytes, &r, &s).expect("pristine snapshot resumes") {
         Checkpointed::Done(out) => assert_eq!(canonical(out.results), reference),
         Checkpointed::Suspended(..) => unreachable!("no pause control on the resume"),
@@ -550,19 +523,14 @@ fn resumed_idj_episodes_do_not_advance_stages_early() {
             .map(|p| (p.dist.to_bits(), p.r, p.s))
             .collect()
     };
-    let uninterrupted = |cfg: &JoinConfig, threads: usize| match idj_resumable(
-        &r, &s, take, cfg, &opts, threads, None, None, None,
-    )
-    .expect("no snapshot to validate")
-    {
-        Checkpointed::Done(out) => out,
-        Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
-    };
+    let uninterrupted =
+        |cfg: &JoinConfig, threads: usize| run_join(&r, &s, incremental(take, &opts), threads, cfg);
     let cfg = JoinConfig::default();
     let sequential = uninterrupted(&cfg, 1).stats;
     for threads in [1, 2, 4] {
         let reference = uninterrupted(&cfg, threads);
-        let (out, log) = idj_episodes(&r, &s, take, &cfg, &opts, budget, &[threads], None);
+        let kind = incremental(take, &opts);
+        let (out, log) = episodes(&r, &s, kind, &cfg, budget, &[threads], None);
         let run = format!("{threads} threads");
         assert!(log.suspensions > 2, "{run}: pause barely fired");
         assert_eq!(

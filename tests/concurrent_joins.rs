@@ -4,9 +4,10 @@
 //! publishers, unrelated joins sharing trees across threads, and the
 //! degenerate more-threads-than-work shape.
 
-use amdj_core::{b_kdj, hs_kdj, par_b_kdj, JoinConfig, MinBound, ResultPair};
+use amdj_core::{b_kdj, hs_kdj, JoinConfig, MinBound, ResultPair};
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
+use amdj_tests::{exact, run_join};
 
 fn trees(a: &[(Rect<2>, u64)], b: &[(Rect<2>, u64)]) -> (RTree<2>, RTree<2>) {
     (
@@ -119,7 +120,7 @@ fn par_bkdj_more_threads_than_work() {
         .map(|i| (Rect::new([i as f64, 0.0], [i as f64 + 0.5, 0.5]), i as u64))
         .collect();
     let (r, s) = trees(&a, &a);
-    let out = par_b_kdj(&r, &s, 9, &JoinConfig::unbounded(), 16);
+    let out = run_join(&r, &s, exact(9), 16, &JoinConfig::unbounded());
     assert_eq!(out.results.len(), 9);
     assert!(out.results.windows(2).all(|w| w[0].dist <= w[1].dist));
 }

@@ -3,12 +3,12 @@
 //! input tree is empty (or `k`/`take` is zero), never panic.
 
 use amdj_core::{
-    am_kdj, b_kdj, hs_kdj, knn_join, par_am_idj, par_am_kdj, par_b_kdj, AmIdjOptions, AmKdjOptions,
-    JoinConfig, ResultPair,
+    am_kdj, b_kdj, hs_kdj, par_am_idj, par_am_kdj, AmIdjOptions, AmKdjOptions, JoinConfig,
+    ResultPair,
 };
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
-use amdj_tests::cursor_take;
+use amdj_tests::{cursor_take, exact, run_join};
 
 fn tree(pts: &[(f64, f64)]) -> RTree<2> {
     let items: Vec<(Rect<2>, u64)> = pts
@@ -45,12 +45,11 @@ fn kdj_entry_points_handle_empty_inputs() {
             &am_kdj(&r, &s, 3, &cfg, &AmKdjOptions::default()).results,
         );
         assert_empty(label, &hs_kdj(&r, &s, 3, &cfg).results);
-        assert_empty(label, &par_b_kdj(&r, &s, 3, &cfg, 2).results);
+        assert_empty(label, &run_join(&r, &s, exact(3), 2, &cfg).results);
         assert_empty(
             label,
             &par_am_kdj(&r, &s, 3, &cfg, &AmKdjOptions::default(), 2).results,
         );
-        assert!(knn_join(&r, &s, 3).groups.iter().all(|g| g.1.is_empty()));
     }
 }
 

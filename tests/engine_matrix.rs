@@ -10,12 +10,11 @@
 //! against the standalone cursor, and a third holds the matrix together
 //! under a tight spill-queue memory budget.
 
-use amdj_core::engine::{self, Aggressive, Exact, Parallel};
 use amdj_core::{bruteforce, AmIdjOptions, JoinConfig, ResultPair};
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
 use amdj_storage::CostModel;
-use amdj_tests::cursor_take;
+use amdj_tests::{aggressive, cursor_take, exact, incremental, run_join};
 use proptest::prelude::*;
 
 fn arb_dataset(max_n: usize) -> impl Strategy<Value = Vec<(Rect<2>, u64)>> {
@@ -70,8 +69,9 @@ fn assert_identical(
     Ok(())
 }
 
-/// Policy cells: `None` is [`Exact`]; `Some(e)` is [`Aggressive`] with
-/// that `edmax_override` (`Some(None)` uses the Equation 3 estimator).
+/// Policy cells: `None` is the exact policy; `Some(e)` the aggressive
+/// one with that `edmax_override` (`Some(None)` uses the Equation 3
+/// estimator).
 fn run_cell(
     r: &RTree<2>,
     s: &RTree<2>,
@@ -80,12 +80,11 @@ fn run_cell(
     policy: Option<Option<f64>>,
     threads: usize,
 ) -> Vec<ResultPair> {
-    let par = Parallel::new(threads);
-    let out = match policy {
-        None => engine::kdj(r, s, k, cfg, &Exact, &par),
-        Some(e) => engine::kdj(r, s, k, cfg, &Aggressive { edmax_override: e }, &par),
+    let kind = match policy {
+        None => exact(k),
+        Some(e) => aggressive(k, e),
     };
-    canonical(out.results)
+    canonical(run_join(r, s, kind, threads, cfg).results)
 }
 
 fn policy_cells(scale: f64) -> Vec<(String, Option<Option<f64>>)> {
@@ -153,9 +152,7 @@ proptest! {
             prop_assert!((g.dist - w.dist).abs() < 1e-9, "{} != {}", g.dist, w.dist);
         }
         for threads in [1usize, 2, 4] {
-            let got = canonical(
-                engine::idj(&r, &s, take, &cfg, &opts, &Parallel::new(threads)).results,
-            );
+            let got = canonical(run_join(&r, &s, incremental(take, &opts), threads, &cfg).results);
             let label = format!("idj × {threads}");
             assert_identical(&label, &reference, &got)?;
         }

@@ -6,12 +6,11 @@
 //! against reloaded copies, which is what makes an on-disk checkpoint
 //! durable across process restarts.
 
-use amdj_core::{
-    b_kdj, idj_resumable, kdj_resumable, AmIdjOptions, Checkpointed, JoinConfig, JoinOutput,
-    PauseCtl, ResultPair,
-};
+use amdj_core::engine::{self, JoinRequest};
+use amdj_core::{b_kdj, AmIdjOptions, Checkpointed, JoinConfig, JoinOutput, PauseCtl, ResultPair};
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
+use amdj_tests::{aggressive, exact, incremental, run_done, run_join};
 
 fn dataset(n: usize, phase: f64) -> Vec<(Rect<2>, u64)> {
     (0..n)
@@ -51,16 +50,15 @@ fn resumable_kdj(
     r: &RTree<2>,
     s: &RTree<2>,
     k: usize,
-    aggressive: bool,
+    aggressive_policy: bool,
     threads: usize,
 ) -> JoinOutput {
-    let cfg = JoinConfig::unbounded();
-    match kdj_resumable(r, s, k, &cfg, aggressive, threads, None, None, None)
-        .expect("no snapshot to validate")
-    {
-        Checkpointed::Done(out) => out,
-        Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
-    }
+    let kind = if aggressive_policy {
+        aggressive(k, None)
+    } else {
+        exact(k)
+    };
+    run_join(r, s, kind, threads, &JoinConfig::unbounded())
 }
 
 /// Both trees through a save/load cycle, then every join flavour: the
@@ -92,22 +90,7 @@ fn reloaded_trees_join_bit_identically() {
     }
 
     let idj = |r: &RTree<2>, s: &RTree<2>| -> JoinOutput {
-        match idj_resumable(
-            r,
-            s,
-            120,
-            &cfg,
-            &AmIdjOptions::default(),
-            1,
-            None,
-            None,
-            None,
-        )
-        .expect("no snapshot to validate")
-        {
-            Checkpointed::Done(out) => out,
-            Checkpointed::Suspended(..) => unreachable!("no pause control was attached"),
-        }
+        run_join(r, s, incremental(120, &AmIdjOptions::default()), 1, &cfg)
     };
     assert_bit_identical("idj stream", &idj(&r, &s).results, &idj(&r2, &s2).results);
 }
@@ -124,20 +107,18 @@ fn checkpoint_resumes_against_reloaded_trees() {
     let reference = resumable_kdj(&r, &s, k, true, 1);
 
     let ctl = PauseCtl::every(10);
-    let snap = match kdj_resumable(&r, &s, k, &cfg, true, 2, None, None, Some(&ctl))
-        .expect("nothing to validate")
-    {
+    let req = JoinRequest::new(aggressive(k, None), 2);
+    let snap = match engine::run(&r, &s, req, &cfg, Some(&ctl)).expect("nothing to validate") {
         Checkpointed::Suspended(snap, _) => *snap,
         Checkpointed::Done(_) => panic!("join outran a 10-expansion pause budget"),
     };
 
     let r2 = persisted_copy(&r, "ckpt-r");
     let s2 = persisted_copy(&s, "ckpt-s");
-    let out = match kdj_resumable(&r2, &s2, k, &cfg, true, 2, None, Some(snap), None)
-        .expect("snapshot must validate")
-    {
-        Checkpointed::Done(out) => out,
-        Checkpointed::Suspended(..) => unreachable!("no pause control on the resume"),
+    let req = JoinRequest {
+        resume: Some(snap),
+        ..JoinRequest::new(aggressive(k, None), 2)
     };
+    let out = run_done(&r2, &s2, req, &cfg);
     assert_bit_identical("resume on reloaded trees", &reference.results, &out.results);
 }

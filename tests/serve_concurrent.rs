@@ -15,12 +15,10 @@ use amdj_core::serve::{
     codec::{QuerySpec, Response},
     ServeError, ServeOptions, Server,
 };
-use amdj_core::{
-    am_kdj, b_kdj, par_am_kdj, par_b_kdj, AmIdj, AmIdjOptions, AmKdjOptions, JoinConfig, ResultPair,
-};
+use amdj_core::{AmIdj, AmIdjOptions, JoinConfig, ResultPair};
 use amdj_datagen::{clustered_points, uniform_points, unit_universe};
 use amdj_rtree::RTree;
-use amdj_tests::build_trees;
+use amdj_tests::{aggressive, build_trees, exact, run_join};
 
 /// One concurrent query of the mixed workload.
 enum Kind {
@@ -63,18 +61,17 @@ fn cells(n_queries: usize, k: usize) -> Vec<(String, Kind)> {
         .collect()
 }
 
-/// The serial one-shot equivalent of one query, through the ordinary
-/// library entry points: its result stream and its stage count.
+/// The serial one-shot equivalent of one query, through `engine::run`
+/// or the standalone cursor: its result stream and its stage count.
 fn serial(r: &RTree<2>, s: &RTree<2>, cfg: &JoinConfig, kind: &Kind) -> (Vec<ResultPair>, u32) {
     match kind {
         Kind::Kdj { k, spec } => {
-            let t = (spec.threads as usize).max(1);
-            let out = match (spec.aggressive, t > 1) {
-                (true, false) => am_kdj(r, s, *k, cfg, &AmKdjOptions::default()),
-                (true, true) => par_am_kdj(r, s, *k, cfg, &AmKdjOptions::default(), t),
-                (false, false) => b_kdj(r, s, *k, cfg),
-                (false, true) => par_b_kdj(r, s, *k, cfg, t),
+            let kind = if spec.aggressive {
+                aggressive(*k, None)
+            } else {
+                exact(*k)
             };
+            let out = run_join(r, s, kind, (spec.threads as usize).max(1), cfg);
             (out.results, out.stats.stages)
         }
         Kind::Idj { take, .. } => {

@@ -4,16 +4,15 @@
 //! snapshots, wrong-kind snapshots, and impossible delivery positions
 //! are clean structured errors — never panics.
 
+use amdj_core::engine::{self, JoinRequest};
 use amdj_core::serve::{
     codec::{hex_decode, hex_encode, QuerySpec},
     snap_file_name, ServeError, ServeOptions, Server,
 };
-use amdj_core::{
-    kdj_resumable, AmIdj, AmIdjOptions, Checkpointed, JoinConfig, PauseCtl, ResultPair,
-};
+use amdj_core::{AmIdj, AmIdjOptions, Checkpointed, JoinConfig, PauseCtl, ResultPair};
 use amdj_datagen::{clustered_points, uniform_points, unit_universe};
 use amdj_rtree::RTree;
-use amdj_tests::build_trees;
+use amdj_tests::{aggressive, build_trees};
 
 fn workload() -> (RTree<2>, RTree<2>) {
     let a = uniform_points(500, unit_universe(), 21);
@@ -211,8 +210,9 @@ fn corrupt_and_truncated_snapshots_are_clean_errors() {
 
     // A KDJ snapshot is the wrong kind for an incremental cursor.
     let ctl = PauseCtl::every(8);
+    let req = JoinRequest::new(aggressive(40, None), 1);
     let Checkpointed::Suspended(kdj_snap, _) =
-        kdj_resumable(&r, &s, 40, &cfg, true, 1, None, None, Some(&ctl)).expect("suspends")
+        engine::run(&r, &s, req, &cfg, Some(&ctl)).expect("suspends")
     else {
         panic!("a tiny pause budget must suspend the kdj");
     };

@@ -24,11 +24,11 @@
 use amdj_core::serve::codec::Response;
 use amdj_core::serve::{ServeOptions, Server};
 use amdj_core::{
-    am_kdj, b_kdj, par_am_idj, par_am_kdj, par_b_kdj, AmIdj, AmIdjOptions, AmKdjOptions,
-    JoinConfig, JoinStats,
+    am_kdj, b_kdj, par_am_idj, par_am_kdj, AmIdj, AmIdjOptions, AmKdjOptions, JoinConfig, JoinStats,
 };
 use amdj_geom::{Point, Rect};
 use amdj_rtree::{RTree, RTreeParams};
+use amdj_tests::{exact, run_join};
 
 /// Tie-free dataset: irrational-ish strides keep every pair distance
 /// distinct, so sequential and single-worker-parallel traversal orders
@@ -129,7 +129,7 @@ fn exact_policy_one_thread_equals_sequential() {
     let (r, s) = trees(&a, &b);
     for k in [1, 17, 90, 300] {
         let seq = b_kdj(&r, &s, k, &JoinConfig::unbounded());
-        let par = par_b_kdj(&r, &s, k, &JoinConfig::unbounded(), 1);
+        let par = run_join(&r, &s, exact(k), 1, &JoinConfig::unbounded());
         assert_eq!(seq.results, par.results, "k={k}: results must be identical");
         assert_parity(&format!("b_kdj k={k}"), &seq.stats, &par.stats, true);
         // One worker, one root seed: there is no one to steal from.
@@ -139,7 +139,7 @@ fn exact_policy_one_thread_equals_sequential() {
     let (r, s) = trees(&a, &a);
     for k in [17, 90] {
         let seq = b_kdj(&r, &s, k, &spilling());
-        let par = par_b_kdj(&r, &s, k, &spilling(), 1);
+        let par = run_join(&r, &s, exact(k), 1, &spilling());
         let label = format!("tied b_kdj k={k}");
         assert_eq!(seq.results, par.results, "{label}: results");
         assert_parity(&label, &seq.stats, &par.stats, true);

@@ -15,11 +15,11 @@
 //! exactly (continuous random rectangles make distance ties
 //! measure-zero).
 
-use amdj_core::engine::{self, Aggressive, Exact, Parallel};
+use amdj_core::engine::{JoinKind, JoinRequest};
 use amdj_core::{AmIdjOptions, JoinConfig, ResultPair, TestSchedule};
 use amdj_geom::Rect;
 use amdj_rtree::{RTree, RTreeParams};
-use amdj_tests::cursor_take;
+use amdj_tests::{aggressive, cursor_take, exact, incremental, run_done, run_join};
 use proptest::prelude::*;
 
 fn arb_dataset(max_n: usize) -> impl Strategy<Value = Vec<(Rect<2>, u64)>> {
@@ -83,15 +83,16 @@ fn perturbed(seed: u64) -> TestSchedule {
     }
 }
 
-fn stealing(threads: usize, seed: u64) -> Parallel {
-    Parallel {
-        threads,
+fn stealing(kind: JoinKind, threads: usize, seed: u64) -> JoinRequest<2> {
+    JoinRequest {
         schedule: Some(perturbed(seed)),
+        ..JoinRequest::new(kind, threads)
     }
 }
 
-/// Policy cells: `None` is [`Exact`]; `Some(e)` is [`Aggressive`] with
-/// that `edmax_override` (`Some(None)` uses the Equation 3 estimator).
+/// Policy cells: `None` is the exact policy; `Some(e)` the aggressive
+/// one with that `edmax_override` (`Some(None)` uses the Equation 3
+/// estimator).
 fn policy_cells(scale: f64) -> Vec<(String, Option<Option<f64>>)> {
     let mut cells: Vec<(String, Option<Option<f64>>)> =
         vec![("exact".into(), None), ("agg[est]".into(), Some(None))];
@@ -122,20 +123,16 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (r, s) = trees(&a, &b);
-        let reference = canonical(
-            engine::kdj(&r, &s, k, &JoinConfig::unbounded(), &Exact, &Parallel::new(1)).results,
-        );
+        let reference = canonical(run_join(&r, &s, exact(k), 1, &JoinConfig::unbounded()).results);
         let scale = reference.last().map_or(1.0, |p| p.dist);
         let cfg = JoinConfig::unbounded();
         for (name, policy) in policy_cells(scale) {
             for threads in THREADS {
-                let backend = stealing(threads, seed);
-                let out = match policy {
-                    None => engine::kdj(&r, &s, k, &cfg, &Exact, &backend),
-                    Some(e) => engine::kdj(
-                        &r, &s, k, &cfg, &Aggressive { edmax_override: e }, &backend,
-                    ),
+                let kind = match policy {
+                    None => exact(k),
+                    Some(e) => aggressive(k, e),
                 };
+                let out = run_done(&r, &s, stealing(kind, threads, seed), &cfg);
                 let label = format!("{name} × {threads}t seed={seed}");
                 assert_identical(&label, &reference, &canonical(out.results))?;
             }
@@ -157,7 +154,8 @@ proptest! {
         let cfg = JoinConfig::unbounded();
         let reference = canonical(cursor_take(&r, &s, take, &cfg, &opts));
         for threads in THREADS {
-            let out = engine::idj(&r, &s, take, &cfg, &opts, &stealing(threads, seed));
+            let req = stealing(incremental(take, &opts), threads, seed);
+            let out = run_done(&r, &s, req, &cfg);
             let label = format!("idj × {threads}t seed={seed}");
             assert_identical(&label, &reference, &canonical(out.results))?;
         }
@@ -181,29 +179,22 @@ fn grid(n: usize, phase: f64) -> Vec<(Rect<2>, u64)> {
 #[test]
 fn forced_schedule_actually_steals() {
     let (r, s) = trees(&grid(20, 0.1), &grid(20, 0.73));
-    let backend = Parallel {
-        threads: 8,
+    let req = JoinRequest {
         schedule: Some(TestSchedule {
             seed: 7,
             stall_one_in: 0,
             stall_spins: 0,
             force_steal_one_in: 1,
         }),
+        ..JoinRequest::new(exact(200), 8)
     };
-    let out = engine::kdj(&r, &s, 200, &JoinConfig::unbounded(), &Exact, &backend);
+    let out = run_done(&r, &s, req, &JoinConfig::unbounded());
     assert!(
         out.stats.pairs_stolen > 0,
         "no pairs stolen under a force-every-claim schedule"
     );
     assert!(out.stats.steal_attempts >= out.stats.pairs_stolen.min(1));
-    let reference = engine::kdj(
-        &r,
-        &s,
-        200,
-        &JoinConfig::unbounded(),
-        &Exact,
-        &Parallel::new(1),
-    );
+    let reference = run_join(&r, &s, exact(200), 1, &JoinConfig::unbounded());
     assert_eq!(canonical(out.results), canonical(reference.results));
 }
 
@@ -214,16 +205,8 @@ fn schedule_is_deterministic_per_seed() {
     let (r, s) = trees(&grid(14, 0.4), &grid(14, 0.9));
     for seed in [0u64, 1, 0xdead_beef] {
         let run = || {
-            engine::kdj(
-                &r,
-                &s,
-                120,
-                &JoinConfig::unbounded(),
-                &Aggressive {
-                    edmax_override: None,
-                },
-                &stealing(3, seed),
-            )
+            let req = stealing(aggressive(120, None), 3, seed);
+            run_done(&r, &s, req, &JoinConfig::unbounded())
         };
         assert_eq!(canonical(run().results), canonical(run().results));
     }

@@ -16,20 +16,20 @@
 
 use std::collections::{HashMap, HashSet};
 
-use amdj_core::engine::{self, Aggressive, Exact, Parallel};
 use amdj_core::{bruteforce, JoinConfig, ResultPair};
 use amdj_datagen::{tiger, Dataset};
 use amdj_geom::Rect;
 use amdj_rtree::RTree;
-use amdj_tests::build_trees;
+use amdj_tests::{aggressive, build_trees, exact, run_join};
 use proptest::prelude::*;
 
 /// Worker counts; one worker is the paper's sequential join.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
-/// Policy cells: `None` is [`Exact`]; `Some(e)` is [`Aggressive`] with
-/// that `edmax_override` (`Some(None)` uses the Equation 3 estimator).
-/// The overrides are zero, under- and over-estimates of `scale`.
+/// Policy cells: `None` is the exact policy; `Some(e)` the aggressive
+/// one with that `edmax_override` (`Some(None)` uses the Equation 3
+/// estimator). The overrides are zero, under- and over-estimates of
+/// `scale`.
 fn policy_cells(scale: f64) -> Vec<(String, Option<Option<f64>>)> {
     let mut cells: Vec<(String, Option<Option<f64>>)> =
         vec![("exact".into(), None), ("agg[est]".into(), Some(None))];
@@ -46,13 +46,11 @@ fn run_cell(
     policy: Option<Option<f64>>,
     threads: usize,
 ) -> Vec<ResultPair> {
-    let cfg = JoinConfig::unbounded();
-    let par = Parallel::new(threads);
-    let out = match policy {
-        None => engine::kdj(r, s, k, &cfg, &Exact, &par),
-        Some(e) => engine::kdj(r, s, k, &cfg, &Aggressive { edmax_override: e }, &par),
+    let kind = match policy {
+        None => exact(k),
+        Some(e) => aggressive(k, e),
     };
-    out.results
+    run_join(r, s, kind, threads, &JoinConfig::unbounded()).results
 }
 
 /// Brute-force ground truth for one join, computed once for all cells.
