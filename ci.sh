@@ -45,9 +45,26 @@ echo "== bench smoke: emitted JSON schema =="
 # A tiny bench run; then validate the schema version and required columns
 # so consumers of BENCH_kdj.json notice shape drift here, not downstream.
 BENCH_SMOKE_JSON="$(mktemp -t bench_smoke.XXXXXX.json)"
-trap 'rm -f "$BENCH_SMOKE_JSON"' EXIT
-cargo run --release -q -p amdj-bench --bin amdj -- \
-    bench --n 300 --k 20 --json "$BENCH_SMOKE_JSON" 2>/dev/null
+BENCH_REPEAT_JSON="$(mktemp -t bench_repeat.XXXXXX.json)"
+trap 'rm -f "$BENCH_SMOKE_JSON" "$BENCH_REPEAT_JSON"' EXIT
+for json in "$BENCH_SMOKE_JSON" "$BENCH_REPEAT_JSON"; do
+    cargo run --release -q -p amdj-bench --bin amdj -- \
+        bench --n 300 --k 20 --json "$json" 2>/dev/null
+done
+# Determinism: the second run must repeat every integer counter of every
+# one-thread one-shot (kdj and idj) row. One worker has no schedule, so
+# any difference is nondeterminism in the engine, the queues or the
+# buffer. Clock readings (wall and CPU time, barrier idle time) are
+# dropped, and so is the float io_seconds, which is priced from the page
+# counts compared here.
+one_thread_counters() {  # one_thread_counters JSON
+    grep -E '"op": "(kdj|idj)", "algo": "[^"]*", "threads": 1,' "$1" \
+        | sed -E 's/"(wall_time_s|cpu_seconds|io_seconds|barrier_idle_ns)": *[^,}]*//g'
+}
+[ "$(one_thread_counters "$BENCH_SMOKE_JSON" | wc -l)" -ge 8 ] \
+    || { echo "bench smoke: fewer than 8 one-thread kdj/idj rows"; exit 1; }
+diff <(one_thread_counters "$BENCH_SMOKE_JSON") <(one_thread_counters "$BENCH_REPEAT_JSON") \
+    || { echo "bench smoke: a one-thread row's counters differ between two runs"; exit 1; }
 grep -q '"schema_version": 14' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: schema_version != 14"; exit 1; }
 # Row labels, every field `encode_stats` writes for a one-shot row's
@@ -94,13 +111,13 @@ grep -q '"transport": "tcp"' "$BENCH_SMOKE_JSON" \
 # serve rows. Each row is one line, with op before its report.
 grep -Eq '"op": "serve".*"queue_wait_ns":[1-9]' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: no serve row reports a nonzero queue wait"; exit 1; }
-echo "bench smoke: schema_version 14 with all required columns and 144 serve rows"
+echo "bench smoke: schema_version 14 with all required columns, 144 serve rows, one-thread counters repeat"
 
 echo "== checkpoint smoke: interrupt, resume, compare =="
 # An interrupted join must exit 75 with a checkpoint on disk, and the
 # resumed run must finish with the uninterrupted run's exact results.
 CKPT_DIR="$(mktemp -d -t ckpt_smoke.XXXXXX)"
-trap 'rm -f "$BENCH_SMOKE_JSON"; rm -rf "$CKPT_DIR"' EXIT
+trap 'rm -f "$BENCH_SMOKE_JSON" "$BENCH_REPEAT_JSON"; rm -rf "$CKPT_DIR"' EXIT
 AMDJ="cargo run --release -q -p amdj-bench --bin amdj --"
 $AMDJ generate --kind uniform --n 1500 --seed 7 --out "$CKPT_DIR/a.csv" >/dev/null
 $AMDJ generate --kind clustered --n 1500 --seed 8 --out "$CKPT_DIR/b.csv" >/dev/null

@@ -2,8 +2,8 @@
 //! direction selection on vs off (the timing view of Figure 11), the
 //! leaf sweep's throughput on two leaf-heavy workloads, the cost of
 //! decoding a page and laying out one node's children for a sweep (cold
-//! vs cached order),
-//! and AM-KDJ's park-and-replay path.
+//! vs cached order), AM-KDJ's park-and-replay path, and the window
+//! scan on intersecting leaves.
 
 use amdj_bench::{build_trees, Workload};
 use amdj_core::{am_kdj, b_kdj, within_join, AmKdjOptions, JoinConfig};
@@ -151,11 +151,30 @@ fn bench_park_and_replay(c: &mut Criterion) {
     g.finish();
 }
 
+/// The `paper-kdj` shape at the sweep layer: intersecting TIGER-like
+/// leaves swept with windows so short that an anchor meets about four
+/// partners before one ends its scan (a `within` join at distance 0.02
+/// on this workload examines 148k partners over 39k scan stops). The
+/// trees fit their buffers and stay warm, so every fetch is a buffer hit
+/// and the time goes to laying out and sweeping the lists.
+fn bench_intersecting_leaves(c: &mut Criterion) {
+    let w = workload();
+    let (r, s) = build_trees(&w, 64 << 20);
+    let cfg = JoinConfig::unbounded();
+    let mut g = c.benchmark_group("plane_sweep/intersecting_leaves");
+    g.sample_size(20);
+    g.bench_function("within_4_partners", |b| {
+        b.iter(|| within_join(&r, &s, 0.02, &cfg).results.len());
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_sweep_optimizations,
     bench_leaf_kernel,
     bench_node_fill,
-    bench_park_and_replay
+    bench_park_and_replay,
+    bench_intersecting_leaves
 );
 criterion_main!(benches);

@@ -1,7 +1,10 @@
 //! Hybrid memory/disk queue micro-benchmarks: push/pop throughput under
-//! various memory budgets, the value of Equation-3 boundaries, and a
-//! tie-heavy stream shaped like an incremental join's distance-0 group.
+//! various memory budgets, the value of Equation-3 boundaries, a
+//! tie-heavy stream shaped like an incremental join's distance-0 group,
+//! and a pop-heavy drain of tied main-queue pairs.
 
+use amdj_core::{ItemRef, Pair};
+use amdj_geom::Rect;
 use amdj_storage::codec::{put_f64, put_u64, Reader};
 use amdj_storage::{SpillItem, SpillQueue, SpillQueueConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -152,10 +155,64 @@ fn bench_tie_heavy(c: &mut Criterion) {
     g.finish();
 }
 
+/// The main queue of a join walking a distance-0 tie group, with real
+/// main-queue pairs (98 bytes encoded) under the paper's 512 KB queue
+/// memory: the heap is filled to nine tenths of what the budget holds,
+/// nine pairs in ten at distance 0, then 100k steps each pop the head
+/// and push one more pair. No step spills, and a pushed tie is the
+/// newest at its key, so it stays where it lands: the time is the pops'
+/// sifts through a full heap.
+fn bench_tied_pairs_pop_heavy(c: &mut Criterion) {
+    const STEPS: u64 = 100_000;
+    let budget = 512 * 1024;
+    let resident = (budget / SpillQueue::<Pair<2>>::per_item_cost(Pair::<2>::ENCODED_LEN)) as u64;
+    let pair = |i: u64| {
+        let x = (i % 1000) as f64 / 1000.0;
+        let mbr = Rect::new([x, 0.0], [x + 0.001, 0.001]);
+        Pair {
+            dist: if i % 10 == 9 {
+                (i % 97 + 1) as f64 * 1e-3
+            } else {
+                0.0
+            },
+            a: ItemRef::Object { oid: i },
+            b: ItemRef::Object { oid: i + 1 },
+            a_mbr: mbr,
+            b_mbr: mbr,
+        }
+    };
+    let mut g = c.benchmark_group("spill_queue/tied_pairs_pop_heavy_100k");
+    g.throughput(Throughput::Elements(STEPS));
+    g.sample_size(20);
+    g.bench_function("512k", |b| {
+        b.iter(|| {
+            let mut q: SpillQueue<Pair<2>> = SpillQueue::new(SpillQueueConfig {
+                mem_budget: budget,
+                boundaries: vec![],
+                cost: amdj_storage::CostModel::free(),
+            });
+            let mut next = 0u64;
+            while next < resident * 9 / 10 {
+                q.push(pair(next));
+                next += 1;
+            }
+            let mut zeros = 0u64;
+            for _ in 0..STEPS {
+                zeros += u64::from(q.pop().is_some_and(|p| p.dist == 0.0));
+                q.push(pair(next));
+                next += 1;
+            }
+            (zeros, q.stats().splits)
+        });
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_push_pop,
     bench_boundary_guidance,
-    bench_tie_heavy
+    bench_tie_heavy,
+    bench_tied_pairs_pop_heavy
 );
 criterion_main!(benches);

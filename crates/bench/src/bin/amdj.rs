@@ -71,7 +71,7 @@ use amdj_core::serve::{
 };
 use amdj_core::{
     hs_kdj, read_checkpoint, within_join, write_checkpoint, AmIdj, AmIdjOptions, Checkpointed,
-    EngineSnapshot, JoinConfig, JoinOutput, PauseCtl,
+    EngineSnapshot, JoinConfig, JoinOutput, JoinStats, PauseCtl,
 };
 use amdj_datagen::{clustered_points, tiger::Geography, uniform_points, unit_universe, Dataset};
 use amdj_geom::Rect;
@@ -159,9 +159,9 @@ fn load_resume(resume: &Option<String>) -> Result<Option<EngineSnapshot<2>>, Str
 /// sequence of episodes: run until the pause control fires, write a
 /// checkpoint, then either continue in-process (a periodic
 /// `--checkpoint-every` pause) or stop (SIGINT or the
-/// `AMDJ_INTERRUPT_AFTER` hook). Returns `None` when interrupted — the
-/// final checkpoint is on disk and the caller exits with
-/// [`EXIT_INTERRUPTED`].
+/// `AMDJ_INTERRUPT_AFTER` hook). The returned stats sum every episode's
+/// work. Returns `None` when interrupted — the final checkpoint is on
+/// disk and the caller exits with [`EXIT_INTERRUPTED`].
 fn run_resumable(
     r: &RTree<2>,
     s: &RTree<2>,
@@ -187,6 +187,7 @@ fn run_resumable(
     // hook's remaining expansions cap the episode's pause budget, so the
     // interrupt lands at the same expansion on every run.
     let mut prior_expansions = 0u64;
+    let mut stats = JoinStats::default();
     loop {
         let remaining = interrupt_after.map(|n| n.saturating_sub(prior_expansions));
         // A budget of 0 never fires, so it loses to any non-zero one.
@@ -222,8 +223,13 @@ fn run_resumable(
         let _ = watcher.join();
         prior_expansions += ctl.expansions();
         match outcome.map_err(|e| e.to_string())? {
-            Checkpointed::Done(out) => return Ok(Some(out)),
-            Checkpointed::Suspended(snap, _) => {
+            Checkpointed::Done(mut out) => {
+                stats.absorb_episode(&out.stats);
+                out.stats = stats;
+                return Ok(Some(out));
+            }
+            Checkpointed::Suspended(snap, episode) => {
+                stats.absorb_episode(&episode);
                 let path = ckpt.path.as_deref().ok_or(
                     "join paused without --checkpoint-path; set it to make interrupts resumable",
                 )?;

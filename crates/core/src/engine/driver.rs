@@ -34,8 +34,11 @@ use super::sweep::{CompEntry, CompQueue, MarkMode, SweepScratch, SweepSink};
 
 /// The engine's one sweep sink. `axis` selects the cutoff shape:
 /// `Some(eDmax)` freezes the axis cutoff for the whole sweep (aggressive
-/// stage one, which also unlocks the lane window search), `None` keeps
-/// it live at the clamped `qDmax` (exact sweeps and compensation). The
+/// stage one, whose scans then find each window with one walk over the
+/// sort keys before any distance), `None` keeps it live at the clamped
+/// `qDmax` (exact sweeps and compensation), tested partner by partner
+/// inside the distance loop. Both use the same one-sided key test,
+/// which is exact ([`SweepSide::reach`](super::sweep::SweepSide::reach)). The
 /// real cutoff is always the live `qDmax`, clamped by the shared bound;
 /// emitted results publish the new `qDmax` back into the shared bound.
 pub(crate) struct EngineSink<'x, const D: usize> {

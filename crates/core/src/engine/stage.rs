@@ -23,7 +23,10 @@ use super::sweep::{CompEntry, CompQueue, MarkMode, SweepScratch, SweepSink};
 
 /// Sink for incremental sweeps: the stage's `eDmax` is the only cutoff
 /// (§4.2), for both the axis and the real distance. Both are frozen for
-/// the whole sweep, so every scan takes the lane window search.
+/// the whole sweep, so every scan finds its window with one walk over
+/// the sort keys (the one-sided key test, exact for partners at or after
+/// the anchor: [`SweepSide::reach`](super::sweep::SweepSide::reach))
+/// before it computes any distance.
 struct IdjSink<'x, const D: usize> {
     mainq: &'x mut MainQueue<D>,
     edmax: f64,

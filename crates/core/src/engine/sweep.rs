@@ -5,11 +5,12 @@
 //! A pair ⟨l, r⟩ is expanded by laying both children lists out along the
 //! chosen axis, then repeatedly taking the least-advanced entry (the
 //! *anchor*) and scanning the other list while the axis distance stays
-//! within the cutoff ([`plane_sweep`]). Axis distances are monotone along
-//! the scan, so the first partner beyond the cutoff ends the scan — and
-//! its index, recorded in [`SweepMarks`], is exactly where a later
-//! *compensation* pass ([`compensation_sweep`]) must resume when the
-//! cutoff was only an estimate (`eDmax`).
+//! within the cutoff ([`plane_sweep`]). Axis distances (one subtraction on
+//! the sort key, [`SweepSide::reach`]) grow along the scan, so the first
+//! partner beyond the cutoff ends the scan — and its index, recorded in
+//! [`SweepMarks`], is exactly where a later *compensation* pass
+//! ([`compensation_sweep`]) must resume when the cutoff was only an
+//! estimate (`eDmax`).
 //!
 //! # Allocation discipline
 //!
@@ -59,6 +60,8 @@ pub(crate) struct SweepSide<'a, const D: usize> {
     pub entries: &'a [SweepEntry<D>],
     pub objects: bool,
     pub child_level: u32,
+    /// Whether the keys are `−hi[axis]` (backward), not `lo[axis]`.
+    pub backward: bool,
 }
 
 /// Axis and direction chosen for one expansion.
@@ -107,6 +110,8 @@ struct SideBuf<const D: usize> {
     objects: bool,
     /// Level of the entries when they are nodes.
     child_level: u32,
+    /// Whether the entries are keyed for a backward sweep.
+    backward: bool,
 }
 
 impl<const D: usize> SideBuf<D> {
@@ -127,6 +132,7 @@ impl<const D: usize> SideBuf<D> {
             }));
         self.objects = node.is_leaf();
         self.child_level = node.level.saturating_sub(1);
+        self.backward = setup.dir == SweepDirection::Backward;
     }
 
     /// Lays out one side of a pair: a node side fetches the node and
@@ -144,6 +150,7 @@ impl<const D: usize> SideBuf<D> {
                 });
                 self.objects = true;
                 self.child_level = 0;
+                self.backward = setup.dir == SweepDirection::Backward;
             }
         }
     }
@@ -153,6 +160,7 @@ impl<const D: usize> SideBuf<D> {
             entries: &self.entries,
             objects: self.objects,
             child_level: self.child_level,
+            backward: self.backward,
         }
     }
 }
@@ -166,6 +174,20 @@ impl<const D: usize> SweepSide<'_, D> {
                 page: e.child,
                 level: self.child_level,
             }
+        }
+    }
+
+    /// How far `anchor` reaches along the sweep, in key units: `hi[axis]`
+    /// forward, `−lo[axis]` backward. For a partner keyed at or after the
+    /// anchor, [`Rect::axis_dist`]'s other term is never positive, so its
+    /// gap is `key − reach` bit for bit where that is positive
+    /// (`−hi + lo` rounds like `lo − hi`) and 0 elsewhere: against any
+    /// cutoff ≥ 0 the two tests agree.
+    pub(crate) fn reach(&self, anchor: &SweepEntry<D>, axis: usize) -> f64 {
+        if self.backward {
+            -anchor.mbr.lo()[axis]
+        } else {
+            anchor.mbr.hi()[axis]
         }
     }
 }
@@ -187,9 +209,9 @@ pub(crate) trait SweepSink<const D: usize> {
     /// `Some(w)` when the **axis** cutoff is frozen at `w` for the whole
     /// sweep (it does not depend on state that `emit` mutates). A frozen
     /// axis cutoff means the set of examined partners is fixed up front,
-    /// which lets [`scan`] find each anchor's window with the lane search
-    /// before computing any distance. The *real* cutoff may still be
-    /// live; it is re-read after each emit.
+    /// which lets [`scan`] find each anchor's window with one walk over
+    /// the sort keys before computing any distance. The *real* cutoff may
+    /// still be live; it is re-read after each emit.
     fn fixed_axis_cutoff(&self) -> Option<f64> {
         None
     }
@@ -480,11 +502,12 @@ fn plane_sweep_into<const D: usize>(
 /// results stay correct, and only the schedule-dependent multi-worker
 /// counters (distances computed, pairs enqueued) can move.
 ///
+/// Partners from `from` on sort at or after the anchor, so the axis test
+/// is the exact one-sided `key − reach > cutoff` ([`SweepSide::reach`]).
 /// With a frozen axis cutoff the window is fixed before any distance
-/// math, so the monotone axis-gap search runs as an unroll-by-[`LANES`]
-/// pass ([`axis_window_stop`]) and the distance loop then walks the
-/// window without re-testing the axis. Bit-identical to the live path:
-/// same gap expression, same break condition, same counting (the
+/// math, so [`window_stop`] finds it with one walk over the keys and the
+/// distance loop then walks the window without re-testing the axis.
+/// Bit-identical to the live path: same test, same counting (the
 /// breaking partner counts as examined).
 ///
 /// A candidate beyond the real cutoff costs nothing more unless the
@@ -520,10 +543,11 @@ fn scan<const D: usize>(
             dist,
         }
     };
+    let reach = left.reach(anchor, axis);
     let mut real_cutoff = sink.real_cutoff();
     if let Some(w) = sink.fixed_axis_cutoff() {
         let n = partners.len();
-        let stop = axis_window_stop(anchor, partners, from, axis, w);
+        let stop = window_stop(partners, from, reach, w);
         stats.axis_dist += (if stop < n { stop + 1 } else { n } - from) as u64;
         stats.real_dist += (stop - from) as u64;
         for (j, m) in (from..stop).zip(&partners[from..stop]) {
@@ -540,7 +564,7 @@ fn scan<const D: usize>(
     let mut axis_cutoff = sink.axis_cutoff();
     for (j, m) in (from..).zip(&partners[from..]) {
         stats.axis_dist += 1;
-        if anchor.mbr.axis_dist(&m.mbr, axis) > axis_cutoff {
+        if m.key - reach > axis_cutoff {
             return j;
         }
         stats.real_dist += 1;
@@ -555,47 +579,18 @@ fn scan<const D: usize>(
     partners.len()
 }
 
-/// Fixed unroll width of the axis window search. Eight independent gap
-/// tests per iteration give the CPU enough parallel chains to pipeline;
-/// the tail of `n % LANES` partners runs one at a time.
-const LANES: usize = 8;
-
-/// The unroll-by-[`LANES`] axis window search: partners are sorted along
-/// `axis`, so the first one whose gap (same expression as
-/// [`Rect::axis_dist`]) exceeds `window` ends the scan. Lanes test eight
-/// partners per iteration into a bitmask; the first set bit locates the
-/// break exactly.
-fn axis_window_stop<const D: usize>(
-    anchor: &SweepEntry<D>,
+/// The first index at or after `from` whose partner lies beyond the
+/// window `w` of an anchor reaching `reach`, or `partners.len()`.
+fn window_stop<const D: usize>(
     partners: &[SweepEntry<D>],
     from: usize,
-    axis: usize,
-    window: f64,
+    reach: f64,
+    w: f64,
 ) -> usize {
-    let (a_lo, a_hi) = (anchor.mbr.lo()[axis], anchor.mbr.hi()[axis]);
-    let n = partners.len();
-    let mut j = from;
-    while j + LANES <= n {
-        let mut mask = 0u32;
-        for l in 0..LANES {
-            let m = &partners[j + l].mbr;
-            let gap = (a_lo - m.hi()[axis]).max(m.lo()[axis] - a_hi).max(0.0);
-            mask |= u32::from(gap > window) << l;
-        }
-        if mask != 0 {
-            return j + mask.trailing_zeros() as usize;
-        }
-        j += LANES;
-    }
-    while j < n {
-        let m = &partners[j].mbr;
-        let gap = (a_lo - m.hi()[axis]).max(m.lo()[axis] - a_hi).max(0.0);
-        if gap > window {
-            return j;
-        }
-        j += 1;
-    }
-    n
+    partners[from..]
+        .iter()
+        .position(|m| m.key - reach > w)
+        .map_or(partners.len(), |i| from + i)
 }
 
 /// Emits the pair of `anchor` and the other list's entry `j`, oriented
@@ -850,6 +845,7 @@ mod tests {
             }],
             objects: true,
             child_level: 0,
+            backward: setup.dir == SweepDirection::Backward,
         }
     }
 
@@ -1431,53 +1427,88 @@ mod tests {
         }
     }
 
-    /// The lane window search must agree with a plain linear scan for
-    /// every partner count around the lane width (full lanes, tails, and
-    /// both), a break at every index or none at all, and every start.
+    /// The one-sided key stop must agree with a linear scan of the
+    /// two-sided [`Rect::axis_dist`] test wherever a scan can start: for
+    /// both directions and axes, every anchor of either list, every start
+    /// at or after the anchor, and every resume position a compensation
+    /// pass reaches from an earlier, narrower window. The rectangles mix
+    /// signed zeros, equal keys, points, nesting and overlap.
     #[test]
     fn axis_window_stop_matches_linear_scan() {
-        let window = 1.0;
+        let rects = |spans: &[(f64, f64, f64)], base: u64| -> Node<2> {
+            let entries = spans
+                .iter()
+                .enumerate()
+                .map(|(i, &(lo, hi, y))| amdj_rtree::Entry {
+                    mbr: Rect::new([lo, y], [hi, y + (hi - lo)]),
+                    child: base + i as u64,
+                })
+                .collect();
+            Node::with_entries(0, entries)
+        };
+        let a = rects(
+            &[
+                (-0.0, 0.0, -1.0),
+                (0.0, 0.0, 0.0),
+                (0.0, 2.0, -0.0),
+                (-1.5, -0.0, -2.0),
+                (0.5, 0.75, 0.5),
+                (0.5, 4.0, 0.5),
+                (3.0, 3.0, 1.0),
+            ],
+            0,
+        );
+        let b = rects(
+            &[
+                (0.0, 0.5, 0.0),
+                (-0.0, -0.0, 2.0),
+                (0.25, 1.0, -0.5),
+                (0.5, 0.5, 0.5),
+                (-2.0, 5.0, -3.0),
+                (1.0, 1.25, 0.0),
+                (2.5, 3.5, 1.5),
+                (6.0, 6.0, 0.0),
+            ],
+            100,
+        );
+        let windows = [-0.0, 0.0, 0.25, 0.5, 1.0, 2.75, f64::INFINITY];
+        let mut checked = 0;
         for axis in 0..2 {
-            let at = |v: f64| {
-                let mut p = [0.0; 2];
-                p[axis] = v;
-                Rect::from_point(Point::new(p))
-            };
-            let anchor = SweepEntry {
-                mbr: at(0.0),
-                child: 0,
-                key: 0.0,
-            };
-            for n in 0..=17usize {
-                for brk in 0..=n {
-                    // Partners before `brk` sit inside the window, the
-                    // rest beyond it; keys stay sorted along `axis`.
-                    let partners: Vec<SweepEntry<2>> = (0..n)
-                        .map(|i| {
-                            let v = if i < brk {
-                                i as f64 * 0.05
-                            } else {
-                                window + 1.0 + i as f64
-                            };
-                            SweepEntry {
-                                mbr: at(v),
-                                child: i as u64 + 1,
-                                key: v,
+            for dir in [SweepDirection::Forward, SweepDirection::Backward] {
+                let setup = SweepSetup { axis, dir };
+                let (la, lb) = (side(&a, setup), side(&b, setup));
+                for (anchors, partners) in [(la.view(), lb.view()), (lb.view(), la.view())] {
+                    let n = partners.entries.len();
+                    for anchor in anchors.entries {
+                        let reach = anchors.reach(anchor, axis);
+                        let want = |from: usize, w: f64| {
+                            (from..n)
+                                .find(|&j| anchor.mbr.axis_dist(&partners.entries[j].mbr, axis) > w)
+                                .unwrap_or(n)
+                        };
+                        // Scans start at the first partner keyed at or
+                        // after the anchor, or later.
+                        let first = partners.entries.partition_point(|m| m.key < anchor.key);
+                        for from in first..=n {
+                            for (i, &w) in windows.iter().enumerate() {
+                                let got = window_stop(partners.entries, from, reach, w);
+                                assert_eq!(got, want(from, w), "{setup:?} from={from} w={w}");
+                                // A compensation pass resumes at the
+                                // narrower window's stop.
+                                for &wider in &windows[i..] {
+                                    assert_eq!(
+                                        window_stop(partners.entries, got, reach, wider),
+                                        want(from, wider),
+                                        "{setup:?} from={from} w={w} resumed at {wider}"
+                                    );
+                                }
+                                checked += 1;
                             }
-                        })
-                        .collect();
-                    for from in 0..=n {
-                        let want = (from..n)
-                            .find(|&j| anchor.mbr.axis_dist(&partners[j].mbr, axis) > window)
-                            .unwrap_or(n);
-                        assert_eq!(
-                            axis_window_stop(&anchor, &partners, from, axis, window),
-                            want,
-                            "axis={axis} n={n} break={brk} from={from}"
-                        );
+                        }
                     }
                 }
             }
         }
+        assert!(checked > 500, "only {checked} starts checked");
     }
 }
