@@ -113,6 +113,22 @@ grep -Eq '"op": "serve".*"queue_wait_ns":[1-9]' "$BENCH_SMOKE_JSON" \
     || { echo "bench smoke: no serve row reports a nonzero queue wait"; exit 1; }
 echo "bench smoke: schema_version 14 with all required columns, 144 serve rows, one-thread counters repeat"
 
+echo "== Figure 11 claim: the optimized plane sweep saves distance computations =="
+# The paper's Figure 11 as a predicate: at every k of the default sweep,
+# B-KDJ with sweeping-axis and direction selection computes fewer
+# distances (axis + real) than with a fixed x-axis forward sweep, so
+# every row's "saved" is above 0. The default scale (0.19) takes about
+# 1 s; the AMDJ_* overrides are cleared so the run is that scale.
+fig11="$(env -u AMDJ_SCALE -u AMDJ_SEED -u AMDJ_KMAX \
+    cargo run --release -q -p amdj-bench --bin figure11)"
+fig11_saved="$(printf '%s\n' "$fig11" \
+    | sed -nE 's/^ *[0-9,]+ +[0-9,]+ +[0-9,]+ +(-?[0-9.]+)%$/\1/p')"
+[ "$(printf '%s\n' "$fig11_saved" | grep -c .)" = "5" ] \
+    || { echo "figure11: expected 5 k rows"; printf '%s\n' "$fig11"; exit 1; }
+printf '%s\n' "$fig11_saved" | awk '$1 <= 0 { bad = 1 } END { exit bad }' \
+    || { echo "figure11: a row saved no distance computations"; printf '%s\n' "$fig11"; exit 1; }
+echo "figure11: every k saved distance computations, in %: $(printf '%s\n' "$fig11_saved" | paste -sd ' ')"
+
 echo "== checkpoint smoke: interrupt, resume, compare =="
 # An interrupted join must exit 75 with a checkpoint on disk, and the
 # resumed run must finish with the uninterrupted run's exact results.

@@ -157,15 +157,31 @@ fn bench_park_and_replay(c: &mut Criterion) {
 /// on this workload examines 148k partners over 39k scan stops). The
 /// trees fit their buffers and stay warm, so every fetch is a buffer hit
 /// and the time goes to laying out and sweeping the lists.
+///
+/// The `within_0` pair is the sweep inside a distance-0 tie group, where
+/// the cutoff is 0: `axis_on` picks each expansion's axis by the
+/// sweeping index's limit at 0, `axis_off` always sweeps x.
 fn bench_intersecting_leaves(c: &mut Criterion) {
     let w = workload();
     let (r, s) = build_trees(&w, 64 << 20);
     let cfg = JoinConfig::unbounded();
+    let fixed_axis = JoinConfig {
+        optimize_axis: false,
+        ..JoinConfig::unbounded()
+    };
     let mut g = c.benchmark_group("plane_sweep/intersecting_leaves");
     g.sample_size(20);
     g.bench_function("within_4_partners", |b| {
         b.iter(|| within_join(&r, &s, 0.02, &cfg).results.len());
     });
+    for (name, cfg) in [
+        ("within_0/axis_on", &cfg),
+        ("within_0/axis_off", &fixed_axis),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| within_join(&r, &s, 0.0, cfg).results.len());
+        });
+    }
     g.finish();
 }
 

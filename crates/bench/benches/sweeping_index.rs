@@ -13,6 +13,11 @@ fn bench_index(c: &mut Criterion) {
     c.bench_function("sweep_index/choose_axis_2d", |b| {
         b.iter(|| sweep_index::choose_sweep_axis(&r, &s, 0.8));
     });
+    // A zero cutoff (inside a distance-0 tie group) also ranks each axis
+    // by the index's slope at 0.
+    c.bench_function("sweep_index/choose_axis_2d_w0", |b| {
+        b.iter(|| sweep_index::choose_sweep_axis(&r, &s, 0.0));
+    });
     c.bench_function("sweep_index/choose_direction", |b| {
         b.iter(|| sweep_index::choose_sweep_direction(&r, &s, 0));
     });

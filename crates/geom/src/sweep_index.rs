@@ -20,6 +20,18 @@
 //! exactly for *all* configurations — disjoint, overlapping, and contained —
 //! which both subsumes Table 1 and is validated against it (and against
 //! numeric integration) in the tests below.
+//!
+//! # A zero cutoff
+//!
+//! At `qDmax = 0` (inside a distance-0 tie group) the window has no
+//! length, so every axis's index is 0 unless two degenerate projections
+//! coincide. [`choose_sweep_axis`] then ranks the axes by the right-hand
+//! limit of Equation (2): the index at 0 first, ties broken by its slope
+//! `d(index)/dw` at `0⁺`. Per term that slope is `|r∩s|ₓ / (|r|ₓ·|s|ₓ)`
+//! for two non-degenerate projections — the overlap fraction that a tiny
+//! window still meets — `1/|r|ₓ` (or `1/|s|ₓ`) when one side is a point
+//! inside the other, and 0 otherwise. This is the same limit argument as
+//! the non-finite-cutoff rule, taken at the other end.
 
 use crate::Rect;
 
@@ -122,6 +134,36 @@ pub fn sweeping_index<const D: usize>(r: &Rect<D>, s: &Rect<D>, w: f64, dim: usi
     one_term(r0, r1, s0, s1, w) + one_term(s0, s1, r0, r1, w)
 }
 
+/// The right-hand slope of one [`one_term`] at `w = 0`:
+/// `lim_{h→0⁺} (one_term(…, h) − one_term(…, 0)) / h`.
+///
+/// A window `[u, u+h]` whose start sweeps `[r0, r1]` covers `h` of
+/// `[s0, s1]` wherever `u` lies in both, so the integral grows like
+/// `h·|r∩s|`; a point `s0` is met from anchors in `(s0 − h, s0]`, a
+/// point anchor `r0` meets `[r0, r0 + h) ∩ [s0, s1]`. Two points give a
+/// step (no slope).
+fn one_term_slope(r0: f64, r1: f64, s0: f64, s1: f64) -> f64 {
+    let rlen = r1 - r0;
+    let slen = s1 - s0;
+    match (rlen == 0.0, slen == 0.0) {
+        (true, true) => 0.0,
+        (false, true) if r0 < s0 && s0 <= r1 => 1.0 / rlen,
+        (true, false) if s0 <= r0 && r0 < s1 => 1.0 / slen,
+        (false, false) => (r1.min(s1) - r0.max(s0)).max(0.0) / (rlen * slen),
+        _ => 0.0,
+    }
+}
+
+/// The slope `d(index)/dw` of [`sweeping_index`] at `w = 0⁺` for
+/// dimension `dim`: how fast the fraction of child pairs needing a real
+/// distance grows as the window opens. [`choose_sweep_axis`] breaks ties
+/// between axes with it when the cutoff is 0.
+fn sweeping_index_slope<const D: usize>(r: &Rect<D>, s: &Rect<D>, dim: usize) -> f64 {
+    let (r0, r1) = (r.lo()[dim], r.hi()[dim]);
+    let (s0, s1) = (s.lo()[dim], s.hi()[dim]);
+    one_term_slope(r0, r1, s0, s1) + one_term_slope(s0, s1, r0, r1)
+}
+
 /// The probability that two independent uniform points — one on segment
 /// `[a0, a1]`, one on `[b0, b1]` — lie within `d` of each other along the
 /// axis. Degenerate (zero-length) segments are treated as point masses.
@@ -152,7 +194,8 @@ pub fn axis_within_probability(a0: f64, a1: f64, b0: f64, b1: f64, d: f64) -> f6
 /// (§3.2). `w` is the current pruning cutoff (`qDmax`, or `eDmax` during the
 /// aggressive stage). A non-finite `w` (no cutoff known yet) falls back to
 /// the dimension with the larger combined spread, which is the limit
-/// behaviour of the index.
+/// behaviour of the index. A zero `w` ranks the axes by the index's
+/// right-hand limit: the index at 0, ties broken by its slope at 0⁺.
 pub fn choose_sweep_axis<const D: usize>(r: &Rect<D>, s: &Rect<D>, w: f64) -> usize {
     if D == 1 {
         return 0;
@@ -172,11 +215,18 @@ pub fn choose_sweep_axis<const D: usize>(r: &Rect<D>, s: &Rect<D>, w: f64) -> us
         return best;
     }
     let mut best = 0;
-    let mut best_idx = f64::INFINITY;
+    let mut best_key = (f64::INFINITY, f64::INFINITY);
     for d in 0..D {
-        let idx = sweeping_index(r, s, w, d);
-        if idx < best_idx {
-            best_idx = idx;
+        // Every axis's slope counts as 0 at w > 0, so there only the
+        // index ranks.
+        let slope = if w == 0.0 {
+            sweeping_index_slope(r, s, d)
+        } else {
+            0.0
+        };
+        let key = (sweeping_index(r, s, w, d), slope);
+        if key < best_key {
+            best_key = key;
             best = d;
         }
     }
@@ -328,6 +378,94 @@ mod tests {
         let r: Rect<2> = Rect::new([0.0, 0.0], [10.0, 1.0]);
         let s: Rect<2> = Rect::new([5.0, 0.5], [20.0, 2.0]);
         assert_eq!(choose_sweep_axis(&r, &s, f64::INFINITY), 0);
+    }
+
+    /// The right-hand difference quotient of the sweeping index at 0.
+    fn difference_quotient(r: &Rect<2>, s: &Rect<2>, h: f64) -> f64 {
+        (sweeping_index(r, s, h, 0) - sweeping_index(r, s, 0.0, 0)) / h
+    }
+
+    #[test]
+    fn zero_window_slope_matches_difference_quotient() {
+        let seg = |a: f64, b: f64| Rect::<2>::new([a, 0.0], [b, 1.0]);
+        // (r, s, expected slope along x): per term |r∩s|/(|r||s|), or
+        // 1/|segment| for a point inside the segment's half-open span.
+        let cases = [
+            ("disjoint", seg(0.0, 4.0), seg(7.0, 10.0), 0.0),
+            ("touching", seg(0.0, 4.0), seg(4.0, 8.0), 0.0),
+            ("overlap", seg(0.0, 6.0), seg(4.0, 9.0), 2.0 * 2.0 / 30.0),
+            ("contained", seg(0.0, 10.0), seg(3.0, 5.0), 2.0 * 2.0 / 20.0),
+            ("point inside", seg(3.0, 3.0), seg(0.0, 10.0), 2.0 / 10.0),
+            ("point at lo", seg(0.0, 0.0), seg(0.0, 10.0), 1.0 / 10.0),
+            ("point at hi", seg(10.0, 10.0), seg(0.0, 10.0), 1.0 / 10.0),
+            ("point outside", seg(12.0, 12.0), seg(0.0, 10.0), 0.0),
+            ("same point", seg(2.0, 2.0), seg(2.0, 2.0), 0.0),
+            ("two points", seg(2.0, 2.0), seg(3.0, 3.0), 0.0),
+        ];
+        for (name, r, s, want) in cases {
+            let slope = sweeping_index_slope(&r, &s, 0);
+            assert!((slope - want).abs() < 1e-12, "{name}: {slope} vs {want}");
+            assert_eq!(slope, sweeping_index_slope(&s, &r, 0), "{name}: symmetric");
+            // The quotient's error is O(h) (the window's partial
+            // overlaps at the ends of r∩s), plus rounding.
+            for h in [1e-3, 1e-5, 1e-7] {
+                let q = difference_quotient(&r, &s, h);
+                assert!(
+                    (q - slope).abs() <= h + 1e-7,
+                    "{name}, h={h}: quotient {q} vs slope {slope}"
+                );
+            }
+        }
+        // Only coincident degenerate projections score above 0 at w = 0.
+        assert_eq!(sweeping_index(&seg(2.0, 2.0), &seg(2.0, 2.0), 0.0, 0), 2.0);
+        assert_eq!(sweeping_index(&seg(0.0, 6.0), &seg(4.0, 9.0), 0.0, 0), 0.0);
+    }
+
+    #[test]
+    fn zero_window_picks_smaller_overlap_fraction() {
+        // Figure 5's pair: the children spread widely along y, where the
+        // projections overlap in a far smaller fraction of their extents
+        // (30/(40·50) against 1/(2·2)), so y wins at a zero cutoff too.
+        let r: Rect<2> = Rect::new([0.0, 0.0], [2.0, 40.0]);
+        let s: Rect<2> = Rect::new([1.0, 10.0], [3.0, 60.0]);
+        assert_eq!(sweeping_index(&r, &s, 0.0, 0), 0.0);
+        assert_eq!(sweeping_index(&r, &s, 0.0, 1), 0.0);
+        assert_eq!(choose_sweep_axis(&r, &s, 0.0), 1);
+        // Transposed, x wins: the rule reads the geometry, not an axis.
+        let t = |q: &Rect<2>| Rect::new([q.lo()[1], q.lo()[0]], [q.hi()[1], q.hi()[0]]);
+        assert_eq!(choose_sweep_axis(&t(&r), &t(&s), 0.0), 0);
+        // A coincident degenerate projection scores 2 at w = 0 and loses
+        // to any other axis, whatever the slopes.
+        let p: Rect<2> = Rect::new([5.0, 0.0], [5.0, 10.0]);
+        let q: Rect<2> = Rect::new([5.0, 2.0], [5.0, 8.0]);
+        assert_eq!(choose_sweep_axis(&p, &q, 0.0), 1);
+    }
+
+    #[test]
+    fn positive_window_choices_unchanged() {
+        // The choice at w > 0 is the first axis with the least index,
+        // exactly as before the zero-window rule. Every pair of integer
+        // rectangles in [0, 3]², degenerate ones included.
+        let spans: Vec<(f64, f64)> = (0..4)
+            .flat_map(|a| (a..4).map(move |b| (a as f64, b as f64)))
+            .collect();
+        let rects: Vec<Rect<2>> = spans
+            .iter()
+            .flat_map(|&(x0, x1)| {
+                spans
+                    .iter()
+                    .map(move |&(y0, y1)| Rect::new([x0, y0], [x1, y1]))
+            })
+            .collect();
+        for r in &rects {
+            for s in &rects {
+                for w in [0.25, 1.0, 2.5, 5.0] {
+                    let (ix, iy) = (sweeping_index(r, s, w, 0), sweeping_index(r, s, w, 1));
+                    let old = if iy < ix { 1 } else { 0 };
+                    assert_eq!(choose_sweep_axis(r, s, w), old, "{r:?} {s:?} w={w}");
+                }
+            }
+        }
     }
 
     #[test]
