@@ -22,7 +22,7 @@ use amdj_core::{
 use amdj_datagen::{clustered_points, uniform_points, unit_universe};
 use amdj_rtree::{RTree, RTreeParams};
 
-use crate::run_join;
+use crate::{reset, run_join};
 
 /// Bumped whenever rows or fields change shape: 2 added the sjsort kdj
 /// row and the hs idj row; 3 the scheduler counters; 4 the buffer
@@ -132,7 +132,11 @@ pub fn run(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Matrix {
     let mut runs = Vec::new();
     // Set by the checkpoint-overhead run, harvested (and reset) per row.
     let ckpt_written = std::cell::Cell::new(0u64);
+    // Every row starts on cold buffers: a row after a multi-thread row
+    // would otherwise inherit an LRU state that depends on that row's
+    // thread schedule, and its one-thread counters would not repeat.
     let mut record = |op, algo, threads, run: &mut dyn FnMut() -> JoinOutput| {
+        reset(&r, &s);
         let start = std::time::Instant::now();
         let out = run();
         runs.push(Run {
