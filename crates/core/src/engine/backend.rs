@@ -54,7 +54,7 @@ use amdj_rtree::RTree;
 
 use crate::{ItemRef, JoinConfig, JoinStats, Pair, ResultPair};
 
-use super::driver::root_pair;
+use super::expand::root_pair;
 use super::sweep::{MarkMode, SweepScratch, SweepSink};
 
 /// Collects every swept pair, pruning nothing — used to split frontier

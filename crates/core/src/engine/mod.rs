@@ -1,10 +1,14 @@
-//! The unified join engine: one expansion driver, pluggable pruning
-//! policies, and one claim-round runner at any worker count.
+//! The unified join engine: one expansion core under two stage policies,
+//! pluggable pruning policies, and one claim-round runner at any worker
+//! count.
 //!
 //! Every distance-join variant in the paper is the same machine —
 //! bidirectional node expansion from a main queue, the Eq. 2
 //! sweeping-axis plane sweep, qDmax/eDmax cutoffs, stage and
-//! compensation bookkeeping — configured along two independent axes:
+//! compensation bookkeeping. `expand.rs` codes it once; the k-distance
+//! driver (`driver.rs`) and the incremental [`StageDriver`] hold it and
+//! differ only in their cutoff schedule. The k-distance joins are
+//! configured along two independent axes:
 //!
 //! * **[`Policy`]** — what stage one is allowed to skip.
 //!   [`Policy::Exact`] prunes on the proven `qDmax` alone (B-KDJ);
@@ -18,8 +22,8 @@
 //!   stops at its `k`-th result, and does exactly the paper's work.
 //!
 //! [`run`] is the one entry point: it runs a [`JoinRequest`] — a
-//! k-distance join under either policy, or the incremental join (whose
-//! per-stage loop is [`StageDriver`]) — at any worker count, fresh or
+//! k-distance join under either policy, or the incremental join — at
+//! any worker count, fresh or
 //! resumed from an [`EngineSnapshot`], and pauses into a new snapshot
 //! when a [`PauseCtl`] fires. `b_kdj`, `am_kdj` and the two `par_*`
 //! functions are one-line calls of it; [`crate::AmIdj`] is the
@@ -29,6 +33,7 @@ mod backend;
 mod bound;
 mod checkpoint;
 mod driver;
+mod expand;
 mod policy;
 mod snapshot;
 mod stage;

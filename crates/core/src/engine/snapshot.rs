@@ -815,7 +815,7 @@ mod tests {
             .collect();
         let r = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items.clone());
         let s = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items);
-        let root = crate::engine::driver::root_pair(&r, &s).unwrap();
+        let root = crate::engine::expand::root_pair(&r, &s).unwrap();
         let (ItemRef::Node { page, level }, ItemRef::Node { page: s_page, .. }) = (root.a, root.b)
         else {
             panic!("node roots")

@@ -1,6 +1,7 @@
-//! The incremental stage loop (§4.2–4.3): the machinery behind AM-IDJ,
-//! shared by the sequential cursor ([`crate::AmIdj`]) and the parallel
-//! incremental join workers.
+//! The incremental join's stage policy (§4.2–4.3) over the shared
+//! [`ExpansionCore`]: the machinery behind AM-IDJ, used by the
+//! sequential cursor ([`crate::AmIdj`]) and the parallel incremental
+//! join workers.
 //!
 //! No stopping cardinality is known, so there is no distance queue and no
 //! `qDmax`; each stage prunes on an estimated `eDmax_i` alone and streams
@@ -18,8 +19,9 @@ use crate::{
 
 use super::bound::MinBound;
 use super::checkpoint::PauseCtl;
-use super::driver::{root_pair, to_result};
-use super::sweep::{CompEntry, CompQueue, MarkMode, SweepScratch, SweepSink};
+use super::expand::{root_pair, to_result, ExpansionCore};
+use super::steal::Cut;
+use super::sweep::{CompEntry, MarkMode, SweepSink};
 
 /// Sink for incremental sweeps: the stage's `eDmax` is the only cutoff
 /// (§4.2), for both the axis and the real distance. Both are frozen for
@@ -51,19 +53,14 @@ impl<const D: usize> SweepSink<D> for IdjSink<'_, D> {
 /// its own `eDmax_i`, with full per-anchor skip bookkeeping so later
 /// stages compensate exactly. Drive it with [`next`](Self::next).
 ///
-/// This is the engine's third moving part next to the pruning policies
-/// and backends: where the k-distance driver owes a *single* compensation
-/// stage (its `qDmax` eventually becomes exact), the incremental loop
-/// re-estimates and compensates once per stage, indefinitely.
+/// Where the k-distance driver owes a *single* compensation stage (its
+/// `qDmax` eventually becomes exact), the incremental loop re-estimates
+/// and compensates once per stage, indefinitely. Both run on the same
+/// expansion core.
 pub struct StageDriver<'a, const D: usize> {
-    r: &'a RTree<D>,
-    s: &'a RTree<D>,
-    cfg: JoinConfig,
+    core: ExpansionCore<'a, D>,
     opts: AmIdjOptions,
     est: Option<Estimator<D>>,
-    mainq: MainQueue<D>,
-    compq: CompQueue<D>,
-    scratch: SweepScratch<D>,
     /// A global pruning bound shared with sibling cursors (parallel
     /// incremental join): cutoffs are clamped to it, and the owning worker
     /// stops consuming once the stream passes it. `None` when standalone.
@@ -77,10 +74,6 @@ pub struct StageDriver<'a, const D: usize> {
     last_dist: f64,
     /// Upper bound on any possible pair distance — the terminal `eDmax`.
     max_possible: f64,
-    counters: JoinStats,
-    /// Cooperative pause signal of a resumable join; checked once per
-    /// step-loop iteration, ticked per expansion/compensation.
-    pause: Option<&'a PauseCtl>,
 }
 
 /// One advance of the stage loop, pause-aware (the resumable incremental
@@ -100,36 +93,29 @@ pub(crate) enum Step {
     Held,
 }
 
-/// Everything a paused incremental cursor owes the snapshot: its pruned
-/// frontier and compensation entries plus the stage-loop scalars.
-pub(crate) struct IdjSuspend<const D: usize> {
-    pub(crate) frontier: Vec<Pair<D>>,
-    pub(crate) comps: Vec<CompEntry<D>>,
-    pub(crate) stage: u32,
-    pub(crate) edmax: f64,
-    pub(crate) k_target: u64,
-    pub(crate) last_dist: f64,
-}
-
 impl<'a, const D: usize> StageDriver<'a, D> {
     /// Starts an incremental join over two indexes, seeded with the root
     /// pair.
     pub fn new(r: &'a RTree<D>, s: &'a RTree<D>, cfg: &JoinConfig, opts: AmIdjOptions) -> Self {
-        Self::build(r, s, cfg, opts, None, None)
+        let mut cursor = Self::build(r, s, cfg, opts, None, None);
+        cursor.push_seeds(root_pair(r, s).into_iter().collect());
+        cursor
     }
 
-    /// Starts a cursor over one partition of the pair space (`seeds`),
-    /// clamping its cutoffs to a bound shared with sibling cursors — the
-    /// building block of the parallel incremental backend.
-    pub(crate) fn with_seeds(
+    /// Starts an empty cursor for one worker of the parallel incremental
+    /// join, clamping its cutoffs to a bound shared with sibling cursors.
+    /// Claim rounds feed it its share of the frontier
+    /// ([`push_seeds`](Self::push_seeds)). Only
+    /// [`next_step`](Self::next_step) observes the pause control.
+    pub(crate) fn worker(
         r: &'a RTree<D>,
         s: &'a RTree<D>,
         cfg: &JoinConfig,
         opts: AmIdjOptions,
-        seeds: Vec<Pair<D>>,
         shared: &'a MinBound,
+        pause: Option<&'a PauseCtl>,
     ) -> Self {
-        Self::build(r, s, cfg, opts, Some(seeds), Some(shared))
+        Self::build(r, s, cfg, opts, Some(shared), pause)
     }
 
     fn build(
@@ -137,16 +123,13 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         s: &'a RTree<D>,
         cfg: &JoinConfig,
         opts: AmIdjOptions,
-        seeds: Option<Vec<Pair<D>>>,
         shared: Option<&'a MinBound>,
+        pause: Option<&'a PauseCtl>,
     ) -> Self {
         assert!(opts.growth > 1.0, "stage growth must exceed 1");
         assert!(opts.initial_k >= 1, "initial k must be at least 1");
         let est = Estimator::from_trees(r, s);
-        let mut mainq = MainQueue::new(cfg, est.as_ref());
-        for pair in seeds.unwrap_or_else(|| root_pair(r, s).into_iter().collect()) {
-            mainq.push(pair);
-        }
+        let core = ExpansionCore::new(r, s, cfg, est.as_ref(), pause);
         let max_possible = match (r.bounds(), s.bounds()) {
             (Some(rb), Some(sb)) => rb.max_dist(&sb),
             _ => 0.0,
@@ -159,14 +142,9 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         };
         let k_target = opts.initial_k;
         StageDriver {
-            r,
-            s,
-            cfg: cfg.clone(),
+            core,
             opts,
             est,
-            mainq,
-            compq: CompQueue::new(),
-            scratch: SweepScratch::new(),
             shared,
             stop: shared,
             edmax,
@@ -174,18 +152,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
             emitted: 0,
             last_dist: 0.0,
             max_possible,
-            counters: JoinStats {
-                stages: 1,
-                ..JoinStats::default()
-            },
-            pause: None,
         }
-    }
-
-    /// Attaches the pause control of a resumable join. Only
-    /// [`next_step`](Self::next_step) observes it.
-    pub(crate) fn set_pause(&mut self, pause: Option<&'a PauseCtl>) {
-        self.pause = pause;
     }
 
     /// Stops this worker cursor at `stop` instead of the shared bound.
@@ -208,7 +175,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         emitted: u64,
         last_dist: f64,
     ) {
-        self.counters.stages = stage.max(1);
+        self.core.stats.stages = stage.max(1);
         self.edmax = edmax.min(self.max_possible);
         self.k_target = k_target.max(1);
         self.emitted = emitted;
@@ -220,13 +187,13 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// suspension.
     pub(crate) fn seed_comps(&mut self, comps: Vec<CompEntry<D>>) {
         for entry in comps {
-            self.compq.seed(entry);
+            self.core.compq.seed(entry);
         }
     }
 
     /// The stage currently executing (1-based).
     pub fn stage(&self) -> u32 {
-        self.counters.stages
+        self.core.stats.stages
     }
 
     /// The cutoff currently in force.
@@ -239,10 +206,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// wasted work. Everything skipped stays recoverable through the
     /// `MarkMode::Full` bookkeeping.
     pub(crate) fn clamped_edmax(&self) -> f64 {
-        match self.shared {
-            Some(b) => b.clamp(self.edmax),
-            None => self.edmax,
-        }
+        self.shared.map_or(self.edmax, |b| b.clamp(self.edmax))
     }
 
     /// Injects claimed or stolen frontier seeds into the cursor. Counted
@@ -252,7 +216,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// and only — main-queue insertion.
     pub(crate) fn push_seeds(&mut self, seeds: Vec<Pair<D>>) {
         for pair in seeds {
-            self.mainq.push(pair);
+            self.core.mainq.push(pair);
         }
     }
 
@@ -261,12 +225,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// the work of producing a pair that is already beyond the shared
     /// bound.
     pub(crate) fn peek_key(&mut self) -> Option<f64> {
-        match (self.mainq.peek_min(), self.compq.peek_key()) {
-            (None, None) => None,
-            (Some(m), None) => Some(m),
-            (None, Some(c)) => Some(c),
-            (Some(m), Some(c)) => Some(m.min(c)),
-        }
+        self.core.next_key().map(|(key, _)| key)
     }
 
     /// Produces the next nearest pair, advancing stages as needed;
@@ -292,22 +251,17 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     pub(crate) fn next_step(&mut self, hold: impl Fn(f64) -> bool) -> Step {
         let started = std::time::Instant::now();
         let out = self.step(hold);
-        self.counters.cpu_seconds += started.elapsed().as_secs_f64();
+        self.core.stats.cpu_seconds += started.elapsed().as_secs_f64();
         out
     }
 
     fn step(&mut self, hold: impl Fn(f64) -> bool) -> Step {
         loop {
-            if self.pause.is_some_and(|p| p.should_pause()) {
+            if self.core.paused() {
                 return Step::Paused;
             }
-            let main_key = self.mainq.peek_min();
-            let comp_key = self.compq.peek_key();
-            let (take_main, key) = match (main_key, comp_key) {
-                (None, None) => return Step::Done,
-                (Some(m), None) => (true, m),
-                (None, Some(c)) => (false, c),
-                (Some(m), Some(c)) => (m <= c, m.min(c)),
+            let Some((key, from_main)) = self.core.next_key() else {
+                return Step::Done;
             };
             if self.stop.is_some_and(|b| key > b.get()) {
                 // Worker cursor: `key` lower-bounds every pair this cursor
@@ -328,69 +282,34 @@ impl<'a, const D: usize> StageDriver<'a, D> {
                 self.advance_stage();
                 continue;
             }
-            if take_main {
-                let pair = self.mainq.pop().expect("peeked");
-                if pair.is_result() {
-                    self.emitted += 1;
-                    self.last_dist = pair.dist;
-                    self.counters.results += 1;
-                    return Step::Pair(to_result(&pair));
-                }
-                let cutoff = self.clamped_edmax();
-                self.scratch
-                    .expand(self.r, self.s, &pair, cutoff, &self.cfg);
-                if self.counters.stages == 1 {
-                    self.counters.stage1_expansions += 1;
-                } else {
-                    self.counters.stage2_expansions += 1;
-                }
-                if let Some(p) = self.pause {
-                    p.note_expansion();
-                }
-                let mut sink = IdjSink {
-                    mainq: &mut self.mainq,
-                    edmax: cutoff,
-                };
-                self.scratch
-                    .sweep(&mut sink, &mut self.counters, MarkMode::Full);
-                if !self.scratch.marks_exhausted() {
-                    // Every unexamined child pair lies *strictly* beyond
-                    // the cutoff, so the park key must exceed it strictly
-                    // or the entry would be re-processed in this same stage
-                    // without progress.
-                    let entry = self.scratch.park(pair.dist.max(cutoff.next_up()), &pair);
-                    self.compq.push(entry, &mut self.counters);
-                }
-            } else {
-                let mut entry = self.compq.pop().expect("peeked");
-                let cutoff = self.clamped_edmax();
-                let mut sink = IdjSink {
-                    mainq: &mut self.mainq,
-                    edmax: cutoff,
-                };
-                let exhausted = self.scratch.compensate(
-                    self.r,
-                    self.s,
-                    &mut entry,
-                    &mut sink,
-                    &mut self.counters,
-                );
-                if let Some(p) = self.pause {
-                    p.note_expansion();
-                }
-                if !exhausted {
-                    // Unexamined pairs now all lie strictly beyond the
-                    // current cutoff: park for a later stage.
-                    entry.key = self.edmax.next_up();
-                    self.compq.push(entry, &mut self.counters);
-                }
+            if !from_main {
+                // Pairs the replay leaves unexamined all lie strictly
+                // beyond the current cutoff: they park for a later stage.
+                let edmax = self.clamped_edmax();
+                let repark = self.edmax.next_up();
+                self.core
+                    .replay(Some(repark), |mainq| IdjSink { mainq, edmax });
+                continue;
             }
+            let pair = self.core.mainq.pop().expect("peeked");
+            if pair.is_result() {
+                self.emitted += 1;
+                self.last_dist = pair.dist;
+                self.core.stats.results += 1;
+                return Step::Pair(to_result(&pair));
+            }
+            let edmax = self.clamped_edmax();
+            self.core
+                .expand(&pair, edmax, MarkMode::Full, |mainq| IdjSink {
+                    mainq,
+                    edmax,
+                });
         }
     }
 
     fn advance_stage(&mut self) {
-        self.counters.stages += 1;
-        let stage_idx = self.counters.stages as usize - 1; // 0-based
+        self.core.stats.stages += 1;
+        let stage_idx = self.core.stats.stages as usize - 1; // 0-based
         self.k_target =
             ((self.k_target as f64 * self.opts.growth).ceil() as u64).max(self.emitted + 1);
         let mut next = match &self.opts.edmax {
@@ -425,39 +344,24 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     }
 
     /// Consumes a paused cursor, draining its queues into owned data for
-    /// an [`EngineSnapshot`](super::snapshot::EngineSnapshot).
-    ///
-    /// The main queue pops in ascending distance order, so the drain can
-    /// stop at the first pair beyond the shared bound — everything after
-    /// it is provably outside the global result set (the bound is a real
-    /// published distance of the `take`-th best candidate). Parked
-    /// compensation entries whose key exceeds the bound are dropped on
-    /// the same argument: the key lower-bounds every pair their marks can
-    /// still recover. Standalone cursors (no shared bound) keep
-    /// everything.
-    pub(crate) fn suspend(mut self) -> (IdjSuspend<D>, JoinStats) {
+    /// an [`EngineSnapshot`](super::snapshot::EngineSnapshot): everything
+    /// at or below the shared bound ([`ExpansionCore::drain`]; the bound
+    /// is a real published distance of the `take`-th best candidate).
+    /// Standalone cursors (no shared bound) keep everything.
+    pub(super) fn suspend(mut self) -> (Cut<D>, JoinStats) {
         let bound = self.shared.map_or(f64::INFINITY, |b| b.get());
-        let mut frontier = Vec::new();
-        while let Some(pair) = self.mainq.pop() {
-            if pair.dist > bound {
-                break;
-            }
-            frontier.push(pair);
-        }
-        let mut comps = self.compq.drain_sorted();
-        comps.retain(|c| c.key <= bound);
+        let (frontier, comps) = self.core.drain(bound);
         let stats = self.stats();
-        (
-            IdjSuspend {
-                frontier,
-                comps,
-                stage: stats.stages,
-                edmax: self.edmax,
-                k_target: self.k_target,
-                last_dist: self.last_dist,
-            },
-            stats,
-        )
+        let cut = Cut {
+            stage: stats.stages,
+            edmax: self.edmax,
+            k_target: self.k_target,
+            last_dist: self.last_dist,
+            frontier,
+            comps,
+            ..Cut::default()
+        };
+        (cut, stats)
     }
 
     /// The work this cursor did so far: its own counters plus its main
@@ -466,8 +370,6 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// cursors, so attributing them is the owner's job (the parallel
     /// backend's, or [`crate::AmIdj`]'s own baseline).
     pub fn stats(&self) -> JoinStats {
-        let mut st = self.counters;
-        self.mainq.account(&mut st);
-        st
+        self.core.stats()
     }
 }

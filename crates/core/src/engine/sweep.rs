@@ -1168,7 +1168,7 @@ mod tests {
         };
         let (r, s) = (tree(&pts_a, 0), tree(&pts_b, 100));
         assert_eq!((r.height(), s.height()), (1, 1), "one leaf per side");
-        let pair = crate::engine::driver::root_pair(&r, &s).unwrap();
+        let pair = crate::engine::expand::root_pair(&r, &s).unwrap();
         // Axis 0, forward: the cutoff alone decides what is skipped.
         let cfg = JoinConfig {
             optimize_axis: false,
@@ -1239,7 +1239,7 @@ mod tests {
             .collect();
         let r = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items.clone());
         let s = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items);
-        let root = crate::engine::driver::root_pair(&r, &s).unwrap();
+        let root = crate::engine::expand::root_pair(&r, &s).unwrap();
         let obj = Pair {
             b: ItemRef::Object { oid: 42 },
             b_mbr: Rect::new([1.0, 1.0], [2.0, 2.0]),
