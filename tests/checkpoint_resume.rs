@@ -552,3 +552,61 @@ fn resumed_idj_episodes_do_not_advance_stages_early() {
         );
     }
 }
+
+/// A one-thread aggressive k-distance join paused every few expansions
+/// does the uninterrupted join's work, summed over its episodes: the
+/// same distance computations, the same insertions into each of the
+/// three queues, the same expansions per stage and the same replays. A
+/// resumed stage-one driver starts its distance queue from the
+/// snapshot's distance evidence, so its `qDmax` and its `eDmax` ratchet
+/// pick up where the suspended episode left them. Uniform against
+/// clustered points keeps distances tie-free.
+#[test]
+fn resumed_one_thread_kdj_does_the_uninterrupted_work() {
+    let universe = amdj_datagen::unit_universe();
+    let a = amdj_datagen::uniform_points(2000, universe, 1);
+    let b = amdj_datagen::clustered_points(2000, 16, 0.02, universe, 2);
+    let r = RTree::bulk_load(RTreeParams::paper_defaults(), a);
+    let s = RTree::bulk_load(RTreeParams::paper_defaults(), b);
+    let cfg = JoinConfig::default();
+    let kind = aggressive(100, None);
+    let whole = run_join(&r, &s, kind.clone(), 1, &cfg);
+    let mut resume = None;
+    let mut suspensions = 0;
+    let mut total = amdj_core::JoinStats::default();
+    let resumed = loop {
+        let ctl = PauseCtl::every(7);
+        let req = JoinRequest {
+            resume: resume.take(),
+            ..JoinRequest::new(kind.clone(), 1)
+        };
+        match engine::run(&r, &s, req, &cfg, Some(&ctl)).expect("self-made snapshot validates") {
+            Checkpointed::Done(out) => {
+                total.absorb_episode(&out.stats);
+                break out;
+            }
+            Checkpointed::Suspended(snap, stats) => {
+                total.absorb_episode(&stats);
+                suspensions += 1;
+                resume = Some(*snap);
+            }
+        }
+    };
+    assert!(suspensions >= 4, "the pause fired only {suspensions} times");
+    assert_eq!(resumed.results, whole.results);
+    let w = &whole.stats;
+    let work = |st: &amdj_core::JoinStats| {
+        [
+            ("real_dist", st.real_dist),
+            ("axis_dist", st.axis_dist),
+            ("mainq_insertions", st.mainq_insertions),
+            ("distq_insertions", st.distq_insertions),
+            ("compq_insertions", st.compq_insertions),
+            ("stage1_expansions", st.stage1_expansions),
+            ("stage2_expansions", st.stage2_expansions),
+            ("comp_replays", st.comp_replays),
+            ("results", st.results),
+        ]
+    };
+    assert_eq!(work(&total), work(w), "resumed work differs");
+}
