@@ -122,6 +122,23 @@ for field in real_dist mainq_insertions distq_insertions; do
     [ "$(kdj_field am-ckpt "$field")" = "$(kdj_field am "$field")" ] \
         || { echo "bench smoke: am-ckpt $field differs from the am row's"; exit 1; }
 done
+# The same for the incremental join: the idj am row is the take-bounded
+# AmIdj cursor, the one-thread par-am row the claim-round runner's lone
+# worker, and the idj am-ckpt row that runner's episodes resumed from
+# written snapshots. All three are one join, so all three must do the
+# same work.
+idj_field() {  # idj_field ALGO FIELD: FIELD's value on the one-thread idj ALGO row
+    grep "\"op\": \"idj\", \"algo\": \"$1\", \"threads\": 1," "$BENCH_SMOKE_JSON" \
+        | grep -o "\"$2\": *[0-9]*" | grep -o '[0-9]*$'
+}
+[ "$(idj_field am-ckpt checkpoints_written)" -ge 1 ] \
+    || { echo "bench smoke: the idj am-ckpt row wrote no checkpoint"; exit 1; }
+for field in real_dist mainq_insertions distq_insertions; do
+    for algo in am-ckpt par-am; do
+        [ "$(idj_field "$algo" "$field")" = "$(idj_field am "$field")" ] \
+            || { echo "bench smoke: idj $algo $field differs from the idj am row's"; exit 1; }
+    done
+done
 # The serve section runs 144 mixed queries over 16 concurrent TCP
 # connections (bit-identity against serial is asserted inside the bench
 # itself) and emits one op="serve" row per query under a header naming

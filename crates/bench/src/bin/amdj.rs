@@ -463,7 +463,7 @@ fn run() -> Result<ExitCode, String> {
             };
             let req = parse_request(&flags, kind)?;
             // `--algo am` without checkpointing streams from the
-            // standalone cursor, batch by batch.
+            // standalone cursor, bounded to the take, batch by batch.
             if flags.get("algo").is_some_and(|a| a == "par-am") || ckpt.is_some() {
                 let Some(out) = run_resumable(&r, &s, req, &cfg, ckpt)? else {
                     return Ok(ExitCode::from(EXIT_INTERRUPTED));
@@ -479,7 +479,7 @@ fn run() -> Result<ExitCode, String> {
                 );
                 return Ok(ExitCode::SUCCESS);
             }
-            let mut cursor = AmIdj::new(&r, &s, &cfg, opts);
+            let mut cursor = AmIdj::with_take(&r, &s, &cfg, opts, take);
             let mut produced = 0;
             while produced < take {
                 let chunk = batch.min(take - produced);

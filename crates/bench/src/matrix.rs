@@ -177,22 +177,23 @@ pub fn run(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Matrix {
             run_join(&r, &s, kdj(aggressive), t, cfg)
         });
     }
-    // The checkpoint-overhead row: the same aggressive kdj as the "am"
-    // row above, run as a sequence of episodes that each pause after a
-    // quarter of the am row's expansions and replays, then serialize and
-    // write a snapshot. Its stats sum every episode's. Comparing its wall
-    // time against "am" prices checkpointing.
+    // The checkpoint-overhead rows: the same join as an "am" row, run as
+    // a sequence of one-thread episodes that each pause after a quarter
+    // of that row's expansions and replays, then serialize and write a
+    // snapshot. Their stats sum every episode's. Comparing their wall
+    // time against "am" prices checkpointing; ci.sh pins their work to
+    // the uninterrupted rows'.
     let ckpt_path =
         std::env::temp_dir().join(format!("amdj-bench-ckpt-{}.snap", std::process::id()));
-    record("kdj", "am-ckpt", 1, &mut || {
+    let episodes = |kind: JoinKind, work: u64| {
         let mut resume = None;
         let mut written = 0u64;
         let mut stats = JoinStats::default();
         loop {
-            let ctl = PauseCtl::every((am_work / 4).max(1));
+            let ctl = PauseCtl::every((work / 4).max(1));
             let req = JoinRequest {
                 resume: resume.take(),
-                ..JoinRequest::new(kdj(aggressive), 1)
+                ..JoinRequest::new(kind.clone(), 1)
             };
             match engine::run(&r, &s, req, cfg, Some(&ctl))
                 .expect("fresh or self-produced snapshot is always valid")
@@ -211,8 +212,10 @@ pub fn run(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Matrix {
                 }
             }
         }
+    };
+    record("kdj", "am-ckpt", 1, &mut || {
+        episodes(kdj(aggressive), am_work)
     });
-    let _ = std::fs::remove_file(&ckpt_path);
     record("idj", "hs", 1, &mut || {
         let mut cursor = HsIdj::new(&r, &s, cfg);
         let results = std::iter::from_fn(|| cursor.next()).take(k).collect();
@@ -221,19 +224,25 @@ pub fn run(n: usize, k: usize, seed: u64, cfg: &JoinConfig) -> Matrix {
             stats: cursor.stats(),
         }
     });
+    // The take-bounded cursor: the same join as the one-thread par-am
+    // row, and its work sets the idj am-ckpt row's pause interval.
+    let mut idj_work = 0;
     record("idj", "am", 1, &mut || {
-        let mut cursor = AmIdj::new(&r, &s, cfg, AmIdjOptions::default());
-        let results = std::iter::from_fn(|| cursor.next()).take(k).collect();
-        JoinOutput {
-            results,
-            stats: cursor.stats(),
-        }
+        let mut cursor = AmIdj::with_take(&r, &s, cfg, AmIdjOptions::default(), k);
+        let results = std::iter::from_fn(|| cursor.next()).collect();
+        let stats = cursor.stats();
+        idj_work = stats.stage1_expansions + stats.stage2_expansions + stats.comp_replays;
+        JoinOutput { results, stats }
     });
     let incremental = JoinKind::Idj {
         take: k,
         opts: AmIdjOptions::default(),
         window: None,
     };
+    record("idj", "am-ckpt", 1, &mut || {
+        episodes(incremental.clone(), idj_work)
+    });
+    let _ = std::fs::remove_file(&ckpt_path);
     for t in thread_counts {
         record("idj", "par-am", t, &mut || {
             run_join(&r, &s, incremental.clone(), t, cfg)

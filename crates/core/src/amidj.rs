@@ -3,7 +3,11 @@
 //! Adapter over the unified engine: the cursor wraps the engine's
 //! [`StageDriver`], which owns the stage loop (`k₁ < k₂ < …`, the §4.3.2
 //! eDmax corrections, and per-stage compensation) and is shared with the
-//! parallel incremental backend.
+//! parallel incremental backend. A cursor opened
+//! [`with_take`](AmIdj::with_take) knows its k and bounds itself with
+//! §4.1's distance queue; it is then the same join as a one-worker
+//! [`par_am_idj`](crate::par_am_idj), counter for counter on tie-free
+//! data.
 
 use amdj_rtree::RTree;
 
@@ -39,12 +43,37 @@ pub struct AmIdj<'a, const D: usize> {
     r: &'a RTree<D>,
     s: &'a RTree<D>,
     driver: StageDriver<'a, D>,
+    take: Option<usize>,
     baseline: Baseline,
 }
 
 impl<'a, const D: usize> AmIdj<'a, D> {
     /// Starts an incremental join over two indexes.
     pub fn new(r: &'a RTree<D>, s: &'a RTree<D>, cfg: &JoinConfig, opts: AmIdjOptions) -> Self {
+        Self::start(r, s, cfg, opts, None)
+    }
+
+    /// Starts an incremental join that yields at most `take` pairs. Every
+    /// object pair it queues enters a `take`-bounded distance queue, and
+    /// the cursor clamps its cutoffs to that queue's `qDmax`: the pairs
+    /// it yields are [`new`](Self::new)'s first `take`, for less work.
+    pub fn with_take(
+        r: &'a RTree<D>,
+        s: &'a RTree<D>,
+        cfg: &JoinConfig,
+        opts: AmIdjOptions,
+        take: usize,
+    ) -> Self {
+        Self::start(r, s, cfg, opts, Some(take))
+    }
+
+    fn start(
+        r: &'a RTree<D>,
+        s: &'a RTree<D>,
+        cfg: &JoinConfig,
+        opts: AmIdjOptions,
+        take: Option<usize>,
+    ) -> Self {
         // Captured before the driver's setup reads (the estimator and the
         // largest possible distance both touch the roots), so the cursor's
         // node counters cover the same window the parallel backend's
@@ -54,7 +83,8 @@ impl<'a, const D: usize> AmIdj<'a, D> {
         AmIdj {
             r,
             s,
-            driver: StageDriver::new(r, s, cfg, opts),
+            driver: StageDriver::standalone(r, s, cfg, opts, take),
+            take,
             baseline,
         }
     }
@@ -70,9 +100,12 @@ impl<'a, const D: usize> AmIdj<'a, D> {
     }
 
     /// Produces the next nearest pair, advancing stages as needed;
-    /// `None` when every pair has been produced.
+    /// `None` when every pair (or the `take`) has been produced.
     #[allow(clippy::should_implement_trait)] // deliberate cursor API; &mut borrows preclude Iterator
     pub fn next(&mut self) -> Option<ResultPair> {
+        if self.take.is_some_and(|t| self.driver.emitted() >= t as u64) {
+            return None;
+        }
         self.driver.next()
     }
 
@@ -173,6 +206,30 @@ mod tests {
             edmax: EdmaxPolicy::Schedule(vec![d30, d60, d90]),
         };
         check_stream(&a, &b, 90, opts);
+    }
+
+    #[test]
+    fn a_take_bounds_the_work_not_the_stream() {
+        let a = grid(12, 0.0, 0.0);
+        let b = grid(12, 0.29, 0.41);
+        let (r, s) = trees(&a, &b);
+        let cfg = JoinConfig::unbounded();
+        let take = 150;
+        let mut open = AmIdj::new(&r, &s, &cfg, AmIdjOptions::default());
+        let mut bounded = AmIdj::with_take(&r, &s, &cfg, AmIdjOptions::default(), take);
+        let want: Vec<_> = (0..take).map_while(|_| open.next()).collect();
+        let got: Vec<_> = std::iter::from_fn(|| bounded.next()).collect();
+        assert_eq!(got.len(), take, "a take-bounded cursor stops at its take");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "rank {i}");
+        }
+        let (st, unbounded) = (bounded.stats(), open.stats());
+        assert!(
+            st.distq_insertions >= take as u64,
+            "every queued pair is counted"
+        );
+        assert!(st.real_dist <= unbounded.real_dist);
+        assert!(st.mainq_insertions < unbounded.mainq_insertions);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //!
 //! Every join runs on the work-stealing machinery of
 //! [`steal`](super::steal) in *episodes*: each episode runs until either
-//! the join finishes or the [`PauseCtl`] fires (for a serve pull, until
-//! the incremental request's `window` is stable), at which point every
-//! worker drains its queues into a [`StageOnePool`]-shaped suspension,
-//! the runner merges them with the un-claimed remainder of the shared
-//! pool into one canonical frontier, and the whole state becomes an
+//! the join finishes or the [`PauseCtl`] fires (for a multi-worker serve
+//! pull, until the incremental request's `window` is stable), at which
+//! point every worker drains its queues into a
+//! [`StageOnePool`]-shaped suspension, the runner merges them with the
+//! un-claimed remainder of the shared pool into one canonical frontier,
+//! and the whole state becomes an
 //! [`EngineSnapshot`]. A snapshot taken by an N-thread run resumes at
 //! any thread count: the frontier is re-partitioned from scratch, and
 //! the exactness argument (every candidate pair descends from exactly

@@ -34,6 +34,7 @@ mod bound;
 mod checkpoint;
 mod driver;
 mod expand;
+mod live;
 mod policy;
 mod snapshot;
 mod stage;
@@ -43,6 +44,7 @@ pub(crate) mod sweep;
 pub use bound::MinBound;
 pub(crate) use checkpoint::write_atomic;
 pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpointed, PauseCtl};
+pub(crate) use live::LiveIdj;
 use policy::{Aggressive, Exact};
 pub(crate) use snapshot::TreePrint;
 pub use snapshot::{EngineSnapshot, SnapshotError, SnapshotKind};

@@ -3,34 +3,46 @@
 //! sequential cursor ([`crate::AmIdj`]) and the parallel incremental
 //! join workers.
 //!
-//! No stopping cardinality is known, so there is no distance queue and no
-//! `qDmax`; each stage prunes on an estimated `eDmax_i` alone and streams
-//! out every pair closer than it. When the consumer wants more, the next
-//! stage raises the estimate (§4.3.2's corrections) and *compensates*:
-//! the per-anchor marks kept with every expanded pair let stage `i+1`
-//! examine exactly the child pairs stages `1..i` skipped.
+//! The paper's AM-IDJ knows no stopping cardinality, so it has no
+//! distance queue and no `qDmax`; each stage prunes on an estimated
+//! `eDmax_i` alone and streams out every pair closer than it. When the
+//! consumer wants more, the next stage raises the estimate (§4.3.2's
+//! corrections) and *compensates*: the per-anchor marks kept with every
+//! expanded pair let stage `i+1` examine exactly the child pairs stages
+//! `1..i` skipped.
+//!
+//! A driver given a `take` knows its k, and then keeps §4.1's distance
+//! queue after all: every object pair it queues is a real pair, produced
+//! by exactly one expansion or replay, so the `take`-th smallest of their
+//! distances bounds the `take`-th result, and the driver clamps its
+//! cutoffs (and stops) there.
 
 use amdj_rtree::RTree;
 
 use crate::mainq::MainQueue;
 use crate::{
-    AmIdjOptions, Correction, EdmaxPolicy, Estimator, JoinConfig, JoinStats, Pair, ResultPair,
+    AmIdjOptions, Correction, DistanceQueue, EdmaxPolicy, Estimator, JoinConfig, JoinStats, Pair,
+    ResultPair,
 };
 
 use super::bound::MinBound;
 use super::checkpoint::PauseCtl;
 use super::expand::{root_pair, to_result, ExpansionCore};
+use super::snapshot::EngineSnapshot;
 use super::steal::Cut;
 use super::sweep::{CompEntry, MarkMode, SweepSink};
 
-/// Sink for incremental sweeps: the stage's `eDmax` is the only cutoff
-/// (§4.2), for both the axis and the real distance. Both are frozen for
-/// the whole sweep, so every scan finds its window with one walk over
-/// the sort keys (the one-sided key test, exact for partners at or after
-/// the anchor: [`SweepSide::reach`](super::sweep::SweepSide::reach))
-/// before it computes any distance.
+/// Sink for incremental sweeps: the stage's clamped `eDmax` is the only
+/// cutoff (§4.2), for both the axis and the real distance. Both are
+/// frozen for the whole sweep, so every scan finds its window with one
+/// walk over the sort keys (the one-sided key test, exact for partners
+/// at or after the anchor:
+/// [`SweepSide::reach`](super::sweep::SweepSide::reach)) before it
+/// computes any distance. Every object pair it queues enters the
+/// driver's `take` queue, if it has one.
 struct IdjSink<'x, const D: usize> {
     mainq: &'x mut MainQueue<D>,
+    distq: Option<&'x mut DistanceQueue>,
     edmax: f64,
 }
 
@@ -45,6 +57,9 @@ impl<const D: usize> SweepSink<D> for IdjSink<'_, D> {
         Some(self.edmax)
     }
     fn emit(&mut self, pair: Pair<D>) {
+        if let Some(distq) = self.distq.as_mut().filter(|_| pair.is_result()) {
+            distq.insert(pair.dist);
+        }
         self.mainq.push(pair);
     }
 }
@@ -62,12 +77,13 @@ pub struct StageDriver<'a, const D: usize> {
     opts: AmIdjOptions,
     est: Option<Estimator<D>>,
     /// A global pruning bound shared with sibling cursors (parallel
-    /// incremental join): cutoffs are clamped to it, and the owning worker
-    /// stops consuming once the stream passes it. `None` when standalone.
+    /// incremental join): cutoffs are clamped to it, the driver publishes
+    /// its `take` queue's `qDmax` into it, and the owning worker stops
+    /// consuming once the stream passes it. `None` when standalone.
     shared: Option<&'a MinBound>,
-    /// The bound past which the owning worker stops consuming: the shared
-    /// bound, or a tighter serve-pull window ([`set_stop`](Self::set_stop)).
-    stop: Option<&'a MinBound>,
+    /// §4.1's distance queue over the object pairs this driver queued,
+    /// bounded to the join's `take`; `None` when no `take` is known.
+    distq: Option<DistanceQueue>,
     edmax: f64,
     k_target: u64,
     emitted: u64,
@@ -82,8 +98,8 @@ pub struct StageDriver<'a, const D: usize> {
 pub(crate) enum Step {
     /// The next nearest pair.
     Pair(ResultPair),
-    /// Every pair has been produced (or provably passed the shared
-    /// bound).
+    /// Every pair has been produced, or everything still queued lies
+    /// beyond the step's limit or the driver's bound.
     Done,
     /// The pause control fired; suspend the cursor.
     Paused,
@@ -97,8 +113,47 @@ impl<'a, const D: usize> StageDriver<'a, D> {
     /// Starts an incremental join over two indexes, seeded with the root
     /// pair.
     pub fn new(r: &'a RTree<D>, s: &'a RTree<D>, cfg: &JoinConfig, opts: AmIdjOptions) -> Self {
-        let mut cursor = Self::build(r, s, cfg, opts, None, None);
-        cursor.push_seeds(root_pair(r, s).into_iter().collect());
+        Self::standalone(r, s, cfg, opts, None)
+    }
+
+    /// [`new`](Self::new), with a distance queue bounded to the first
+    /// `take` pairs when `take` is given.
+    pub(crate) fn standalone(
+        r: &'a RTree<D>,
+        s: &'a RTree<D>,
+        cfg: &JoinConfig,
+        opts: AmIdjOptions,
+        take: Option<usize>,
+    ) -> Self {
+        let mut cursor = Self::build(r, s, cfg, opts, take, None, None);
+        cursor.push_seeds(root_pair(r, s).into_iter().collect(), true);
+        cursor
+    }
+
+    /// A standalone `take`-bounded cursor that goes on from a snapshot's
+    /// cut. Its stage-loop scalars, parked entries, distance evidence and
+    /// frontier all re-enter uncounted, since each was counted before the
+    /// suspension; the frontier re-enters in the order its queue would
+    /// have served it.
+    pub(crate) fn restored(
+        r: &'a RTree<D>,
+        s: &'a RTree<D>,
+        cfg: &JoinConfig,
+        opts: AmIdjOptions,
+        take: usize,
+        snap: &mut EngineSnapshot<D>,
+    ) -> Self {
+        let mut cursor = Self::build(r, s, cfg, opts, Some(take), None, None);
+        cursor.restore_state(
+            snap.stage,
+            snap.edmax,
+            snap.k_target,
+            snap.emitted,
+            snap.last_dist,
+        );
+        cursor.seed_comps(std::mem::take(&mut snap.comps));
+        cursor.seed_dists(&snap.dists);
+        cursor.push_seeds(std::mem::take(&mut snap.frontier), false);
         cursor
     }
 
@@ -112,10 +167,11 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         s: &'a RTree<D>,
         cfg: &JoinConfig,
         opts: AmIdjOptions,
+        take: usize,
         shared: &'a MinBound,
         pause: Option<&'a PauseCtl>,
     ) -> Self {
-        Self::build(r, s, cfg, opts, Some(shared), pause)
+        Self::build(r, s, cfg, opts, Some(take), Some(shared), pause)
     }
 
     fn build(
@@ -123,6 +179,7 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         s: &'a RTree<D>,
         cfg: &JoinConfig,
         opts: AmIdjOptions,
+        take: Option<usize>,
         shared: Option<&'a MinBound>,
         pause: Option<&'a PauseCtl>,
     ) -> Self {
@@ -146,20 +203,13 @@ impl<'a, const D: usize> StageDriver<'a, D> {
             opts,
             est,
             shared,
-            stop: shared,
+            distq: take.map(DistanceQueue::new),
             edmax,
             k_target,
             emitted: 0,
             last_dist: 0.0,
             max_possible,
         }
-    }
-
-    /// Stops this worker cursor at `stop` instead of the shared bound.
-    /// Sweep cutoffs stay clamped to the shared bound, so the cursor
-    /// walks exactly what it would without the earlier stop.
-    pub(crate) fn set_stop(&mut self, stop: &'a MinBound) {
-        self.stop = Some(stop);
     }
 
     /// Overwrites the stage-loop scalars from a snapshot's canonical
@@ -191,6 +241,16 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         }
     }
 
+    /// Pre-seeds the `take` queue, uncounted, with distance evidence that
+    /// was counted before (a snapshot's, or the runner's seed frontier's).
+    pub(crate) fn seed_dists(&mut self, dists: &[f64]) {
+        if let Some(distq) = &mut self.distq {
+            for &d in dists {
+                distq.seed(d);
+            }
+        }
+    }
+
     /// The stage currently executing (1-based).
     pub fn stage(&self) -> u32 {
         self.core.stats.stages
@@ -201,38 +261,66 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         self.edmax
     }
 
-    /// The stage cutoff clamped to the shared bound (if any): pairs beyond
-    /// the shared bound cannot matter globally, so sweeping past it is
-    /// wasted work. Everything skipped stays recoverable through the
-    /// `MarkMode::Full` bookkeeping.
-    pub(crate) fn clamped_edmax(&self) -> f64 {
-        self.shared.map_or(self.edmax, |b| b.clamp(self.edmax))
+    /// Results produced so far (restored ones included).
+    pub(crate) fn emitted(&self) -> u64 {
+        self.emitted
     }
 
-    /// Injects claimed or stolen frontier seeds into the cursor. Counted
-    /// as fresh queue work: under the work-stealing backend seeds wait in
+    /// The proven bound on the `take`-th result: the shared bound or the
+    /// driver's own `qDmax`, whichever is tighter; `+∞` without either.
+    fn bound(&self) -> f64 {
+        let own = self.distq.as_ref().map_or(f64::INFINITY, |q| q.qdmax());
+        self.shared.map_or(own, |b| b.clamp(own))
+    }
+
+    /// The stage cutoff clamped to the proven bound: pairs beyond it
+    /// cannot make the `take`, so sweeping past it is wasted work.
+    /// Everything skipped stays recoverable through the
+    /// `MarkMode::Full` bookkeeping.
+    pub(crate) fn clamped_edmax(&self) -> f64 {
+        self.edmax.min(self.bound())
+    }
+
+    /// Publishes the `take` queue's `qDmax` into the shared bound.
+    fn publish(&mut self) {
+        if let (Some(shared), Some(distq)) = (self.shared, &self.distq) {
+            let q = distq.qdmax();
+            if q.is_finite() && shared.tighten(q) {
+                self.core.stats.bound_tightenings += 1;
+            }
+        }
+    }
+
+    /// Injects frontier pairs into the main queue. `counted` seeds are
+    /// fresh queue work: under the work-stealing backend seeds wait in
     /// the shared pool (never in any cursor's queue) until exactly one
-    /// worker claims them here, so the push below is each seed's first —
-    /// and only — main-queue insertion.
-    pub(crate) fn push_seeds(&mut self, seeds: Vec<Pair<D>>) {
+    /// worker claims them here, so the push is each seed's first — and
+    /// only — main-queue insertion. A restored snapshot's frontier was
+    /// counted before the suspension and re-enters uncounted, in the
+    /// order its queue would have served it.
+    pub(crate) fn push_seeds(&mut self, seeds: Vec<Pair<D>>, counted: bool) {
         for pair in seeds {
-            self.core.mainq.push(pair);
+            if counted {
+                self.core.mainq.push(pair);
+            } else {
+                self.core.mainq.unpop(pair);
+            }
         }
     }
 
     /// A lower bound on the distance of every future emission (`None` when
-    /// exhausted). Lets the parallel backend stop a worker before it does
-    /// the work of producing a pair that is already beyond the shared
-    /// bound.
+    /// exhausted). Lets a caller stop before the driver does the work of
+    /// producing a pair it does not want.
     pub(crate) fn peek_key(&mut self) -> Option<f64> {
         self.core.next_key().map(|(key, _)| key)
     }
 
     /// Produces the next nearest pair, advancing stages as needed;
-    /// `None` when every pair has been produced.
+    /// `None` when every pair has been produced (or, with a `take`, once
+    /// nothing left can make it).
     #[allow(clippy::should_implement_trait)] // deliberate cursor API; &mut borrows preclude Iterator
     pub fn next(&mut self) -> Option<ResultPair> {
-        match self.next_step(|_| false) {
+        match self.next_step(f64::INFINITY, |_| false) {
             Step::Pair(p) => Some(p),
             Step::Done | Step::Paused | Step::Held => None,
         }
@@ -240,22 +328,25 @@ impl<'a, const D: usize> StageDriver<'a, D> {
 
     /// Pause-aware advance: like [`next`](Self::next), but distinguishes
     /// exhaustion from a fired pause control so the resumable backend can
-    /// suspend the cursor instead of discarding it.
+    /// suspend the cursor instead of discarding it. It also ends with
+    /// [`Step::Done`] once every queued key exceeds `limit`, before any
+    /// work on them: a caller that wants nothing past `limit` stops there
+    /// and can go on later from the same state.
     ///
     /// `hold(cutoff)` is consulted whenever the queues hold nothing at or
-    /// below the stage cutoff (clamped to the shared bound): `true` means
+    /// below the stage cutoff (clamped to the proven bound): `true` means
     /// the caller still owns unclaimed work at or below `cutoff`, so the
     /// stage is not exhausted and the step returns [`Step::Held`] instead
     /// of advancing. A worker cursor's queues are only its claimed share
     /// of the frontier; the stage is done only when the pool agrees.
-    pub(crate) fn next_step(&mut self, hold: impl Fn(f64) -> bool) -> Step {
+    pub(crate) fn next_step(&mut self, limit: f64, hold: impl Fn(f64) -> bool) -> Step {
         let started = std::time::Instant::now();
-        let out = self.step(hold);
+        let out = self.step(limit, hold);
         self.core.stats.cpu_seconds += started.elapsed().as_secs_f64();
         out
     }
 
-    fn step(&mut self, hold: impl Fn(f64) -> bool) -> Step {
+    fn step(&mut self, limit: f64, hold: impl Fn(f64) -> bool) -> Step {
         loop {
             if self.core.paused() {
                 return Step::Paused;
@@ -263,13 +354,12 @@ impl<'a, const D: usize> StageDriver<'a, D> {
             let Some((key, from_main)) = self.core.next_key() else {
                 return Step::Done;
             };
-            if self.stop.is_some_and(|b| key > b.get()) {
-                // Worker cursor: `key` lower-bounds every pair this cursor
-                // can still produce, and the stop bound only tightens, so
-                // nothing left here is wanted. Stop now — advancing stages
-                // cannot help, because the sweep cutoff stays clamped to
-                // the shared bound and the parked entries would never
-                // clear.
+            if key > limit.min(self.bound()) {
+                // `key` lower-bounds every pair this cursor can still
+                // produce, so nothing left here is wanted. Stop now —
+                // advancing stages cannot help, because the sweep cutoff
+                // stays clamped to the proven bound and the parked
+                // entries would never clear.
                 return Step::Done;
             }
             if key > self.edmax {
@@ -282,13 +372,18 @@ impl<'a, const D: usize> StageDriver<'a, D> {
                 self.advance_stage();
                 continue;
             }
+            let edmax = self.clamped_edmax();
+            let distq = self.distq.as_mut();
             if !from_main {
                 // Pairs the replay leaves unexamined all lie strictly
                 // beyond the current cutoff: they park for a later stage.
-                let edmax = self.clamped_edmax();
                 let repark = self.edmax.next_up();
-                self.core
-                    .replay(Some(repark), |mainq| IdjSink { mainq, edmax });
+                self.core.replay(Some(repark), |mainq| IdjSink {
+                    mainq,
+                    distq,
+                    edmax,
+                });
+                self.publish();
                 continue;
             }
             let pair = self.core.mainq.pop().expect("peeked");
@@ -298,12 +393,13 @@ impl<'a, const D: usize> StageDriver<'a, D> {
                 self.core.stats.results += 1;
                 return Step::Pair(to_result(&pair));
             }
-            let edmax = self.clamped_edmax();
             self.core
                 .expand(&pair, edmax, MarkMode::Full, |mainq| IdjSink {
                     mainq,
+                    distq,
                     edmax,
                 });
+            self.publish();
         }
     }
 
@@ -345,12 +441,11 @@ impl<'a, const D: usize> StageDriver<'a, D> {
 
     /// Consumes a paused cursor, draining its queues into owned data for
     /// an [`EngineSnapshot`](super::snapshot::EngineSnapshot): everything
-    /// at or below the shared bound ([`ExpansionCore::drain`]; the bound
-    /// is a real published distance of the `take`-th best candidate).
-    /// Standalone cursors (no shared bound) keep everything.
+    /// at or below the proven bound ([`ExpansionCore::drain`]; the bound
+    /// is a real distance of the `take`-th best candidate). A cursor
+    /// without a `take` keeps everything.
     pub(super) fn suspend(mut self) -> (Cut<D>, JoinStats) {
-        let bound = self.shared.map_or(f64::INFINITY, |b| b.get());
-        let (frontier, comps) = self.core.drain(bound);
+        let (frontier, comps) = self.core.drain(self.bound());
         let stats = self.stats();
         let cut = Cut {
             stage: stats.stages,
@@ -364,12 +459,20 @@ impl<'a, const D: usize> StageDriver<'a, D> {
         (cut, stats)
     }
 
+    /// Bytes the main queue holds resident: its in-memory heap plus its
+    /// live spill pages.
+    pub(crate) fn queue_bytes(&self) -> u64 {
+        self.core.mainq.resident_bytes()
+    }
+
     /// The work this cursor did so far: its own counters plus its main
-    /// queue's insertions, page transfers and modeled I/O. Tree and buffer
-    /// deltas are not included — the trees may be shared with concurrent
-    /// cursors, so attributing them is the owner's job (the parallel
-    /// backend's, or [`crate::AmIdj`]'s own baseline).
+    /// and distance queues' insertions, page transfers and modeled I/O.
+    /// Tree and buffer deltas are not included — the trees may be shared
+    /// with concurrent cursors, so attributing them is the owner's job
+    /// (the parallel backend's, or [`crate::AmIdj`]'s own baseline).
     pub fn stats(&self) -> JoinStats {
-        self.core.stats()
+        let mut st = self.core.stats();
+        st.distq_insertions += self.distq.as_ref().map_or(0, |q| q.insertions());
+        st
     }
 }

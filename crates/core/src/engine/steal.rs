@@ -326,17 +326,15 @@ fn barrier_idle(finish_ns: &[u64]) -> u64 {
 /// Runs one worker per input — worker `w` gets `inputs[w]` — and returns
 /// their outputs in worker order with the stage barrier's idle time
 /// ([`barrier_idle`]). Each worker's buffer traffic lands in its
-/// [`WorkerBufferSpan`] slot of the stats `stats_of` points at. With
-/// `lone_on_caller`, a lone worker runs on the calling thread: a
-/// one-thread join then allocates and fetches exactly where its caller
-/// would, with no thread to spawn (a spawned thread allocates from a
-/// fresh allocator arena, which cost paper-scale AM-KDJ about a fifth of
-/// its wall time).
+/// [`WorkerBufferSpan`] slot of the stats `stats_of` points at. A lone
+/// worker runs on the calling thread: a one-thread join then allocates
+/// and fetches exactly where its caller would, with no thread to spawn
+/// (a spawned thread allocates from a fresh allocator arena, which cost
+/// paper-scale AM-KDJ about a fifth of its wall time).
 fn run_workers<I: Send, T: Send>(
     inputs: Vec<I>,
     work: impl Fn(usize, I) -> T + Sync,
     stats_of: fn(&mut T) -> &mut JoinStats,
-    lone_on_caller: bool,
 ) -> (Vec<T>, u64) {
     let t0 = std::time::Instant::now();
     let run = |w: usize, input: I, on_caller: bool| {
@@ -345,7 +343,7 @@ fn run_workers<I: Send, T: Send>(
         span.record(stats_of(&mut out), on_caller);
         (out, t0.elapsed().as_nanos() as u64)
     };
-    let done: Vec<(T, u64)> = if lone_on_caller && inputs.len() == 1 {
+    let done: Vec<(T, u64)> = if inputs.len() == 1 {
         inputs
             .into_iter()
             .map(|input| run(0, input, true))
@@ -576,9 +574,9 @@ fn work_key<const D: usize>(w: &Work<D>) -> f64 {
 }
 
 /// A serve pull's second bound: the `want`-th smallest distance a worker
-/// has evidence for, published to a [`MinBound`] shared like the `take`
-/// bound and never above it. Workers stop at it instead of the `take`
-/// bound, which still decides what the suspension keeps.
+/// has evidence for, published to a [`MinBound`] shared by the workers.
+/// Workers stop at it (or at the `take` bound, if tighter), while the
+/// `take` bound still decides what the suspension keeps.
 struct Window<'b> {
     distq: DistanceQueue,
     bound: &'b MinBound,
@@ -603,10 +601,12 @@ impl<'b> Window<'b> {
 }
 
 /// Pumps one incremental cursor while its next emission can still beat
-/// the stop bound (the shared bound, or the [`Window`]'s when set),
-/// publishing each emission's distance. It hands control back to the
-/// claim loop with [`Step::Done`] once nothing left in the cursor can
-/// beat the bound, or with [`Step::Paused`].
+/// the stop bound (the shared `take` bound, or the [`Window`]'s when
+/// tighter), recording each emission in the window. It hands control
+/// back to the claim loop with [`Step::Done`] once nothing left in the
+/// cursor can beat the bound, or with [`Step::Paused`]. The cursor's own
+/// sink counts every object pair into its `take` queue as it is queued,
+/// so emissions are not counted again here.
 ///
 /// A stage advance is a global decision. The cursor's queues hold only
 /// its claimed share of the frontier — on resume, nothing but the parked
@@ -618,11 +618,9 @@ impl<'b> Window<'b> {
 /// once none remains.
 fn pump_idj<const D: usize>(
     cursor: &mut StageDriver<'_, D>,
-    distq: &mut DistanceQueue,
     shared: &MinBound,
     window: &mut Option<Window<'_>>,
     results: &mut Vec<ResultPair>,
-    tightenings: &mut u64,
     pool: &StealPool<Pair<D>>,
 ) -> Step {
     let hold = |cutoff: f64| pool.has_claimable(cutoff);
@@ -630,12 +628,12 @@ fn pump_idj<const D: usize>(
         // The cursor's minimum queue key lower-bounds every future
         // emission: stop before doing the work once it passes the
         // bound.
-        let stop = window.as_ref().map_or(shared, |w| w.bound);
+        let limit = window.as_ref().map_or(f64::INFINITY, |w| w.bound.get());
         match cursor.peek_key() {
-            Some(key) if key <= stop.get() => {}
+            Some(key) if key <= limit.min(shared.get()) => {}
             _ => return Step::Done,
         }
-        match cursor.next_step(hold) {
+        match cursor.next_step(limit, hold) {
             Step::Pair(pair) => {
                 if pair.dist > shared.get() {
                     // The stream is ascending; everything later is farther
@@ -643,16 +641,8 @@ fn pump_idj<const D: usize>(
                     // which the outer loop handles).
                     return Step::Done;
                 }
-                // Window first: both queues see the same distances and
-                // `want ≤ take`, so the window bound never exceeds the
-                // shared one.
                 if let Some(w) = window {
                     w.record(pair.dist);
-                }
-                distq.insert(pair.dist);
-                let q = distq.qdmax();
-                if q.is_finite() && shared.tighten(q) {
-                    *tightenings += 1;
                 }
                 results.push(pair);
             }
@@ -663,10 +653,10 @@ fn pump_idj<const D: usize>(
 
 /// One worker of the stealing incremental join: a [`StageDriver`] cursor
 /// fed by claim rounds, pumped while its next emission can still beat the
-/// shared bound. There is no `take` cap on the pump — after `take`
-/// insertions the worker's own published `qDmax` caps it through the
-/// shared bound, and a cap on locally-claimed work would be wrong anyway
-/// once seeds move between workers.
+/// shared bound. There is no `take` cap on the pump — the cursor's own
+/// `take` queue publishes its `qDmax` into the shared bound, and a cap on
+/// locally-claimed work would be wrong anyway once seeds move between
+/// workers.
 ///
 /// The cursor advances its stage only when no claimable pool seed lies at
 /// or below its clamped cutoff ([`pump_idj`]): a held pump claims
@@ -677,21 +667,25 @@ fn pump_idj<const D: usize>(
 /// That pump advances the stage exactly once: the empty claim saw no
 /// seed at or below the cutoff, the pool only shrinks, and the cutoff
 /// only falls until the next advance, so the pump's first hold check
-/// finds nothing to wait for. On one fresh thread the pool is a single
-/// root seed, claimed before the first advance, so the worker replays
-/// the sequential cursor exactly.
+/// finds nothing to wait for.
+///
+/// A lone worker claims its whole deque before it pumps, as the
+/// k-distance one does, so its queue holds exactly what the sequential
+/// cursor's would: on a fresh join the single root seed, on a resumed
+/// one the whole saved frontier in its saved order.
 ///
 /// A resumed worker starts from the snapshot's cut: its stage-loop
 /// scalars are `restore`d, it is dealt a share of the snapshot's parked
 /// compensation entries (`seed_comps` — the pool only carries pairs),
-/// and its distance queue is pre-seeded (uncounted) with the snapshot's
-/// distance evidence so its published bound starts as tight as the
-/// suspended run's. The pre-claim pump drains that seeded work even when
-/// the pool has nothing left to claim — and, because the parked entries
-/// sit just beyond `eDmax`, defers to the pool's frontier rather than
-/// advancing the stage on an empty main queue. A fired `pause` suspends
-/// the cursor instead of finishing it; the drained cut comes back as the
-/// third return.
+/// its `take` queue is pre-seeded (uncounted) with the snapshot's
+/// distance evidence, so its published bound starts as tight as the
+/// suspended run's, and the frontier seeds it claims re-enter its queue
+/// uncounted. A fleet worker's first pump drains that seeded work even
+/// when the pool has nothing left to claim — and, because the parked
+/// entries sit just beyond `eDmax`, defers to the pool's frontier rather
+/// than advancing the stage on an empty main queue. A fired `pause`
+/// suspends the cursor instead of finishing it; the drained cut comes
+/// back as the third return.
 ///
 /// With a `window` of `(want, bound)` the same exit rule runs against the
 /// window bound instead — the `want`-th smallest distance any worker has
@@ -706,43 +700,37 @@ fn idj_worker<const D: usize>(
     cfg: &JoinConfig,
     opts: AmIdjOptions,
     pool: &StealPool<Pair<D>>,
-    w: usize,
+    (w, lone): (usize, bool),
     shared: &MinBound,
     window: Option<(usize, &MinBound)>,
     schedule: Option<TestSchedule>,
     pause: Option<&PauseCtl>,
     restore: Option<(u32, f64, u64, u64, f64)>,
     comps: Vec<CompEntry<D>>,
-    seed_dists: &[f64],
+    evidence: &[f64],
 ) -> (Vec<ResultPair>, JoinStats, Option<Cut<D>>) {
-    let mut cursor = StageDriver::worker(r, s, cfg, opts, shared, pause);
+    let mut cursor = StageDriver::worker(r, s, cfg, opts, take, shared, pause);
+    let fresh = restore.is_none();
     if let Some((stage, edmax, k_target, emitted, last_dist)) = restore {
         cursor.restore_state(stage, edmax, k_target, emitted, last_dist);
     }
     cursor.seed_comps(comps);
-    let mut distq = DistanceQueue::new(take);
-    for &d in seed_dists {
-        distq.seed(d);
-    }
-    let stop = window.map_or(shared, |(_, bound)| bound);
-    let mut window = window.map(|(want, bound)| {
-        cursor.set_stop(bound);
-        Window::new(want, bound, seed_dists)
-    });
+    cursor.seed_dists(evidence);
+    let stop = |window: &Option<Window<'_>>| {
+        let limit = window.as_ref().map_or(f64::INFINITY, |w| w.bound.get());
+        limit.min(shared.get())
+    };
+    let mut window = window.map(|(want, bound)| Window::new(want, bound, evidence));
     let mut results = Vec::new();
-    let mut tightenings = 0u64;
     let mut claims = Claims::new(pool, w, schedule);
+    if lone {
+        if let Some(claimed) = claims.round(|| stop(&window), true, false) {
+            cursor.push_seeds(claimed, fresh);
+        }
+    }
     let mut end;
     loop {
-        end = pump_idj(
-            &mut cursor,
-            &mut distq,
-            shared,
-            &mut window,
-            &mut results,
-            &mut tightenings,
-            pool,
-        );
+        end = pump_idj(&mut cursor, shared, &mut window, &mut results, pool);
         if matches!(end, Step::Paused) {
             break;
         }
@@ -755,11 +743,11 @@ fn idj_worker<const D: usize>(
             if held {
                 cursor.clamped_edmax()
             } else {
-                stop.get()
+                stop(&window)
             }
         };
         match claims.round(bound, false, true) {
-            Some(claimed) => cursor.push_seeds(claimed),
+            Some(claimed) => cursor.push_seeds(claimed, fresh),
             // Lost the race for the seed the deferral was waiting on: the
             // cursor still holds work under the bound, and the next pump
             // finds nothing claimable and advances its stage.
@@ -773,8 +761,6 @@ fn idj_worker<const D: usize>(
     } else {
         (cursor.stats(), None)
     };
-    stats.bound_tightenings += tightenings;
-    stats.distq_insertions += distq.insertions();
     claims.account(&mut stats);
     (results, stats, suspend)
 }
@@ -810,15 +796,47 @@ impl<const D: usize> Cut<D> {
         self.last_dist = self.last_dist.max(other.last_dist);
     }
 
+    /// An incremental cut's distance evidence: the `take` smallest
+    /// distances over its results and the object pairs still queued in
+    /// its frontier, which becomes the snapshot's `dists`. Each is a
+    /// distinct real pair — a result was emitted once, and a queued pair
+    /// was produced by exactly one expansion or replay and not emitted
+    /// yet — so the `take`-th of them is a proven bound, returned here
+    /// (`+∞` short of `take` pairs). With one worker they are exactly
+    /// its `take` queue's contents; with several, no single worker's
+    /// queue saw them all. A resumed worker seeds its `take` queue with
+    /// them and re-queues the frontier uncounted, so every pair stays
+    /// counted once.
+    pub(super) fn gather_evidence(&mut self, take: usize) -> f64 {
+        let mut dists: Vec<f64> = self
+            .results
+            .iter()
+            .map(|p| p.dist)
+            .chain(
+                self.frontier
+                    .iter()
+                    .filter(|p| p.is_result())
+                    .map(|p| p.dist),
+            )
+            .collect();
+        dists.sort_unstable_by(f64::total_cmp);
+        dists.truncate(take);
+        let bound = match dists.last() {
+            Some(&d) if dists.len() == take => d,
+            _ => f64::INFINITY,
+        };
+        self.dists = dists;
+        bound
+    }
+
     /// The suspended outcome of the episode: its snapshot keeps the
     /// frontier and the parked entries at or below `bound` (a proven
     /// bound: nothing above it can make the answer), each ascending by
     /// key, and the results in canonical order. An incremental cut keeps
     /// only the results at or below `bound`, which bounds the snapshot's
-    /// size; its distance evidence is the `take` smallest of them, each a
-    /// distinct emitted pair, so any resumed worker's published bound
-    /// over (evidence ∪ its own later emissions) stays sound.
-    fn suspend(
+    /// size; its distance evidence comes from
+    /// [`gather_evidence`](Self::gather_evidence).
+    pub(super) fn suspend(
         mut self,
         r: &RTree<D>,
         s: &RTree<D>,
@@ -835,14 +853,8 @@ impl<const D: usize> Cut<D> {
         self.comps.sort_by(|a, b| a.key.total_cmp(&b.key));
         sort_canonical(&mut self.results);
         let mut emitted = 0;
-        if let SnapshotKind::Idj { take } = kind {
+        if let SnapshotKind::Idj { .. } = kind {
             self.results.retain(|p| p.dist <= bound);
-            self.dists = self
-                .results
-                .iter()
-                .map(|p| p.dist)
-                .take(take as usize)
-                .collect();
             emitted = self.results.len() as u64;
         }
         baseline.finish(r, s, &mut stats);
@@ -952,7 +964,6 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                     crew.stage_one::<P>(&pool, w, edmax0, evidence)
                 },
                 |out| &mut out.0.stats,
-                true,
             );
             stats.barrier_idle_ns += idle;
             let mut leftovers = Vec::new();
@@ -1060,7 +1071,6 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
                 (0..threads).map(|_| carried.take()).collect(),
                 |w, drv| crew.stage_two(&wpool, w, &dists, quota, drv),
                 |out| &mut out.stats,
-                true,
             );
             stats.barrier_idle_ns += idle;
             let mut leftovers = Vec::new();
@@ -1112,34 +1122,14 @@ pub(crate) fn run_kdj_ckpt<const D: usize, P: PruningPolicy>(
     Checkpointed::Done(JoinOutput { results, stats })
 }
 
-/// Tightens the `take` bound at a suspension with the object pairs still
-/// queued in the frontier: they are real pairs, distinct from every
-/// emitted result, so the `take`-th smallest distance over both is a
-/// proven bound the workers could not publish yet (they count only
-/// emissions). A window stop early in the stream, before `take` results
-/// exist, then still prunes the snapshot to what can make the `take`.
-fn tighten_by_pending_results<const D: usize>(
-    shared: &MinBound,
-    take: usize,
-    results: &[ResultPair],
-    frontier: &[Pair<D>],
-) {
-    let mut known: Vec<f64> = results
-        .iter()
-        .map(|p| p.dist)
-        .chain(frontier.iter().filter(|p| p.is_result()).map(|p| p.dist))
-        .collect();
-    if take > 0 && known.len() >= take {
-        shared.tighten(*known.select_nth_unstable_by(take - 1, f64::total_cmp).1);
-    }
-}
-
 /// The checkpointable incremental join. On resume, every worker's cursor
 /// restores the snapshot's stage-loop scalars, is dealt a share of the
 /// saved compensation entries (the pair pool cannot carry them), and
-/// pre-seeds its distance queue with the saved evidence — the `take`
-/// smallest result distances, all distinct pairs, so each worker's
-/// published bound is individually sound. On suspension the snapshot
+/// pre-seeds its `take` queue with the saved evidence — the `take`
+/// smallest distances of distinct pairs
+/// ([`Cut::gather_evidence`]), so each worker's published bound is
+/// individually sound. A fresh fleet's seed frontier counts its object
+/// pairs into the same evidence as it is built. On suspension the snapshot
 /// merges the cursors' cuts canonically: `edmax` the minimum (a smaller
 /// estimate only advances stages earlier — completeness is unaffected),
 /// `stage`/`k_target`/`last_dist` the maximum, `emitted` the global
@@ -1179,7 +1169,7 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
             snap.last_dist,
         )
     });
-    let (mut results, seed_dists, snap_frontier, snap_comps) = match resume {
+    let (mut results, evidence, snap_frontier, snap_comps) = match resume {
         Some(snap) => (snap.results, snap.dists, Some(snap.frontier), snap.comps),
         None => Default::default(),
     };
@@ -1189,15 +1179,24 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
         .filter(|&want| want < take)
         .map(|want| (want.max(1), &window_bound));
     if take > 0 {
-        let mut frontier = match snap_frontier {
-            Some(f) => f,
-            None => seed_frontier(r, s, cfg, frontier_target(threads), &mut stats),
+        let (mut frontier, evidence) = match snap_frontier {
+            Some(f) => (f, evidence),
+            None => {
+                let frontier = seed_frontier(r, s, cfg, frontier_target(threads), &mut stats);
+                let mut distq = DistanceQueue::new(take);
+                for p in frontier.iter().filter(|p| p.is_result()) {
+                    distq.insert(p.dist);
+                }
+                stats.distq_insertions += distq.insertions();
+                shared.tighten(distq.qdmax());
+                (frontier, distq.retained())
+            }
         };
         frontier.sort_by(|a, b| a.dist.total_cmp(&b.dist));
         let seeds = round_robin(frontier, threads);
         let pool = StealPool::new(seeds, |p: &Pair<D>| p.dist);
         let comp_shares = round_robin(snap_comps, threads);
-        let seed_dists = &seed_dists[..];
+        let evidence = &evidence[..];
         let (outputs, idle) = run_workers(
             comp_shares,
             |w, comps_w| {
@@ -1208,21 +1207,17 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
                     cfg,
                     opts.clone(),
                     &pool,
-                    w,
+                    (w, threads == 1),
                     &shared,
                     window,
                     schedule,
                     pause,
                     restore,
                     comps_w,
-                    seed_dists,
+                    evidence,
                 )
             },
             |out| &mut out.1,
-            // Incremental episodes keep their own thread even alone: serve
-            // cursors run them under admission, and `serve_concurrent`
-            // pins how they interleave with other queries.
-            false,
         );
         stats.barrier_idle_ns += idle;
         let mut cut = Cut {
@@ -1243,7 +1238,8 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
         }
         if suspended {
             cut.frontier.extend(pool.into_remaining());
-            tighten_by_pending_results(&shared, take, &results, &cut.frontier);
+            cut.results = results;
+            shared.tighten(cut.gather_evidence(take));
             let bound = shared.get();
             // A window stop with nothing pending under the `take` bound
             // is a finished join.
@@ -1251,10 +1247,10 @@ pub(crate) fn run_idj_ckpt<const D: usize>(
                 && !cut.frontier.iter().any(|p| p.dist <= bound)
                 && !cut.comps.iter().any(|e| e.key <= bound);
             if !finished {
-                cut.results = results;
                 let kind = SnapshotKind::Idj { take: take as u64 };
                 return cut.suspend(r, s, kind, bound, baseline, stats);
             }
+            results = cut.results;
         }
         sort_canonical(&mut results);
         results.truncate(take);

@@ -56,6 +56,12 @@ impl<const D: usize> MainQueue<D> {
         self.q.peek_min()
     }
 
+    /// Bytes the queue holds resident: the in-memory heap's charge plus
+    /// the live spill pages.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        (self.q.mem_bytes() + self.q.spilled_bytes()) as u64
+    }
+
     /// Folds the queue's insertion count, disk traffic and modeled I/O
     /// seconds into `stats`.
     pub(crate) fn account(&self, stats: &mut JoinStats) {

@@ -16,17 +16,21 @@
 //!   budget; overflow waits in a bounded FIFO line, and a full line is
 //!   a structured rejection. Blocking happens on the calling thread
 //!   (one connection's handler), so admitted queries always progress;
-//! * **sessions** ([`session`]) — IDJ cursors are suspended
-//!   [`EngineSnapshot`](crate::EngineSnapshot)s behind ids, with
-//!   checkout semantics so concurrent requests against one cursor fail
-//!   fast instead of racing;
+//! * **sessions** ([`session`]) — IDJ cursors behind ids, with checkout
+//!   semantics so concurrent requests against one cursor fail fast
+//!   instead of racing. A one-worker cursor holds its join live between
+//!   pulls; idle live cursors are charged their queue bytes against the
+//!   same memory budget and, past it, demoted to an
+//!   [`EngineSnapshot`](crate::EngineSnapshot), least recently pulled
+//!   first;
 //! * **codec** ([`codec`]) — the line-delimited JSON protocol, with
 //!   every malformed input reported as a byte-offset error in the
 //!   storage codec's style.
 //!
 //! Every query's buffer traffic is attributed to its id: the engine's
 //! `Baseline` captures the coordinating handler thread, worker spans
-//! capture the join's own workers, and suspended episodes return their
+//! capture the join's own workers (a live cursor's pull runs on the
+//! handler thread, under both), and suspended episodes return their
 //! stats through [`Checkpointed::Suspended`](crate::Checkpointed) — so
 //! the per-query counters in the `stats` response sum exactly to the
 //! shared buffer's global deltas (`tests/serve_concurrent.rs`).
@@ -52,7 +56,8 @@ use session::{Cursor, CursorTable};
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// Total admission budget, bytes. Each executing query charges
-    /// `base_config.queue_mem_bytes`; the default admits 8 at once.
+    /// `base_config.queue_mem_bytes`; the default admits 8 at once. Idle
+    /// live cursors hold at most this many queue bytes together.
     pub mem_budget_bytes: u64,
     /// Requests allowed to wait for admission before rejection.
     pub max_waiting: usize,
@@ -202,7 +207,7 @@ pub struct Server<'t, const D: usize> {
     s: &'t RTree<D>,
     opts: ServeOptions,
     admission: Admission,
-    cursors: CursorTable<D>,
+    cursors: CursorTable<'t, D>,
     reports: Mutex<Vec<QueryReport>>,
     queries: AtomicU64,
 }
@@ -211,12 +216,13 @@ impl<'t, const D: usize> Server<'t, D> {
     /// A server over `r` and `s` (loaded/persisted once by the caller).
     pub fn new(r: &'t RTree<D>, s: &'t RTree<D>, opts: ServeOptions) -> Self {
         let admission = Admission::new(opts.mem_budget_bytes, opts.max_waiting);
+        let cursors = CursorTable::new(opts.mem_budget_bytes);
         Server {
             r,
             s,
             opts,
             admission,
-            cursors: CursorTable::new(),
+            cursors,
             reports: Mutex::new(Vec::new()),
             queries: AtomicU64::new(0),
         }
@@ -332,7 +338,9 @@ impl<'t, const D: usize> Server<'t, D> {
     }
 
     /// Pulls the next `n` pairs from a cursor under admission control,
-    /// running at most one engine episode to make the window stable.
+    /// advancing its join on the calling thread (or, with several
+    /// workers, running at most one engine episode) until the window is
+    /// stable.
     pub fn idj_pull(&self, id: &str, n: usize) -> Result<Pull, ServeError> {
         let mut cursor = self.cursors.checkout(id)?;
         let cfg = &self.opts.base_config;
@@ -347,7 +355,7 @@ impl<'t, const D: usize> Server<'t, D> {
         };
         let wait_ns = cursor.queue_wait_ns;
         let delivered = cursor.delivered();
-        let report = QueryReport::from_stats(id, "idj", wait_ns, delivered, &cursor.stats);
+        let report = QueryReport::from_stats(id, "idj", wait_ns, delivered, &cursor.stats());
         self.cursors.checkin(id, cursor);
         let (results, done) = outcome?;
         self.record(report, true);
@@ -360,13 +368,20 @@ impl<'t, const D: usize> Server<'t, D> {
     }
 
     /// Serializes a cursor to snapshot bytes plus its delivery
-    /// position. The cursor stays open.
+    /// position. The cursor stays open; a live one goes live again on
+    /// its next pull.
     pub fn idj_checkpoint(&self, id: &str) -> Result<(Vec<u8>, u64), ServeError> {
         let mut cursor = self.cursors.checkout(id)?;
         let cfg = &self.opts.base_config;
         let outcome = cursor.checkpoint(self.r, self.s, cfg, &self.opts.idj_opts);
         self.cursors.checkin(id, cursor);
-        outcome
+        Ok(outcome)
+    }
+
+    /// Queue bytes the idle live cursors hold together: at most
+    /// `mem_budget_bytes` between requests.
+    pub fn idle_cursor_bytes(&self) -> u64 {
+        self.cursors.charged()
     }
 
     /// Closes a cursor, dropping its state.
@@ -405,9 +420,8 @@ impl<'t, const D: usize> Server<'t, D> {
             let mut ids = Vec::new();
             for (id, cursor) in cursors.iter_mut() {
                 let cfg = &self.opts.base_config;
-                let (bytes, delivered) = cursor
-                    .checkpoint(self.r, self.s, cfg, &self.opts.idj_opts)
-                    .map_err(|e| std::io::Error::other(e.to_string()))?;
+                let (bytes, delivered) =
+                    cursor.checkpoint(self.r, self.s, cfg, &self.opts.idj_opts);
                 write_atomic(&dir.join(snap_file_name(id)), &bytes)?;
                 manifest.push_str(&format!(
                     "{}\t{delivered}\n",

@@ -339,6 +339,11 @@ impl<T: SpillItem> SpillQueue<T> {
         self.heap_bytes
     }
 
+    /// Bytes held by the queue's live spill pages.
+    pub fn spilled_bytes(&self) -> usize {
+        self.disk.live_pages() * self.disk.page_size()
+    }
+
     /// Queue operation counters.
     pub fn stats(&self) -> SpillQueueStats {
         self.stats

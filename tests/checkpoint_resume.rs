@@ -502,7 +502,7 @@ fn resume_refuses_foreign_and_crafted_snapshots() {
 /// thread). Every episode here is four expansions long; the resumed
 /// join must stay within one stage of the uninterrupted one and within a
 /// small factor of the join's queue work — resumed frontier seeds are
-/// re-inserted (and re-counted) once per episode, nothing more. The
+/// re-inserted once per episode, uncounted, nothing more. The
 /// factor is taken against the one-thread uninterrupted run, which is
 /// deterministic: with more threads the uninterrupted run's own
 /// insertions vary up to about 2.3× with the schedule and the resumed
@@ -609,4 +609,57 @@ fn resumed_one_thread_kdj_does_the_uninterrupted_work() {
         ]
     };
     assert_eq!(work(&total), work(w), "resumed work differs");
+}
+
+/// A one-thread incremental join paused every few expansions does the
+/// uninterrupted join's work, summed over its episodes: the same
+/// distance computations and the same main- and distance-queue
+/// insertions. Each worker counts every object pair it queues into its
+/// `take` queue, a snapshot's evidence carries those distances, and a
+/// resumed worker re-queues the saved frontier uncounted, so no episode
+/// bound is tighter or looser than the uninterrupted one's. Uniform
+/// against clustered points keeps distances tie-free.
+#[test]
+fn resumed_one_thread_idj_does_the_uninterrupted_work() {
+    let universe = amdj_datagen::unit_universe();
+    let a = amdj_datagen::uniform_points(2000, universe, 1);
+    let b = amdj_datagen::clustered_points(2000, 16, 0.02, universe, 2);
+    let r = RTree::bulk_load(RTreeParams::paper_defaults(), a);
+    let s = RTree::bulk_load(RTreeParams::paper_defaults(), b);
+    let cfg = JoinConfig::default();
+    let kind = incremental(100, &AmIdjOptions::default());
+    let whole = run_join(&r, &s, kind.clone(), 1, &cfg);
+    let mut resume = None;
+    let mut suspensions = 0;
+    let mut total = amdj_core::JoinStats::default();
+    let resumed = loop {
+        let ctl = PauseCtl::every(7);
+        let req = JoinRequest {
+            resume: resume.take(),
+            ..JoinRequest::new(kind.clone(), 1)
+        };
+        match engine::run(&r, &s, req, &cfg, Some(&ctl)).expect("self-made snapshot validates") {
+            Checkpointed::Done(out) => {
+                total.absorb_episode(&out.stats);
+                break out;
+            }
+            Checkpointed::Suspended(snap, stats) => {
+                total.absorb_episode(&stats);
+                suspensions += 1;
+                let bytes = snap.encode();
+                resume = Some(EngineSnapshot::decode(&bytes).expect("own snapshot decodes"));
+            }
+        }
+    };
+    assert!(suspensions >= 4, "the pause fired only {suspensions} times");
+    assert_eq!(resumed.results, whole.results);
+    let work = |st: &amdj_core::JoinStats| {
+        [
+            ("real_dist", st.real_dist),
+            ("mainq_insertions", st.mainq_insertions),
+            ("distq_insertions", st.distq_insertions),
+            ("results", st.results),
+        ]
+    };
+    assert_eq!(work(&total), work(&whole.stats), "resumed work differs");
 }

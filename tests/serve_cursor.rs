@@ -1,15 +1,19 @@
 //! The serve-mode IDJ cursor lifecycle: open → pull → checkpoint →
 //! server "restart" → resume → the remaining stream is bit-identical to
-//! the uninterrupted one. Plus the failure modes: corrupt or truncated
+//! the uninterrupted one. A one-worker cursor holds its join live
+//! between pulls: pulled in batches, demoted to a snapshot under memory
+//! pressure, or checkpointed, it streams and works exactly like one
+//! uninterrupted join. Plus the failure modes: corrupt or truncated
 //! snapshots, wrong-kind snapshots, and impossible delivery positions
 //! are clean structured errors — never panics.
 
 use amdj_core::engine::{self, JoinRequest};
 use amdj_core::serve::{
     codec::{hex_decode, hex_encode, QuerySpec},
+    session::Cursor,
     snap_file_name, ServeError, ServeOptions, Server,
 };
-use amdj_core::{AmIdj, AmIdjOptions, Checkpointed, JoinConfig, PauseCtl, ResultPair};
+use amdj_core::{AmIdj, AmIdjOptions, Checkpointed, JoinConfig, JoinStats, PauseCtl, ResultPair};
 use amdj_datagen::{clustered_points, uniform_points, unit_universe};
 use amdj_rtree::RTree;
 use amdj_tests::{aggressive, build_trees};
@@ -479,4 +483,168 @@ fn failed_shutdown_checkpoint_loses_no_cursors() {
     }
     assert_identical("post-retry remainder", &want[11..], &rest);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pulls a one-worker [`Cursor`] to its `take` in batches of `n`,
+/// calling `between` after every pull; returns the stream and the
+/// cursor's counters.
+fn drain_cursor<'t>(
+    r: &'t RTree<2>,
+    s: &'t RTree<2>,
+    cfg: &JoinConfig,
+    take: usize,
+    n: usize,
+    mut between: impl FnMut(&mut Cursor<'t, 2>),
+) -> (Vec<ResultPair>, JoinStats) {
+    let opts = AmIdjOptions::default();
+    let mut cursor = Cursor::open(take, QuerySpec::default());
+    let mut got = Vec::new();
+    loop {
+        let (slice, done) = cursor.pull(r, s, cfg, &opts, n).expect("pull");
+        got.extend(slice);
+        if done {
+            break;
+        }
+        between(&mut cursor);
+    }
+    (got, cursor.stats())
+}
+
+/// The counters that measure a join's work.
+fn work(st: &JoinStats) -> [(&'static str, u64); 5] {
+    [
+        ("real_dist", st.real_dist),
+        ("axis_dist", st.axis_dist),
+        ("mainq_insertions", st.mainq_insertions),
+        ("distq_insertions", st.distq_insertions),
+        ("expansions", st.stage1_expansions + st.stage2_expansions),
+    ]
+}
+
+/// A one-worker cursor drained in pulls of 10 does the work of one
+/// uninterrupted `take`-bounded `AmIdj`: a pull advances the join it
+/// holds and stops once its window is stable, so nothing is redone and
+/// nothing re-queued. The data is tie-free, so the `take`-th result ends
+/// both runs at the same point.
+#[test]
+fn live_cursor_pulled_in_tens_does_the_uninterrupted_work() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::default();
+    let take = 150;
+    let mut direct = AmIdj::with_take(&r, &s, &cfg, AmIdjOptions::default(), take);
+    let want: Vec<ResultPair> = std::iter::from_fn(|| direct.next()).collect();
+    assert_eq!(want.len(), take);
+    let (got, stats) = drain_cursor(&r, &s, &cfg, take, 10, |c| {
+        assert!(c.is_live(), "a one-worker cursor stays live between pulls");
+    });
+    assert_identical("pulls of 10", &want, &got);
+    assert_eq!(work(&stats), work(&direct.stats()), "pulled work differs");
+}
+
+/// A cursor demoted to its snapshot after every pull — the memory
+/// pressure path — streams bit-identically to one that stayed live and
+/// does the same work: the cut re-enters a fresh driver uncounted. On
+/// the tie-heavy self-join the windows end inside the distance-0 group
+/// and the small queue budget spills, so the cut carries spilled pages
+/// and tied entries.
+#[test]
+fn demoted_cursor_streams_like_a_live_one() {
+    let (r, s, cfg, want) = tied_self_join();
+    let take = want.len();
+    let (live, live_stats) = drain_cursor(&r, &s, &cfg, take, 10, |_| {});
+    assert_identical("live", &want, &live);
+    let mut demotions = 0;
+    let (demoted, demoted_stats) = drain_cursor(&r, &s, &cfg, take, 10, |c| {
+        demotions += u32::from(c.is_live());
+        c.demote();
+        assert!(
+            !c.is_live() && c.queue_bytes() == 0,
+            "a demoted cursor holds no queue"
+        );
+    });
+    assert!(demotions > 3, "only {demotions} demotions");
+    assert_identical("demoted every pull", &want, &demoted);
+    assert_eq!(
+        work(&demoted_stats),
+        work(&live_stats),
+        "demoted work differs"
+    );
+}
+
+/// Checkpointing a live cursor cuts it through the engine's suspension
+/// path and leaves it open: the next pull makes it live again from the
+/// cut and goes on bit-identically, with the uninterrupted work.
+#[test]
+fn checkpointed_live_cursor_continues_bit_identically() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::default();
+    let take = 80;
+    let want = reference(&r, &s, &cfg, take);
+    let (_, live_stats) = drain_cursor(&r, &s, &cfg, take, 20, |_| {});
+    let opts = AmIdjOptions::default();
+    let mut checkpoints = 0;
+    let (got, stats) = drain_cursor(&r, &s, &cfg, take, 20, |c| {
+        let (bytes, at) = c.checkpoint(&r, &s, &cfg, &opts);
+        assert_eq!(at, c.delivered());
+        assert!(!c.is_live(), "a checkpoint cuts the live join");
+        let snap = amdj_core::EngineSnapshot::<2>::decode(&bytes).expect("own snapshot decodes");
+        assert!(snap.frontier_len() > 0, "a real mid-join cut");
+        checkpoints += 1;
+    });
+    assert!(checkpoints >= 3);
+    assert_identical("checkpointed every pull", &want, &got);
+    assert_eq!(work(&stats), work(&live_stats), "checkpointed work differs");
+}
+
+/// Never-closed cursors cannot grow the server without bound: idle live
+/// cursors are charged their queue bytes, and past `mem_budget_bytes`
+/// the least recently pulled is demoted to its snapshot. Every cursor
+/// still streams the reference afterwards.
+#[test]
+fn never_closed_cursors_keep_the_live_ledger_within_the_budget() {
+    let (r, s) = workload();
+    let cfg = JoinConfig::with_queue_memory(64 * 1024);
+    let budget = cfg.queue_mem_bytes as u64;
+    let server = Server::new(
+        &r,
+        &s,
+        ServeOptions {
+            mem_budget_bytes: budget,
+            ..serve_opts(&cfg)
+        },
+    );
+    let take = 60;
+    let want = reference(&r, &s, &cfg, take);
+    let ids: Vec<String> = (0..40).map(|i| format!("c{i}")).collect();
+    let mut most = 0;
+    for id in &ids {
+        server
+            .idj_open(id, take, QuerySpec::default())
+            .expect("opens");
+        let pull = server.idj_pull(id, 10).expect("pull");
+        assert_identical(id, &want[..10], &pull.results);
+        let charged = server.idle_cursor_bytes();
+        assert!(
+            charged <= budget,
+            "{charged} idle bytes over the {budget}-byte budget"
+        );
+        most = most.max(charged);
+    }
+    assert!(
+        most > budget / 2,
+        "the budget never bound ({most} of {budget} bytes)"
+    );
+    // Demoted or live, every cursor goes on from where it stopped.
+    for id in &ids {
+        let mut got = want[..10].to_vec();
+        loop {
+            let pull = server.idj_pull(id, 25).expect("pull");
+            got.extend(pull.results);
+            assert!(server.idle_cursor_bytes() <= budget);
+            if pull.done {
+                break;
+            }
+        }
+        assert_identical(id, &want, &got);
+    }
 }

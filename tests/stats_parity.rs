@@ -9,9 +9,11 @@
 //!
 //! Excluded from the parity set: wall-clock and modeled I/O times,
 //! `node_disk_reads` (buffer state carries across the runs), and — for
-//! the incremental join only — `distq_insertions` and
-//! `bound_tightenings` (the claim-round cursor owns a merge-side distance
-//! queue and a shared bound the standalone cursor does not have).
+//! the incremental join only — `bound_tightenings` (the claim-round
+//! cursor publishes into a shared bound the standalone cursor does not
+//! have). The standalone cursor is given the same `take` as the
+//! claim-round join, so both bound themselves with the same `take`
+//! queue and count the same distance-queue insertions.
 //!
 //! The tests pin the claim protocol too: a lone worker claims the single
 //! root seed, steals nothing, and stops at its `k`-th result even when
@@ -93,11 +95,11 @@ fn assert_parity(label: &str, seq: &JoinStats, par: &JoinStats, kdj: bool) {
         seq.mainq_insertions, par.mainq_insertions,
         "{label}: mainq_insertions"
     );
+    assert_eq!(
+        seq.distq_insertions, par.distq_insertions,
+        "{label}: distq_insertions"
+    );
     if kdj {
-        assert_eq!(
-            seq.distq_insertions, par.distq_insertions,
-            "{label}: distq_insertions"
-        );
         assert_eq!(
             seq.bound_tightenings, par.bound_tightenings,
             "{label}: bound_tightenings"
@@ -205,7 +207,7 @@ fn incremental_one_thread_equals_sequential_cursor() {
         ..AmIdjOptions::default()
     };
     for take in [1, 40, 200] {
-        let mut cursor = AmIdj::new(&r, &s, &JoinConfig::unbounded(), opts.clone());
+        let mut cursor = AmIdj::with_take(&r, &s, &JoinConfig::unbounded(), opts.clone(), take);
         let mut seq_results = Vec::new();
         while seq_results.len() < take {
             match cursor.next() {
