@@ -117,7 +117,7 @@ impl<'x, const D: usize> ExpansionCore<'x, D> {
         }
     }
 
-    /// Expands the node pair `pair`: fetches both sides, chooses the
+    /// Expands the node pair `pair`: fetches the sides it opens, chooses the
     /// sweep setup under `cutoff`, and sweeps into the sink `sink` builds
     /// over the main queue, counting the expansion and ticking the pause
     /// control. A recording `mode` parks the expansion when the sweep

@@ -11,13 +11,13 @@
 //! join emits exactly the pairs the uninterrupted join would have —
 //! regardless of how many workers the resumed run uses.
 //!
-//! # Wire format (version 2)
+//! # Wire format (version 3)
 //!
 //! All integers little-endian, via [`amdj_storage::codec`]:
 //!
 //! ```text
 //! magic   8 × u8   "AMDJSNAP"
-//! version u8       2
+//! version u8       3
 //! kind    u8       0 = k-distance join, 1 = incremental join
 //! flags   u8       bit 0: aggressive pruning policy
 //! dim     u32      D (decode refuses a mismatched dimension)
@@ -45,10 +45,14 @@
 //! the same bytes a spilled queue segment holds — rather than inventing a
 //! second pair encoding. A compensation entry references its node pair
 //! rather than carrying the children lists: a resume gathers them from
-//! the trees again. Version 1 images (which carried the lists) are
-//! refused. Decoding is fully fallible: a truncated or corrupt image
-//! surfaces a [`SnapshotError`] naming the byte offset and the field
-//! expected there, never a panic.
+//! the trees again, so its marks index lists whose shape
+//! [`opened_sides`] derives from the pair. Version 1 images (which
+//! carried the lists) are refused, and so are version 2 images: their
+//! bytes are laid out as version 3's, but their marks on an
+//! unequal-level node pair index both nodes' children, where version 3
+//! holds the smaller-area node whole as one entry. Decoding is fully
+//! fallible: a truncated or corrupt image surfaces a [`SnapshotError`]
+//! naming the byte offset and the field expected there, never a panic.
 //!
 //! # Validation against the trees
 //!
@@ -58,7 +62,8 @@
 //! must match the trees being joined, every node reference (frontier and
 //! compensation pairs) must name a live page whose node sits at the
 //! referenced level, and every compensation entry's marks must fit its
-//! sides' entry counts.
+//! sides' entry counts as [`opened_sides`] lays them out (a held side
+//! has one entry).
 
 use amdj_geom::SweepDirection;
 use amdj_rtree::RTree;
@@ -67,10 +72,10 @@ use amdj_storage::{encode_page_framed, try_decode_page_framed, PageId, SpillItem
 
 use crate::{ItemRef, Pair, ResultPair};
 
-use super::sweep::{CompEntry, Reject, SweepMarks, SweepSetup};
+use super::sweep::{opened_sides, CompEntry, Reject, SweepMarks, SweepSetup};
 
 const MAGIC: &[u8; 8] = b"AMDJSNAP";
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 /// Page size used for the frontier's spill framing inside a snapshot.
 const SNAP_PAGE: usize = 4096;
 
@@ -261,11 +266,13 @@ impl<const D: usize> EngineSnapshot<D> {
             ));
         }
         for pair in &self.frontier {
-            side_len(r, pair.a)?;
-            side_len(s, pair.b)?;
+            side_len(r, pair.a, false)?;
+            side_len(s, pair.b, false)?;
         }
         for entry in &self.comps {
-            let (nl, nr) = (side_len(r, entry.pair.a)?, side_len(s, entry.pair.b)?);
+            let [open_a, open_b] = opened_sides(&entry.pair);
+            let nl = side_len(r, entry.pair.a, open_a)?;
+            let nr = side_len(s, entry.pair.b, open_b)?;
             let m = &entry.marks;
             let fits = m.left_stops.len() <= nl
                 && m.right_stops.len() <= nr
@@ -412,10 +419,15 @@ impl<const D: usize> EngineSnapshot<D> {
     }
 }
 
-/// The number of sweep entries one side of a pair lays out: its node's
-/// entry count, or 1 for an object. A node reference must name a live
-/// page of `tree` whose node sits at the referenced level.
-fn side_len<const D: usize>(tree: &RTree<D>, side: ItemRef) -> Result<usize, SnapshotError> {
+/// The number of sweep entries one side of a pair lays out: an opened
+/// node's entry count, or 1 for a held side ([`opened_sides`]). A node
+/// reference must name a live page of `tree` whose node sits at the
+/// referenced level, opened or not.
+fn side_len<const D: usize>(
+    tree: &RTree<D>,
+    side: ItemRef,
+    open: bool,
+) -> Result<usize, SnapshotError> {
     match side {
         ItemRef::Object { .. } => Ok(1),
         ItemRef::Node { page, level } => match tree.peek_node_header(PageId(page)) {
@@ -425,7 +437,7 @@ fn side_len<const D: usize>(tree: &RTree<D>, side: ItemRef) -> Result<usize, Sna
             Some((node_level, _)) if node_level != level => Err(SnapshotError::Invalid(
                 "node reference level differs from the node's",
             )),
-            Some((_, count)) => Ok(count),
+            Some((_, count)) => Ok(if open { count } else { 1 }),
         },
     }
 }
@@ -927,6 +939,95 @@ mod tests {
                 .check_trees(&s, &RTree::new(amdj_rtree::RTreeParams::for_tests())),
             Err(SnapshotError::Invalid(_))
         ));
+    }
+
+    /// On an unequal-level compensation entry the held node lays out one
+    /// entry, not its children: marks that fit the held node's children
+    /// but index past its single entry are refused, since a replay would
+    /// index past the list it gathers.
+    #[test]
+    fn check_trees_sizes_a_held_node_as_one_entry() {
+        let points = |n: u64, pitch: f64| -> Vec<(Rect<2>, u64)> {
+            (0..n)
+                .map(|i| {
+                    let (x, y) = ((i % 10) as f64 * pitch, (i / 10) as f64 * pitch);
+                    (Rect::new([x, y], [x, y]), i)
+                })
+                .collect()
+        };
+        // R: three levels over a small square; S: two levels over a wide
+        // one, so the root pair opens S and holds R's root.
+        let r = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), points(100, 1.0));
+        let s = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), points(20, 10.0));
+        assert_eq!((r.height(), s.height()), (3, 2));
+        let root = crate::engine::expand::root_pair(&r, &s).unwrap();
+        assert_eq!(opened_sides(&root), [false, true]);
+        let ItemRef::Node { page: s_page, .. } = root.b else {
+            panic!("node roots")
+        };
+        let nr = s.peek_node_header(PageId(s_page)).unwrap().1 as u32;
+        let snap = |marks: SweepMarks| Snap {
+            kind: SnapshotKind::Idj { take: 5 },
+            trees: TreePrint::pair(&r, &s),
+            stage: 1,
+            edmax: 1.0,
+            shared_bound: f64::INFINITY,
+            k_target: 5,
+            emitted: 0,
+            last_dist: 0.0,
+            results: Vec::new(),
+            dists: Vec::new(),
+            frontier: vec![root],
+            comps: vec![CompEntry {
+                key: 1.0,
+                setup: SweepSetup {
+                    axis: 0,
+                    dir: SweepDirection::Forward,
+                },
+                pair: root,
+                marks,
+            }],
+        };
+        let fits = SweepMarks {
+            left_stops: vec![nr],
+            right_stops: vec![1; nr as usize],
+            rejects: vec![Reject {
+                left: 0,
+                right: nr - 1,
+                dist: 2.0,
+            }],
+            track_rejects: true,
+        };
+        assert_eq!(snap(fits.clone()).check_trees(&r, &s), Ok(()));
+        let invalid = |marks: SweepMarks| {
+            matches!(
+                snap(marks).check_trees(&r, &s),
+                Err(SnapshotError::Invalid(_))
+            )
+        };
+        // R's root has more than one child; each of these fits them.
+        let r_children = r.peek_node(r.root_page().unwrap()).unwrap().entries.len() as u32;
+        assert!(r_children > 2);
+        for marks in [
+            SweepMarks {
+                right_stops: vec![2; nr as usize],
+                ..fits.clone()
+            },
+            SweepMarks {
+                left_stops: vec![nr, nr],
+                ..fits.clone()
+            },
+            SweepMarks {
+                rejects: vec![Reject {
+                    left: 1,
+                    right: 0,
+                    dist: 2.0,
+                }],
+                ..fits
+            },
+        ] {
+            assert!(invalid(marks));
+        }
     }
 
     #[test]

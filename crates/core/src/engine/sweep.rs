@@ -12,6 +12,30 @@
 //! ([`compensation_sweep`]) must resume when the cutoff was only an
 //! estimate (`eDmax`).
 //!
+//! # Which sides open
+//!
+//! The paper's bidirectional expansion assumes both nodes of a pair sit
+//! at the same level; R-trees over inputs of different sizes (or built
+//! by insertion) need not share a height. [`opened_sides`] keeps the
+//! bidirectional expansion for level-matched pairs. A ⟨node, node⟩ pair
+//! whose levels differ opens only the node with the larger MBR area
+//! (Hjaltason & Samet's rule, [`Pair::opens_left`]) and holds the other
+//! whole, as a one-entry list of itself: its page, its level, its MBR.
+//! A ⟨node, object⟩ pair opens the node and holds the object. Opening
+//! both sides of an unequal-level pair split the shallower tree's leaves
+//! into ⟨node, object⟩ pairs, each a sweep of one object against a
+//! fanout of children; on Arizona-like streets × hydrography (heights 3
+//! and 2) that was 13× the expansions of the one-sided rule for the
+//! first 50 pairs of an incremental join.
+//!
+//! The rule compares areas, not levels. Descending the deeper side alone
+//! (SJ-SORT's level rule, [`crate::sjsort`]) turns a shallow side that is
+//! one leaf spanning the universe into a coarse bound that every deeper
+//! node pairs with: on 20k × 60 uniform points (heights 3 and 1),
+//! AM-KDJ at k = 1 made 170 buffer misses under it, against 34 under
+//! the area rule. The area rule opens that leaf first, as the
+//! bidirectional expansion did.
+//!
 //! # Allocation discipline
 //!
 //! Expansion is the hottest path of every join, so its buffers are owned
@@ -29,7 +53,7 @@
 //! vectors — at most three allocations (two stop vectors, plus the
 //! rejects when there are any). The entry holds the parked [`Pair`] and
 //! its [`SweepSetup`], not the lists: a replay
-//! ([`SweepScratch::compensate`]) re-fetches both nodes through the
+//! ([`SweepScratch::compensate`]) re-fetches the opened nodes through the
 //! buffer and gathers the same lists bit for bit, since the trees do not
 //! change during a join and the cached order is a pure function of the
 //! node's entries. The scratch keeps its list capacities across a park.
@@ -100,6 +124,23 @@ fn sort_key<const D: usize>(mbr: &Rect<D>, setup: SweepSetup) -> f64 {
     }
 }
 
+/// Which sides of `pair` an expansion opens into their children, left
+/// then right: both nodes of a level-matched pair (the paper's
+/// bidirectional expansion), otherwise only the side
+/// [`Pair::opens_left`] picks — the larger MBR area, R on ties, or the
+/// node of a ⟨node, object⟩ pair. The side not opened is held whole as a
+/// one-entry list of itself. Expansion, replay and snapshot validation
+/// all size a pair's lists through this one function.
+pub(crate) fn opened_sides<const D: usize>(pair: &Pair<D>) -> [bool; 2] {
+    match (pair.a, pair.b) {
+        (ItemRef::Node { level: a, .. }, ItemRef::Node { level: b, .. }) if a == b => [true, true],
+        _ => {
+            let left = pair.opens_left();
+            [left, !left]
+        }
+    }
+}
+
 /// One side of an expansion laid out for sweeping: a reusable entry
 /// buffer plus what its entries are. A [`SweepScratch`] owns two.
 #[derive(Debug, Default)]
@@ -108,7 +149,8 @@ struct SideBuf<const D: usize> {
     /// Whether the entries are objects (the side was a leaf or an
     /// object).
     objects: bool,
-    /// Level of the entries when they are nodes.
+    /// Level of the entries when they are nodes: the children's level,
+    /// or a held node's own.
     child_level: u32,
     /// Whether the entries are keyed for a backward sweep.
     backward: bool,
@@ -135,24 +177,39 @@ impl<const D: usize> SideBuf<D> {
         self.backward = setup.dir == SweepDirection::Backward;
     }
 
-    /// Lays out one side of a pair: a node side fetches the node and
-    /// gathers its children, an object side is a one-entry list of the
-    /// pair's own MBR.
-    fn load(&mut self, tree: &RTree<D>, side: ItemRef, mbr: &Rect<D>, setup: SweepSetup) {
+    /// Lays out one side of a pair: an opened node fetches the node and
+    /// gathers its children; any other side is [held](Self::hold).
+    fn load(
+        &mut self,
+        tree: &RTree<D>,
+        side: ItemRef,
+        mbr: &Rect<D>,
+        setup: SweepSetup,
+        open: bool,
+    ) {
         match side {
-            ItemRef::Node { page, .. } => self.fill_node(&tree.fetch(PageId(page)), setup),
-            ItemRef::Object { oid } => {
-                self.entries.clear();
-                self.entries.push(SweepEntry {
-                    mbr: *mbr,
-                    child: oid,
-                    key: sort_key(mbr, setup),
-                });
-                self.objects = true;
-                self.child_level = 0;
-                self.backward = setup.dir == SweepDirection::Backward;
-            }
+            ItemRef::Node { page, .. } if open => self.fill_node(&tree.fetch(PageId(page)), setup),
+            _ => self.hold(side, mbr, setup),
         }
+    }
+
+    /// Lays out a held side — an object, or the node an unequal-level
+    /// pair keeps whole — as a one-entry list of itself, keyed on the
+    /// pair's own MBR for it. Nothing is fetched.
+    fn hold(&mut self, side: ItemRef, mbr: &Rect<D>, setup: SweepSetup) {
+        let (child, level) = match side {
+            ItemRef::Node { page, level } => (page, level),
+            ItemRef::Object { oid } => (oid, 0),
+        };
+        self.entries.clear();
+        self.entries.push(SweepEntry {
+            mbr: *mbr,
+            child,
+            key: sort_key(mbr, setup),
+        });
+        self.objects = side.is_object();
+        self.child_level = level;
+        self.backward = setup.dir == SweepDirection::Backward;
     }
 
     fn view(&self) -> SweepSide<'_, D> {
@@ -309,8 +366,9 @@ impl<const D: usize> SweepScratch<D> {
         }
     }
 
-    /// Fetches and prepares both sides of a pair for expansion, choosing
-    /// the sweep setup from the pair's MBRs and the current cutoff.
+    /// Lays out both sides of a pair for expansion (fetching the nodes
+    /// it opens), choosing the sweep setup from the pair's MBRs and the
+    /// current cutoff.
     pub(crate) fn expand(
         &mut self,
         r: &RTree<D>,
@@ -323,11 +381,14 @@ impl<const D: usize> SweepScratch<D> {
         self.load(r, s, pair, setup);
     }
 
-    /// Fetches both sides of `pair` and lays them out under `setup`.
+    /// Lays out both sides of `pair` under `setup`, opening the sides
+    /// [`opened_sides`] names. A replay calls this on the parked pair, so
+    /// it gathers the lists the parked expansion swept.
     fn load(&mut self, r: &RTree<D>, s: &RTree<D>, pair: &Pair<D>, setup: SweepSetup) {
+        let [open_a, open_b] = opened_sides(pair);
         self.setup = setup;
-        self.left.load(r, pair.a, &pair.a_mbr, setup);
-        self.right.load(s, pair.b, &pair.b_mbr, setup);
+        self.left.load(r, pair.a, &pair.a_mbr, setup, open_a);
+        self.right.load(s, pair.b, &pair.b_mbr, setup, open_b);
     }
 
     /// Prepares two level-matched nodes directly (SJ-SORT's sync
@@ -382,10 +443,10 @@ impl<const D: usize> SweepScratch<D> {
         }
     }
 
-    /// Replays the pairs a parked expansion skipped: re-fetches both
-    /// sides through the trees' buffers, lays them out under the parked
-    /// setup, and resumes the marks (see [`compensation_sweep`]) with the
-    /// scratch's staging buffers. Returns whether the entry is now
+    /// Replays the pairs a parked expansion skipped: re-fetches the
+    /// opened sides through the trees' buffers, lays both sides out
+    /// under the parked setup, and resumes the marks (see
+    /// [`compensation_sweep`]) with the scratch's staging buffers. Returns whether the entry is now
     /// exhausted (nothing unexamined or rejected remains).
     pub(crate) fn compensate(
         &mut self,
@@ -837,16 +898,9 @@ mod tests {
     }
 
     fn object_side(oid: u64, mbr: Rect<2>, setup: SweepSetup) -> SideBuf<2> {
-        SideBuf {
-            entries: vec![SweepEntry {
-                mbr,
-                child: oid,
-                key: sort_key(&mbr, setup),
-            }],
-            objects: true,
-            child_level: 0,
-            backward: setup.dir == SweepDirection::Backward,
-        }
+        let mut buf = SideBuf::default();
+        buf.hold(ItemRef::Object { oid }, &mbr, setup);
+        buf
     }
 
     fn leaf(points: &[(f64, f64)], base_id: u64) -> Node<2> {
@@ -1226,9 +1280,126 @@ mod tests {
         assert_eq!(after - before, 2, "a replay fetches both sides");
     }
 
+    /// A bulk-loaded test tree (fanout 6) over `n` points on a grid of
+    /// pitch `pitch`, ids from `base`.
+    fn grid_tree(n: u64, pitch: f64, base: u64) -> RTree<2> {
+        let items = (0..n)
+            .map(|i| {
+                let p = Point::new([(i % 10) as f64 * pitch, (i / 10) as f64 * pitch]);
+                (Rect::from_point(p), base + i)
+            })
+            .collect();
+        RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items)
+    }
+
+    /// The side the scratch laid out for `side` was held whole: one
+    /// entry that is `side` itself, with the pair's MBR for it.
+    fn assert_held(buf: &SideBuf<2>, side: ItemRef, mbr: Rect<2>) {
+        let v = buf.view();
+        assert_eq!(v.entries.len(), 1, "a held side is one entry");
+        assert_eq!(v.item_ref(&v.entries[0]), side);
+        assert_eq!(v.entries[0].mbr, mbr);
+    }
+
+    /// The side the scratch laid out for `side` was opened: the node's
+    /// children, one level down.
+    fn assert_opened(buf: &SideBuf<2>, tree: &RTree<2>, side: ItemRef) {
+        let ItemRef::Node { page, level } = side else {
+            panic!("only nodes open")
+        };
+        let node = tree.peek_node(PageId(page)).unwrap();
+        assert_eq!(buf.entries.len(), node.entries.len());
+        let v = buf.view();
+        let want = |child| {
+            if level == 0 {
+                ItemRef::Object { oid: child }
+            } else {
+                ItemRef::Node {
+                    page: child,
+                    level: level - 1,
+                }
+            }
+        };
+        for e in v.entries {
+            assert_eq!(v.item_ref(e), want(e.child));
+        }
+    }
+
+    /// A ⟨node, node⟩ pair whose levels differ opens only the node with
+    /// the larger MBR area, deeper or not, and holds the other as a
+    /// one-entry list of itself: its page, its level, its MBR.
+    #[test]
+    fn unequal_levels_open_only_the_larger_node() {
+        let mut scratch: SweepScratch<2> = SweepScratch::new();
+        // 100 points fill three levels, 20 points two.
+        let (deep_small, shallow_wide) = (grid_tree(100, 1.0, 0), grid_tree(20, 10.0, 500));
+        let (deep_wide, shallow_small) = (grid_tree(100, 10.0, 0), grid_tree(20, 1.0, 500));
+        assert_eq!((deep_small.height(), shallow_wide.height()), (3, 2));
+        for (deep, shallow, deep_opens) in [
+            (&deep_small, &shallow_wide, false),
+            (&deep_wide, &shallow_small, true),
+        ] {
+            // Both orientations: the deeper tree as R, then as S.
+            for deep_is_r in [true, false] {
+                let (r, s) = if deep_is_r {
+                    (deep, shallow)
+                } else {
+                    (shallow, deep)
+                };
+                let pair = crate::engine::expand::root_pair(r, s).unwrap();
+                let left_opens = deep_opens == deep_is_r;
+                assert_eq!(opened_sides(&pair), [left_opens, !left_opens]);
+                scratch.load(r, s, &pair, setup_fwd());
+                if left_opens {
+                    assert_opened(&scratch.left, r, pair.a);
+                    assert_held(&scratch.right, pair.b, pair.b_mbr);
+                } else {
+                    assert_held(&scratch.left, pair.a, pair.a_mbr);
+                    assert_opened(&scratch.right, s, pair.b);
+                }
+            }
+        }
+    }
+
+    /// Level-matched nodes open both sides (the paper's bidirectional
+    /// expansion), whatever their areas; a ⟨node, object⟩ pair opens the
+    /// node and holds the object, whichever side it is on.
+    #[test]
+    fn equal_levels_open_both_and_objects_are_held() {
+        let (small, wide) = (grid_tree(20, 1.0, 0), grid_tree(20, 10.0, 500));
+        let mut scratch: SweepScratch<2> = SweepScratch::new();
+        let pair = crate::engine::expand::root_pair(&small, &wide).unwrap();
+        assert_eq!(opened_sides(&pair), [true, true]);
+        scratch.load(&small, &wide, &pair, setup_fwd());
+        assert_opened(&scratch.left, &small, pair.a);
+        assert_opened(&scratch.right, &wide, pair.b);
+
+        // The object's MBR dwarfs the node's: objects are held anyway.
+        let huge = Rect::new([-1e6, -1e6], [1e6, 1e6]);
+        let node_object = Pair {
+            b: ItemRef::Object { oid: 7 },
+            b_mbr: huge,
+            ..pair
+        };
+        assert_eq!(opened_sides(&node_object), [true, false]);
+        scratch.load(&small, &wide, &node_object, setup_fwd());
+        assert_opened(&scratch.left, &small, pair.a);
+        assert_held(&scratch.right, node_object.b, huge);
+        let object_node = Pair {
+            a: ItemRef::Object { oid: 7 },
+            a_mbr: huge,
+            ..pair
+        };
+        assert_eq!(opened_sides(&object_node), [false, true]);
+        scratch.load(&small, &wide, &object_node, setup_fwd());
+        assert_held(&scratch.left, object_node.a, huge);
+        assert_opened(&scratch.right, &wide, pair.b);
+    }
+
     /// Replays gather exactly the lists the parked expansion swept, for
     /// every axis and direction — including ⟨node, object⟩ pairs, whose
-    /// object side comes from the pair's own MBR.
+    /// object side comes from the pair's own MBR, and unequal-level
+    /// pairs, whose held node does too.
     #[test]
     fn replay_lists_match_the_parked_expansion() {
         let items: Vec<(Rect<2>, u64)> = (0..5)
@@ -1239,19 +1410,22 @@ mod tests {
             .collect();
         let r = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items.clone());
         let s = RTree::<2>::bulk_load(amdj_rtree::RTreeParams::for_tests(), items);
+        let deep = grid_tree(40, 0.1, 100);
+        assert!(deep.height() > s.height());
         let root = crate::engine::expand::root_pair(&r, &s).unwrap();
         let obj = Pair {
             b: ItemRef::Object { oid: 42 },
             b_mbr: Rect::new([1.0, 1.0], [2.0, 2.0]),
             ..root
         };
+        let uneven = crate::engine::expand::root_pair(&deep, &s).unwrap();
         let mut scratch: SweepScratch<2> = SweepScratch::new();
         let mut replay: SweepScratch<2> = SweepScratch::new();
-        for pair in [root, obj] {
+        for (r, s, pair) in [(&r, &s, root), (&r, &s, obj), (&deep, &s, uneven)] {
             for axis in 0..2 {
                 for dir in [SweepDirection::Forward, SweepDirection::Backward] {
                     let setup = SweepSetup { axis, dir };
-                    scratch.load(&r, &s, &pair, setup);
+                    scratch.load(r, s, &pair, setup);
                     let mut stats = JoinStats::default();
                     let mut sink = Collect {
                         axis: 0.0,
@@ -1265,7 +1439,7 @@ mod tests {
                         real: f64::INFINITY,
                         pairs: vec![],
                     };
-                    assert!(replay.compensate(&r, &s, &mut entry, &mut rest, &mut stats));
+                    assert!(replay.compensate(r, s, &mut entry, &mut rest, &mut stats));
                     for (got, want) in [
                         (&replay.left, &scratch.left),
                         (&replay.right, &scratch.right),

@@ -109,30 +109,16 @@ impl<'a, const D: usize> HsIdj<'a, D> {
     /// Uni-directional expansion: pair one node's children with the other
     /// side unchanged.
     fn expand(&mut self, pair: Pair<D>) {
-        let expand_left = match (pair.a, pair.b) {
-            (ItemRef::Node { .. }, ItemRef::Object { .. }) => true,
-            (ItemRef::Object { .. }, ItemRef::Node { .. }) => false,
-            (ItemRef::Node { .. }, ItemRef::Node { .. }) => pair.a_mbr.area() >= pair.b_mbr.area(),
-            (ItemRef::Object { .. }, ItemRef::Object { .. }) => {
-                unreachable!("results never expand")
-            }
-        };
-        let node = if expand_left {
-            let ItemRef::Node { page, .. } = pair.a else {
-                unreachable!()
-            };
-            self.r.fetch(PageId(page))
+        let expand_left = pair.opens_left();
+        let (tree, side, other_ref, other_mbr) = if expand_left {
+            (self.r, pair.a, pair.b, pair.b_mbr)
         } else {
-            let ItemRef::Node { page, .. } = pair.b else {
-                unreachable!()
-            };
-            self.s.fetch(PageId(page))
+            (self.s, pair.b, pair.a, pair.a_mbr)
         };
-        let (other_ref, other_mbr) = if expand_left {
-            (pair.b, pair.b_mbr)
-        } else {
-            (pair.a, pair.a_mbr)
+        let ItemRef::Node { page, .. } = side else {
+            unreachable!("results never expand")
         };
+        let node = tree.fetch(PageId(page));
         for e in &node.entries {
             self.counters.real_dist += 1;
             let d = e.mbr.min_dist(&other_mbr);

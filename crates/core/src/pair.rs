@@ -54,6 +54,17 @@ impl<const D: usize> Pair<D> {
     pub fn is_result(&self) -> bool {
         self.a.is_object() && self.b.is_object()
     }
+
+    /// Which side a one-sided expansion opens (Hjaltason & Samet's
+    /// rule): the node of a ⟨node, object⟩ pair, else the side with the
+    /// larger MBR area, R on ties. `true` opens the left (R) side.
+    pub(crate) fn opens_left(&self) -> bool {
+        match (self.a, self.b) {
+            (ItemRef::Node { .. }, ItemRef::Object { .. }) => true,
+            (ItemRef::Object { .. }, ItemRef::Node { .. }) => false,
+            _ => self.a_mbr.area() >= self.b_mbr.area(),
+        }
+    }
 }
 
 fn encode_ref(out: &mut Vec<u8>, r: &ItemRef) {

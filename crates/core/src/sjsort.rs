@@ -96,7 +96,11 @@ pub(crate) fn visit<const D: usize>(
     let nr = r.fetch(pr);
     let ns = s.fetch(ps);
     if nr.level > ns.level {
-        // Descend the deeper side alone until the levels meet.
+        // Descend the deeper side alone until the levels meet. The
+        // distance joins open the larger-area node instead
+        // (`engine::sweep::opened_sides`), since their pair order decides
+        // when they stop; a within-join reports every qualifying pair
+        // whatever the order, so the level rule stays here.
         let smbr = ns.mbr();
         for e in &nr.entries {
             stats.real_dist += 1;

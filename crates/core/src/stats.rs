@@ -66,11 +66,12 @@ pub struct JoinStats {
     /// (stage 2).
     pub stage2_expansions: u64,
     /// Logical R-tree node accesses, both trees (Table 2's parenthesized
-    /// "no buffer" figure): one per node side of every stage-one and
-    /// stage-two expansion, one per node side of every compensation
-    /// replay (a parked entry keeps its node pair, not the children
-    /// lists, so a replay fetches both nodes again), plus a few fixed
-    /// reads of the two roots at join start.
+    /// "no buffer" figure): one per opened node side of every stage-one
+    /// and stage-two expansion, one per opened node side of every
+    /// compensation replay (a parked entry keeps its node pair, not the
+    /// children lists, so a replay fetches those nodes again), plus a few
+    /// fixed reads of the two roots at join start. A node held whole by
+    /// an unequal-level pair is not fetched.
     pub node_requests: u64,
     /// R-tree nodes actually fetched from disk (Table 2's main figure).
     pub node_disk_reads: u64,

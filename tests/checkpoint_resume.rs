@@ -397,7 +397,7 @@ fn run_refuses_mismatched_resume() {
 }
 
 /// Byte offset of the first compensation entry's first left stop in a
-/// snapshot image, found by walking the version 2 layout with the
+/// snapshot image, found by walking the version 3 layout with the
 /// public codec: fixed header, results, dists, the page-framed
 /// frontier, the entry count, then the entry's key, axis, direction and
 /// parked pair ahead of its left-stop count.
@@ -429,7 +429,8 @@ fn first_left_stop_offset(bytes: &[u8]) -> usize {
 
 /// Snapshots come from disk or the wire, so a resume checks what they
 /// reference before running: a version 1 image (which carried the
-/// children lists) is refused at decode, a compensation mark past its
+/// children lists) and a version 2 image (whose marks assume both nodes
+/// of an unequal-level pair open) are refused at decode, a compensation mark past its
 /// node's entries is refused at resume, and a snapshot of other trees
 /// is refused by its tree fingerprint — all as `Invalid`, never a panic.
 #[test]
@@ -457,12 +458,17 @@ fn resume_refuses_foreign_and_crafted_snapshots() {
         engine::run(r, s, req, &cfg, None)
     };
 
-    let mut v1 = bytes.clone();
-    v1[8] = 1;
-    assert_eq!(
-        EngineSnapshot::<2>::decode(&v1).unwrap_err(),
-        SnapshotError::Invalid("unsupported snapshot version")
-    );
+    // Version 2 images share version 3's layout, but their marks on an
+    // unequal-level node pair index both nodes' children.
+    for version in [1, 2] {
+        let mut old = bytes.clone();
+        old[8] = version;
+        assert_eq!(
+            EngineSnapshot::<2>::decode(&old).unwrap_err(),
+            SnapshotError::Invalid("unsupported snapshot version"),
+            "version {version}"
+        );
+    }
 
     let at = first_left_stop_offset(&bytes);
     for bad in [u32::MAX, 10_000] {
@@ -553,48 +559,76 @@ fn resumed_idj_episodes_do_not_advance_stages_early() {
     }
 }
 
-/// A one-thread aggressive k-distance join paused every few expansions
-/// does the uninterrupted join's work, summed over its episodes: the
-/// same distance computations, the same insertions into each of the
-/// three queues, the same expansions per stage and the same replays. A
-/// resumed stage-one driver starts its distance queue from the
-/// snapshot's distance evidence, so its `qDmax` and its `eDmax` ratchet
-/// pick up where the suspended episode left them. Uniform against
-/// clustered points keeps distances tie-free.
-#[test]
-fn resumed_one_thread_kdj_does_the_uninterrupted_work() {
+/// Uniform against clustered points, 2000 each: distances are tie-free
+/// and both paper-configuration trees have two levels.
+fn equal_height_trees() -> (RTree<2>, RTree<2>) {
     let universe = amdj_datagen::unit_universe();
     let a = amdj_datagen::uniform_points(2000, universe, 1);
     let b = amdj_datagen::clustered_points(2000, 16, 0.02, universe, 2);
     let r = RTree::bulk_load(RTreeParams::paper_defaults(), a);
     let s = RTree::bulk_load(RTreeParams::paper_defaults(), b);
+    assert_eq!(r.height(), s.height());
+    (r, s)
+}
+
+/// Uniform against clustered points of unequal heights (four levels
+/// against three, fanout 6), so expansions open one side of most node
+/// pairs and park entries that hold the other.
+fn unequal_height_trees() -> (RTree<2>, RTree<2>) {
+    let universe = amdj_datagen::unit_universe();
+    let a = amdj_datagen::uniform_points(600, universe, 1);
+    let b = amdj_datagen::clustered_points(150, 8, 0.02, universe, 2);
+    let (r, s) = trees(&a, &b);
+    assert_eq!((r.height(), s.height()), (4, 3));
+    (r, s)
+}
+
+/// Runs `kind` on one worker to completion in episodes of `budget`
+/// expansions, each resumed from the last one's snapshot after a trip
+/// through its wire encoding. Returns the final output, the counters
+/// summed over the episodes, and the number of suspensions.
+fn one_thread_episodes(
+    r: &RTree<2>,
+    s: &RTree<2>,
+    kind: &JoinKind,
+    budget: u64,
+) -> (JoinOutput, amdj_core::JoinStats, usize) {
     let cfg = JoinConfig::default();
-    let kind = aggressive(100, None);
-    let whole = run_join(&r, &s, kind.clone(), 1, &cfg);
     let mut resume = None;
     let mut suspensions = 0;
     let mut total = amdj_core::JoinStats::default();
-    let resumed = loop {
-        let ctl = PauseCtl::every(7);
+    loop {
+        let ctl = PauseCtl::every(budget);
         let req = JoinRequest {
             resume: resume.take(),
             ..JoinRequest::new(kind.clone(), 1)
         };
-        match engine::run(&r, &s, req, &cfg, Some(&ctl)).expect("self-made snapshot validates") {
+        match engine::run(r, s, req, &cfg, Some(&ctl)).expect("self-made snapshot validates") {
             Checkpointed::Done(out) => {
                 total.absorb_episode(&out.stats);
-                break out;
+                return (out, total, suspensions);
             }
             Checkpointed::Suspended(snap, stats) => {
                 total.absorb_episode(&stats);
                 suspensions += 1;
-                resume = Some(*snap);
+                let bytes = snap.encode();
+                resume = Some(EngineSnapshot::decode(&bytes).expect("own snapshot decodes"));
             }
         }
-    };
+    }
+}
+
+/// A one-thread aggressive k-distance join paused every seven
+/// expansions does the uninterrupted join's work, summed over its
+/// episodes: the same distance computations, the same insertions into
+/// each of the three queues, the same expansions per stage and the same
+/// replays.
+fn assert_resumed_kdj_does_the_uninterrupted_work(r: &RTree<2>, s: &RTree<2>) {
+    let kind = aggressive(100, None);
+    let whole = run_join(r, s, kind.clone(), 1, &JoinConfig::default());
+    let (resumed, total, suspensions) = one_thread_episodes(r, s, &kind, 7);
     assert!(suspensions >= 4, "the pause fired only {suspensions} times");
     assert_eq!(resumed.results, whole.results);
-    let w = &whole.stats;
     let work = |st: &amdj_core::JoinStats| {
         [
             ("real_dist", st.real_dist),
@@ -608,49 +642,17 @@ fn resumed_one_thread_kdj_does_the_uninterrupted_work() {
             ("results", st.results),
         ]
     };
-    assert_eq!(work(&total), work(w), "resumed work differs");
+    assert_eq!(work(&total), work(&whole.stats), "resumed work differs");
 }
 
-/// A one-thread incremental join paused every few expansions does the
+/// A one-thread incremental join paused every seven expansions does the
 /// uninterrupted join's work, summed over its episodes: the same
 /// distance computations and the same main- and distance-queue
-/// insertions. Each worker counts every object pair it queues into its
-/// `take` queue, a snapshot's evidence carries those distances, and a
-/// resumed worker re-queues the saved frontier uncounted, so no episode
-/// bound is tighter or looser than the uninterrupted one's. Uniform
-/// against clustered points keeps distances tie-free.
-#[test]
-fn resumed_one_thread_idj_does_the_uninterrupted_work() {
-    let universe = amdj_datagen::unit_universe();
-    let a = amdj_datagen::uniform_points(2000, universe, 1);
-    let b = amdj_datagen::clustered_points(2000, 16, 0.02, universe, 2);
-    let r = RTree::bulk_load(RTreeParams::paper_defaults(), a);
-    let s = RTree::bulk_load(RTreeParams::paper_defaults(), b);
-    let cfg = JoinConfig::default();
+/// insertions.
+fn assert_resumed_idj_does_the_uninterrupted_work(r: &RTree<2>, s: &RTree<2>) {
     let kind = incremental(100, &AmIdjOptions::default());
-    let whole = run_join(&r, &s, kind.clone(), 1, &cfg);
-    let mut resume = None;
-    let mut suspensions = 0;
-    let mut total = amdj_core::JoinStats::default();
-    let resumed = loop {
-        let ctl = PauseCtl::every(7);
-        let req = JoinRequest {
-            resume: resume.take(),
-            ..JoinRequest::new(kind.clone(), 1)
-        };
-        match engine::run(&r, &s, req, &cfg, Some(&ctl)).expect("self-made snapshot validates") {
-            Checkpointed::Done(out) => {
-                total.absorb_episode(&out.stats);
-                break out;
-            }
-            Checkpointed::Suspended(snap, stats) => {
-                total.absorb_episode(&stats);
-                suspensions += 1;
-                let bytes = snap.encode();
-                resume = Some(EngineSnapshot::decode(&bytes).expect("own snapshot decodes"));
-            }
-        }
-    };
+    let whole = run_join(r, s, kind.clone(), 1, &JoinConfig::default());
+    let (resumed, total, suspensions) = one_thread_episodes(r, s, &kind, 7);
     assert!(suspensions >= 4, "the pause fired only {suspensions} times");
     assert_eq!(resumed.results, whole.results);
     let work = |st: &amdj_core::JoinStats| {
@@ -662,4 +664,39 @@ fn resumed_one_thread_idj_does_the_uninterrupted_work() {
         ]
     };
     assert_eq!(work(&total), work(&whole.stats), "resumed work differs");
+}
+
+/// A resumed stage-one driver starts its distance queue from the
+/// snapshot's distance evidence, so its `qDmax` and its `eDmax` ratchet
+/// pick up where the suspended episode left them.
+#[test]
+fn resumed_one_thread_kdj_does_the_uninterrupted_work() {
+    let (r, s) = equal_height_trees();
+    assert_resumed_kdj_does_the_uninterrupted_work(&r, &s);
+}
+
+/// Each worker counts every object pair it queues into its `take`
+/// queue, a snapshot's evidence carries those distances, and a resumed
+/// worker re-queues the saved frontier uncounted, so no episode bound
+/// is tighter or looser than the uninterrupted one's.
+#[test]
+fn resumed_one_thread_idj_does_the_uninterrupted_work() {
+    let (r, s) = equal_height_trees();
+    assert_resumed_idj_does_the_uninterrupted_work(&r, &s);
+}
+
+/// Parked entries on unequal-level pairs hold one node whole; a resumed
+/// replay lays out the same one-sided lists, so the work still matches.
+#[test]
+fn resumed_one_thread_kdj_on_unequal_heights_does_the_uninterrupted_work() {
+    let (r, s) = unequal_height_trees();
+    assert_resumed_kdj_does_the_uninterrupted_work(&r, &s);
+    assert_resumed_kdj_does_the_uninterrupted_work(&s, &r);
+}
+
+#[test]
+fn resumed_one_thread_idj_on_unequal_heights_does_the_uninterrupted_work() {
+    let (r, s) = unequal_height_trees();
+    assert_resumed_idj_does_the_uninterrupted_work(&r, &s);
+    assert_resumed_idj_does_the_uninterrupted_work(&s, &r);
 }
